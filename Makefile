@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build test race lint vet bench bench-full bench-compare bench-scale chaos sim fmt
 
 # Output snapshot for the regression-gate benchmarks (see cmd/benchgate).
-BENCH_OUT ?= BENCH_pr9.json
+BENCH_OUT ?= BENCH_pr12.json
 
 all: build test lint
 
@@ -45,7 +45,7 @@ bench:
 # snapshot without overwriting it.
 bench-compare:
 	$(GO) run ./cmd/benchgate -write /tmp/bench-current.json
-	$(GO) run ./cmd/benchgate -compare "$$(ls BENCH_*.json | sort | tail -1),/tmp/bench-current.json"
+	$(GO) run ./cmd/benchgate -compare "$$(ls BENCH_*.json | sort -V | tail -1),/tmp/bench-current.json"
 
 # bench-full runs the whole paper-reproduction benchmark suite.
 bench-full:

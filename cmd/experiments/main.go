@@ -47,7 +47,6 @@ func run() error {
 	trials := flag.Int("trials", 0, "override trial count")
 	requests := flag.Int("requests", 0, "override request count")
 	parallel := flag.Int("parallel", 0, "worker pool for environment builds (0/1 serial, -1 all cores; results are bit-identical)")
-	routeCache := flag.Bool("route-cache", false, "enable the invalidation-aware route cache in built frameworks")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on clean shutdown")
 	flag.Parse()
@@ -110,7 +109,6 @@ func run() error {
 	specs := env.Table1(*seed)
 	for i := range specs {
 		specs[i].Workers = *parallel
-		specs[i].CacheRoutes = *routeCache
 	}
 
 	// The ablations run on the 250-proxy environment; paper-scale sweeps

@@ -314,26 +314,6 @@ func (m *Map) N() int { return len(m.Points) }
 // Dist returns the predicted distance between overlay nodes i and j.
 func (m *Map) Dist(i, j int) float64 { return Dist(m.Points[i], m.Points[j]) }
 
-// DistMatrix materializes the full pairwise-distance matrix on a bounded
-// worker pool (rows fan out across workers). Every entry equals the
-// corresponding Dist(i, j) call bit-for-bit — the matrix only trades
-// memory for the repeated evaluations clustering performs — so consumers
-// may use either interchangeably without perturbing results.
-func (m *Map) DistMatrix(workers int) [][]float64 {
-	n := m.N()
-	out := make([][]float64, n)
-	par.For(n, workers, func(i int) {
-		row := make([]float64, n)
-		for j := 0; j < n; j++ {
-			if j != i {
-				row[j] = Dist(m.Points[i], m.Points[j])
-			}
-		}
-		out[i] = row
-	})
-	return out
-}
-
 // RelativeError quantifies embedding quality for a pair: |pred − actual| /
 // actual (using the regularized denominator for tiny actuals).
 func RelativeError(pred, actual float64) float64 {

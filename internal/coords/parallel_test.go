@@ -69,30 +69,3 @@ func TestEmbedLandmarksWorkersBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-func TestDistMatrixMatchesDist(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pts := make([]Point, 30)
-	for i := range pts {
-		pts[i] = Point{rng.Float64() * 100, rng.Float64() * 100}
-	}
-	m, err := NewMap(pts)
-	if err != nil {
-		t.Fatalf("NewMap: %v", err)
-	}
-	for _, workers := range []int{1, 3, -1} {
-		matrix := m.DistMatrix(workers)
-		for i := 0; i < m.N(); i++ {
-			for j := 0; j < m.N(); j++ {
-				want := 0.0
-				if i != j {
-					want = m.Dist(i, j)
-				}
-				//hfcvet:ignore floatdist matrix entries must equal Dist bit-for-bit by construction
-				if matrix[i][j] != want {
-					t.Fatalf("workers=%d: matrix[%d][%d] = %v, want %v", workers, i, j, matrix[i][j], want)
-				}
-			}
-		}
-	}
-}

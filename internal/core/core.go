@@ -22,7 +22,6 @@ import (
 	"hfc/internal/coords"
 	"hfc/internal/hfc"
 	"hfc/internal/routing"
-	"hfc/internal/serve"
 	"hfc/internal/state"
 	"hfc/internal/svc"
 )
@@ -45,26 +44,6 @@ type Config struct {
 	// (0/1 serial, negative = all cores). The framework is bit-identical
 	// for any value; see internal/par for the determinism contract.
 	Workers int
-	// CacheRoutes enables an invalidation-aware route cache inside the
-	// Framework. Bootstrap's states are static, so entries never go stale;
-	// repeated requests are answered from cache. Default off.
-	CacheRoutes bool
-	// ServeEngine attaches a concurrent route-serving engine
-	// (internal/serve) to the Framework: Route answers through its sharded
-	// cache, inverted provider indexes, and in-flight deduplication, and
-	// Engine() exposes it for batched resolution and capability updates.
-	// Supersedes CacheRoutes (the engine always caches). Default off.
-	ServeEngine bool
-	// CacheShards overrides the serving engine's route-cache shard count
-	// (0 selects routing.DefaultCacheShards). Ignored without ServeEngine.
-	CacheShards int
-	// DenseMatrix materializes the full O(n²) pairwise-distance matrix and
-	// serves clustering distances from it, as pre-geo builds did. The
-	// spatial-index construction path never needs it; enable only when the
-	// memory trade is worthwhile (small overlays with heavy repeated
-	// dist(i,j) churn, APSP/mesh experiments). Values are identical to
-	// coords.Dist, so the built framework is unchanged either way.
-	DenseMatrix bool
 }
 
 func (c Config) withDefaults() Config {
@@ -80,7 +59,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Framework is a bootstrapped HFC service overlay.
+// Framework is a bootstrapped HFC service overlay: what Bootstrap built
+// plus an uncached Route over it. Serving — route cache, in-flight dedup,
+// capability updates, degraded mode — is internal/serve's:
+//
+//	serve.NewEngine(fw.Topology(), fw.Capabilities(), fw.States(), serve.Config{})
 type Framework struct {
 	topo      *hfc.Topology
 	caps      []svc.CapabilitySet
@@ -88,16 +71,9 @@ type Framework struct {
 	stateMsgs state.MessageStats
 	relax     routing.RelaxMode
 	landmarks []coords.Point
-	// cache, when non-nil, memoizes RouteDetailed results; the framework's
-	// states are immutable, so entries never need invalidating. Internally
-	// synchronized; cached results are shared read-only values.
-	cache *routing.RouteCache
-	// engine, when non-nil (Config.ServeEngine), serves every route: it
-	// owns its own state copy, cache, and provider indexes.
-	engine *serve.Engine
-	// routers caches one hierarchical router per destination proxy for the
-	// engine-less path. Bootstrap's states and views are immutable, and
-	// HierarchicalRouter is read-only during Route, so a router built once
+	// routers caches one hierarchical router per destination proxy.
+	// Bootstrap's states and views are immutable, and HierarchicalRouter
+	// is read-only during Route, so a router built once
 	// serves every later request to the same destination — the per-request
 	// O(K² + |C|) view copy and solver construction disappear from the hot
 	// path. Slots fill lazily; concurrent first requests may build twice and
@@ -128,20 +104,12 @@ func Bootstrap(rng *rand.Rand, m coords.Measurer, landmarks, proxies []int, caps
 		return nil, fmt.Errorf("core: distance map: %w", err)
 	}
 	// Clustering runs on the geo engine (cfg.Cluster.Points) by default, so
-	// no O(n²) matrix is ever materialized; DenseMatrix restores the eager
-	// matrix for callers that want clustering's residual brute distance
-	// evaluations served from memory. Both paths read the exact values
-	// cmap.Dist returns, so the clustering is unchanged either way.
-	dist := cmap.Dist
-	if cfg.DenseMatrix {
-		matrix := cmap.DistMatrix(cfg.Workers)
-		dist = func(i, j int) float64 { return matrix[i][j] }
-	}
+	// no O(n²) matrix is ever materialized.
 	clusterCfg := cfg.Cluster
 	if clusterCfg.Points == nil {
 		clusterCfg.Points = cmap.Points
 	}
-	clustering, err := cluster.Cluster(cmap.N(), dist, clusterCfg)
+	clustering, err := cluster.Cluster(cmap.N(), cmap.Dist, clusterCfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: clustering: %w", err)
 	}
@@ -157,10 +125,6 @@ func Bootstrap(rng *rand.Rand, m coords.Measurer, landmarks, proxies []int, caps
 	for i, c := range caps {
 		capsCopy[i] = c.Clone()
 	}
-	var cache *routing.RouteCache
-	if cfg.CacheRoutes {
-		cache = routing.NewRouteCache()
-	}
 	fw := &Framework{
 		topo:      topo,
 		caps:      capsCopy,
@@ -168,30 +132,17 @@ func Bootstrap(rng *rand.Rand, m coords.Measurer, landmarks, proxies []int, caps
 		stateMsgs: msgs,
 		relax:     cfg.Relax,
 		landmarks: lmPoints,
-		cache:     cache,
 	}
 	fw.routers = make([]atomic.Pointer[routing.HierarchicalRouter], topo.N())
 	fw.indexes = routing.NewLazyIndexes(states, func(node int) []int {
 		return topo.Members(topo.ClusterOf(node))
 	}, nil)
 	fw.solver = &routing.LocalIntraSolver{Topo: topo, States: states, Indexes: fw.indexes}
-	if cfg.ServeEngine {
-		eng, err := serve.NewEngine(topo, capsCopy, states, serve.Config{
-			CacheShards: cfg.CacheShards,
-			Relax:       cfg.Relax,
-			Workers:     cfg.Workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: serve engine: %w", err)
-		}
-		fw.engine = eng
-	}
 	return fw, nil
 }
 
 // Route answers a service request (overlay-index endpoints) with the
-// hierarchical §5 procedure. With Config.CacheRoutes, repeated requests
-// return the same shared (read-only) path from cache.
+// hierarchical §5 procedure, computed afresh on every call.
 func (f *Framework) Route(req svc.Request) (*routing.Path, error) {
 	res, err := f.RouteDetailed(req)
 	if err != nil {
@@ -203,32 +154,14 @@ func (f *Framework) Route(req svc.Request) (*routing.Path, error) {
 // RouteDetailed returns the full routing result, including the CSP and
 // child requests (the Fig. 7 intermediate artifacts).
 func (f *Framework) RouteDetailed(req svc.Request) (*routing.Result, error) {
-	if f.engine != nil {
-		return f.engine.ResolveDetailed(req)
-	}
 	if err := req.Validate(f.topo.N()); err != nil {
 		return nil, err
-	}
-	var key routing.CacheKey
-	var canonical string
-	var version uint64
-	if f.cache != nil {
-		canonical = req.SG.Canonical()
-		key = routing.NewCacheKeyCanonical(req.Source, req.Dest, canonical)
-		if v, ok := f.cache.Get(key, canonical); ok {
-			return v.(*routing.Result), nil
-		}
-		version = f.cache.Version()
 	}
 	r, err := f.routerFor(req.Dest)
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.Route(req)
-	if err == nil && f.cache != nil {
-		f.cache.Put(key, canonical, res, nil, version)
-	}
-	return res, err
+	return r.Route(req)
 }
 
 // routerFor returns the cached router for a destination proxy, building it
@@ -252,22 +185,6 @@ func (f *Framework) routerFor(dest int) (*routing.HierarchicalRouter, error) {
 	f.routers[dest].Store(r)
 	return r, nil
 }
-
-// RouteCacheStats snapshots the route cache's counters; ok is false when
-// caching is disabled.
-func (f *Framework) RouteCacheStats() (stats routing.CacheStats, ok bool) {
-	if f.engine != nil {
-		return f.engine.Stats().Cache, true
-	}
-	if f.cache == nil {
-		return routing.CacheStats{}, false
-	}
-	return f.cache.Stats(), true
-}
-
-// Engine returns the concurrent serving engine, or nil when
-// Config.ServeEngine was off.
-func (f *Framework) Engine() *serve.Engine { return f.engine }
 
 // Topology exposes the constructed HFC topology.
 func (f *Framework) Topology() *hfc.Topology { return f.topo }

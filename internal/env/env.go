@@ -53,19 +53,6 @@ type Spec struct {
 	// tables (0/1 serial, negative = all cores). The built environment is
 	// bit-identical for any value.
 	Workers int
-	// CacheRoutes enables the framework's route cache (repeated requests
-	// answered from memory; safe because the bootstrapped state is static).
-	CacheRoutes bool
-	// ServeEngine attaches the concurrent route-serving engine
-	// (internal/serve) to the built framework; see core.Config.ServeEngine.
-	ServeEngine bool
-	// CacheShards overrides the serving engine's cache shard count (0 =
-	// default).
-	CacheShards int
-	// DenseMatrix materializes the O(n²) pairwise-distance matrix during
-	// bootstrap (see core.Config.DenseMatrix); the default geo-indexed
-	// build never needs it.
-	DenseMatrix bool
 	// Seed drives all randomness in the build.
 	Seed int64
 }
@@ -217,13 +204,9 @@ func Build(spec Spec) (*Environment, error) {
 	}
 
 	coreCfg := core.Config{
-		CoordDim:    spec.CoordDim,
-		Probes:      spec.Probes,
-		Workers:     spec.Workers,
-		CacheRoutes: spec.CacheRoutes,
-		ServeEngine: spec.ServeEngine,
-		CacheShards: spec.CacheShards,
-		DenseMatrix: spec.DenseMatrix,
+		CoordDim: spec.CoordDim,
+		Probes:   spec.Probes,
+		Workers:  spec.Workers,
 	}
 	if spec.InconsistencyK != 0 {
 		coreCfg.Cluster.InconsistencyFactor = spec.InconsistencyK

@@ -48,9 +48,9 @@ func scalePoints(rng *rand.Rand, n int) []coords.Point {
 
 // RunScale measures end-to-end overlay construction — clustering plus
 // border election — at each requested size over the spatial-index engine.
-// Distances come straight from coordinates (coords.Map.Dist); the dense
-// DistMatrix path is never touched, which is what lets the n=100k row
-// complete in memory a complete graph could not.
+// Distances come straight from coordinates (coords.Map.Dist); no dense
+// matrix is ever built, which is what lets the n=100k row complete in
+// memory a complete graph could not.
 func RunScale(seed int64, sizes []int) ([]ScaleRow, error) {
 	if len(sizes) == 0 {
 		return nil, errors.New("experiments: no scale sizes")

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"hfc/internal/env"
+	"hfc/internal/par"
+	"hfc/internal/serve"
 	"hfc/internal/svc"
 )
 
@@ -49,7 +51,6 @@ func RunServe(spec env.Spec, requests int, workerCounts []int) ([]ServeRow, erro
 	if len(workerCounts) == 0 {
 		return nil, errors.New("experiments: empty worker sweep")
 	}
-	spec.ServeEngine = true
 	e, err := env.Build(spec)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: serve: %w", err)
@@ -66,18 +67,25 @@ func RunServe(spec env.Spec, requests int, workerCounts []int) ([]ServeRow, erro
 		stream = append(stream, reqs...)
 	}
 
+	// A fresh engine over the one environment: cache and counters start cold.
+	fw := e.Framework
+	newEngine := func() (*serve.Engine, error) {
+		return serve.NewEngine(fw.Topology(), fw.Capabilities(), fw.States(), serve.Config{})
+	}
+
 	rows := make([]ServeRow, 0, len(workerCounts))
 	var serialOps float64
 	for _, w := range workerCounts {
-		// A fresh engine per row: cache and counters start cold.
-		fresh, err := env.Build(spec)
+		eng, err := newEngine()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: serve: %w", err)
 		}
-		eng := fresh.Framework.Engine()
+		errs := make([]error, len(stream))
 		//hfcvet:ignore detrand wall-clock throughput timing; route results stay seed-deterministic
 		start := time.Now()
-		_, errs := eng.ResolveAll(stream, w)
+		par.For(len(stream), w, func(i int) {
+			_, errs[i] = eng.Resolve(stream[i])
+		})
 		elapsed := time.Since(start)
 		for i, rerr := range errs {
 			if rerr != nil {
@@ -106,11 +114,10 @@ func RunServe(spec env.Spec, requests int, workerCounts []int) ([]ServeRow, erro
 		// duplication is across passes — batching amortizes front matter
 		// only for duplicates inside a single call, which is exactly what a
 		// request-coalescing server hands it.
-		batchFresh, err := env.Build(spec)
+		beng, err := newEngine()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: serve: %w", err)
 		}
-		beng := batchFresh.Framework.Engine()
 		//hfcvet:ignore detrand wall-clock throughput timing; route results stay seed-deterministic
 		bstart := time.Now()
 		_, berrs := beng.ResolveBatch(stream, w)

@@ -72,7 +72,7 @@ func Route(t *Topology, states *States, req svc.Request) (*Result, error) {
 			cost += t.Dist(u, v)
 		}
 	}
-	res := &Result{GSP: gsp, Children: children, Path: &routing.Path{Hops: compact(hops), DecisionCost: cost}}
+	res := &Result{GSP: gsp, Children: children, Path: &routing.Path{Hops: routing.CompactHops(hops), DecisionCost: cost}}
 	return res, nil
 }
 
@@ -314,21 +314,4 @@ func solveGroupChild(t *Topology, states *States, child GroupChild) (*routing.Pa
 		hops[i] = routing.Hop{Node: t.ToGlobal(g, h.Node), Service: h.Service}
 	}
 	return &routing.Path{Hops: hops, DecisionCost: local.Path.DecisionCost}, nil
-}
-
-// compact removes serviceless hops duplicating an adjacent hop's node.
-func compact(hops []routing.Hop) []routing.Hop {
-	out := make([]routing.Hop, 0, len(hops))
-	for i, h := range hops {
-		if h.Service == "" {
-			if len(out) > 0 && out[len(out)-1].Node == h.Node {
-				continue
-			}
-			if i+1 < len(hops) && hops[i+1].Node == h.Node {
-				continue
-			}
-		}
-		out = append(out, h)
-	}
-	return out
 }

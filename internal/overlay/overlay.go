@@ -85,9 +85,6 @@ type Config struct {
 	// cluster the cached path depends on invalidates the entry. Default
 	// off.
 	CacheRoutes bool
-	// CacheShards overrides the route cache's shard count (0 selects
-	// routing.DefaultCacheShards). Ignored without CacheRoutes.
-	CacheShards int
 	// LinkPolicy, when non-nil, is consulted for every node-to-node
 	// payload message (never for externally injected control traffic) and
 	// can drop, delay, or duplicate it — the hook the chaos engine
@@ -546,11 +543,7 @@ func New(topo *hfc.Topology, caps []svc.CapabilitySet, cfg Config) (*System, err
 	}
 	var cache *routing.RouteCache
 	if cfg.CacheRoutes {
-		shards := cfg.CacheShards
-		if shards == 0 {
-			shards = routing.DefaultCacheShards
-		}
-		cache = routing.NewRouteCacheSharded(shards)
+		cache = routing.NewRouteCache()
 	}
 	s := &System{topo: topo, caps: caps, cfg: cfg, accepting: true,
 		dyn: hfc.NewDynamic(topo), cache: cache, stopCh: make(chan struct{})}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"hfc/internal/coords"
@@ -11,16 +12,13 @@ import (
 	"hfc/internal/svc"
 )
 
-// This file is the flat (struct-of-arrays) implementation of the §5.1
-// cluster-level search for the greedy relaxation modes. It produces
-// results identical to the map-based clusterLevelPathGeneric — same
-// candidate iteration order, same strict-< improvements, same
-// floating-point evaluation order — but keeps its labels in pooled dense
-// arrays indexed (SG vertex)*K + cluster and reads border pairs and
-// coordinates from the view's DenseTables instead of hashing map keys per
-// lookup. RelaxExact keeps the generic path (its (vertex, cluster, entry)
-// state space does not flatten to a K-wide table), which doubles as the
-// reference implementation the equivalence tests compare against.
+// This file is the §5.1 cluster-level search (steps 1–2), the only
+// implementation on the production path. Labels live in pooled dense
+// arrays and border pairs and coordinates come from the view's DenseTables
+// instead of hashed map keys. The map-based search it replaced is the
+// oracle in oracle_test.go; the two agree on CSP, cost bits and error
+// strings in every relax mode — same candidate iteration order, same
+// strict-< improvements, same floating-point evaluation order.
 
 // cspScratch is the reusable arena of one flat cluster-level search.
 type cspScratch struct {
@@ -33,16 +31,98 @@ type cspScratch struct {
 	headOff        []int32 // SG edges grouped by tail, CSR-packed
 	heads          []int32
 
-	// Flat label tables over (SG vertex, cluster) slots: slot = v*K + c.
+	// Flat label tables over (SG vertex, cluster) slots: slot = v*K + c in
+	// the greedy modes (stride = K), the exact-mode layout below otherwise.
 	// dist +Inf marks "no label"; entry is the border proxy the path
 	// entered the cluster through (-1 when inside since the source);
 	// parV/parC identify the predecessor label (-1 for virtual source).
 	dist       []float64
 	entry      []int32
 	parV, parC []int32
+
+	// RelaxExact only. Its state is (SG vertex, cluster, entry border), so
+	// each (v, c) owns a run of entry slots instead of one: slot =
+	// v*stride + entOff[c] + i, where entNode[entOff[c]+i] is the run's
+	// i-th entry — -1 first, then c's border proxies ascending — and
+	// stride = entOff[K]. parE is the predecessor's position in its run.
+	exact   bool
+	stride  int
+	entOff  []int32
+	entNode []int32
+	parE    []int32
 }
 
 var cspPool = sync.Pool{New: func() any { return new(cspScratch) }}
+
+// layoutExact fills entOff/entNode for a view of k clusters. A cluster's
+// borders are what View.Border answers toward every cluster the view's
+// Borders table pairs it with — the set the oracle lists, so a pair known
+// only to BorderOverride adds none; pairs Border cannot answer for are
+// skipped.
+func (sc *cspScratch) layoutExact(view *hfc.NodeView, k int) {
+	sc.entOff = grow(sc.entOff, k+1)
+	sc.entNode = sc.entNode[:0]
+	for c := 0; c < k; c++ {
+		sc.entOff[c] = int32(len(sc.entNode))
+		sc.entNode = append(sc.entNode, -1)
+		first := len(sc.entNode)
+		for other := 0; other < k; other++ {
+			if _, paired := view.Borders[[2]int{min(c, other), max(c, other)}]; !paired {
+				continue
+			}
+			inC, _, err := view.Border(c, other)
+			if err != nil {
+				continue
+			}
+			sc.entNode = append(sc.entNode, int32(inC))
+		}
+		borders := sc.entNode[first:]
+		slices.Sort(borders)
+		sc.entNode = sc.entNode[:first+len(slices.Compact(borders))]
+	}
+	sc.entOff[k] = int32(len(sc.entNode))
+	sc.stride = len(sc.entNode)
+}
+
+// run returns the slots holding (v, c)'s labels: the one slot v*K + c in
+// the greedy modes, c's run of entry slots in exact mode.
+func (sc *cspScratch) run(v, c int) (lo, hi int) {
+	if !sc.exact {
+		return v*sc.stride + c, v*sc.stride + c + 1
+	}
+	return v*sc.stride + int(sc.entOff[c]), v*sc.stride + int(sc.entOff[c+1])
+}
+
+// slot returns where the label of (v, c) entered through entry lives. In
+// exact mode an entry that is not one of c's listed borders has no slot
+// (-1): no later step could read such a label back, so it is dropped.
+func (sc *cspScratch) slot(v, c int, entry int32) int {
+	if !sc.exact {
+		return v*sc.stride + c
+	}
+	for i := sc.entOff[c]; i < sc.entOff[c+1]; i++ {
+		if sc.entNode[i] == entry {
+			return v*sc.stride + int(i)
+		}
+	}
+	return -1
+}
+
+// parent returns the predecessor of the label at slot s as (SG vertex,
+// cluster, position in that pair's run); the vertex is -1 at the virtual
+// source.
+func (sc *cspScratch) parent(s int) (v, c, i int) {
+	if sc.exact {
+		i = int(sc.parE[s])
+	}
+	return int(sc.parV[s]), int(sc.parC[s]), i
+}
+
+// errClusterRange reports a cluster id the view's dense tables do not
+// cover: the view and the state (or the source's answer) disagree on K.
+func errClusterRange(c, k int) error {
+	return fmt.Errorf("routing: cluster %d is outside the view's %d clusters", c, k)
+}
 
 // crossingFlat resolves the oriented border pair and external link length
 // between distinct clusters a and b, preferring the dense tables: when no
@@ -97,17 +177,21 @@ func (r *HierarchicalRouter) internalFlat(dt *hfc.DenseTables, externalOnly bool
 	return r.distFlat(dt, int(entry), exit)
 }
 
-// clusterLevelPathFlat runs the greedy-mode cluster-level search on flat
-// label arrays. handled reports whether the flat path applied; when false
-// (cluster ids outside the dense tables) the caller runs the generic
-// search instead. Steady state allocates only the returned CSP.
+// clusterLevelPath maps the request onto clusters (§5.1 steps 1–2): a DAG
+// shortest-path search over (SG vertex, cluster) labels — (SG vertex,
+// cluster, entry border) labels in exact mode. Every cluster id it meets
+// must lie inside the view's dense tables. In the greedy modes steady
+// state allocates only the returned CSP.
 //
 //hfc:hotpath budget=2
-func (r *HierarchicalRouter) clusterLevelPathFlat(req svc.Request, srcCluster, destCluster int) (csp []CSPEntry, cost float64, handled bool, err error) {
+func (r *HierarchicalRouter) clusterLevelPath(req svc.Request, srcCluster, destCluster int) ([]CSPEntry, float64, error) {
 	dt := r.View.Dense()
 	k := dt.K
-	if k <= 0 || srcCluster < 0 || srcCluster >= k || destCluster < 0 || destCluster >= k {
-		return nil, 0, false, nil
+	if srcCluster < 0 || srcCluster >= k {
+		return nil, 0, errClusterRange(srcCluster, k)
+	}
+	if destCluster < 0 || destCluster >= k {
+		return nil, 0, errClusterRange(destCluster, k)
 	}
 	externalOnly := r.mode() == RelaxExternalOnly
 	sg := req.SG
@@ -143,11 +227,11 @@ func (r *HierarchicalRouter) clusterLevelPathFlat(req svc.Request, srcCluster, d
 		}
 		if len(sc.cands[v]) == 0 {
 			//hfcvet:ignore hotalloc cold no-provider error path
-			return nil, 0, false, fmt.Errorf("routing: service %q: %w", sg.Services[v], ErrNoProviders)
+			return nil, 0, fmt.Errorf("routing: service %q: %w", sg.Services[v], ErrNoProviders)
 		}
 		for _, c := range sc.cands[v] {
 			if c < 0 || c >= k {
-				return nil, 0, false, nil // outside the dense tables: let the generic path judge
+				return nil, 0, errClusterRange(c, k)
 			}
 		}
 	}
@@ -166,8 +250,8 @@ func (r *HierarchicalRouter) clusterLevelPathFlat(req svc.Request, srcCluster, d
 	}
 
 	// SG degrees, CSR-packed edges by tail, sources/sinks, Kahn order —
-	// ascending-vertex everywhere, matching svc.Graph.Sources/Sinks and
-	// sgTopoOrder.
+	// ascending-vertex everywhere, matching svc.Graph.Sources/Sinks and the
+	// oracle's queue-based topological order.
 	sc.indeg = grow(sc.indeg, nv)
 	sc.outdeg = grow(sc.outdeg, nv)
 	sc.headOff = grow(sc.headOff, nv+1)
@@ -229,15 +313,22 @@ func (r *HierarchicalRouter) clusterLevelPathFlat(req svc.Request, srcCluster, d
 		}
 	}
 	if len(sc.order) != nv {
-		return nil, 0, false, errors.New("routing: service graph contains a cycle")
+		return nil, 0, errors.New("routing: service graph contains a cycle")
 	}
 
 	// Flat label tables.
-	n := nv * k
+	sc.exact, sc.stride = r.mode() == RelaxExact, k
+	if sc.exact {
+		sc.layoutExact(r.View, k)
+	}
+	n := nv * sc.stride
 	sc.dist = grow(sc.dist, n)
 	sc.entry = grow(sc.entry, n)
 	sc.parV = grow(sc.parV, n)
 	sc.parC = grow(sc.parC, n)
+	if sc.exact {
+		sc.parE = grow(sc.parE, n)
+	}
 	inf := math.Inf(1)
 	for i := 0; i < n; i++ {
 		sc.dist[i] = inf
@@ -254,13 +345,13 @@ func (r *HierarchicalRouter) clusterLevelPathFlat(req svc.Request, srcCluster, d
 				}
 				_, inC, ext, err := r.crossingFlat(dt, srcCluster, c)
 				if err != nil {
-					return nil, 0, false, err
+					return nil, 0, err
 				}
 				d = ext
 				entry = int32(inC)
 			}
-			slot := int(v)*k + c
-			if d < sc.dist[slot] {
+			slot := sc.slot(int(v), c, entry)
+			if slot >= 0 && d < sc.dist[slot] {
 				sc.dist[slot] = d
 				sc.entry[slot] = entry
 				sc.parV[slot] = -1
@@ -272,41 +363,46 @@ func (r *HierarchicalRouter) clusterLevelPathFlat(req svc.Request, srcCluster, d
 	// Relax SG edges in topological order.
 	for _, u := range sc.order {
 		for _, c := range sc.cands[u] {
-			uSlot := int(u)*k + c
-			ud := sc.dist[uSlot]
-			if math.IsInf(ud, 1) {
-				continue
-			}
-			ue := sc.entry[uSlot]
-			for i := sc.headOff[u]; i < sc.headOff[u+1]; i++ {
-				v := sc.heads[i]
-				for _, c2 := range sc.cands[v] {
-					var nd float64
-					var ne int32
-					if c2 == c {
-						nd = ud
-						ne = ue
-					} else {
-						if r.CrossingAdmissible != nil && !r.CrossingAdmissible(c, c2) {
-							continue
+			lo, hi := sc.run(int(u), c)
+			for uSlot := lo; uSlot < hi; uSlot++ {
+				ud := sc.dist[uSlot]
+				if math.IsInf(ud, 1) {
+					continue
+				}
+				ue := sc.entry[uSlot]
+				for i := sc.headOff[u]; i < sc.headOff[u+1]; i++ {
+					v := sc.heads[i]
+					for _, c2 := range sc.cands[v] {
+						var nd float64
+						var ne int32
+						if c2 == c {
+							nd = ud
+							ne = ue
+						} else {
+							if r.CrossingAdmissible != nil && !r.CrossingAdmissible(c, c2) {
+								continue
+							}
+							exitB, inC2, ext, err := r.crossingFlat(dt, c, c2)
+							if err != nil {
+								return nil, 0, err
+							}
+							internal, err := r.internalFlat(dt, externalOnly, ue, exitB)
+							if err != nil {
+								return nil, 0, err
+							}
+							nd = ud + internal + ext
+							ne = int32(inC2)
 						}
-						exitB, inC2, ext, err := r.crossingFlat(dt, c, c2)
-						if err != nil {
-							return nil, 0, false, err
+						slot := sc.slot(int(v), c2, ne)
+						if slot >= 0 && nd < sc.dist[slot] {
+							sc.dist[slot] = nd
+							sc.entry[slot] = ne
+							sc.parV[slot] = u
+							sc.parC[slot] = int32(c)
+							if sc.exact {
+								sc.parE[slot] = int32(uSlot - lo)
+							}
 						}
-						internal, err := r.internalFlat(dt, externalOnly, ue, exitB)
-						if err != nil {
-							return nil, 0, false, err
-						}
-						nd = ud + internal + ext
-						ne = int32(inC2)
-					}
-					slot := int(v)*k + c2
-					if nd < sc.dist[slot] {
-						sc.dist[slot] = nd
-						sc.entry[slot] = ne
-						sc.parV[slot] = u
-						sc.parC[slot] = int32(c)
 					}
 				}
 			}
@@ -315,65 +411,67 @@ func (r *HierarchicalRouter) clusterLevelPathFlat(req svc.Request, srcCluster, d
 
 	// Terminate at the destination proxy.
 	best := inf
-	bestV, bestC := -1, -1
+	bestV, bestC, bestI := -1, -1, 0
 	for _, v := range sc.sinks {
 		for _, c := range sc.cands[v] {
-			slot := int(v)*k + c
-			total := sc.dist[slot]
-			if math.IsInf(total, 1) {
-				continue
-			}
-			entry := sc.entry[slot]
-			if c == destCluster {
-				tail, err := r.internalFlat(dt, externalOnly, entry, r.View.Node)
-				if err != nil {
-					return nil, 0, false, err
-				}
-				total += tail
-			} else {
-				if r.CrossingAdmissible != nil && !r.CrossingAdmissible(c, destCluster) {
+			lo, hi := sc.run(int(v), c)
+			for slot := lo; slot < hi; slot++ {
+				total := sc.dist[slot]
+				if math.IsInf(total, 1) {
 					continue
 				}
-				exitB, inDest, ext, err := r.crossingFlat(dt, c, destCluster)
-				if err != nil {
-					return nil, 0, false, err
-				}
-				internal, err := r.internalFlat(dt, externalOnly, entry, exitB)
-				if err != nil {
-					return nil, 0, false, err
-				}
-				tail := 0.0
-				if !externalOnly && inDest != r.View.Node {
-					tail, err = r.distFlat(dt, inDest, r.View.Node)
+				entry := sc.entry[slot]
+				if c == destCluster {
+					tail, err := r.internalFlat(dt, externalOnly, entry, r.View.Node)
 					if err != nil {
-						return nil, 0, false, err
+						return nil, 0, err
 					}
+					total += tail
+				} else {
+					if r.CrossingAdmissible != nil && !r.CrossingAdmissible(c, destCluster) {
+						continue
+					}
+					exitB, inDest, ext, err := r.crossingFlat(dt, c, destCluster)
+					if err != nil {
+						return nil, 0, err
+					}
+					internal, err := r.internalFlat(dt, externalOnly, entry, exitB)
+					if err != nil {
+						return nil, 0, err
+					}
+					tail := 0.0
+					if !externalOnly && inDest != r.View.Node {
+						tail, err = r.distFlat(dt, inDest, r.View.Node)
+						if err != nil {
+							return nil, 0, err
+						}
+					}
+					total += internal + ext + tail
 				}
-				total += internal + ext + tail
-			}
-			if total < best {
-				best = total
-				bestV, bestC = int(v), c
+				if total < best {
+					best = total
+					bestV, bestC, bestI = int(v), c, slot-lo
+				}
 			}
 		}
 	}
 	if bestV == -1 {
-		return nil, 0, false, ErrInfeasible
+		return nil, 0, ErrInfeasible
 	}
 
 	// Reconstruct the CSP: measure the chain, then fill back-to-front.
 	depth := 0
-	for v, c := bestV, bestC; v != -1; {
+	for v, c, i := bestV, bestC, bestI; v != -1; {
 		depth++
-		slot := v*k + c
-		v, c = int(sc.parV[slot]), int(sc.parC[slot])
+		lo, _ := sc.run(v, c)
+		v, c, i = sc.parent(lo + i)
 	}
-	csp = make([]CSPEntry, depth)
-	for v, c, i := bestV, bestC, depth-1; v != -1; i-- {
+	csp := make([]CSPEntry, depth)
+	for v, c, i, at := bestV, bestC, bestI, depth-1; v != -1; at-- {
 		//hfcvet:ignore hotalloc value assignment into the preallocated result slice
-		csp[i] = CSPEntry{SGVertex: v, Cluster: c}
-		slot := v*k + c
-		v, c = int(sc.parV[slot]), int(sc.parC[slot])
+		csp[at] = CSPEntry{SGVertex: v, Cluster: c}
+		lo, _ := sc.run(v, c)
+		v, c, i = sc.parent(lo + i)
 	}
-	return csp, best, true, nil
+	return csp, best, nil
 }

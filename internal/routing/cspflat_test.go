@@ -9,10 +9,13 @@ import (
 	"hfc/internal/svc"
 )
 
-// TestClusterLevelPathFlatMatchesGeneric is the flat/generic equivalence
-// property: across random overlays, modes, provider indexes, QoS
-// admissibility hooks, failure detectors, and border overrides, the SoA
-// implementation returns exactly the generic map-based search's CSP,
+// relaxModes is every mode the equivalence tests draw from.
+var relaxModes = []RelaxMode{RelaxBacktrack, RelaxExact, RelaxExternalOnly}
+
+// TestClusterLevelPathFlatMatchesGeneric is the flat/oracle equivalence
+// property: across random overlays, all three relax modes, provider
+// indexes, QoS admissibility hooks, failure detectors, and border
+// overrides, clusterLevelPath returns exactly the map-based oracle's CSP,
 // bit-identical cost, and identical errors.
 func TestClusterLevelPathFlatMatchesGeneric(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
@@ -31,10 +34,8 @@ func TestClusterLevelPathFlatMatchesGeneric(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: View(%d): %v", seed, req.Dest, err)
 			}
-			mode := RelaxBacktrack
-			if trial%3 == 2 {
-				mode = RelaxExternalOnly
-			}
+			// trial%3 here against trial%5 below: every mode meets every hook.
+			mode := relaxModes[trial%3]
 			r := &HierarchicalRouter{
 				View:            view,
 				State:           &states[req.Dest],
@@ -77,11 +78,8 @@ func TestClusterLevelPathFlatMatchesGeneric(t *testing.T) {
 			srcCluster := topo.ClusterOf(req.Source)
 			destCluster := view.ClusterID
 
-			cspF, costF, handled, errF := r.clusterLevelPathFlat(req, srcCluster, destCluster)
+			cspF, costF, errF := r.clusterLevelPath(req, srcCluster, destCluster)
 			cspG, costG, errG := r.clusterLevelPathGeneric(req, srcCluster, destCluster)
-			if !handled && errF == nil {
-				t.Fatalf("seed %d trial %d: flat path did not handle a dense-coverable view", seed, trial)
-			}
 			if (errF == nil) != (errG == nil) {
 				t.Fatalf("seed %d trial %d: flat err %v, generic err %v", seed, trial, errF, errG)
 			}
@@ -128,7 +126,7 @@ func TestClusterLevelPathFlatSharedView(t *testing.T) {
 				View:            view,
 				State:           &states[req.Dest],
 				ClusterOfSource: topo.ClusterOf,
-				Mode:            RelaxBacktrack,
+				Mode:            relaxModes[trial%3],
 			}
 		}
 		shared, err := topo.SharedView(req.Dest)
@@ -136,15 +134,15 @@ func TestClusterLevelPathFlatSharedView(t *testing.T) {
 			t.Fatalf("SharedView(%d): %v", req.Dest, err)
 		}
 		rs := mkRouter(shared)
-		cspF, costF, handled, errF := rs.clusterLevelPathFlat(req, topo.ClusterOf(req.Source), shared.ClusterID)
+		cspF, costF, errF := rs.clusterLevelPath(req, topo.ClusterOf(req.Source), shared.ClusterID)
 		cspG, costG, errG := rs.clusterLevelPathGeneric(req, topo.ClusterOf(req.Source), shared.ClusterID)
-		if !handled && errF == nil {
-			t.Fatalf("trial %d: flat path did not handle a shared view", trial)
-		}
 		if (errF == nil) != (errG == nil) {
 			t.Fatalf("trial %d: flat err %v, generic err %v", trial, errF, errG)
 		}
 		if errF != nil {
+			if errF.Error() != errG.Error() {
+				t.Fatalf("trial %d: flat err %q, generic err %q", trial, errF, errG)
+			}
 			continue
 		}
 		if math.Float64bits(costF) != math.Float64bits(costG) {

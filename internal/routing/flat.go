@@ -298,39 +298,6 @@ func findPathScratch(req svc.Request, providers ProviderFunc, oracle Oracle, exp
 	return &Path{Hops: expanded, DecisionCost: bestCost}, nil
 }
 
-// sgTopoOrder topologically orders the service-graph vertices.
-func sgTopoOrder(sg *svc.Graph) ([]int, error) {
-	n := sg.Len()
-	indeg := make([]int, n)
-	adj := make([][]int, n)
-	for _, e := range sg.Edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
-		indeg[e[1]]++
-	}
-	queue := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, v := range adj[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, errors.New("routing: service graph contains a cycle")
-	}
-	return order, nil
-}
-
 // expandHops inserts topology-mandated relay nodes between consecutive hops
 // on distinct nodes.
 func expandHops(hops []Hop, exp Expander) ([]Hop, error) {

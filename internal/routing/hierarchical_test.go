@@ -2,6 +2,7 @@ package routing
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -123,7 +124,8 @@ func TestHierarchicalNeverBeatsFlatOptimalProperty(t *testing.T) {
 
 func TestHierarchicalMatchesHFCConstrainedOptimumOnSingleCluster(t *testing.T) {
 	// When everything lives in one cluster, hierarchical routing reduces
-	// to the intra-cluster flat algorithm and must be optimal.
+	// to the intra-cluster flat algorithm and must be optimal, whatever the
+	// cluster-level relax mode (K = 1 leaves it nothing to relax).
 	rng := rand.New(rand.NewSource(5))
 	topo, caps, states := randomOverlay(t, rng, 1, 12, 8)
 	if topo.NumClusters() != 1 {
@@ -138,16 +140,18 @@ func TestHierarchicalMatchesHFCConstrainedOptimumOnSingleCluster(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Next: %v", err)
 		}
-		hier, err := RouteHierarchical(topo, states, req, RelaxBacktrack)
-		if err != nil {
-			t.Fatalf("RouteHierarchical: %v", err)
-		}
 		flat, err := FindPath(req, CapabilityProviders(caps), FullMetric{T: topo}, nil)
 		if err != nil {
 			t.Fatalf("FindPath: %v", err)
 		}
-		if math.Abs(hier.Length(topo.Dist)-flat.DecisionCost) > 1e-9 {
-			t.Errorf("request %d: hierarchical %.4f != flat optimum %.4f", i, hier.Length(topo.Dist), flat.DecisionCost)
+		for _, mode := range relaxModes {
+			hier, err := RouteHierarchical(topo, states, req, mode)
+			if err != nil {
+				t.Fatalf("RouteHierarchical(%v): %v", mode, err)
+			}
+			if math.Abs(hier.Length(topo.Dist)-flat.DecisionCost) > 1e-9 {
+				t.Errorf("request %d, %v: hierarchical %.4f != flat optimum %.4f", i, mode, hier.Length(topo.Dist), flat.DecisionCost)
+			}
 		}
 	}
 }
@@ -376,6 +380,16 @@ func TestRouterValidation(t *testing.T) {
 	for i, r := range cases {
 		if _, err := r.Route(req); err == nil {
 			t.Errorf("invalid router %d accepted", i)
+		}
+	}
+	// A cluster id the view's K does not cover — here the source proxy's
+	// answer — is an inconsistent view/state pair, in every mode.
+	for _, mode := range relaxModes {
+		r := HierarchicalRouter{View: view, State: &states[10], Intra: solver, Mode: mode,
+			ClusterOfSource: func(int) int { return view.NumClusters }}
+		want := fmt.Sprintf("routing: cluster %d is outside the view's %d clusters", view.NumClusters, view.NumClusters)
+		if _, err := r.Route(req); err == nil || err.Error() != want {
+			t.Errorf("%v: out-of-range source cluster: err = %v, want %q", mode, err, want)
 		}
 	}
 	if _, err := NewHierarchicalRouter(nil, states, 10, RelaxBacktrack); err == nil {

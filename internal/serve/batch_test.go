@@ -66,7 +66,8 @@ func TestResolveBatchMatchesLooped(t *testing.T) {
 	for round, mutate := range churn {
 		mutate(t, loopEng)
 		mutate(t, batchEng)
-		for _, workers := range []int{1, 4} {
+		// Every documented fan-out: 0 and 1 serial, 4 bounded, -1 all cores.
+		for _, workers := range []int{0, 1, 4, -1} {
 			wantRes := make([]*routing.Result, len(stream))
 			wantErr := make([]error, len(stream))
 			for i, req := range stream {

@@ -31,18 +31,11 @@ import (
 	"hfc/internal/svc"
 )
 
-// Config tunes an Engine. The zero value selects the defaults noted per
-// field.
+// Config tunes an Engine.
 type Config struct {
-	// CacheShards is the route-cache shard count (default
-	// routing.DefaultCacheShards; values below one select a single shard).
-	CacheShards int
 	// Relax selects the cluster-level relaxation mode (default
 	// RelaxBacktrack).
 	Relax routing.RelaxMode
-	// Workers is the default fan-out of ResolveAll when its workers
-	// argument is zero (0/1 serial, negative = all cores).
-	Workers int
 }
 
 // Stats is a snapshot of the engine's serving counters.
@@ -89,9 +82,8 @@ type flightCall struct {
 // Resolution is read-side (shared); capability updates are writer-side and
 // invalidate exactly the cache entries and indexes they affect.
 type Engine struct {
-	topo    *hfc.Topology
-	relax   routing.RelaxMode
-	workers int
+	topo  *hfc.Topology
+	relax routing.RelaxMode
 
 	// stateMu orders resolutions against state mutation: every resolution
 	// computes under the read side, every mutation (UpdateCapability)
@@ -148,9 +140,6 @@ func NewEngine(topo *hfc.Topology, caps []svc.CapabilitySet, states []state.Node
 	if len(caps) != topo.N() {
 		return nil, fmt.Errorf("serve: %d capability sets for %d nodes", len(caps), topo.N())
 	}
-	if cfg.CacheShards == 0 {
-		cfg.CacheShards = routing.DefaultCacheShards
-	}
 	if cfg.Relax == 0 {
 		cfg.Relax = routing.RelaxBacktrack
 	}
@@ -162,14 +151,13 @@ func NewEngine(topo *hfc.Topology, caps []svc.CapabilitySet, states []state.Node
 	// elements into it in place, so the indexes and solver built over it
 	// always observe the current state.
 	statesCopy := append([]state.NodeState(nil), states...)
-	cache := routing.NewRouteCacheSharded(cfg.CacheShards)
+	cache := routing.NewRouteCache()
 	indexes := routing.NewLazyIndexes(statesCopy, func(node int) []int {
 		return topo.Members(topo.ClusterOf(node))
 	}, cache.Version)
 	e := &Engine{
 		topo:        topo,
 		relax:       cfg.Relax,
-		workers:     cfg.Workers,
 		caps:        capsClone,
 		states:      statesCopy,
 		cache:       cache,
@@ -395,22 +383,6 @@ func (e *Engine) routeClusters(res *routing.Result, req svc.Request) []int {
 	return out
 }
 
-// ResolveAll answers a batch of requests on a bounded worker pool (see
-// internal/par: 0 falls back to the engine's configured default, 1 is
-// serial, negative uses all cores). Results and errors are aligned with
-// reqs; each request succeeds or fails independently.
-func (e *Engine) ResolveAll(reqs []svc.Request, workers int) ([]*routing.Path, []error) {
-	if workers == 0 {
-		workers = e.workers
-	}
-	paths := make([]*routing.Path, len(reqs))
-	errs := make([]error, len(reqs))
-	par.For(len(reqs), workers, func(i int) {
-		paths[i], errs[i] = e.Resolve(reqs[i])
-	})
-	return paths, errs
-}
-
 // batchGroup is one distinct request within a batch: the representative
 // request, every batch position that asked for it, and the resolution
 // artifacts computed once for the whole group. Groups sharing a service
@@ -483,16 +455,13 @@ func (e *Engine) ResolveBatch(reqs []svc.Request, workers int) ([]*routing.Path,
 //     router scratch (the routing pools are per-P; sorted order keeps them
 //     warm) instead of ping-ponging between destinations.
 //
-// workers bounds the fan-out over distinct groups (0 = the engine default,
-// 1 = serial, negative = all cores). In-batch sharing does not count toward
+// workers bounds the fan-out over distinct groups (0 or 1 = serial,
+// negative = all cores; see internal/par). In-batch sharing does not count toward
 // Stats.Deduped (it never enters the flight map); concurrent callers outside
 // the batch dedup against it as usual.
 //
 //hfc:hotpath budget=6
 func (e *Engine) ResolveBatchDetailed(reqs []svc.Request, workers int) ([]*routing.Result, []error) {
-	if workers == 0 {
-		workers = e.workers
-	}
 	results := make([]*routing.Result, len(reqs))
 	errs := make([]error, len(reqs))
 	sc := batchPool.Get().(*batchScratch)

@@ -173,48 +173,6 @@ func TestEngineAccountsEveryResolution(t *testing.T) {
 	}
 }
 
-func TestEngineResolveAll(t *testing.T) {
-	fw, eng, caps := buildEngine(t, 51, 40, serve.Config{Workers: -1})
-	rng := rand.New(rand.NewSource(52))
-	gen, err := svc.NewRequestGenerator(rng, caps, 2, 5)
-	if err != nil {
-		t.Fatalf("NewRequestGenerator: %v", err)
-	}
-	reqs := make([]svc.Request, 60)
-	for i := range reqs {
-		if reqs[i], err = gen.Next(); err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-	}
-	paths, errs := eng.ResolveAll(reqs, 0)
-	if len(paths) != len(reqs) || len(errs) != len(reqs) {
-		t.Fatalf("ResolveAll returned %d paths, %d errors for %d requests", len(paths), len(errs), len(reqs))
-	}
-	for i := range reqs {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
-		want, err := fw.Route(reqs[i])
-		if err != nil {
-			t.Fatalf("framework Route %d: %v", i, err)
-		}
-		//hfcvet:ignore floatdist the engine must reproduce the framework result bit-identically
-		if paths[i].DecisionCost != want.DecisionCost {
-			t.Errorf("request %d: cost %v, want %v", i, paths[i].DecisionCost, want.DecisionCost)
-		}
-	}
-	// Serial ResolveAll agrees with the parallel run.
-	serial, serrs := eng.ResolveAll(reqs, 1)
-	for i := range reqs {
-		if serrs[i] != nil {
-			t.Fatalf("serial request %d: %v", i, serrs[i])
-		}
-		if !reflect.DeepEqual(serial[i].Hops, paths[i].Hops) {
-			t.Errorf("request %d: serial hops %v != parallel hops %v", i, serial[i].Hops, paths[i].Hops)
-		}
-	}
-}
-
 func TestEngineUpdateCapabilityMovesProvider(t *testing.T) {
 	_, eng, caps := buildEngine(t, 61, 30, serve.Config{})
 
