@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet bench bench-full bench-compare bench-scale chaos sim fmt
+.PHONY: all build test race lint lint-seam vet bench bench-full bench-compare bench-scale chaos sim fmt
 
 # Output snapshot for the regression-gate benchmarks (see cmd/benchgate).
 BENCH_OUT ?= BENCH_pr12.json
@@ -27,6 +27,13 @@ race:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/hfcvet ./...
+	$(MAKE) lint-seam
+
+# lint-seam enforces the overlay's delivery seam: outside the event driver
+# and the Simulate harness, no non-test file of internal/overlay may name
+# the virtual clock's type or test a mode flag.
+lint-seam:
+	! grep -nE 'vtime\.Sim|\bsim (!=|==) nil' $$(ls internal/overlay/*.go | grep -v -e _test.go -e driver_sim.go -e sim.go)
 
 # vet is the machine-readable variant: the registered-analyzer roster
 # followed by the full suite with -json diagnostics (one JSON object per
@@ -64,13 +71,15 @@ chaos:
 	$(GO) test -race -run 'TestGrayNodeQuarantineAndRelease|TestDegradedRouteFallback' ./internal/overlay/
 	$(GO) test -race -run 'TestEngineDegraded|TestEngineExcludesUnavailableProvider' ./internal/serve/
 
-# sim runs the virtual-time determinism suite plus the 32k convergence
-# drill under the race detector — CI's sim job. The 100k acceptance drill
-# is opt-in: HFC_SIM_SCALE=1 go test -run TestSimConverge100k ./internal/experiments/
+# sim runs the virtual-time determinism suite (golden traces and
+# driver parity included) plus the 32k convergence drill under the race
+# detector, then smokes the end-to-end benchmark's overlay workload — CI's
+# sim job. The 100k acceptance drill is opt-in: HFC_SIM_SCALE=1 go test -run TestSimConverge100k ./internal/experiments/
 sim:
-	$(GO) test -race -run 'TestSimulateDeterministic|TestNetsimLatencyUnderVirtualTime' -count 2 ./internal/overlay/
+	$(GO) test -race -run 'TestSimulateDeterministic|TestSimulateGolden|TestSimModeMatchesRealMode|TestNetsimLatencyUnderVirtualTime' -count 2 ./internal/overlay/
 	$(GO) test -race -run 'TestRunnerDeterministicUnderVirtualTime' -count 2 ./internal/chaos/
 	$(GO) test -race -run 'TestSimScaleConvergence' -timeout 30m ./internal/experiments/
+	$(GO) run ./bench -workload protocol-sim -seconds 1
 
 fmt:
 	gofmt -l -w $$(git ls-files '*.go' | grep -v '^vendor/')

@@ -83,10 +83,7 @@ func RunFaults(spec env.Spec, crashFractions []float64, trials, requests int) ([
 		row := FaultsRow{CrashFraction: frac, Requests: requests, Trials: trials}
 		var crashed, rounds, success, retries, failovers, lenFault, lenBase []float64
 		for trial := 0; trial < trials; trial++ {
-			sys, err := overlay.New(topo, caps, overlay.Config{
-				DropSeed:   spec.Seed + int64(trial)*7919,
-				RPCRetries: 1,
-			})
+			sys, err := overlay.New(topo, caps, overlay.Config{RPCRetries: 1})
 			if err != nil {
 				return nil, err
 			}
@@ -222,10 +219,7 @@ func RunBorderFailover(spec env.Spec, trials, requests int) ([]BorderFailoverRow
 		if err != nil {
 			return nil, err
 		}
-		sys, err := overlay.New(topo, caps, overlay.Config{
-			DropSeed:   spec.Seed + int64(trial)*7919,
-			RPCRetries: 1,
-		})
+		sys, err := overlay.New(topo, caps, overlay.Config{RPCRetries: 1})
 		if err != nil {
 			return nil, err
 		}

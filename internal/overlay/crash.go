@@ -11,9 +11,9 @@ import (
 // silently discarded at send time (counted in FaultStats.DroppedToCrashed),
 // and the runtime's failure detector reports it dead, so border duty
 // migrates to backup pairs and resolvers/providers stop being chosen on it.
-// The node's goroutine keeps draining its mailbox — a fail-stop process
-// disappears, it does not wedge the network — but no new traffic reaches
-// it. Crashing an already-crashed node is a no-op.
+// Messages already on their way to it are still consumed — a fail-stop
+// process disappears, it does not wedge the network — but no new traffic
+// reaches it. Crashing an already-crashed node is a no-op.
 func (s *System) Crash(id int) error {
 	if id < 0 || id >= len(s.nodes) {
 		return fmt.Errorf("overlay: node %d out of range [0,%d)", id, len(s.nodes))
@@ -133,20 +133,19 @@ func (s *System) CrashedNodes() []int {
 // must hold exact state for live members and bracketed aggregates (see
 // state.VerifyConvergenceExcept); crashed nodes' frozen tables are skipped.
 func (s *System) ConvergedLive() (bool, error) {
-	crashed := func(n int) bool { return s.IsCrashed(n) }
-	if s.sim != nil {
-		// Baton-ordered simulation mode: verify through aliases, no copy.
-		return state.VerifyConvergenceExcept(s.topo, s.Capabilities(), s.simStates(), crashed) == nil, nil
-	}
-	states, err := s.States()
-	if err != nil {
-		return false, err
-	}
-	return state.VerifyConvergenceExcept(s.topo, s.Capabilities(), states, crashed) == nil, nil
+	states, release := s.tables()
+	defer release()
+	return state.VerifyConvergenceExcept(s.topo, s.Capabilities(), states, s.IsCrashed) == nil, nil
 }
 
-// noteStaleRejected, noteRPCRetry and noteResolverFailover bump the
-// corresponding FaultStats counters.
+// noteDroppedAfterStop, noteStaleRejected, noteRPCRetry and
+// noteResolverFailover bump the corresponding FaultStats counters.
+func (s *System) noteDroppedAfterStop() {
+	s.dropMu.Lock()
+	s.faults.DroppedAfterStop++
+	s.dropMu.Unlock()
+}
+
 func (s *System) noteStaleRejected() {
 	s.dropMu.Lock()
 	s.faults.StaleRejected++

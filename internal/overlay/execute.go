@@ -26,12 +26,7 @@ type dataMsg struct {
 	idx     int
 	payload string
 	trace   *ExecutionTrace
-	reply   *replyTo[dataReply]
-}
-
-type dataReply struct {
-	trace *ExecutionTrace
-	err   error
+	reply   replyCell
 }
 
 // Execute pushes a payload along a concrete service path through the
@@ -48,7 +43,7 @@ func (s *System) Execute(path *routing.Path, payload string) (*ExecutionTrace, e
 			return nil, fmt.Errorf("overlay: path hop node %d out of range [0,%d)", h.Node, len(s.nodes))
 		}
 	}
-	reply := newReply[dataReply](s)
+	reply := s.drv.newReply()
 	m := message{
 		kind: kindData,
 		data: &dataMsg{
@@ -64,7 +59,7 @@ func (s *System) Execute(path *routing.Path, payload string) (*ExecutionTrace, e
 	// (crashed hop, dropped forward) surfaces as a deadline miss and the
 	// client re-routes — by then the control plane has steered around the
 	// failure.
-	if out, ok := reply.await(s, s.cfg.RouteTimeout); ok {
+	if out, ok := reply.await(s.cfg.RouteTimeout); ok {
 		return out.trace, out.err
 	}
 	return nil, fmt.Errorf("overlay: execute on %d-hop path: %w", len(path.Hops), ErrRPCTimeout)
@@ -73,16 +68,15 @@ func (s *System) Execute(path *routing.Path, payload string) (*ExecutionTrace, e
 // handleData is one proxy's data-plane step: verify + apply the hop's
 // service, then forward to the next hop (or reply when the path ends).
 func (n *node) handleData(m message) {
-	defer n.sys.doneInflight()
 	d := m.data
 	hop := d.hops[d.idx]
 	if hop.Node != n.id {
-		d.reply.deliver(dataReply{err: fmt.Errorf("overlay: hop %d addressed to %d but delivered to %d", d.idx, hop.Node, n.id)})
+		d.reply.deliver(answer{err: fmt.Errorf("overlay: hop %d addressed to %d but delivered to %d", d.idx, hop.Node, n.id)})
 		return
 	}
 	if hop.Service != "" {
 		if !n.sys.capsOf(n.id).Has(hop.Service) {
-			d.reply.deliver(dataReply{err: fmt.Errorf("overlay: proxy %d asked to apply %q which it does not provide", n.id, hop.Service)})
+			d.reply.deliver(answer{err: fmt.Errorf("overlay: proxy %d asked to apply %q which it does not provide", n.id, hop.Service)})
 			return
 		}
 		d.payload = fmt.Sprintf("%s(%s)", hop.Service, d.payload)
@@ -90,7 +84,7 @@ func (n *node) handleData(m message) {
 		d.trace.Payload = d.payload
 	}
 	if d.idx+1 == len(d.hops) {
-		d.reply.deliver(dataReply{trace: d.trace})
+		d.reply.deliver(answer{trace: d.trace})
 		return
 	}
 	d.idx++
@@ -98,7 +92,6 @@ func (n *node) handleData(m message) {
 	if next == n.id {
 		// Consecutive services on the same proxy: keep processing locally
 		// without a network transmission.
-		n.sys.addInflight()
 		n.handleData(m)
 		return
 	}

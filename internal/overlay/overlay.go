@@ -1,9 +1,16 @@
-// Package overlay runs the HFC framework as a concurrent message-passing
-// system: one goroutine per proxy with a mailbox, exchanging the §4 state
-// protocol messages (local-state floods, aggregate-state border exchange and
-// forwarding) and resolving §5 service requests by RPC — the destination
-// proxy computes the cluster-level path from its own converged tables and
-// sends child requests to the resolver proxies of the clusters involved.
+// Package overlay runs the HFC framework as a message-passing system of
+// proxy nodes exchanging the §4 state protocol messages (local-state floods,
+// aggregate-state border exchange and forwarding) and resolving §5 service
+// requests by RPC — the destination proxy computes the cluster-level path
+// from its own converged tables and sends child requests to the resolver
+// proxies of the clusters involved.
+//
+// The protocol is written once and does not know how its messages travel.
+// Delivery sits behind one unexported seam, the driver (driver.go), chosen in
+// New from Config.Clock: the mailbox driver gives every proxy a goroutine and
+// a bounded inbox on a real-time clock; the event driver (driver_sim.go) runs
+// the same handlers as discrete events of a virtual clock's single-threaded
+// scheduler, which is what makes a seeded run byte-reproducible.
 //
 // The same algorithm code as the synchronous simulation (packages state and
 // routing) runs here against each node's privately accumulated state, so
@@ -14,6 +21,7 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -29,16 +37,13 @@ import (
 // Config tunes the runtime.
 type Config struct {
 	// Clock is the time source for every delay, deadline, and backoff in
-	// the runtime. Nil selects the wall clock (production behaviour,
-	// unchanged). A *vtime.Sim switches the system into simulation mode:
-	// no per-node goroutines, mailboxes drain as discrete events on the
-	// Sim's single-threaded scheduler, and Route/Execute/Quiesce must be
-	// called from a Sim task (inside Sim.Run). Same protocol code, two
-	// executions.
+	// the runtime, and picks the driver. Nil selects the wall clock and the
+	// mailbox driver (production behaviour). A virtual clock (vtime.NewSim)
+	// selects the event driver: no per-node goroutines, deliveries are
+	// discrete events on the clock's single-threaded scheduler, and every
+	// driving call (TriggerStateRound, Route, Execute, Quiesce) must be made
+	// from one of its tasks (inside Run). Same protocol code, two drivers.
 	Clock vtime.Clock
-	// MailboxSize is each node's message buffer (default 256). Unused in
-	// simulation mode, where delivery is an event, not a channel send.
-	MailboxSize int
 	// DelayPerUnit, when positive, makes message delivery between nodes u
 	// and v take Dist(u,v)·DelayPerUnit of clock time, simulating
 	// network latency. Zero delivers immediately (default).
@@ -152,9 +157,6 @@ type LinkVerdict struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MailboxSize == 0 {
-		c.MailboxSize = 256
-	}
 	if c.RouteTimeout == 0 {
 		c.RouteTimeout = 2 * time.Second
 	}
@@ -181,12 +183,9 @@ var ErrRPCTimeout = errors.New("rpc deadline exceeded")
 // System is a running overlay of concurrent proxy nodes.
 type System struct {
 	topo *hfc.Topology
-	// clock is the resolved time source (Config.Clock or a fresh Real);
-	// sim is non-nil exactly when the clock is a *vtime.Sim — simulation
-	// mode, where every System entry point runs on the Sim's single
-	// runner and scheduler state needs no locking (baton-ordered).
-	clock vtime.Clock
-	sim   *vtime.Sim
+	// drv carries every message and every wait; chosen once in New and the
+	// only part of the System that knows which clock it runs on.
+	drv driver
 	// capsMu protects the ground-truth deployment slice; stored sets are
 	// treated as immutable (replaced, never mutated).
 	capsMu sync.RWMutex
@@ -208,35 +207,14 @@ type System struct {
 	cfg         Config
 	nodes       []*node
 
-	// stopCh closes when Stop begins, releasing RPC waits and retry
-	// backoffs immediately instead of letting them sleep through shutdown.
-	stopCh chan struct{}
+	// duty is the current round's border-duty table, published by
+	// TriggerStateRound before the round's triggers go out.
+	duty atomic.Pointer[dutyTable]
 
-	// simStopped mirrors `accepting == false` for simulation mode, where
-	// all access is baton-ordered on the Sim runner and needs no lock.
-	simStopped bool
-
-	// dutyIn/dutyOut, in simulation mode, cache the round's border-duty
-	// table: dutyIn[a*K+b] is the node in cluster a that terminates the
-	// (a,b) border (dutyOut its peer in b), computed once per trigger
-	// instead of n·K ranked-border lookups. Baton-ordered, sim-only.
-	dutyIn, dutyOut []int32
-
-	// inflight tracks undelivered/unprocessed messages so Quiesce can wait
-	// for protocol cascades to settle.
-	inflight sync.WaitGroup
 	// mu guards the start/stop lifecycle flags.
 	mu      sync.Mutex
 	started bool // guarded by mu
 	stopped bool // guarded by mu
-	wg      sync.WaitGroup
-
-	// sendMu serializes send admission against Stop: senders hold the
-	// read side across the accepting check and the inflight.Add, Stop
-	// takes the write side to flip accepting off, so a send can never
-	// slip past Stop's inflight.Wait and hit a closed inbox.
-	sendMu    sync.RWMutex
-	accepting bool // guarded by sendMu
 
 	// crashed[i] marks node i fail-stopped: every message addressed to it
 	// is silently discarded (and counted) at send time.
@@ -379,70 +357,17 @@ type message struct {
 	// trigger kinds); receivers reject entries older than what they hold.
 	seq uint64
 
-	// route request (full §5 routing at this node).
-	routeReq   *svc.Request
-	routeReply *replyTo[routeReply]
-
-	// child request (intra-cluster resolution at this node).
-	childReq   *routing.ChildRequest
-	childReply *replyTo[childReply]
+	// route request (full §5 routing at this node) or child request
+	// (intra-cluster resolution at this node); reply is where the answer to
+	// either goes.
+	routeReq *svc.Request
+	childReq *routing.ChildRequest
+	reply    replyCell
 
 	// data-plane stream step (see execute.go).
 	data *dataMsg
 
 	kind msgKind
-}
-
-// replyTo carries one RPC answer back to its waiting caller: a buffered
-// channel under the real clock, a vtime.Future under the virtual one
-// (parking the calling task instead of blocking a goroutine in a select).
-type replyTo[T any] struct {
-	ch  chan T
-	fut *vtime.Future[T]
-}
-
-// newReply builds the mode-appropriate reply cell.
-func newReply[T any](s *System) *replyTo[T] {
-	if s.sim != nil {
-		return &replyTo[T]{fut: vtime.NewFuture[T](s.sim)}
-	}
-	return &replyTo[T]{ch: make(chan T, 1)}
-}
-
-// deliver hands the answer over without ever blocking the handler: a late
-// or duplicated reply to an abandoned attempt parks in the buffer (real) or
-// loses the first-write race (sim) and is discarded.
-func (r *replyTo[T]) deliver(v T) {
-	if r.fut != nil {
-		r.fut.Complete(v)
-		return
-	}
-	select {
-	case r.ch <- v:
-	default:
-	}
-}
-
-// await blocks the caller for an answer, one RPC attempt's deadline, or
-// shutdown, whichever is first; ok reports whether an answer arrived.
-func (r *replyTo[T]) await(s *System, d time.Duration) (v T, ok bool) {
-	if r.fut != nil {
-		return r.fut.AwaitTimeout(d)
-	}
-	timeout := make(chan struct{})
-	tm := s.clock.AfterFunc(d, func() { close(timeout) })
-	select {
-	case v = <-r.ch:
-		tm.Stop()
-		return v, true
-	case <-timeout:
-		return v, false
-	case <-s.stopCh:
-		// Shutdown: give up immediately instead of sleeping out the
-		// deadline; the caller surfaces it as a timeout.
-		tm.Stop()
-		return v, false
-	}
 }
 
 type msgKind int
@@ -456,14 +381,20 @@ const (
 	kindData
 )
 
-type routeReply struct {
-	result *routing.Result
-	err    error
-}
+// blocks reports whether handling a message of this kind may wait for
+// replies of its own (the RPC and data-plane kinds), so a driver must run it
+// beside the node's message loop rather than on it: a node blocked composing
+// a path keeps serving child requests, and a data chain sending onward can
+// never stall message consumption — no distributed deadlock.
+func (k msgKind) blocks() bool { return k >= kindRoute }
 
-type childReply struct {
-	path *routing.Path
-	err  error
+// answer is what an RPC returns: result for a route request, path for a
+// child request, trace for a data-plane stream, or err.
+type answer struct {
+	result *routing.Result
+	path   *routing.Path
+	trace  *ExecutionTrace
+	err    error
 }
 
 // node is one proxy's runtime.
@@ -474,10 +405,6 @@ type node struct {
 	// rank is this node's own index in view.Members, stamped on floods so
 	// receivers skip the lookup (immutable after New).
 	rank int
-	// inbox is the real-mode mailbox; nil in simulation mode, where
-	// deliveries run inline as scheduler events.
-	inbox chan message
-
 	// st guards the node's routing state, which worker goroutines read.
 	st    sync.RWMutex
 	state state.NodeState // guarded by st
@@ -523,7 +450,7 @@ func (n *node) rankOf(member int) int {
 }
 
 // New builds a system over a constructed HFC topology and per-proxy
-// capabilities. Call Start to launch the goroutines.
+// capabilities. Call Start to set it running.
 func New(topo *hfc.Topology, caps []svc.CapabilitySet, cfg Config) (*System, error) {
 	if topo == nil {
 		return nil, errors.New("overlay: nil topology")
@@ -532,9 +459,6 @@ func New(topo *hfc.Topology, caps []svc.CapabilitySet, cfg Config) (*System, err
 		return nil, fmt.Errorf("overlay: %d capability sets for %d nodes", len(caps), topo.N())
 	}
 	cfg = cfg.withDefaults()
-	if cfg.MailboxSize < 1 {
-		return nil, fmt.Errorf("overlay: mailbox size %d must be >= 1", cfg.MailboxSize)
-	}
 	if cfg.DropRate < 0 || cfg.DropRate > 1 {
 		return nil, fmt.Errorf("overlay: drop rate %v outside [0,1]", cfg.DropRate)
 	}
@@ -545,15 +469,7 @@ func New(topo *hfc.Topology, caps []svc.CapabilitySet, cfg Config) (*System, err
 	if cfg.CacheRoutes {
 		cache = routing.NewRouteCache()
 	}
-	s := &System{topo: topo, caps: caps, cfg: cfg, accepting: true,
-		dyn: hfc.NewDynamic(topo), cache: cache, stopCh: make(chan struct{})}
-	s.clock = cfg.Clock
-	if s.clock == nil {
-		s.clock = vtime.NewReal()
-	}
-	if sim, ok := s.clock.(*vtime.Sim); ok {
-		s.sim = sim
-	}
+	s := &System{topo: topo, caps: caps, cfg: cfg, dyn: hfc.NewDynamic(topo), cache: cache}
 	s.capsMu.Lock()
 	s.capGen = make([]uint64, topo.N())
 	for i := range s.capGen {
@@ -621,16 +537,12 @@ func New(topo *hfc.Topology, caps []svc.CapabilitySet, cfg Config) (*System, err
 			aggDirty:   true,
 		}
 		s.nodes[i].rank = s.nodes[i].rankOf(i)
-		if s.sim == nil {
-			s.nodes[i].inbox = make(chan message, cfg.MailboxSize)
-		}
 	}
+	s.drv = newDriver(s)
 	return s, nil
 }
 
-// Start launches one goroutine per node — or, in simulation mode, just
-// arms the system: deliveries run inline on the Sim scheduler and need no
-// resident goroutines. It is an error to start twice.
+// Start sets the system running. It is an error to start twice.
 func (s *System) Start() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -638,23 +550,14 @@ func (s *System) Start() error {
 		return errors.New("overlay: already started")
 	}
 	s.started = true
-	if s.sim != nil {
-		return nil
-	}
-	for _, n := range s.nodes {
-		s.wg.Add(1)
-		go func(n *node) {
-			defer s.wg.Done()
-			n.run()
-		}(n)
-	}
+	s.drv.start()
 	return nil
 }
 
-// Stop shuts the system down and waits for every node goroutine to exit.
-// Safe to call once; subsequent calls return an error. Sends racing Stop
-// are counted no-ops (FaultStats.DroppedAfterStop), never a panic. RPC
-// waits and retry backoffs in flight are released immediately (stopCh)
+// Stop shuts the system down and waits until everything the driver runs
+// has exited. Safe to call once; subsequent calls return an error. Sends
+// racing Stop are counted no-ops (FaultStats.DroppedAfterStop), never a
+// panic. RPC waits and retry backoffs in flight are released immediately
 // instead of sleeping out their deadlines.
 func (s *System) Stop() error {
 	s.mu.Lock()
@@ -664,41 +567,8 @@ func (s *System) Stop() error {
 	}
 	s.stopped = true
 	s.mu.Unlock()
-	close(s.stopCh)
-	// Refuse new sends, wait for in-flight traffic, then close inboxes.
-	// The write lock cannot be acquired while a sender is between its
-	// accepting check and its inflight.Add, so every admitted message is
-	// covered by the Wait below.
-	s.sendMu.Lock()
-	s.accepting = false
-	s.sendMu.Unlock()
-	if s.sim != nil {
-		// No goroutines or inboxes to tear down; pending deliveries on
-		// the scheduler observe simStopped and drop.
-		s.simStopped = true
-		return nil
-	}
-	s.inflight.Wait()
-	for _, n := range s.nodes {
-		close(n.inbox)
-	}
-	s.wg.Wait()
+	s.drv.stop()
 	return nil
-}
-
-// addInflight / doneInflight bracket one tracked message in real mode; the
-// simulation scheduler tracks its own work, so they are no-ops there (a
-// message processed inline has no "in flight" window at all).
-func (s *System) addInflight() {
-	if s.sim == nil {
-		s.inflight.Add(1)
-	}
-}
-
-func (s *System) doneInflight() {
-	if s.sim == nil {
-		s.inflight.Done()
-	}
 }
 
 // send delivers a message to node `to`, optionally after the simulated
@@ -715,7 +585,8 @@ func (s *System) send(from, to int, m message) {
 		s.dropMu.Unlock()
 		return
 	}
-	var extra time.Duration
+	// d is the link delay: policy-injected extra plus configured latency.
+	var d time.Duration
 	duplicate := false
 	if s.cfg.LinkPolicy != nil && from >= 0 && from != to && m.kind != kindTrigger {
 		v := s.cfg.LinkPolicy(from, to, MsgKind(m.kind))
@@ -726,7 +597,7 @@ func (s *System) send(from, to int, m message) {
 			s.noteAggDrop(to, m)
 			return
 		}
-		extra = v.Delay
+		d = v.Delay
 		duplicate = v.Duplicate
 	}
 	if s.dropRng != nil && m.kind != kindTrigger {
@@ -747,23 +618,6 @@ func (s *System) send(from, to int, m message) {
 			}
 		}
 	}
-	s.deliver(from, to, m, extra)
-	if duplicate {
-		s.dropMu.Lock()
-		s.faults.DuplicatedByPolicy++
-		s.dropMu.Unlock()
-		// The copy takes the same delay; the protocol's sequence checks
-		// make duplicated floods idempotent, RPC replies park in their
-		// buffered reply channels.
-		s.deliver(from, to, m, extra)
-	}
-}
-
-// deliver admits one message past the Stop gate and hands it to the
-// destination mailbox, after the simulated link delay (configured latency
-// plus any policy-injected extra) when there is one.
-func (s *System) deliver(from, to int, m message, extra time.Duration) {
-	d := extra
 	if from >= 0 && from != to {
 		if s.cfg.DelayPerUnit > 0 {
 			d += time.Duration(s.topo.Dist(from, to)) * s.cfg.DelayPerUnit
@@ -772,80 +626,15 @@ func (s *System) deliver(from, to int, m message, extra time.Duration) {
 			d += s.cfg.Latency(from, to)
 		}
 	}
-	if s.sim != nil {
-		s.simDeliver(from, to, m, d)
-		return
-	}
-	s.sendMu.RLock()
-	if !s.accepting {
-		s.sendMu.RUnlock()
+	s.drv.post(from, to, m, d)
+	if duplicate {
 		s.dropMu.Lock()
-		s.faults.DroppedAfterStop++
+		s.faults.DuplicatedByPolicy++
 		s.dropMu.Unlock()
-		return
-	}
-	s.inflight.Add(1)
-	s.sendMu.RUnlock()
-	deliver := func() {
-		// Safe against Stop: the message is registered in inflight, and
-		// Stop only closes inboxes after inflight drains.
-		s.nodes[to].inbox <- m
-		s.count(from, m)
-	}
-	if d > 0 {
-		s.clock.AfterFunc(d, deliver)
-		return
-	}
-	if (m.kind == kindLocal || m.kind == kindAggregate) && from >= 0 {
-		// Protocol sends originate from a node's mailbox loop; blocking
-		// there on a saturated peer can close a cycle of full mailboxes
-		// into a distributed deadlock. The periodic protocol resends
-		// everything next round, so backpressure degrades to a counted
-		// drop instead.
-		select {
-		case s.nodes[to].inbox <- m:
-			s.count(from, m)
-		default:
-			s.inflight.Done()
-			s.dropMu.Lock()
-			s.faults.DroppedBackpressure++
-			s.dropMu.Unlock()
-			s.noteAggDrop(to, m)
-		}
-		return
-	}
-	deliver()
-}
-
-// simDeliver is delivery in simulation mode: a delayed message becomes a
-// scheduler event; an immediate one is processed inline, depth-first, on
-// the current task — protocol kinds mutate the receiver's state directly,
-// while RPC kinds (which park awaiting answers) get their own cooperative
-// task. There is no mailbox, no backpressure shedding (an event queue has
-// no fixed capacity), and no inflight accounting (Quiesce maps to the
-// scheduler's own idle detection).
-func (s *System) simDeliver(from, to int, m message, d time.Duration) {
-	if d > 0 {
-		s.sim.AfterFunc(d, func() { s.simDeliver(from, to, m, 0) })
-		return
-	}
-	if s.simStopped {
-		s.dropMu.Lock()
-		s.faults.DroppedAfterStop++
-		s.dropMu.Unlock()
-		return
-	}
-	s.count(from, m)
-	n := s.nodes[to]
-	switch m.kind {
-	case kindRoute:
-		s.sim.Go("route", func() { n.handleRoute(m) })
-	case kindChild:
-		s.sim.Go("child", func() { n.handleChild(m) })
-	case kindData:
-		s.sim.Go("data", func() { n.handleData(m) })
-	default:
-		n.process(m)
+		// The copy takes the same delay; the protocol's sequence checks
+		// make duplicated floods idempotent, and a reply cell keeps only
+		// the first answer.
+		s.drv.post(from, to, m, d)
 	}
 }
 
@@ -861,7 +650,7 @@ func (s *System) noteAggDrop(to int, m message) {
 }
 
 // count tallies one delivered message and feeds the health detector's
-// heard-from signal.
+// heard-from signal; a driver calls it as it hands the message over.
 func (s *System) count(from int, m message) {
 	s.statMu.Lock()
 	switch m.kind {
@@ -899,25 +688,24 @@ func (s *System) TriggerStateRound() {
 	if s.cache != nil {
 		s.cache.AdvanceAll()
 	}
-	if s.sim != nil {
-		s.computeDuty()
-	}
+	s.duty.Store(s.computeDuty())
 	for i := range s.nodes {
 		s.send(-1, i, message{kind: kindTrigger, trigger: true, seq: seq})
 	}
 }
 
-// computeDuty materializes this round's border-duty table for simulation
-// mode: K² ranked-border lookups once per round, instead of every node
-// scanning all K clusters through the locked Border path (n·K lookups).
-// Border assignments are cluster-symmetric, so any node's view answers for
-// all of them.
-func (s *System) computeDuty() {
+// dutyTable is one round's border assignment: in[a*K+b] is the node of
+// cluster a that terminates the (a,b) border and out[a*K+b] its peer in b,
+// -1 where the clusters share no border. Immutable once published.
+type dutyTable struct{ in, out []int32 }
+
+// computeDuty materializes this round's border-duty table: K² ranked-border
+// lookups once per round, instead of every node scanning all K clusters
+// through the locked Border path (n·K lookups). Border assignments are
+// cluster-symmetric, so any node's view answers for all of them.
+func (s *System) computeDuty() *dutyTable {
 	k := s.topo.NumClusters()
-	if s.dutyIn == nil {
-		s.dutyIn = make([]int32, k*k)
-		s.dutyOut = make([]int32, k*k)
-	}
+	t := &dutyTable{in: make([]int32, k*k), out: make([]int32, k*k)}
 	v := s.nodes[0].view
 	for a := 0; a < k; a++ {
 		for b := a + 1; b < k; b++ {
@@ -925,23 +713,17 @@ func (s *System) computeDuty() {
 			if err != nil {
 				inA, inB = -1, -1
 			}
-			s.dutyIn[a*k+b], s.dutyOut[a*k+b] = int32(inA), int32(inB)
-			s.dutyIn[b*k+a], s.dutyOut[b*k+a] = int32(inB), int32(inA)
+			t.in[a*k+b], t.out[a*k+b] = int32(inA), int32(inB)
+			t.in[b*k+a], t.out[b*k+a] = int32(inB), int32(inA)
 		}
 	}
+	return t
 }
 
 // Quiesce blocks until all in-flight messages (and the messages they
-// caused) have been processed. In simulation mode it parks the calling
-// task until the scheduler is idle — every delayed delivery and timer
-// cascade drained.
-func (s *System) Quiesce() {
-	if s.sim != nil {
-		s.sim.WaitIdle()
-		return
-	}
-	s.inflight.Wait()
-}
+// caused) have been processed — every delayed delivery and timer cascade
+// drained.
+func (s *System) Quiesce() { s.drv.waitIdle() }
 
 // DroppedMessages reports how many messages random fault injection has
 // discarded so far (drops to crashed nodes are counted separately; see
@@ -1026,15 +808,8 @@ func (s *System) Capabilities() []svc.CapabilitySet {
 // synchronous model's converged tables — the check failure-recovery tests
 // poll between protocol rounds.
 func (s *System) Converged() (bool, error) {
-	if s.sim != nil {
-		// Simulation mode is baton-ordered: the verifier can read the live
-		// tables through aliases instead of deep-copying every node.
-		return state.VerifyConvergence(s.topo, s.Capabilities(), s.simStates()) == nil, nil
-	}
-	states, err := s.States()
-	if err != nil {
-		return false, err
-	}
+	states, release := s.tables()
+	defer release()
 	return state.VerifyConvergence(s.topo, s.Capabilities(), states) == nil, nil
 }
 
@@ -1068,11 +843,11 @@ func (s *System) Route(req svc.Request) (*routing.Result, error) {
 	backoff := s.cfg.RPCBackoff
 	for attempt := 0; ; attempt++ {
 		// A fresh reply cell per attempt: a late reply to an abandoned
-		// attempt parks harmlessly in its own buffer.
-		reply := newReply[routeReply](s)
+		// attempt lands harmlessly in a cell nobody reads.
+		reply := s.drv.newReply()
 		r := req
-		s.send(-1, req.Dest, message{kind: kindRoute, routeReq: &r, routeReply: reply})
-		if out, ok := reply.await(s, s.cfg.RouteTimeout); ok {
+		s.send(-1, req.Dest, message{kind: kindRoute, routeReq: &r, reply: reply})
+		if out, ok := reply.await(s.cfg.RouteTimeout); ok {
 			s.noteRPCOutcome(req.Dest, true)
 			if out.err == nil && out.result != nil {
 				if s.cache != nil {
@@ -1097,32 +872,10 @@ func (s *System) Route(req svc.Request) (*routing.Result, error) {
 			return nil, fmt.Errorf("overlay: route to %d after %d attempts: %w", req.Dest, attempt+1, ErrRPCTimeout)
 		}
 		s.noteRPCRetry()
-		if !s.backoffWait(backoff) {
+		if !s.drv.sleep(backoff) {
 			return nil, fmt.Errorf("overlay: route to %d: shut down during retry backoff: %w", req.Dest, ErrRPCTimeout)
 		}
 		backoff *= 2
-	}
-}
-
-// backoffWait pauses a retry loop for d on the injected clock, returning
-// false when the system shut down during the wait — callers must abandon
-// the retry instead of sending into a stopped system. Under the real clock
-// this is the shutdown-interruptible replacement for time.Sleep; under the
-// virtual clock it parks the task (Stop cannot happen mid-wait there, as
-// both run on the same scheduler, so the check happens on wake).
-func (s *System) backoffWait(d time.Duration) bool {
-	if s.sim != nil {
-		s.sim.Sleep(d)
-		return !s.simStopped
-	}
-	done := make(chan struct{})
-	tm := s.clock.AfterFunc(d, func() { close(done) })
-	select {
-	case <-done:
-		return true
-	case <-s.stopCh:
-		tm.Stop()
-		return false
 	}
 }
 
@@ -1195,33 +948,29 @@ func (s *System) States() ([]state.NodeState, error) {
 	return out, nil
 }
 
-// run is the node's real-mode mailbox loop. Protocol messages mutate state
-// inline; route and child requests are dispatched to worker goroutines so a
-// node blocked composing a path keeps serving child requests (no
-// distributed deadlock). Simulation mode has no mailbox: simDeliver calls
-// process (or spawns a task) directly.
-func (n *node) run() {
-	for m := range n.inbox {
-		switch m.kind {
-		case kindLocal, kindAggregate, kindTrigger:
-			n.process(m)
-			n.sys.inflight.Done()
-		case kindRoute:
-			go n.handleRoute(m)
-		case kindChild:
-			go n.handleChild(m)
-		case kindData:
-			// A data chain sends onward from inside the handler; run it off
-			// the mailbox loop so a full downstream inbox can never stall
-			// message consumption (and thus never deadlock a cycle).
-			go n.handleData(m)
+// tables read-locks every node and returns aliases of their live routing
+// tables, aligned by node index, with the function that drops the locks
+// again. Holding all the locks gives one consistent cut without copying a
+// table — at 100k proxies that is ten million map entries — while protocol
+// handlers simply wait; the caller must release promptly and must neither
+// mutate nor keep the maps.
+func (s *System) tables() (states []state.NodeState, release func()) {
+	states = make([]state.NodeState, len(s.nodes))
+	for i, n := range s.nodes {
+		n.st.RLock()
+		states[i] = n.state
+	}
+	return states, func() {
+		for _, n := range s.nodes {
+			n.st.RUnlock()
 		}
 	}
 }
 
-// process applies one protocol message — the non-blocking kinds shared
-// verbatim by the mailbox loop and the simulation scheduler.
-func (n *node) process(m message) {
+// handle runs one delivered message to completion at this node: the one
+// entry point both drivers call. Protocol kinds mutate state and return;
+// kinds that block (msgKind.blocks) wait for replies of their own.
+func (n *node) handle(m message) {
 	switch m.kind {
 	case kindLocal:
 		n.applyLocal(m)
@@ -1229,6 +978,12 @@ func (n *node) process(m message) {
 		n.applyAggregate(m)
 	case kindTrigger:
 		n.broadcast(m.seq)
+	case kindRoute:
+		n.handleRoute(m)
+	case kindChild:
+		n.handleChild(m)
+	case kindData:
+		n.handleData(m)
 	}
 }
 
@@ -1343,29 +1098,16 @@ func (n *node) broadcast(seq uint64) {
 	n.st.Unlock()
 	own := n.view.ClusterID
 	exchange := message{kind: kindAggregate, aggCluster: own, aggSet: agg, aggGen: aggGen, aggForward: true, seq: seq}
-	if duty := s.dutyIn; duty != nil {
-		// Simulation mode: the round's duty table answers "which pairs do
-		// I terminate" with K array reads instead of K locked ranked-border
-		// elections per node.
-		k := n.view.NumClusters
-		base := own * k
-		for other := 0; other < k; other++ {
-			if other == own || duty[base+other] != int32(n.id) {
-				continue
-			}
-			s.send(n.id, int(s.dutyOut[base+other]), exchange)
+	// The round's duty table answers "which pairs do I terminate" with K
+	// array reads instead of K locked ranked-border elections per node.
+	duty := s.duty.Load()
+	k := n.view.NumClusters
+	base := own * k
+	for other := 0; other < k; other++ {
+		if other == own || duty.in[base+other] != int32(n.id) {
+			continue
 		}
-	} else {
-		for other := 0; other < n.view.NumClusters; other++ {
-			if other == own {
-				continue
-			}
-			inOwn, inOther, err := n.view.Border(own, other)
-			if err != nil || inOwn != n.id {
-				continue
-			}
-			s.send(n.id, inOther, exchange)
-		}
+		s.send(n.id, int(duty.out[base+other]), exchange)
 	}
 	// Record our own cluster's aggregate locally (generation-guarded like
 	// any other receiver).
@@ -1400,18 +1142,11 @@ func (n *node) forwardAggregate(cluster int, set svc.CapabilitySet, gen, seq uin
 // ClusterAdmissible hook, steering the CSP to an alternate provider cluster
 // — route-level backtracking around crashed providers.
 func (n *node) handleRoute(m message) {
-	defer n.sys.doneInflight()
-	n.st.RLock()
-	snapshot := n.state
 	// Routing only reads the tables; holding the read lock for the whole
-	// computation would block protocol updates, so deep-copy instead.
-	stCopy := state.NodeState{Node: n.id, SCTP: map[int]svc.CapabilitySet{}, SCTC: map[int]svc.CapabilitySet{}}
-	for k, v := range snapshot.SCTP {
-		stCopy.SCTP[k] = v.Clone()
-	}
-	for k, v := range snapshot.SCTC {
-		stCopy.SCTC[k] = v.Clone()
-	}
+	// computation would block protocol updates, so copy the two maps. The
+	// sets are shared: stored sets are replaced, never mutated.
+	n.st.RLock()
+	stCopy := state.NodeState{Node: n.id, SCTP: maps.Clone(n.state.SCTP), SCTC: maps.Clone(n.state.SCTC)}
 	n.st.RUnlock()
 
 	type ban struct {
@@ -1455,14 +1190,13 @@ func (n *node) handleRoute(m message) {
 			break
 		}
 	}
-	m.routeReply.deliver(routeReply{result: res, err: err})
+	m.reply.deliver(answer{result: res, err: err})
 }
 
 // handleChild resolves a child request against this node's own SCT_P.
 func (n *node) handleChild(m message) {
-	defer n.sys.doneInflight()
 	path, err := n.solveChildLocal(*m.childReq)
-	m.childReply.deliver(childReply{path: path, err: err})
+	m.reply.deliver(answer{path: path, err: err})
 }
 
 // solveChildLocal is the §5.2 intra-cluster computation using this node's
@@ -1581,10 +1315,10 @@ func (s *rpcSolver) solveAt(child routing.ChildRequest) (*routing.Path, error) {
 	sys := s.n.sys
 	backoff := sys.cfg.RPCBackoff
 	for attempt := 0; ; attempt++ {
-		reply := newReply[childReply](sys)
+		reply := sys.drv.newReply()
 		c := child
-		sys.send(s.n.id, child.Resolver, message{kind: kindChild, childReq: &c, childReply: reply})
-		if out, ok := reply.await(sys, sys.cfg.RPCTimeout); ok {
+		sys.send(s.n.id, child.Resolver, message{kind: kindChild, childReq: &c, reply: reply})
+		if out, ok := reply.await(sys.cfg.RPCTimeout); ok {
 			sys.noteRPCOutcome(child.Resolver, true)
 			if out.err != nil {
 				return nil, fmt.Errorf("overlay: child request at %d: %w", child.Resolver, out.err)
@@ -1596,7 +1330,7 @@ func (s *rpcSolver) solveAt(child routing.ChildRequest) (*routing.Path, error) {
 			return nil, fmt.Errorf("overlay: child request at %d: %d attempts: %w", child.Resolver, attempt+1, ErrRPCTimeout)
 		}
 		sys.noteRPCRetry()
-		if !sys.backoffWait(backoff) {
+		if !sys.drv.sleep(backoff) {
 			return nil, fmt.Errorf("overlay: child request at %d: shut down during retry backoff: %w", child.Resolver, ErrRPCTimeout)
 		}
 		backoff *= 2

@@ -1,7 +1,9 @@
 package overlay
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -90,9 +92,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(topo, caps[:3], Config{}); err == nil {
 		t.Error("short capability list accepted")
-	}
-	if _, err := New(topo, caps, Config{MailboxSize: -1}); err == nil {
-		t.Error("negative mailbox accepted")
 	}
 }
 
@@ -246,51 +245,124 @@ func TestConcurrentRoutesDoNotDeadlock(t *testing.T) {
 	}
 }
 
-// TestSimModeMatchesRealMode converges the same fixture once on the wall
-// clock and once on the virtual clock and requires identical per-node
-// protocol state: the simulation runtime is the same protocol, only the
-// scheduler differs.
+// parityOutcome is what TestSimModeMatchesRealMode compares across drivers.
+type parityOutcome struct {
+	crashedMid []int
+	bordersMid hfc.DynamicSnapshot
+	states     []state.NodeState
+	borders    hfc.DynamicSnapshot
+	crashed    []int
+	paths      []*routing.Path
+	traces     []*ExecutionTrace
+}
+
+// parityScript drives one system through the op sequence both drivers must
+// agree on: convergence, a capability update, a border crash and its
+// recovery, then routes and executions over the re-converged tables. It may
+// run on a Sim task, so it reports through t.Errorf only.
+func parityScript(t *testing.T, sys *System, update, victim int, set svc.CapabilitySet, reqs []svc.Request) parityOutcome {
+	var out parityOutcome
+	rounds := func(n int) {
+		for i := 0; i < n; i++ {
+			sys.TriggerStateRound()
+			sys.Quiesce()
+		}
+	}
+	rounds(2)
+	if err := sys.UpdateCapability(update, set); err != nil {
+		t.Errorf("UpdateCapability: %v", err)
+	}
+	rounds(1)
+	if err := sys.Crash(victim); err != nil {
+		t.Errorf("Crash: %v", err)
+	}
+	rounds(1)
+	out.crashedMid, out.bordersMid = sys.CrashedNodes(), sys.BorderSnapshot()
+	if err := sys.Recover(victim); err != nil {
+		t.Errorf("Recover: %v", err)
+	}
+	rounds(2)
+	for _, req := range reqs {
+		res, err := sys.Route(req)
+		if err != nil {
+			t.Errorf("Route: %v", err)
+			continue
+		}
+		tr, err := sys.Execute(res.Path, "x")
+		if err != nil {
+			t.Errorf("Execute: %v", err)
+		}
+		out.paths, out.traces = append(out.paths, res.Path), append(out.traces, tr)
+	}
+	var err error
+	if out.states, err = sys.States(); err != nil {
+		t.Errorf("States: %v", err)
+	}
+	out.borders, out.crashed = sys.BorderSnapshot(), sys.CrashedNodes()
+	return out
+}
+
+// TestSimModeMatchesRealMode runs one op sequence through both drivers —
+// once on the wall clock with mailboxes, once as events of a virtual clock —
+// and requires identical per-node protocol state, border elections, crash
+// registry and bit-identical route paths: the protocol is the same code,
+// only delivery differs. Tables are compared where the protocol has
+// re-converged; within a round the mailbox driver's interleaving is free.
 func TestSimModeMatchesRealMode(t *testing.T) {
 	topo, caps := buildFixture(t, 5)
-
-	real := startSystem(t, topo, caps, Config{})
-	real.TriggerStateRound()
-	real.Quiesce()
-	real.TriggerStateRound()
-	real.Quiesce()
-	realStates, err := real.States()
+	victim, _, err := topo.Border(0, 1)
 	if err != nil {
-		t.Fatalf("real States: %v", err)
+		t.Fatalf("Border: %v", err)
+	}
+	update := (victim + 1) % topo.N()
+	set := caps[update].Clone()
+	set.Add("parity-service")
+	final := append([]svc.CapabilitySet(nil), caps...)
+	final[update] = set
+	gen, err := svc.NewRequestGenerator(rand.New(rand.NewSource(55)), final, 2, 4)
+	if err != nil {
+		t.Fatalf("NewRequestGenerator: %v", err)
+	}
+	reqs := make([]svc.Request, 6)
+	for i := range reqs {
+		if reqs[i], err = gen.Next(); err != nil {
+			t.Fatalf("Next: %v", err)
+		}
 	}
 
-	simSys, sim := startSimSystem(t, topo, caps, Config{})
-	sim.Run(func() {
-		simSys.TriggerStateRound()
-		simSys.Quiesce()
-		simSys.TriggerStateRound()
-		simSys.Quiesce()
-	})
-	simStates, err := simSys.States()
-	if err != nil {
-		t.Fatalf("sim States: %v", err)
-	}
+	// New keeps the deployment slice it is given, so each system gets its own.
+	real := startSystem(t, topo, append([]svc.CapabilitySet(nil), caps...), Config{})
+	want := parityScript(t, real, update, victim, set, reqs)
 
-	for i := range realStates {
-		r, s := realStates[i], simStates[i]
-		for origin, set := range r.SCTP {
-			if !s.SCTP[origin].Equal(set) {
-				t.Fatalf("node %d SCTP[%d]: sim %v != real %v", i, origin, s.SCTP[origin], set)
-			}
+	simSys, sim := startSimSystem(t, topo, append([]svc.CapabilitySet(nil), caps...), Config{})
+	var got parityOutcome
+	sim.Run(func() { got = parityScript(t, simSys, update, victim, set, reqs) })
+
+	if len(want.crashedMid) != 1 || want.crashedMid[0] != victim {
+		t.Errorf("crashed set mid-sequence %v, want [%d]", want.crashedMid, victim)
+	}
+	check := func(what string, got, want interface{}) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s diverge between drivers:\n  sim  %v\n  real %v", what, got, want)
 		}
-		if len(r.SCTP) != len(s.SCTP) || len(r.SCTC) != len(s.SCTC) {
-			t.Fatalf("node %d: table sizes diverge (sim %d/%d, real %d/%d)",
-				i, len(s.SCTP), len(s.SCTC), len(r.SCTP), len(r.SCTC))
-		}
-		for cl, set := range r.SCTC {
-			if !s.SCTC[cl].Equal(set) {
-				t.Fatalf("node %d SCTC[%d]: sim %v != real %v", i, cl, s.SCTC[cl], set)
-			}
-		}
+	}
+	check("crashed nodes after the crash round", got.crashedMid, want.crashedMid)
+	check("border elections after the crash round", got.bordersMid, want.bordersMid)
+	check("final crashed nodes", got.crashed, want.crashed)
+	check("final border elections", got.borders, want.borders)
+	check("execution traces", got.traces, want.traces)
+	if len(got.paths) != len(reqs) || len(want.paths) != len(reqs) {
+		t.Fatalf("routed %d (sim) and %d (real) of %d requests", len(got.paths), len(want.paths), len(reqs))
+	}
+	for i := range reqs {
+		check(fmt.Sprintf("route %d", i), got.paths[i], want.paths[i])
+	}
+	// SeqP/SeqC record in which round an entry last changed hands, which the
+	// mailbox driver's interleaving decides; the tables are the protocol state.
+	for i := range want.states {
+		check(fmt.Sprintf("node %d SCT_P", i), got.states[i].SCTP, want.states[i].SCTP)
+		check(fmt.Sprintf("node %d SCT_C", i), got.states[i].SCTC, want.states[i].SCTC)
 	}
 }
 

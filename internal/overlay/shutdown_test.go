@@ -25,7 +25,6 @@ func TestStopConcurrentWithRoundBurst(t *testing.T) {
 	for iter := 0; iter < 6; iter++ {
 		topo, caps := buildFixture(t, int64(100+iter))
 		cfg := Config{
-			MailboxSize:  16,
 			RouteTimeout: 50 * time.Millisecond,
 			RPCTimeout:   20 * time.Millisecond,
 			RPCRetries:   -1, // keep racing routes from stretching the test
@@ -34,6 +33,8 @@ func TestStopConcurrentWithRoundBurst(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
+		// Small mailboxes, so the burst also sheds on backpressure.
+		sys.drv = newMailboxDriver(sys, 16)
 		if err := sys.Start(); err != nil {
 			t.Fatalf("Start: %v", err)
 		}

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -244,10 +245,194 @@ func Simulate(spec SimSpec, seed int64) (*SimReport, error) {
 	if spec.N < 16 {
 		return nil, fmt.Errorf("overlay: simulate N=%d too small (need >= 16)", spec.N)
 	}
-	if spec.Multilevel {
-		return simulateMultilevel(spec, seed)
+	if spec.Multilevel && spec.Partition {
+		return nil, errors.New("overlay: simulate: Partition is not supported with Multilevel")
 	}
-	return simulateFlat(spec, seed)
+	rng := rand.New(rand.NewSource(seed))
+	cat, err := svc.NewCatalog(12)
+	if err != nil {
+		return nil, err
+	}
+	sim := vtime.NewSim()
+	build := newFlatWorld
+	if spec.Multilevel {
+		build = newMultilevelWorld
+	}
+	w, err := build(spec, rng, cat, sim)
+	if err != nil {
+		return nil, err
+	}
+	for _, sys := range w.systems {
+		if err := sys.Start(); err != nil {
+			return nil, err
+		}
+		defer func() { _ = sys.Stop() }()
+	}
+
+	rep := &SimReport{N: spec.N, Clusters: w.clusters, Groups: w.groups}
+	tr := &simTrace{}
+	partition := ""
+	if w.isolate != nil {
+		partition = fmt.Sprintf(" partition=%v", spec.Partition)
+	}
+	tr.f("sim seed=%d mode=%s rounds=%d churn=%d crashes=%d%s probes=%d",
+		seed, w.mode, spec.Rounds, spec.Churn, spec.Crashes, partition, spec.Probes)
+
+	converge := func(label string, rounds int) {
+		for i := 0; i < rounds; i++ {
+			for _, sys := range w.systems {
+				sys.TriggerStateRound()
+			}
+			// One wait drains every runtime's cascade: they share the
+			// scheduler.
+			w.systems[0].Quiesce()
+			rep.Rounds++
+			rep.SuperMessages += w.superPerRound
+			tr.f("round %d (%s): %st=%v", rep.Rounds, label, w.roundFields(), sim.Now())
+		}
+	}
+
+	measure := spec.MeasureImprecision && !spec.Multilevel
+	var imprecisions []float64
+	probePhase := func(label string) error {
+		if spec.Probes == 0 {
+			return nil
+		}
+		cur := make([]svc.CapabilitySet, spec.N)
+		for g, sys := range w.systems {
+			for local, set := range sys.Capabilities() {
+				cur[w.global(g, local)] = set
+			}
+		}
+		gen, err := svc.NewRequestGenerator(rng, cur, 2, 4)
+		if err != nil {
+			return err
+		}
+		provs := routing.CapabilityProviders(cur)
+		oracle := routing.OracleFunc(w.cmap.Dist)
+		route, done := w.prober(cur)
+		defer done()
+		for i := 0; i < spec.Probes; i++ {
+			req, err := gen.Next()
+			if err != nil {
+				return err
+			}
+			path, fields, err := route(req)
+			rep.Probes++
+			if err != nil {
+				rep.ProbeFailures++
+				tr.f("probe %s/%d: FAIL %v", label, i, err)
+				continue
+			}
+			run := maxRelayRun(path)
+			if run > rep.MaxRelayRun {
+				rep.MaxRelayRun = run
+			}
+			if err := path.Validate(req, cur); err != nil {
+				return fmt.Errorf("overlay: simulate probe %s/%d invalid path: %w", label, i, err)
+			}
+			tr.f("probe %s/%d: %shops=%d relayrun=%d", label, i, fields, len(path.Hops), run)
+			if measure {
+				opt, err := routing.FindPath(req, provs, oracle, nil)
+				if err != nil {
+					return fmt.Errorf("overlay: simulate probe %s/%d optimal: %w", label, i, err)
+				}
+				if ol := opt.Length(w.cmap.Dist); ol > 0 {
+					imprecisions = append(imprecisions, path.Length(w.cmap.Dist)/ol)
+				}
+			}
+		}
+		return nil
+	}
+
+	var simErr error
+	sim.Run(func() {
+		converge("initial", spec.Rounds)
+		if simErr = probePhase("pre"); simErr != nil {
+			return
+		}
+		for i := 0; i < spec.Churn; i++ {
+			victim := rng.Intn(spec.N)
+			g, local := w.locate(victim)
+			fresh, err := svc.RandomCapabilities(rng, 1, cat, 2, 5)
+			if err != nil {
+				simErr = err
+				return
+			}
+			if simErr = w.systems[g].UpdateCapability(local, fresh[0]); simErr != nil {
+				return
+			}
+			tr.f("churn %d: node %d%s -> %d services", i, victim, w.tag(g), fresh[0].Len())
+		}
+		if spec.Churn > 0 {
+			converge("churn", spec.Rounds)
+		}
+		if spec.Partition {
+			cut := rng.Intn(w.clusters)
+			w.isolate(cut)
+			tr.f("partition: isolate cluster %d", cut)
+			converge("partitioned", 1)
+			w.isolate(-1)
+			tr.f("partition: healed (policy dropped %d)", w.systems[0].FaultCounters().DroppedByPolicy)
+			converge("healed", spec.Rounds)
+		}
+		for i := 0; i < spec.Crashes; i++ {
+			victim := rng.Intn(spec.N)
+			g, local := w.locate(victim)
+			if simErr = w.systems[g].Crash(local); simErr != nil {
+				return
+			}
+			tr.f("crash %d: node %d%s", i, victim, w.tag(g))
+			converge("crashed", 1)
+			if simErr = w.systems[g].Recover(local); simErr != nil {
+				return
+			}
+			tr.f("recover %d: node %d", i, victim)
+		}
+		if spec.Crashes > 0 {
+			converge("recovered", spec.Rounds)
+		}
+		simErr = probePhase("post")
+	})
+	if simErr != nil {
+		return nil, simErr
+	}
+
+	rep.Converged = true
+	for g, sys := range w.systems {
+		ok, err := sys.Converged()
+		if err != nil {
+			return nil, err
+		}
+		rep.Converged = rep.Converged && ok
+		rep.Traffic.add(sys.Traffic())
+		rep.Faults.add(sys.FaultCounters())
+		// Digest over GLOBAL node ids so two different groupings of the
+		// same converged facts cannot collide; the digest XORs entries, so
+		// it folds one runtime at a time.
+		states, release := sys.tables()
+		for local := range states {
+			states[local].Node = w.global(g, local)
+		}
+		rep.StateDigest ^= digestStates(states)
+		release()
+	}
+	rep.VirtualTime = sim.Now()
+	if len(imprecisions) > 0 {
+		sum := 0.0
+		for _, r := range imprecisions {
+			sum += r
+		}
+		rep.MeanImprecision = sum / float64(len(imprecisions))
+	}
+	super := ""
+	if w.groups > 0 {
+		super = fmt.Sprintf(" super=%d", rep.SuperMessages)
+	}
+	tr.f("final: converged=%v relaymax=%d virtual=%v%s digest=%016x",
+		rep.Converged, rep.MaxRelayRun, rep.VirtualTime, super, rep.StateDigest)
+	rep.Trace = tr.b.String()
+	return rep, nil
 }
 
 // simTrace accumulates the deterministic event log.
@@ -259,12 +444,41 @@ func (t *simTrace) f(format string, args ...interface{}) {
 	fmt.Fprintf(&t.b, format+"\n", args...)
 }
 
-func simulateFlat(spec SimSpec, seed int64) (*SimReport, error) {
-	rng := rand.New(rand.NewSource(seed))
+// simWorld is what the one scenario script in Simulate drives: the overlay
+// runtimes sharing a virtual clock — one in flat mode, one per group in
+// multilevel mode — and everything that depends on which of the two it is.
+type simWorld struct {
+	cmap    *coords.Map
+	systems []*System
+	// clusters and groups describe the topology as SimReport does.
+	clusters, groups int
+	// locate maps a global proxy id to its runtime and its id there; global
+	// is the inverse.
+	locate func(node int) (g, local int)
+	global func(g, local int) int
+	// prober opens a probe phase over the deployment cur. route answers one
+	// probe with its path; done ends the phase.
+	prober func(cur []svc.CapabilitySet) (route func(svc.Request) (*routing.Path, string, error), done func())
+	// isolate cuts one cluster off from the rest (-1 heals); nil where the
+	// mode has no partition phase.
+	isolate func(cluster int)
+	// superPerRound is the harness-level super-aggregate traffic one state
+	// round stands for (multilevel only).
+	superPerRound int
+	// The mode's trace fields: mode opens the first line, roundFields goes
+	// on every round line, tag follows a node id (route's string return is
+	// the probe line's).
+	mode        string
+	roundFields func() string
+	tag         func(g int) string
+}
+
+// newFlatWorld builds the bi-level world: one runtime over all N proxies,
+// probes routed through it by RPC, a link policy that can isolate a cluster.
+func newFlatWorld(spec SimSpec, rng *rand.Rand, cat *svc.Catalog, sim *vtime.Sim) (*simWorld, error) {
 	// Bi-level optimum: |C| ≈ K ≈ √n balances the per-round local floods
 	// (n·|C|) against the aggregate re-floods (n·(K-1)).
-	pts := simPoints(rng, spec.N, int(math.Sqrt(float64(spec.N))))
-	cmap, err := coords.NewMap(pts)
+	cmap, err := coords.NewMap(simPoints(rng, spec.N, int(math.Sqrt(float64(spec.N)))))
 	if err != nil {
 		return nil, err
 	}
@@ -279,20 +493,14 @@ func simulateFlat(spec SimSpec, seed int64) (*SimReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("overlay: simulate build: %w", err)
 	}
-	cat, err := svc.NewCatalog(12)
-	if err != nil {
-		return nil, err
-	}
 	caps, err := svc.RandomCapabilities(rng, spec.N, cat, 2, 5)
 	if err != nil {
 		return nil, err
 	}
-
-	sim := vtime.NewSim()
 	// The partition filter is read on the scheduler runner (baton-ordered
-	// with its writers below), so a plain variable suffices.
+	// with its writer, the script), so a plain variable suffices.
 	partitioned := -1
-	cfg := Config{
+	sys, err := New(topo, caps, Config{
 		Clock:        sim,
 		DelayPerUnit: spec.DelayPerUnit,
 		LinkPolicy: func(from, to int, kind MsgKind) LinkVerdict {
@@ -302,165 +510,42 @@ func simulateFlat(spec SimSpec, seed int64) (*SimReport, error) {
 			}
 			return LinkVerdict{}
 		},
-	}
-	sys, err := New(topo, caps, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Start(); err != nil {
-		return nil, err
-	}
-
-	rep := &SimReport{N: spec.N, Clusters: topo.NumClusters()}
-	tr := &simTrace{}
-	tr.f("sim seed=%d mode=flat n=%d clusters=%d rounds=%d churn=%d crashes=%d partition=%v probes=%d",
-		seed, spec.N, rep.Clusters, spec.Rounds, spec.Churn, spec.Crashes, spec.Partition, spec.Probes)
-
-	converge := func(label string, rounds int) {
-		for i := 0; i < rounds; i++ {
-			sys.TriggerStateRound()
-			sys.Quiesce()
-			rep.Rounds++
-			tf := sys.Traffic()
-			tr.f("round %d (%s): local=%d agg=%d t=%v", rep.Rounds, label, tf.Local, tf.Aggregate, sim.Now())
-		}
-	}
-
-	var imprecisions []float64
-	probePhase := func(label string) error {
-		if spec.Probes == 0 {
-			return nil
-		}
-		cur := sys.Capabilities()
-		gen, err := svc.NewRequestGenerator(rng, cur, 2, 4)
-		if err != nil {
-			return err
-		}
-		provs := routing.CapabilityProviders(cur)
-		oracle := routing.OracleFunc(cmap.Dist)
-		for i := 0; i < spec.Probes; i++ {
-			req, err := gen.Next()
-			if err != nil {
-				return err
-			}
-			res, err := sys.Route(req)
-			rep.Probes++
-			if err != nil {
-				rep.ProbeFailures++
-				tr.f("probe %s/%d: FAIL %v", label, i, err)
-				continue
-			}
-			run := maxRelayRun(res.Path)
-			if run > rep.MaxRelayRun {
-				rep.MaxRelayRun = run
-			}
-			if err := res.Path.Validate(req, cur); err != nil {
-				return fmt.Errorf("overlay: simulate probe %s/%d invalid path: %w", label, i, err)
-			}
-			tr.f("probe %s/%d: hops=%d relayrun=%d", label, i, len(res.Path.Hops), run)
-			if spec.MeasureImprecision {
-				opt, err := routing.FindPath(req, provs, oracle, nil)
-				if err != nil {
-					return fmt.Errorf("overlay: simulate probe %s/%d optimal: %w", label, i, err)
-				}
-				if ol := opt.Length(cmap.Dist); ol > 0 {
-					imprecisions = append(imprecisions, res.Path.Length(cmap.Dist)/ol)
-				}
-			}
-		}
-		return nil
-	}
-
-	var simErr error
-	sim.Run(func() {
-		converge("initial", spec.Rounds)
-		if simErr = probePhase("pre"); simErr != nil {
-			return
-		}
-		for i := 0; i < spec.Churn; i++ {
-			victim := rng.Intn(spec.N)
-			fresh, err := svc.RandomCapabilities(rng, 1, cat, 2, 5)
-			if err != nil {
-				simErr = err
-				return
-			}
-			if err := sys.UpdateCapability(victim, fresh[0]); err != nil {
-				simErr = err
-				return
-			}
-			tr.f("churn %d: node %d -> %d services", i, victim, fresh[0].Len())
-		}
-		if spec.Churn > 0 {
-			converge("churn", spec.Rounds)
-		}
-		if spec.Partition {
-			partitioned = rng.Intn(topo.NumClusters())
-			tr.f("partition: isolate cluster %d", partitioned)
-			converge("partitioned", 1)
-			partitioned = -1
-			tr.f("partition: healed (policy dropped %d)", sys.FaultCounters().DroppedByPolicy)
-			converge("healed", spec.Rounds)
-		}
-		for i := 0; i < spec.Crashes; i++ {
-			victim := rng.Intn(spec.N)
-			if err := sys.Crash(victim); err != nil {
-				simErr = err
-				return
-			}
-			tr.f("crash %d: node %d", i, victim)
-			converge("crashed", 1)
-			if err := sys.Recover(victim); err != nil {
-				simErr = err
-				return
-			}
-			tr.f("recover %d: node %d", i, victim)
-		}
-		if spec.Crashes > 0 {
-			converge("recovered", spec.Rounds)
-		}
-		if simErr = probePhase("post"); simErr != nil {
-			return
-		}
 	})
-	if simErr != nil {
-		_ = sys.Stop()
-		return nil, simErr
-	}
-
-	converged, err := sys.Converged()
 	if err != nil {
-		_ = sys.Stop()
 		return nil, err
 	}
-	states := sys.simStates()
-	if err := sys.Stop(); err != nil {
-		return nil, err
-	}
-	rep.Converged = converged
-	rep.Traffic = sys.Traffic()
-	rep.Faults = sys.FaultCounters()
-	rep.VirtualTime = sim.Now()
-	rep.StateDigest = digestStates(states)
-	if len(imprecisions) > 0 {
-		sum := 0.0
-		for _, r := range imprecisions {
-			sum += r
-		}
-		rep.MeanImprecision = sum / float64(len(imprecisions))
-	}
-	tr.f("final: converged=%v relaymax=%d virtual=%v digest=%016x",
-		converged, rep.MaxRelayRun, rep.VirtualTime, rep.StateDigest)
-	rep.Trace = tr.b.String()
-	return rep, nil
+	return &simWorld{
+		cmap:     cmap,
+		systems:  []*System{sys},
+		clusters: topo.NumClusters(),
+		locate:   func(node int) (int, int) { return 0, node },
+		global:   func(_, local int) int { return local },
+		prober: func([]svc.CapabilitySet) (func(svc.Request) (*routing.Path, string, error), func()) {
+			return func(req svc.Request) (*routing.Path, string, error) {
+				res, err := sys.Route(req)
+				if err != nil {
+					return nil, "", err
+				}
+				return res.Path, "", nil
+			}, func() {}
+		},
+		isolate: func(cluster int) { partitioned = cluster },
+		mode:    fmt.Sprintf("flat n=%d clusters=%d", spec.N, topo.NumClusters()),
+		roundFields: func() string {
+			tf := sys.Traffic()
+			return fmt.Sprintf("local=%d agg=%d ", tf.Local, tf.Aggregate)
+		},
+		tag: func(int) string { return "" },
+	}, nil
 }
 
-// simulateMultilevel runs the tri-level hierarchy: every group's interior
-// is a complete overlay runtime on one shared virtual clock, and the
-// harness plays the super layer — maintaining per-group super-aggregates
-// and accounting their pairwise exchange — exactly as mlhfc.Distribute
-// models it synchronously.
-func simulateMultilevel(spec SimSpec, seed int64) (*SimReport, error) {
-	rng := rand.New(rand.NewSource(seed))
+// newMultilevelWorld builds the tri-level hierarchy: every group's interior
+// is a complete overlay runtime on the shared virtual clock, and the
+// harness plays the super layer — per-group super-aggregates, their
+// pairwise exchange accounted — exactly as mlhfc.Distribute models it
+// synchronously. Probes are resolved by mlhfc.Route over the runtimes' live
+// tables.
+func newMultilevelWorld(spec SimSpec, rng *rand.Rand, cat *svc.Catalog, sim *vtime.Sim) (*simWorld, error) {
 	// Tri-level optimum: groups ≈ clusters-per-group ≈ |C| ≈ n^⅓, so each
 	// level fans out evenly and the per-round flood volume stays near
 	// n·n^⅓. The workload carries that hierarchy in its geometry
@@ -475,8 +560,7 @@ func simulateMultilevel(spec SimSpec, seed int64) (*SimReport, error) {
 		groups = 2
 	}
 	blobsPerGroup := int(math.Round(math.Pow(float64(spec.N), 2.0/3.0))) / groups
-	pts := simPointsHier(rng, spec.N, groups, blobsPerGroup)
-	cmap, err := coords.NewMap(pts)
+	cmap, err := coords.NewMap(simPointsHier(rng, spec.N, groups, blobsPerGroup))
 	if err != nil {
 		return nil, err
 	}
@@ -488,20 +572,23 @@ func simulateMultilevel(spec SimSpec, seed int64) (*SimReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("overlay: simulate mlhfc build: %w", err)
 	}
-	cat, err := svc.NewCatalog(12)
-	if err != nil {
-		return nil, err
-	}
 	caps, err := svc.RandomCapabilities(rng, spec.N, cat, 2, 5)
 	if err != nil {
 		return nil, err
 	}
-
 	k := topo.NumGroups()
-	sim := vtime.NewSim()
-	systems := make([]*System, k)
-	superCaps := make([]svc.CapabilitySet, k)
-	rep := &SimReport{N: spec.N, Groups: k}
+	w := &simWorld{
+		cmap:   cmap,
+		groups: k,
+		locate: func(node int) (int, int) { return topo.GroupOf(node), topo.ToLocal(node) },
+		global: topo.ToGlobal,
+		// Each group ships its aggregate to every other group's super
+		// border, which re-floods it internally: Σ over ordered pairs (a,b)
+		// of |b| messages, counted exactly as mlhfc.Distribute does.
+		superPerRound: (k - 1) * spec.N,
+		roundFields:   func() string { return "" },
+		tag:           func(g int) string { return fmt.Sprintf(" (group %d)", g) },
+	}
 	for g := 0; g < k; g++ {
 		members := topo.Members(g)
 		localCaps := make([]svc.CapabilitySet, len(members))
@@ -512,206 +599,57 @@ func simulateMultilevel(spec SimSpec, seed int64) (*SimReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("overlay: simulate group %d: %w", g, err)
 		}
-		if err := sys.Start(); err != nil {
-			return nil, err
-		}
-		systems[g] = sys
-		superCaps[g] = svc.Union(localCaps...)
-		rep.Clusters += topo.Interior(g).NumClusters()
+		w.systems = append(w.systems, sys)
+		w.clusters += topo.Interior(g).NumClusters()
 	}
-	stopAll := func() {
-		for _, sys := range systems {
-			_ = sys.Stop()
-		}
-	}
-
-	tr := &simTrace{}
-	tr.f("sim seed=%d mode=multilevel n=%d groups=%d clusters=%d rounds=%d churn=%d crashes=%d probes=%d",
-		seed, spec.N, k, rep.Clusters, spec.Rounds, spec.Churn, spec.Crashes, spec.Probes)
-
-	// superExchange accounts one harness-level super round: each group
-	// ships its aggregate to every other group's super border, which
-	// re-floods it internally — counted exactly as mlhfc.Distribute does.
-	superExchange := func() {
-		for a := 0; a < k; a++ {
-			for b := 0; b < k; b++ {
-				if a != b {
-					rep.SuperMessages += 1 + len(topo.Members(b)) - 1
-				}
+	w.mode = fmt.Sprintf("multilevel n=%d groups=%d clusters=%d", spec.N, k, w.clusters)
+	w.prober = func(cur []svc.CapabilitySet) (func(svc.Request) (*routing.Path, string, error), func()) {
+		// The routing view aliases every runtime's live tables — no clones —
+		// and each group's super-aggregate is the union of its deployment.
+		st := &mlhfc.States{PerGroup: make([][]state.NodeState, k), Super: make([]svc.CapabilitySet, k)}
+		releases := make([]func(), k)
+		for g, sys := range w.systems {
+			st.PerGroup[g], releases[g] = sys.tables()
+			sets := make([]svc.CapabilitySet, 0, len(topo.Members(g)))
+			for _, node := range topo.Members(g) {
+				sets = append(sets, cur[node])
 			}
+			st.Super[g] = svc.Union(sets...)
 		}
-	}
-
-	converge := func(label string, rounds int) {
-		for i := 0; i < rounds; i++ {
-			for _, sys := range systems {
-				sys.TriggerStateRound()
-			}
-			// One WaitIdle drains every group's cascade: they share the
-			// scheduler.
-			systems[0].Quiesce()
-			rep.Rounds++
-			superExchange()
-			tr.f("round %d (%s): t=%v", rep.Rounds, label, sim.Now())
-		}
-	}
-
-	// assembleStates aliases every group runtime's live node states into
-	// the mlhfc routing view — no clones; reads are baton-ordered with the
-	// runtimes because probes run on the scheduler between rounds.
-	assembleStates := func() *mlhfc.States {
-		st := &mlhfc.States{
-			PerGroup: make([][]state.NodeState, k),
-			Super:    make([]svc.CapabilitySet, k),
-		}
-		for g := 0; g < k; g++ {
-			st.PerGroup[g] = systems[g].simStates()
-			st.Super[g] = superCaps[g]
-		}
-		return st
-	}
-
-	probePhase := func(label string) error {
-		if spec.Probes == 0 {
-			return nil
-		}
-		cur := make([]svc.CapabilitySet, spec.N)
-		for g := 0; g < k; g++ {
-			groupCaps := systems[g].Capabilities()
-			for li, node := range topo.Members(g) {
-				cur[node] = groupCaps[li]
-			}
-		}
-		gen, err := svc.NewRequestGenerator(rng, cur, 2, 4)
-		if err != nil {
-			return err
-		}
-		states := assembleStates()
-		for i := 0; i < spec.Probes; i++ {
-			req, err := gen.Next()
+		route := func(req svc.Request) (*routing.Path, string, error) {
+			res, err := mlhfc.Route(topo, st, req)
 			if err != nil {
-				return err
+				return nil, "", err
 			}
-			res, err := mlhfc.Route(topo, states, req)
-			rep.Probes++
-			if err != nil {
-				rep.ProbeFailures++
-				tr.f("probe %s/%d: FAIL %v", label, i, err)
-				continue
+			return res.Path, fmt.Sprintf("groups=%d ", len(res.Children)), nil
+		}
+		return route, func() {
+			for _, release := range releases {
+				release()
 			}
-			run := maxRelayRun(res.Path)
-			if run > rep.MaxRelayRun {
-				rep.MaxRelayRun = run
-			}
-			if err := res.Path.Validate(req, cur); err != nil {
-				return fmt.Errorf("overlay: simulate ml probe %s/%d invalid path: %w", label, i, err)
-			}
-			tr.f("probe %s/%d: groups=%d hops=%d relayrun=%d", label, i, len(res.Children), len(res.Path.Hops), run)
-		}
-		return nil
-	}
-
-	var simErr error
-	sim.Run(func() {
-		converge("initial", spec.Rounds)
-		if simErr = probePhase("pre"); simErr != nil {
-			return
-		}
-		for i := 0; i < spec.Churn; i++ {
-			victim := rng.Intn(spec.N)
-			g, li := topo.GroupOf(victim), topo.ToLocal(victim)
-			fresh, err := svc.RandomCapabilities(rng, 1, cat, 2, 5)
-			if err != nil {
-				simErr = err
-				return
-			}
-			if err := systems[g].UpdateCapability(li, fresh[0]); err != nil {
-				simErr = err
-				return
-			}
-			superCaps[g] = svc.Union(systems[g].Capabilities()...)
-			tr.f("churn %d: node %d (group %d) -> %d services", i, victim, g, fresh[0].Len())
-		}
-		if spec.Churn > 0 {
-			converge("churn", spec.Rounds)
-		}
-		for i := 0; i < spec.Crashes; i++ {
-			victim := rng.Intn(spec.N)
-			g, li := topo.GroupOf(victim), topo.ToLocal(victim)
-			if err := systems[g].Crash(li); err != nil {
-				simErr = err
-				return
-			}
-			tr.f("crash %d: node %d (group %d)", i, victim, g)
-			converge("crashed", 1)
-			if err := systems[g].Recover(li); err != nil {
-				simErr = err
-				return
-			}
-			tr.f("recover %d: node %d", i, victim)
-		}
-		if spec.Crashes > 0 {
-			converge("recovered", spec.Rounds)
-		}
-		if simErr = probePhase("post"); simErr != nil {
-			return
-		}
-	})
-	if simErr != nil {
-		stopAll()
-		return nil, simErr
-	}
-
-	rep.Converged = true
-	var allStates []state.NodeState
-	for g := 0; g < k; g++ {
-		ok, err := systems[g].Converged()
-		if err != nil {
-			stopAll()
-			return nil, err
-		}
-		if !ok {
-			rep.Converged = false
-		}
-		tf := systems[g].Traffic()
-		rep.Traffic.Local += tf.Local
-		rep.Traffic.Aggregate += tf.Aggregate
-		rep.Traffic.Route += tf.Route
-		rep.Traffic.Child += tf.Child
-		rep.Traffic.Data += tf.Data
-		fc := systems[g].FaultCounters()
-		rep.Faults.Dropped += fc.Dropped
-		rep.Faults.DroppedToCrashed += fc.DroppedToCrashed
-		rep.Faults.StaleRejected += fc.StaleRejected
-		rep.Faults.RPCRetries += fc.RPCRetries
-		// Digest over GLOBAL node ids so two different groupings of the
-		// same converged facts cannot collide.
-		for li, st := range systems[g].simStates() {
-			st.Node = topo.ToGlobal(g, li)
-			allStates = append(allStates, st)
 		}
 	}
-	stopAll()
-	rep.VirtualTime = sim.Now()
-	rep.StateDigest = digestStates(allStates)
-	tr.f("final: converged=%v relaymax=%d virtual=%v super=%d digest=%016x",
-		rep.Converged, rep.MaxRelayRun, rep.VirtualTime, rep.SuperMessages, rep.StateDigest)
-	rep.Trace = tr.b.String()
-	return rep, nil
+	return w, nil
 }
 
-// simStates returns aliases of every node's live protocol state — the
-// struct values share the underlying maps, so callers must treat them as
-// read-only. Simulation-mode only: the aliasing is safe exactly because
-// every runtime access is baton-ordered on the shared scheduler.
-func (s *System) simStates() []state.NodeState {
-	if s.sim == nil {
-		panic("overlay: simStates outside simulation mode")
-	}
-	out := make([]state.NodeState, len(s.nodes))
-	for i, n := range s.nodes {
-		//hfcvet:ignore guardedby sim mode is baton-ordered on one scheduler; no node runs while this reads
-		out[i] = n.state
-	}
-	return out
+// add accumulates another runtime's counters.
+func (t *TrafficStats) add(o TrafficStats) {
+	t.Local += o.Local
+	t.Aggregate += o.Aggregate
+	t.Route += o.Route
+	t.Child += o.Child
+	t.Data += o.Data
+}
+
+func (f *FaultStats) add(o FaultStats) {
+	f.Dropped += o.Dropped
+	f.DroppedToCrashed += o.DroppedToCrashed
+	f.DroppedAfterStop += o.DroppedAfterStop
+	f.DroppedBackpressure += o.DroppedBackpressure
+	f.StaleRejected += o.StaleRejected
+	f.RPCRetries += o.RPCRetries
+	f.ResolverFailovers += o.ResolverFailovers
+	f.DroppedByPolicy += o.DroppedByPolicy
+	f.DuplicatedByPolicy += o.DuplicatedByPolicy
+	f.DegradedRoutes += o.DegradedRoutes
 }

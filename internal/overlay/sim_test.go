@@ -104,9 +104,12 @@ func TestSimulateMultilevelConverges(t *testing.T) {
 	}
 }
 
-// TestSimulateRejectsTinyN pins the argument validation.
-func TestSimulateRejectsTinyN(t *testing.T) {
+// TestSimulateRejectsBadSpec pins the argument validation.
+func TestSimulateRejectsBadSpec(t *testing.T) {
 	if _, err := Simulate(SimSpec{N: 8}, 1); err == nil {
 		t.Error("Simulate accepted N=8")
+	}
+	if _, err := Simulate(SimSpec{N: 1200, Multilevel: true, Partition: true}, 1); err == nil {
+		t.Error("Simulate accepted Multilevel with Partition, which it would silently not run")
 	}
 }
