@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-seam vet bench bench-full bench-compare bench-scale chaos sim fmt
+.PHONY: all build test race lint lint-seam lint-view vet bench bench-full bench-compare bench-scale chaos sim fmt
 
 # Output snapshot for the regression-gate benchmarks (see cmd/benchgate).
-BENCH_OUT ?= BENCH_pr12.json
+BENCH_OUT ?= BENCH_pr14.json
 
 all: build test lint
 
@@ -28,12 +28,19 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/hfcvet ./...
 	$(MAKE) lint-seam
+	$(MAKE) lint-view
 
 # lint-seam enforces the overlay's delivery seam: outside the event driver
 # and the Simulate harness, no non-test file of internal/overlay may name
 # the virtual clock's type or test a mode flag.
 lint-seam:
 	! grep -nE 'vtime\.Sim|\bsim (!=|==) nil' $$(ls internal/overlay/*.go | grep -v -e _test.go -e driver_sim.go -e sim.go)
+
+# lint-view keeps the per-destination Topology.View copy (O(K²) map inserts)
+# off the routing paths: they use SharedView. View stays for the callers
+# that count Fig. 9(a) state and for tests.
+lint-view:
+	! grep -nE '\.View\(' internal/serve/*.go internal/core/*.go internal/qos/*.go internal/routing/*.go | grep -v _test.go
 
 # vet is the machine-readable variant: the registered-analyzer roster
 # followed by the full suite with -json diagnostics (one JSON object per

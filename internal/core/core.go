@@ -170,7 +170,7 @@ func (f *Framework) routerFor(dest int) (*routing.HierarchicalRouter, error) {
 	if r := f.routers[dest].Load(); r != nil {
 		return r, nil
 	}
-	view, err := f.topo.View(dest)
+	view, err := f.topo.SharedView(dest)
 	if err != nil {
 		return nil, err
 	}

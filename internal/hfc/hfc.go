@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"hfc/internal/cluster"
 	"hfc/internal/coords"
@@ -48,6 +49,8 @@ type Topology struct {
 	// borderInA[a][b] is the border node of cluster a toward cluster b
 	// (-1 on the diagonal); a dense mirror of borders for hot paths.
 	borderInA [][]int
+	// dense caches the tables every SharedView hands out (see sharedDense).
+	dense atomic.Pointer[DenseTables]
 }
 
 // MaxBackupBorders is how many backup border pairs Build precomputes per

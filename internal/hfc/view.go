@@ -55,6 +55,8 @@ type NodeView struct {
 	// tables (see Dense). Built lazily from the static fields, which must
 	// not be mutated after the first Dense call.
 	dense atomic.Pointer[DenseTables]
+	// topo is set on a SharedView: its dense tables are the topology's.
+	topo *Topology
 }
 
 // DenseTables is the struct-of-arrays mirror of a view's border and
@@ -74,20 +76,52 @@ type DenseTables struct {
 	Ext []float64
 	// Pts[id] is node id's coordinate, nil when the view does not hold
 	// it. Indexed by node id; covers cluster members and every primary
-	// and backup border proxy whose coordinate the view can resolve.
+	// and backup border proxy whose coordinate the view can resolve (on a
+	// SharedView: every node, as its ResolveCoord does).
 	Pts []coords.Point
 }
 
-// Dense returns the view's SoA tables, building them on first use. The
-// build is idempotent; concurrent first calls may build twice and either
-// result wins the store. The returned tables are shared and read-only.
+// Dense returns the view's SoA tables, building them on first use. A
+// materialized View builds its own, bounded by its Fig. 4 entitlement; every
+// SharedView of a topology gets the topology's one set. The build is
+// idempotent; concurrent first calls may build twice and either result wins
+// the store. The returned tables are shared and read-only.
 func (v *NodeView) Dense() *DenseTables {
 	if t := v.dense.Load(); t != nil {
 		return t
 	}
-	t := v.buildDense()
+	var t *DenseTables
+	if v.topo != nil {
+		t = v.topo.sharedDense()
+	} else {
+		t = v.buildDense()
+	}
 	v.dense.Store(t)
 	return t
+}
+
+// sharedDense returns the dense tables every SharedView of t hands out,
+// building them on first use: borders and coordinates are topology-wide and
+// immutable after Build, so one K×K mirror serves all n views. Pts aliases
+// the topology's point table, exactly what a SharedView's ResolveCoord
+// serves.
+func (t *Topology) sharedDense() *DenseTables {
+	if d := t.dense.Load(); d != nil {
+		return d
+	}
+	k := t.NumClusters()
+	d := &DenseTables{K: k, BorderInA: make([]int32, k*k), Ext: make([]float64, k*k), Pts: t.coords.Points}
+	for a := 0; a < k; a++ {
+		for b := 0; b < k; b++ {
+			d.BorderInA[a*k+b], d.Ext[a*k+b] = -1, math.NaN()
+			if a != b {
+				d.BorderInA[a*k+b] = int32(t.borderInA[a][b])
+				d.Ext[a*k+b] = t.Dist(t.borderInA[a][b], t.borderInA[b][a])
+			}
+		}
+	}
+	t.dense.Store(d)
+	return d
 }
 
 // buildDense materializes the dense mirror from the view's maps. Border
@@ -107,17 +141,26 @@ func (v *NodeView) buildDense() *DenseTables {
 		t.BorderInA[i] = -1
 		t.Ext[i] = math.NaN()
 	}
-	// Gather every node id whose coordinate a routing pass may ask for:
+	// Pts covers every node whose coordinate a routing pass may ask for —
 	// own-cluster members (the tail hop ends at v.Node) plus all ranked
-	// border proxies.
-	maxID := v.Node
-	note := func(id int) {
-		if id > maxID {
-			maxID = id
+	// border proxies — and reaches to the largest such id.
+	pt := func(id int) coords.Point {
+		if id < 0 {
+			return nil
 		}
+		if id >= len(t.Pts) {
+			t.Pts = append(t.Pts, make([]coords.Point, id+1-len(t.Pts))...)
+		}
+		if t.Pts[id] == nil {
+			if p, err := v.coordOf(id); err == nil {
+				t.Pts[id] = p
+			}
+		}
+		return t.Pts[id]
 	}
+	pt(v.Node)
 	for _, m := range v.Members {
-		note(m)
+		pt(m)
 	}
 	for lo := 0; lo < k; lo++ {
 		for hi := lo + 1; hi < k; hi++ {
@@ -126,55 +169,28 @@ func (v *NodeView) buildDense() *DenseTables {
 			if !ok {
 				continue
 			}
-			note(pair.Low)
-			note(pair.High)
 			if pair.Low >= 0 && pair.High >= 0 {
 				t.BorderInA[lo*k+hi] = int32(pair.Low)
 				t.BorderInA[hi*k+lo] = int32(pair.High)
 			}
-			for _, bp := range v.BackupBorders[key] {
-				note(bp.Low)
-				note(bp.High)
-			}
-		}
-	}
-	t.Pts = make([]coords.Point, maxID+1)
-	fill := func(id int) {
-		if id < 0 || id >= len(t.Pts) || t.Pts[id] != nil {
-			return
-		}
-		if p, err := v.coordOf(id); err == nil {
-			t.Pts[id] = p
-		}
-	}
-	fill(v.Node)
-	for _, m := range v.Members {
-		fill(m)
-	}
-	for lo := 0; lo < k; lo++ {
-		for hi := lo + 1; hi < k; hi++ {
-			key := [2]int{lo, hi}
-			pair, ok := v.Borders[key]
-			if !ok {
-				continue
-			}
-			fill(pair.Low)
-			fill(pair.High)
-			for _, bp := range v.BackupBorders[key] {
-				fill(bp.Low)
-				fill(bp.High)
-			}
-			if pl, ph := t.Pts[pair.Low], t.Pts[pair.High]; pl != nil && ph != nil {
+			if pl, ph := pt(pair.Low), pt(pair.High); pl != nil && ph != nil {
 				d := coords.Dist(pl, ph)
 				t.Ext[lo*k+hi] = d
 				t.Ext[hi*k+lo] = d
+			}
+			for _, bp := range v.BackupBorders[key] {
+				pt(bp.Low)
+				pt(bp.High)
 			}
 		}
 	}
 	return t
 }
 
-// View materializes the Fig. 4 information for one node.
+// View materializes the Fig. 4 information for one node: an O(K² + |C|)
+// copy. It is for callers that count per-proxy state (Fig. 9(a)) and for
+// tests that prove routing stays inside the entitlement; routing paths use
+// SharedView.
 func (t *Topology) View(node int) (*NodeView, error) {
 	if node < 0 || node >= t.N() {
 		return nil, fmt.Errorf("hfc: view for node %d out of range [0,%d)", node, t.N())
@@ -216,10 +232,12 @@ func (t *Topology) View(node int) (*NodeView, error) {
 // SharedView is O(1).
 //
 // The price is a strict aliasing contract: callers must treat Members,
-// Borders, and BackupBorders as read-only, and the backing Topology must
-// outlive the view. CoordinateStateSize reports 0 (the Fig. 9(a) state
-// accounting needs the materialized View). The large-scale simulation
-// runtime uses SharedView; anything measuring per-node state keeps View.
+// Borders, BackupBorders and the Dense tables — one set per topology, shared
+// by every view — as read-only, and the backing Topology must outlive the
+// view; the hooks (Alive, BorderOverride) stay per view. CoordinateStateSize
+// reports 0 (the Fig. 9(a) state accounting needs the materialized View).
+// Every routing path uses SharedView; anything measuring per-node state
+// keeps View.
 func (t *Topology) SharedView(node int) (*NodeView, error) {
 	if node < 0 || node >= t.N() {
 		return nil, fmt.Errorf("hfc: view for node %d out of range [0,%d)", node, t.N())
@@ -232,6 +250,7 @@ func (t *Topology) SharedView(node int) (*NodeView, error) {
 		NumClusters:   t.NumClusters(),
 		Borders:       t.borders,
 		BackupBorders: t.backups,
+		topo:          t,
 		ResolveCoord: func(u int) (coords.Point, bool) {
 			if u < 0 || u >= len(t.coords.Points) {
 				return nil, false

@@ -61,7 +61,7 @@ func (r *Router) Route(req svc.Request, cons Constraints) (*routing.Path, error)
 	if err := req.Validate(r.topo.N()); err != nil {
 		return nil, err
 	}
-	view, err := r.topo.View(req.Dest)
+	view, err := r.topo.SharedView(req.Dest)
 	if err != nil {
 		return nil, err
 	}

@@ -10,8 +10,9 @@ import (
 )
 
 // NewHierarchicalRouter wires a §5 router for the destination proxy dest
-// from the simulation's global structures, carving out exactly the
-// knowledge dest legitimately holds: its Fig. 4 view, its converged state,
+// from the simulation's global structures, handing it the knowledge dest
+// legitimately holds: its Fig. 4 view (shared, not copied; the
+// equivalence tests pin it to the materialized one), its converged state,
 // a LocalIntraSolver for child requests, and the cluster-ID query answered
 // from the clustering assignment (the source proxy would answer it in a
 // deployment).
@@ -25,7 +26,7 @@ func NewHierarchicalRouter(topo *hfc.Topology, states []state.NodeState, dest in
 	if dest < 0 || dest >= topo.N() {
 		return nil, fmt.Errorf("routing: destination %d out of range [0,%d)", dest, topo.N())
 	}
-	view, err := topo.View(dest)
+	view, err := topo.SharedView(dest)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"reflect"
 	"sort"
 	"sync"
 
@@ -32,41 +33,40 @@ type ProviderIndex struct {
 // provider lists come out in exactly the order the previous per-request
 // membership scan produced, so routing decisions are bit-identical.
 func BuildProviderIndex(st *state.NodeState, members []int) *ProviderIndex {
-	pi := &ProviderIndex{
-		local:    make(map[svc.Service][]int),
-		clusters: make(map[svc.Service][]int),
-	}
-	for _, m := range members {
-		set, ok := st.SCTP[m]
-		if !ok {
-			continue
-		}
-		for s := range set {
-			pi.local[s] = append(pi.local[s], m)
-		}
-	}
-	// Map iteration filled each list in members order per service only for
-	// the outer loop; the inner set iteration order is irrelevant (one
-	// member appends to many services, each exactly once). Lists are in
-	// ascending member order already, but sort defensively so the contract
-	// does not depend on the caller passing sorted members.
-	for s := range pi.local {
-		sort.Ints(pi.local[s])
-	}
-	clusterIDs := make([]int, 0, len(st.SCTC))
-	for c := range st.SCTC {
-		clusterIDs = append(clusterIDs, c)
-	}
-	sort.Ints(clusterIDs)
-	for _, c := range clusterIDs {
-		for s := range st.SCTC[c] {
-			pi.clusters[s] = append(pi.clusters[s], c)
-		}
-	}
-	pi.local = packLists(pi.local)
-	pi.clusters = packLists(pi.clusters)
+	return newProviderIndex(invert(st.SCTP, members), invert(st.SCTC, sortedIDs(st.SCTC)))
+}
+
+func newProviderIndex(local, clusters map[svc.Service][]int) *ProviderIndex {
+	pi := &ProviderIndex{local: local, clusters: clusters}
 	pi.fn = func(s svc.Service) []int { return pi.local[s] }
 	return pi
+}
+
+// invert turns one SCT table into per-service lists of the given ids (the
+// cluster's members for SCT_P, the table's keys for SCT_C), each ascending.
+func invert(table map[int]svc.CapabilitySet, ids []int) map[svc.Service][]int {
+	lists := make(map[svc.Service][]int)
+	for _, id := range ids {
+		for s := range table[id] {
+			lists[s] = append(lists[s], id)
+		}
+	}
+	// One id appends to many services, each exactly once, so the inner set
+	// iteration order is irrelevant and lists are ascending when ids are;
+	// sort defensively so the contract does not depend on the caller.
+	for s := range lists {
+		sort.Ints(lists[s])
+	}
+	return packLists(lists)
+}
+
+func sortedIDs(table map[int]svc.CapabilitySet) []int {
+	ids := make([]int, 0, len(table))
+	for id := range table {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
 }
 
 // packLists rewrites a map of per-service lists so every list is a window
@@ -101,22 +101,28 @@ func (pi *ProviderIndex) Providers(s svc.Service) []int { return pi.local[s] }
 
 // ClustersProviding returns the sorted cluster IDs whose aggregate set
 // includes s (shared slice — do not modify). Matches
-// state.NodeState.ClustersProviding on a state whose SCT_C covers clusters
-// 0..k-1.
+// state.NodeState.ClustersProviding on the state the index was built from.
 func (pi *ProviderIndex) ClustersProviding(s svc.Service) []int { return pi.clusters[s] }
 
 // ProviderFunc returns the index's SCT_P lookup as a ProviderFunc without
 // allocating a new closure per call.
 func (pi *ProviderIndex) ProviderFunc() ProviderFunc { return pi.fn }
 
-// LazyIndexes caches per-resolver ProviderIndexes over a NodeState slice,
-// rebuilding them lazily when the owning engine's invalidation version
-// moves — the same token the route cache stamps entries with, so index and
-// cache go stale together.
+// LazyIndexes caches ProviderIndexes over a NodeState slice, rebuilding
+// them lazily when the owning engine's invalidation version moves — the
+// same token the route cache stamps entries with, so index and cache go
+// stale together.
+//
+// Each half of an index is cached by the table it inverts, not by the node
+// asking: the local half per SCT_P map, the clusters half per SCT_C map. On
+// state.Distribute output the members of a cluster therefore share one
+// index and all indexes share one clusters half — K+1 inversions per
+// version, not n.
 //
 // Readers and the version source must be externally consistent: a caller
 // that mutates the states must advance the version before the mutation is
 // observable to For (serve.Engine does both under its state write lock).
+// Within one version the tables are read-only.
 type LazyIndexes struct {
 	states  []state.NodeState
 	members func(node int) []int
@@ -124,13 +130,12 @@ type LazyIndexes struct {
 	// (static states, e.g. the synchronous simulation).
 	version func() uint64
 
-	mu  sync.RWMutex
-	idx map[int]stampedIndex // guarded by mu
-}
-
-type stampedIndex struct {
-	version uint64
-	pi      *ProviderIndex
+	mu    sync.RWMutex
+	stamp uint64 // version idx was built at; guarded by mu
+	// idx is keyed by the addresses of the (SCT_P, SCT_C) maps inverted. An
+	// address names a table only within one version — replacing a table
+	// moves the version, and the map is cleared when the stamp moves.
+	idx map[[2]uintptr]*ProviderIndex // guarded by mu
 }
 
 // NewLazyIndexes builds an empty index cache. members maps a node to its
@@ -140,34 +145,61 @@ func NewLazyIndexes(states []state.NodeState, members func(node int) []int, vers
 		states:  states,
 		members: members,
 		version: version,
-		idx:     make(map[int]stampedIndex),
+		idx:     make(map[[2]uintptr]*ProviderIndex),
 	}
 }
 
-// For returns node's provider index, building it on first use and after
-// every version advance. Concurrent callers may build the same index twice;
-// both results are identical and either may win the store.
+// For returns node's provider index, inverting on first use and after every
+// version advance whichever of its two tables no cached index has inverted.
 func (l *LazyIndexes) For(node int) *ProviderIndex {
 	var v uint64
 	if l.version != nil {
 		v = l.version()
 	}
+	st := &l.states[node]
+	key := [2]uintptr{reflect.ValueOf(st.SCTP).Pointer(), reflect.ValueOf(st.SCTC).Pointer()}
 	l.mu.RLock()
-	e, ok := l.idx[node]
+	pi, ok := l.idx[key]
+	ok = ok && l.stamp == v
 	l.mu.RUnlock()
-	if ok && e.version == v {
-		return e.pi
+	if ok {
+		return pi
 	}
-	pi := BuildProviderIndex(&l.states[node], l.members(node))
+	members := l.members(node)
 	l.mu.Lock()
-	l.idx[node] = stampedIndex{version: v, pi: pi}
-	l.mu.Unlock()
+	defer l.mu.Unlock()
+	if l.stamp != v {
+		clear(l.idx)
+		l.stamp = v
+	}
+	if pi, ok := l.idx[key]; ok {
+		return pi
+	}
+	var local, clusters map[svc.Service][]int
+	for k, other := range l.idx {
+		if k[0] == key[0] {
+			//hfcvet:ignore maporder every cached index over one SCT_P map holds the same local half
+			local = other.local
+		}
+		if k[1] == key[1] {
+			//hfcvet:ignore maporder every cached index over one SCT_C map holds the same clusters half
+			clusters = other.clusters
+		}
+	}
+	if local == nil {
+		local = invert(st.SCTP, members)
+	}
+	if clusters == nil {
+		clusters = invert(st.SCTC, sortedIDs(st.SCTC))
+	}
+	pi = newProviderIndex(local, clusters)
+	l.idx[key] = pi
 	return pi
 }
 
 // InvalidateAll drops every cached index immediately. Not required for
-// correctness when a version source is configured (stale stamps already
-// force rebuilds); it exists to release memory eagerly and to serve as the
+// correctness when a version source is configured (a stale stamp already
+// forces rebuilds); it exists to release memory eagerly and to serve as the
 // invalidation hook for version-less (static) usage.
 func (l *LazyIndexes) InvalidateAll() {
 	l.mu.Lock()

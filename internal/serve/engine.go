@@ -99,9 +99,9 @@ type Engine struct {
 	indexes *routing.LazyIndexes
 	solver  *routing.LocalIntraSolver
 
-	// views caches each destination proxy's immutable topology view,
-	// built on first use (topo.View copies border tables — far too
-	// expensive per request). Concurrent first builds are idempotent.
+	// views caches each destination proxy's shared topology view, built on
+	// first use; only the Alive hook is the engine's own. Concurrent first
+	// builds are idempotent.
 	views []atomic.Pointer[hfc.NodeView]
 
 	flightMu sync.Mutex
@@ -129,7 +129,8 @@ type Engine struct {
 // NewEngine builds an engine over a bootstrapped topology with converged
 // states. caps[i] is the deployment of proxy i (cloned; the engine owns its
 // copy). states must be the matching state.Distribute output; the engine
-// copies the slice and owns all subsequent mutation.
+// copies the slice and replaces its elements on every update — the tables
+// the caller's states reference are never edited.
 func NewEngine(topo *hfc.Topology, caps []svc.CapabilitySet, states []state.NodeState, cfg Config) (*Engine, error) {
 	if topo == nil {
 		return nil, errors.New("serve: nil topology")
@@ -178,7 +179,7 @@ func (e *Engine) view(dest int) (*hfc.NodeView, error) {
 	if v := e.views[dest].Load(); v != nil {
 		return v, nil
 	}
-	v, err := e.topo.View(dest)
+	v, err := e.topo.SharedView(dest)
 	if err != nil {
 		return nil, err
 	}

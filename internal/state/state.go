@@ -15,13 +15,17 @@ package state
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"hfc/internal/hfc"
 	"hfc/internal/svc"
 )
 
 // NodeState is the routing state one proxy holds after the protocol
-// converges.
+// converges. States returned by Distribute share their tables (see there)
+// and are read-only; only a NodeState whose owner built its maps itself —
+// a proxy of the overlay runtime — may be edited through ApplyLocal and
+// ApplyAggregate.
 type NodeState struct {
 	// Node is the proxy this state belongs to.
 	Node int
@@ -101,11 +105,26 @@ func (s *NodeState) HasLocal(p int, x svc.Service) bool {
 // includes x, in increasing order.
 func (s *NodeState) ClustersProviding(x svc.Service) []int {
 	var out []int
-	for c := 0; c < len(s.SCTC); c++ {
-		if set, ok := s.SCTC[c]; ok && set.Has(x) {
+	n, dense := len(s.SCTC), 0
+	for c := 0; c < n; c++ {
+		if set, ok := s.SCTC[c]; ok {
+			dense++
+			if set.Has(x) {
+				out = append(out, c)
+			}
+		}
+	}
+	if dense == n {
+		return out
+	}
+	// The table is not full yet (a proxy just back from Recover knows its
+	// own cluster only): the remaining ids lie outside [0, n).
+	for c, set := range s.SCTC {
+		if (c < 0 || c >= n) && set.Has(x) {
 			out = append(out, c)
 		}
 	}
+	sort.Ints(out)
 	return out
 }
 
@@ -137,6 +156,13 @@ func (m MessageStats) Total() int {
 // (3) every border proxy that received an aggregate forwards it to the
 // other members of its cluster. A proxy learns its own cluster's aggregate
 // locally (no message needed).
+//
+// §4 converges with every member of a cluster holding the same SCT_P and
+// every proxy the same SCT_C, so each table is built once — one SCT_P map
+// per cluster, one SCT_C map for the system, caps cloned once per proxy —
+// and the returned states reference them. The tables are read-only: a
+// caller that needs different state calls Distribute again and replaces
+// the states, it never edits a returned map or set.
 func Distribute(t *hfc.Topology, caps []svc.CapabilitySet) ([]NodeState, MessageStats, error) {
 	if t == nil {
 		return nil, MessageStats{}, errors.New("state: nil topology")
@@ -150,72 +176,32 @@ func Distribute(t *hfc.Topology, caps []svc.CapabilitySet) ([]NodeState, Message
 		}
 	}
 
-	n := t.N()
 	k := t.NumClusters()
-	states := make([]NodeState, n)
-	for i := range states {
-		states[i] = NodeState{
-			Node: i,
-			SCTP: make(map[int]svc.CapabilitySet),
-			SCTC: make(map[int]svc.CapabilitySet, k),
-		}
-	}
+	states := make([]NodeState, t.N())
+	sctc := make(map[int]svc.CapabilitySet, k)
 	var stats MessageStats
-
-	// Phase 1: local-state flooding. Proxy p sends its SCI to every other
-	// member of its cluster; every proxy also records its own SCI.
 	for c := 0; c < k; c++ {
 		members := t.Members(c)
+		m := len(members)
+		// Phase 1: every proxy floods its SCI to the other m-1 members, so
+		// all of them end with the same table. The cluster's aggregate is
+		// the union its border proxies compute from that table.
+		sctp := make(map[int]svc.CapabilitySet, m)
+		agg := make(svc.CapabilitySet)
 		for _, p := range members {
-			states[p].SCTP[p] = caps[p].Clone()
-			for _, q := range members {
-				if q == p {
-					continue
-				}
-				states[q].SCTP[p] = caps[p].Clone()
-				stats.LocalMessages++
-			}
+			sctp[p] = caps[p].Clone()
+			agg.UnionInto(caps[p])
 		}
-	}
-
-	// Aggregates: each cluster's union, computed at its border proxies
-	// from their (now converged) SCT_P. Every proxy knows its own
-	// cluster's aggregate locally.
-	aggregates := make([]svc.CapabilitySet, k)
-	for c := 0; c < k; c++ {
-		sets := make([]svc.CapabilitySet, 0, len(t.Members(c)))
-		for _, p := range t.Members(c) {
-			sets = append(sets, caps[p])
+		sctc[c] = agg
+		for _, p := range members {
+			states[p] = NodeState{Node: p, SCTP: sctp, SCTC: sctc}
 		}
-		aggregates[c] = svc.Union(sets...)
-	}
-	for i := range states {
-		own := t.ClusterOf(i)
-		states[i].SCTC[own] = aggregates[own].Clone()
-	}
-
-	// Phase 2+3: aggregate-state exchange across every external link, then
-	// intra-cluster forwarding by the receiving border proxy.
-	for a := 0; a < k; a++ {
-		for b := 0; b < k; b++ {
-			if a == b {
-				continue
-			}
-			// Border of a toward b sends a's aggregate to border of b.
-			_, receiver, err := t.Border(a, b)
-			if err != nil {
-				return nil, MessageStats{}, fmt.Errorf("state: %w", err)
-			}
-			stats.AggregateMessages++
-			states[receiver].SCTC[a] = aggregates[a].Clone()
-			for _, q := range t.Members(b) {
-				if q == receiver {
-					continue
-				}
-				states[q].SCTC[a] = aggregates[a].Clone()
-				stats.ForwardMessages++
-			}
-		}
+		stats.LocalMessages += m * (m - 1)
+		// Phases 2+3: each of the other k-1 clusters sends its aggregate
+		// over the external link to c's border proxy, which forwards it to
+		// the other m-1 members.
+		stats.AggregateMessages += k - 1
+		stats.ForwardMessages += (k - 1) * (m - 1)
 	}
 	return states, stats, nil
 }

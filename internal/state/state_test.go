@@ -2,7 +2,10 @@ package state
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"hfc/internal/cluster"
 	"hfc/internal/coords"
@@ -120,6 +123,32 @@ func TestHasLocalAndClustersProviding(t *testing.T) {
 	}
 	if got := states[0].ClustersProviding("nope"); len(got) != 0 {
 		t.Errorf("ClustersProviding(nope) = %v, want empty", got)
+	}
+	// A full table costs nothing beyond the result slice.
+	if allocs := testing.AllocsPerRun(100, func() { states[0].ClustersProviding("s5") }); allocs != 1 {
+		t.Errorf("ClustersProviding on a full table allocates %.0f times, want 1", allocs)
+	}
+}
+
+// TestClustersProvidingSparseTable covers an SCT_C that is not full: a proxy
+// just back from Recover knows its own cluster only, and a table still
+// filling up has gaps. Every key counts, whatever the entry count.
+func TestClustersProvidingSparseTable(t *testing.T) {
+	recovered := NodeState{SCTC: map[int]svc.CapabilitySet{2: svc.NewCapabilitySet("s1")}}
+	if got := recovered.ClustersProviding("s1"); !reflect.DeepEqual(got, []int{2}) {
+		t.Errorf("own cluster only: ClustersProviding(s1) = %v, want [2]", got)
+	}
+	filling := NodeState{SCTC: map[int]svc.CapabilitySet{
+		0: svc.NewCapabilitySet("s1"),
+		7: svc.NewCapabilitySet("s1", "s2"),
+		3: svc.NewCapabilitySet("s1"),
+		5: svc.NewCapabilitySet("s2"),
+	}}
+	if got := filling.ClustersProviding("s1"); !reflect.DeepEqual(got, []int{0, 3, 7}) {
+		t.Errorf("gaps: ClustersProviding(s1) = %v, want [0 3 7]", got)
+	}
+	if got := filling.ClustersProviding("s2"); !reflect.DeepEqual(got, []int{5, 7}) {
+		t.Errorf("gaps: ClustersProviding(s2) = %v, want [5 7]", got)
 	}
 }
 
@@ -246,5 +275,75 @@ func TestDistributeLargeRandomConvergesProperty(t *testing.T) {
 	}
 	if stats.LocalMessages == 0 {
 		t.Error("no local messages recorded")
+	}
+}
+
+// blobTopology builds k well-separated clusters of per proxies each, with
+// a 40-service catalogue and 4–10 services per proxy (the benchmark's
+// deployment).
+func blobTopology(t *testing.T, k, per int) (*hfc.Topology, []svc.CapabilitySet) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(k*per) + 1))
+	res := &cluster.Result{Clusters: make([][]int, k)}
+	var pts []coords.Point
+	for c := 0; c < k; c++ {
+		for i := 0; i < per; i++ {
+			res.Clusters[c] = append(res.Clusters[c], len(pts))
+			res.Assignment = append(res.Assignment, c)
+			pts = append(pts, coords.Point{float64(c%16)*1000 + rng.Float64()*20, float64(c/16)*1000 + rng.Float64()*20})
+		}
+	}
+	cmap, err := coords.NewMap(pts)
+	if err != nil {
+		t.Fatalf("NewMap: %v", err)
+	}
+	topo, err := hfc.Build(cmap, res)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	cat, err := svc.NewCatalog(40)
+	if err != nil {
+		t.Fatalf("NewCatalog: %v", err)
+	}
+	caps, err := svc.RandomCapabilities(rng, len(pts), cat, 4, 10)
+	if err != nil {
+		t.Fatalf("RandomCapabilities: %v", err)
+	}
+	return topo, caps
+}
+
+// TestDistributeAllocsLinear pins Distribute to one table per cluster plus
+// one for the system: its allocation count is linear in n + K (it was one
+// set clone per (receiver, origin) and per (receiver, cluster): ~230 000 at
+// n = 1000), and a run at the benchmark's protocol-sim size (4000 proxies,
+// 66 clusters) stays within 10 MiB.
+func TestDistributeAllocsLinear(t *testing.T) {
+	for _, size := range []struct{ k, per int }{{37, 27}, {66, 61}} {
+		topo, caps := blobTopology(t, size.k, size.per)
+		n, k := topo.N(), topo.NumClusters()
+		var states []NodeState
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		//hfcvet:ignore detrand the wall time is logged, never asserted
+		start := time.Now()
+		allocs := testing.AllocsPerRun(1, func() { states, _, err = Distribute(topo, caps) })
+		// AllocsPerRun(1, f) calls f twice: one warm-up, one measured.
+		elapsed := time.Since(start) / 2
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("Distribute: %v", err)
+		}
+		if err := VerifyConvergence(topo, caps, states); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		mib := float64(after.TotalAlloc-before.TotalAlloc) / 2 / (1 << 20)
+		t.Logf("n=%d K=%d: %.0f allocs, %.2f MiB, ~%v per Distribute", n, k, allocs, mib, elapsed)
+		if limit := float64(4*n + 8*k); allocs > limit {
+			t.Errorf("n=%d K=%d: Distribute allocates %.0f times, want at most 4n+8K = %.0f", n, k, allocs, limit)
+		}
+		if mib > 10 {
+			t.Errorf("n=%d K=%d: Distribute allocates %.1f MiB, want at most 10", n, k, mib)
+		}
 	}
 }
