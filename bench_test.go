@@ -11,6 +11,7 @@ package hfc_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,6 +30,7 @@ import (
 	"hfc/internal/serve"
 	"hfc/internal/state"
 	"hfc/internal/svc"
+	"hfc/internal/vtime"
 )
 
 // benchSizes are the Table 1 overlay sizes; override the heavyweight ones
@@ -1093,5 +1095,105 @@ func BenchmarkGateSimConverge100k(b *testing.B) {
 		if !rep.Converged {
 			b.Fatal("100k simulation did not converge")
 		}
+	}
+}
+
+// BenchmarkGateSimDelayedRound is the delayed-delivery gate: one steady §4
+// state round per iteration on the event driver with link latency — 2000
+// proxies in 49 blobs, DelayPerUnit 10 µs — so every message crosses the
+// driver's envelope arena and the virtual clock's event queue (the inline
+// path GateSimConverge100k runs touches neither). allocs/msg is the figure a
+// closure or a boxed event per delivery would move from ~0.05 to 1 or more.
+func BenchmarkGateSimDelayedRound(b *testing.B) {
+	const n, side = 2000, 7
+	rng := rand.New(rand.NewSource(15))
+	pts := make([]coords.Point, n)
+	for i := range pts {
+		blob := i % (side * side)
+		pts[i] = coords.Point{
+			(float64(blob%side)+0.5)*140 + rng.NormFloat64()*14,
+			(float64(blob/side)+0.5)*140 + rng.NormFloat64()*14,
+		}
+	}
+	cmap, err := coords.NewMap(pts)
+	if err != nil {
+		b.Fatalf("NewMap: %v", err)
+	}
+	clustering, err := cluster.Cluster(n, cmap.Dist, cluster.Config{Points: pts, MinClusterSize: 8})
+	if err != nil {
+		b.Fatalf("Cluster: %v", err)
+	}
+	topo, err := hfc.Build(cmap, clustering)
+	if err != nil {
+		b.Fatalf("Build: %v", err)
+	}
+	cat, err := svc.NewCatalog(12)
+	if err != nil {
+		b.Fatalf("NewCatalog: %v", err)
+	}
+	caps, err := svc.RandomCapabilities(rng, n, cat, 2, 5)
+	if err != nil {
+		b.Fatalf("RandomCapabilities: %v", err)
+	}
+	sim := vtime.NewSim()
+	sys, err := overlay.New(topo, caps, overlay.Config{Clock: sim, DelayPerUnit: 10 * time.Microsecond})
+	if err != nil {
+		b.Fatalf("overlay.New: %v", err)
+	}
+	if err := sys.Start(); err != nil {
+		b.Fatalf("Start: %v", err)
+	}
+	round := func() {
+		sys.TriggerStateRound()
+		sys.Quiesce()
+	}
+	b.ReportAllocs()
+	sim.Run(func() {
+		round()
+		round() // converged: every timed round is a steady one
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		msgs := sys.Traffic().Total()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		msgs = sys.Traffic().Total() - msgs
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(msgs), "allocs/msg")
+		b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
+	})
+	if err := sys.Stop(); err != nil {
+		b.Errorf("Stop: %v", err)
+	}
+}
+
+// BenchmarkGateVTimeEvent is the bare scheduler under the same load shape:
+// 10⁵ typed posts at seeded pseudo-random delays, then drained, per
+// iteration — push, sift, pop and the queue's chunk give-back, no overlay.
+func BenchmarkGateVTimeEvent(b *testing.B) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(15))
+	delays := make([]time.Duration, n)
+	for i := range delays {
+		delays[i] = time.Duration(rng.Intn(1_000_000)) * time.Microsecond
+	}
+	sim := vtime.NewSim()
+	fired := 0
+	count := func(int) { fired++ }
+	b.ReportAllocs()
+	sim.Run(func() {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, d := range delays {
+				sim.Post(d, count, 0)
+			}
+			sim.WaitIdle()
+		}
+		b.StopTimer()
+	})
+	if fired != n*b.N {
+		b.Fatalf("%d of %d posts fired", fired, n*b.N)
 	}
 }

@@ -340,7 +340,7 @@ func TestStaleRefloodRejected(t *testing.T) {
 
 	// Replay a round-1 flood carrying bogus state — a delayed duplicate
 	// from before convergence. The sequence check must discard it.
-	sys.send(-1, victim, message{
+	sys.send(-1, victim, &message{
 		kind:      kindLocal,
 		localFrom: origin,
 		localSet:  svc.NewCapabilitySet("bogus-replayed"),

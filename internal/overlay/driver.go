@@ -29,9 +29,11 @@ type driver interface {
 	// calls each at most once.
 	start()
 	stop()
-	// post carries m to node `to` after delay d and runs node.handle there.
-	// from is the sending node, -1 for an injection from outside.
-	post(from, to int, m message, d time.Duration)
+	// post carries m to node `to` after delay d and runs node.handle there
+	// on a copy. from is the sending node, -1 for an injection from outside.
+	// m is shared — held until delivery, posted again for a flood's next
+	// recipient — so neither side may write through it.
+	post(from, to int, m *message, d time.Duration)
 	// newReply makes the one-shot cell an RPC attempt's answer comes back
 	// through.
 	newReply() replyCell
@@ -63,7 +65,7 @@ const mailboxSize = 256
 type mailboxDriver struct {
 	sys   *System
 	clock vtime.Clock
-	inbox []chan message
+	inbox []chan *message
 
 	// stopCh closes when stop begins, releasing RPC waits and retry
 	// backoffs immediately instead of letting them sleep through shutdown.
@@ -82,12 +84,12 @@ type mailboxDriver struct {
 
 func newMailboxDriver(s *System, size int) *mailboxDriver {
 	d := &mailboxDriver{sys: s, clock: s.cfg.Clock, accepting: true,
-		inbox: make([]chan message, len(s.nodes)), stopCh: make(chan struct{})}
+		inbox: make([]chan *message, len(s.nodes)), stopCh: make(chan struct{})}
 	if d.clock == nil {
 		d.clock = vtime.NewReal()
 	}
 	for i := range d.inbox {
-		d.inbox[i] = make(chan message, size)
+		d.inbox[i] = make(chan *message, size)
 	}
 	return d
 }
@@ -100,17 +102,17 @@ func (d *mailboxDriver) start() {
 }
 
 // run is one node's mailbox loop.
-func (d *mailboxDriver) run(n *node, inbox <-chan message) {
+func (d *mailboxDriver) run(n *node, inbox <-chan *message) {
 	defer d.loops.Done()
 	for m := range inbox {
 		if m.kind.blocks() {
 			go func() {
 				defer d.inflight.Done()
-				n.handle(m)
+				n.handle(*m)
 			}()
 			continue
 		}
-		n.handle(m)
+		n.handle(*m)
 		d.inflight.Done()
 	}
 }
@@ -131,7 +133,7 @@ func (d *mailboxDriver) stop() {
 	d.loops.Wait()
 }
 
-func (d *mailboxDriver) post(from, to int, m message, delay time.Duration) {
+func (d *mailboxDriver) post(from, to int, m *message, delay time.Duration) {
 	d.sendMu.RLock()
 	if !d.accepting {
 		d.sendMu.RUnlock()
@@ -144,8 +146,8 @@ func (d *mailboxDriver) post(from, to int, m message, delay time.Duration) {
 	// in inflight, and stop only closes inboxes after inflight drains.
 	if delay > 0 {
 		d.clock.AfterFunc(delay, func() {
-			d.inbox[to] <- m
 			d.sys.count(from, m)
+			d.inbox[to] <- m
 		})
 		return
 	}
@@ -167,8 +169,9 @@ func (d *mailboxDriver) post(from, to int, m message, delay time.Duration) {
 		}
 		return
 	}
-	d.inbox[to] <- m
+	// Counted first: once handed over, its reply can reach a caller who reads the counters.
 	d.sys.count(from, m)
+	d.inbox[to] <- m
 }
 
 func (d *mailboxDriver) waitIdle() { d.inflight.Wait() }

@@ -44,7 +44,7 @@ func (s *System) Execute(path *routing.Path, payload string) (*ExecutionTrace, e
 		}
 	}
 	reply := s.drv.newReply()
-	m := message{
+	m := &message{
 		kind: kindData,
 		data: &dataMsg{
 			hops:    path.Hops,
@@ -96,7 +96,8 @@ func (n *node) handleData(m message) {
 		return
 	}
 	d.trace.Forwards++
-	n.sys.send(n.id, next, m)
+	fwd := m // only a copy that is actually sent goes to the heap
+	n.sys.send(n.id, next, &fwd)
 }
 
 // svcNamesOf extracts the service sequence of a trace (helper for tests).

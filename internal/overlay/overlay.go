@@ -321,6 +321,10 @@ func (t TrafficStats) Total() int {
 
 // message is the mailbox envelope. Exactly one field group is set.
 //
+// A message is immutable once sent: send and the drivers carry it by
+// reference, a flood hands one message to every recipient, and a delayed one
+// stays referenced until it is delivered. Handlers receive a copy.
+//
 // Capability payloads travel as shared immutable CapabilitySets — one set
 // per flood, referenced by every receiver — instead of per-receiver service
 // slices: at n=32k a single protocol round delivers ~10⁷ messages, and
@@ -578,7 +582,8 @@ func (s *System) Stop() error {
 // hook (trigger messages are control-plane injections and never drop
 // randomly; external injections never face the link policy — a client's
 // request enters at its destination, it does not cross simulated links).
-func (s *System) send(from, to int, m message) {
+// From here on m is shared (see message) and must not be written again.
+func (s *System) send(from, to int, m *message) {
 	if s.crashed[to].Load() {
 		s.dropMu.Lock()
 		s.faults.DroppedToCrashed++
@@ -642,7 +647,7 @@ func (s *System) send(from, to int, m message) {
 // cluster may now hold a stale member: the cluster's repair epoch advances
 // and every border repeats the intra-cluster re-flood on its next
 // exchange, even for generations it already forwarded.
-func (s *System) noteAggDrop(to int, m message) {
+func (s *System) noteAggDrop(to int, m *message) {
 	if m.kind != kindAggregate {
 		return
 	}
@@ -651,7 +656,7 @@ func (s *System) noteAggDrop(to int, m message) {
 
 // count tallies one delivered message and feeds the health detector's
 // heard-from signal; a driver calls it as it hands the message over.
-func (s *System) count(from int, m message) {
+func (s *System) count(from int, m *message) {
 	s.statMu.Lock()
 	switch m.kind {
 	case kindLocal:
@@ -689,8 +694,9 @@ func (s *System) TriggerStateRound() {
 		s.cache.AdvanceAll()
 	}
 	s.duty.Store(s.computeDuty())
+	trigger := &message{kind: kindTrigger, trigger: true, seq: seq}
 	for i := range s.nodes {
-		s.send(-1, i, message{kind: kindTrigger, trigger: true, seq: seq})
+		s.send(-1, i, trigger)
 	}
 }
 
@@ -846,7 +852,7 @@ func (s *System) Route(req svc.Request) (*routing.Result, error) {
 		// attempt lands harmlessly in a cell nobody reads.
 		reply := s.drv.newReply()
 		r := req
-		s.send(-1, req.Dest, message{kind: kindRoute, routeReq: &r, reply: reply})
+		s.send(-1, req.Dest, &message{kind: kindRoute, routeReq: &r, reply: reply})
 		if out, ok := reply.await(s.cfg.RouteTimeout); ok {
 			s.noteRPCOutcome(req.Dest, true)
 			if out.err == nil && out.result != nil {
@@ -1072,7 +1078,7 @@ func (n *node) broadcast(seq uint64) {
 	services := s.caps[n.id] // immutable once stored; shared by every flood copy
 	gen := s.capGen[n.id]
 	s.capsMu.RUnlock()
-	flood := message{kind: kindLocal, localFrom: n.id, localRank: n.rank, localSet: services, localGen: gen, seq: seq}
+	flood := &message{kind: kindLocal, localFrom: n.id, localRank: n.rank, localSet: services, localGen: gen, seq: seq}
 	for _, member := range n.view.Members {
 		if member == n.id {
 			continue
@@ -1097,7 +1103,7 @@ func (n *node) broadcast(seq uint64) {
 	agg, aggGen := n.aggCache, n.aggGen
 	n.st.Unlock()
 	own := n.view.ClusterID
-	exchange := message{kind: kindAggregate, aggCluster: own, aggSet: agg, aggGen: aggGen, aggForward: true, seq: seq}
+	var exchange *message // built on the first border this node terminates
 	// The round's duty table answers "which pairs do I terminate" with K
 	// array reads instead of K locked ranked-border elections per node.
 	duty := s.duty.Load()
@@ -1106,6 +1112,9 @@ func (n *node) broadcast(seq uint64) {
 	for other := 0; other < k; other++ {
 		if other == own || duty.in[base+other] != int32(n.id) {
 			continue
+		}
+		if exchange == nil {
+			exchange = &message{kind: kindAggregate, aggCluster: own, aggSet: agg, aggGen: aggGen, aggForward: true, seq: seq}
 		}
 		s.send(n.id, int(duty.out[base+other]), exchange)
 	}
@@ -1123,7 +1132,7 @@ func (n *node) broadcast(seq uint64) {
 // forwardAggregate re-floods a received aggregate to the rest of this
 // node's cluster (§4 step 2, receiving border's duty).
 func (n *node) forwardAggregate(cluster int, set svc.CapabilitySet, gen, seq uint64) {
-	fwd := message{kind: kindAggregate, aggCluster: cluster, aggSet: set, aggGen: gen, seq: seq}
+	fwd := &message{kind: kindAggregate, aggCluster: cluster, aggSet: set, aggGen: gen, seq: seq}
 	for _, member := range n.view.Members {
 		if member == n.id {
 			continue
@@ -1317,7 +1326,7 @@ func (s *rpcSolver) solveAt(child routing.ChildRequest) (*routing.Path, error) {
 	for attempt := 0; ; attempt++ {
 		reply := sys.drv.newReply()
 		c := child
-		sys.send(s.n.id, child.Resolver, message{kind: kindChild, childReq: &c, reply: reply})
+		sys.send(s.n.id, child.Resolver, &message{kind: kindChild, childReq: &c, reply: reply})
 		if out, ok := reply.await(sys.cfg.RPCTimeout); ok {
 			sys.noteRPCOutcome(child.Resolver, true)
 			if out.err != nil {

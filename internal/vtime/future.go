@@ -60,9 +60,7 @@ func (f *Future[T]) AwaitTimeout(d time.Duration) (T, bool) {
 			f.s.ready.push(t)
 		}
 	})
-	t.blockedOn = "future"
-	f.s.park(t)
-	t.blockedOn = ""
+	f.s.park(t, "future")
 	timeout.Stop()
 	if f.done {
 		return f.val, true

@@ -112,9 +112,10 @@ func (m *refModel) drain() {
 const maxOpDelay = 64 * time.Millisecond
 
 // simOp is one step of the interleaving: create, create-with-child, stop,
-// reset, or sleep.
+// reset, sleep, or post. To the model a post is a timer nobody holds, so
+// nothing can stop or reset it.
 type simOp struct {
-	kind  byte // 'n' new, 'c' new-with-child, 's' stop, 'r' reset, 'z' sleep
+	kind  byte // 'n' new, 'c' new-with-child, 's' stop, 'r' reset, 'z' sleep, 'p' post
 	delay time.Duration
 	aux   time.Duration // child delay / reset duration
 	index int           // timer selector for stop/reset (mod live count)
@@ -147,6 +148,9 @@ func runOps(t *testing.T, ops []simOp) {
 			}
 		case 'z':
 			model.sleep(op.delay)
+		case 'p':
+			model.afterFunc(nextID, op.delay, -1, 0)
+			nextID++
 		}
 	}
 	model.drain()
@@ -159,6 +163,7 @@ func runOps(t *testing.T, ops []simOp) {
 		fire := func(id int) func() {
 			return func() { log = append(log, fmt.Sprintf("%v fire %d", s.Now(), id)) }
 		}
+		posted := func(id int) { log = append(log, fmt.Sprintf("%v fire %d", s.Now(), id)) }
 		for _, op := range ops {
 			switch op.kind {
 			case 'n':
@@ -184,6 +189,9 @@ func runOps(t *testing.T, ops []simOp) {
 				}
 			case 'z':
 				s.Sleep(op.delay)
+			case 'p':
+				s.Post(op.delay, posted, nextID)
+				nextID++
 			}
 		}
 		s.WaitIdle()
@@ -196,7 +204,7 @@ func runOps(t *testing.T, ops []simOp) {
 }
 
 // timerID maps the i-th created Timer back to its log id (child timers of
-// 'c' ops consume an id without appearing in the timers slice).
+// 'c' ops and posts consume an id without appearing in the timers slice).
 func timerID(ops []simOp, i int) int {
 	id := 0
 	n := 0
@@ -214,14 +222,16 @@ func timerID(ops []simOp, i int) int {
 			}
 			n++
 			id += 2
+		case 'p':
+			id++
 		}
 	}
 	return -1
 }
 
 // TestTimerModelProperty drives 300 random interleavings of
-// AfterFunc/Stop/Reset/Sleep (including callbacks that arm child timers)
-// through Sim and the reference model.
+// AfterFunc/Stop/Reset/Sleep/Post (including callbacks that arm child
+// timers) through Sim and the reference model.
 func TestTimerModelProperty(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -233,7 +243,7 @@ func TestTimerModelProperty(t *testing.T) {
 				aux:   time.Duration(rng.Intn(int(maxOpDelay))),
 				index: rng.Intn(64),
 			}
-			switch rng.Intn(6) {
+			switch rng.Intn(8) {
 			case 0, 1:
 				op.kind = 'n'
 			case 2:
@@ -244,6 +254,8 @@ func TestTimerModelProperty(t *testing.T) {
 				op.kind = 'r'
 			case 5:
 				op.kind = 'z'
+			case 6, 7:
+				op.kind = 'p'
 			}
 			ops = append(ops, op)
 		}
@@ -262,7 +274,7 @@ func decodeOps(data []byte) []simOp {
 			aux:   time.Duration(data[i+2]) * time.Millisecond / 4,
 			index: int(data[i+3]),
 		}
-		switch data[i] % 5 {
+		switch data[i] % 6 {
 		case 0:
 			op.kind = 'n'
 		case 1:
@@ -273,6 +285,8 @@ func decodeOps(data []byte) []simOp {
 			op.kind = 'r'
 		case 4:
 			op.kind = 'z'
+		case 5:
+			op.kind = 'p'
 		}
 		ops = append(ops, op)
 	}
@@ -282,10 +296,11 @@ func decodeOps(data []byte) []simOp {
 // FuzzVTimeSchedule fuzzes arbitrary timer-op schedules against the
 // reference model.
 func FuzzVTimeSchedule(f *testing.F) {
-	f.Add([]byte{0, 10, 0, 0, 4, 20, 0, 0})                       // new + sleep
-	f.Add([]byte{1, 8, 8, 0, 2, 0, 0, 0, 4, 40, 0, 0})            // child + stop + sleep
-	f.Add([]byte{0, 0, 0, 0, 3, 4, 0, 0, 4, 0, 0, 0, 4, 1, 0, 0}) // zero-delay churn
-	f.Add([]byte{1, 2, 2, 1, 1, 2, 2, 1, 3, 0, 1, 1, 4, 3, 0, 0}) // same-instant pileup
+	f.Add([]byte{0, 10, 0, 0, 4, 20, 0, 0})                                   // new + sleep
+	f.Add([]byte{1, 8, 8, 0, 2, 0, 0, 0, 4, 40, 0, 0})                        // child + stop + sleep
+	f.Add([]byte{0, 0, 0, 0, 3, 4, 0, 0, 4, 0, 0, 0, 4, 1, 0, 0})             // zero-delay churn
+	f.Add([]byte{1, 2, 2, 1, 1, 2, 2, 1, 3, 0, 1, 1, 4, 3, 0, 0})             // same-instant pileup
+	f.Add([]byte{5, 8, 0, 0, 0, 8, 0, 0, 5, 8, 0, 0, 2, 0, 0, 0, 4, 9, 0, 0}) // posts among timers at one instant
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeOps(data)
 		if len(ops) == 0 {

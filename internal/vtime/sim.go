@@ -1,7 +1,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -34,7 +33,7 @@ type Sim struct {
 
 	ready readyQueue
 	idle  []*task // tasks parked in WaitIdle
-	tasks int     // tasks started and not yet finished
+	tasks []*task // tasks started and not yet finished, in no order
 	named int     // counter for auto-generated task names
 
 	cur     *task
@@ -45,20 +44,24 @@ type Sim struct {
 // task is one cooperative goroutine managed by the Sim scheduler.
 type task struct {
 	name      string
+	slot      int           // index in Sim.tasks
 	wake      chan struct{} // loop -> task baton handoff
-	blockedOn string        // human-readable park reason for deadlock reports
+	blockedOn string        // why the task last parked, for the deadlock report
+	// resume re-queues the task; Sleep posts it. Built on the first Sleep,
+	// so a task pays for it once and only if it sleeps.
+	resume func(int)
 }
 
-// event is one scheduled callback.
+// event is one scheduled callback, stored by value in the queue: a Post
+// (fn, arg) or a timer's pending call (timer, with arg the generation the
+// event was armed under — the event is stale, already Stopped or Reset, when
+// that no longer matches the timer's).
 type event struct {
-	when time.Duration
-	seq  uint64
-	fn   func()
-	// timer links the event to its simTimer for lazy invalidation: the
-	// event is stale (already Stopped or Reset) when gen no longer matches
-	// the timer's current generation. Sleep wake-ups have a nil timer.
+	when  time.Duration
+	seq   uint64
+	fn    func(int)
 	timer *simTimer
-	gen   uint64
+	arg   int
 }
 
 // NewSim returns a virtual clock at time zero with an empty event queue.
@@ -74,7 +77,7 @@ func (s *Sim) Now() time.Duration { return s.now }
 func (s *Sim) Pending() int { return s.live }
 
 // Tasks reports how many tasks are alive (running, ready, or parked).
-func (s *Sim) Tasks() int { return s.tasks }
+func (s *Sim) Tasks() int { return len(s.tasks) }
 
 // Go starts fn as a new cooperative task. The task becomes runnable
 // immediately (FIFO after already-ready tasks) but does not run until the
@@ -85,12 +88,15 @@ func (s *Sim) Go(name string, fn func()) {
 		s.named++
 		name = fmt.Sprintf("task-%d", s.named)
 	}
-	t := &task{name: name, wake: make(chan struct{})}
-	s.tasks++
+	t := &task{name: name, slot: len(s.tasks), wake: make(chan struct{})}
+	s.tasks = append(s.tasks, t)
 	go func() {
 		<-t.wake
 		fn()
-		s.tasks--
+		last := s.tasks[len(s.tasks)-1]
+		s.tasks[t.slot], last.slot = last, t.slot
+		s.tasks[len(s.tasks)-1] = nil
+		s.tasks = s.tasks[:len(s.tasks)-1]
 		s.cur = nil
 		s.yield <- struct{}{}
 	}()
@@ -126,8 +132,8 @@ func (s *Sim) Run(fn func()) {
 			s.idle = s.idle[:0]
 			continue
 		}
-		if s.tasks == 0 {
-			s.evq = nil
+		if len(s.tasks) == 0 {
+			s.evq = eventQueue{}
 			s.live = 0
 			return
 		}
@@ -135,51 +141,53 @@ func (s *Sim) Run(fn func()) {
 	}
 }
 
+// blockedReport lists every live task for the deadlock panic: with nothing
+// runnable and no event pending, each of them is parked beyond waking.
+func (s *Sim) blockedReport() string {
+	names := make([]string, len(s.tasks))
+	for i, t := range s.tasks {
+		names[i] = t.name + " (" + t.blockedOn + ")"
+	}
+	sort.Strings(names)
+	return fmt.Sprintf("%d task(s) blocked with no pending event: %s", len(names), strings.Join(names, ", "))
+}
+
 // fireNext pops events until one live event fires (advancing virtual time
 // to its deadline and running its callback inline on the loop) or the queue
 // is exhausted. Stale events — invalidated by Timer.Stop or Reset — are
 // discarded without firing.
+//
+//hfc:hotpath budget=0
 func (s *Sim) fireNext() bool {
-	for len(s.evq) > 0 {
-		ev := heap.Pop(&s.evq).(*event)
-		if ev.timer != nil && (!ev.timer.armed || ev.timer.gen != ev.gen) {
-			continue // stale: live was already decremented at Stop/Reset
-		}
-		if ev.timer != nil {
-			ev.timer.armed = false
+	for s.evq.n > 0 {
+		ev := s.evq.pop()
+		t := ev.timer
+		if t != nil {
+			if !t.armed || t.gen != ev.arg {
+				continue // stale: live was already decremented at Stop/Reset
+			}
+			t.armed = false
 		}
 		s.live--
 		if ev.when > s.now {
 			s.now = ev.when
 		}
-		ev.fn()
+		if t != nil {
+			t.fn()
+		} else {
+			ev.fn(ev.arg)
+		}
 		return true
 	}
 	return false
-}
-
-// blockedReport lists every parked task for the deadlock panic.
-func (s *Sim) blockedReport() string {
-	var names []string
-	for _, t := range s.idle {
-		names = append(names, t.name+" (waitidle)")
-	}
-	n := fmt.Sprintf("%d task(s) blocked with no pending event", s.tasks)
-	if len(names) > 0 {
-		sort.Strings(names)
-		n += ": " + strings.Join(names, ", ")
-	}
-	if s.cur != nil {
-		n += fmt.Sprintf("; current=%s (%s)", s.cur.name, s.cur.blockedOn)
-	}
-	return n
 }
 
 // park hands the baton back to the loop and blocks until the task is
 // rescheduled. The caller must have queued something (an event, a future
 // waiter registration) that will eventually push t back onto the ready
 // queue, or Run will report a deadlock.
-func (s *Sim) park(t *task) {
+func (s *Sim) park(t *task, why string) {
+	t.blockedOn = why
 	s.cur = nil
 	s.yield <- struct{}{}
 	<-t.wake
@@ -200,13 +208,11 @@ func (s *Sim) current(op string) *task {
 // scheduled same-instant event, giving cooperative round-robin.
 func (s *Sim) Sleep(d time.Duration) {
 	t := s.current("Sleep")
-	if d < 0 {
-		d = 0
+	if t.resume == nil {
+		t.resume = func(int) { s.ready.push(t) }
 	}
-	s.schedule(d, func() { s.ready.push(t) }, nil, 0)
-	t.blockedOn = fmt.Sprintf("sleep %v until %v", d, s.now+d)
-	s.park(t)
-	t.blockedOn = ""
+	s.Post(d, t.resume, 0)
+	s.park(t, "sleep")
 }
 
 // WaitIdle parks the current task until the scheduler has no runnable task
@@ -218,10 +224,8 @@ func (s *Sim) WaitIdle() {
 	if s.ready.len() == 0 && s.live == 0 {
 		return
 	}
-	t.blockedOn = "waitidle"
 	s.idle = append(s.idle, t)
-	s.park(t)
-	t.blockedOn = ""
+	s.park(t, "waitidle")
 }
 
 // AfterFunc schedules fn to run at virtual time Now()+d on the event loop.
@@ -233,13 +237,25 @@ func (s *Sim) AfterFunc(d time.Duration, fn func()) Timer {
 	return t
 }
 
-// schedule pushes one event.
-func (s *Sim) schedule(d time.Duration, fn func(), timer *simTimer, gen uint64) {
+// Post schedules fn(arg) to run at virtual time Now()+d on the event loop:
+// AfterFunc without the Timer, for a sender that never cancels. With fn
+// bound once and reused it allocates nothing — the event lives by value in
+// the queue. Like every event callback, fn must not block.
+//
+//hfc:hotpath budget=0
+func (s *Sim) Post(d time.Duration, fn func(int), arg int) {
+	//hfcvet:ignore hotalloc an event value passed by value, not an allocation
+	s.schedule(d, event{fn: fn, arg: arg})
+}
+
+// schedule stamps ev with its deadline and sequence number and queues it.
+func (s *Sim) schedule(d time.Duration, ev event) {
 	if d < 0 {
 		d = 0
 	}
 	s.seq++
-	heap.Push(&s.evq, &event{when: s.now + d, seq: s.seq, fn: fn, timer: timer, gen: gen})
+	ev.when, ev.seq = s.now+d, s.seq
+	s.evq.push(ev)
 	s.live++
 }
 
@@ -250,13 +266,13 @@ type simTimer struct {
 	s     *Sim
 	fn    func()
 	armed bool
-	gen   uint64
+	gen   int
 }
 
 func (t *simTimer) arm(d time.Duration) {
 	t.gen++
 	t.armed = true
-	t.s.schedule(d, func() { t.fn() }, t, t.gen)
+	t.s.schedule(d, event{timer: t, arg: t.gen})
 }
 
 // Stop cancels the pending callback, reporting whether it was still pending.
@@ -280,26 +296,78 @@ func (t *simTimer) Reset(d time.Duration) bool {
 	return was
 }
 
-// eventQueue is a min-heap ordered by (when, seq): earliest deadline first,
-// insertion order among same-instant events.
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
-	}
-	return q[i].seq < q[j].seq
+// eventQueue is a binary min-heap of event values ordered by (when, seq):
+// earliest deadline first, insertion order among same-instant events. It
+// lives in fixed-size chunks, so growing never copies what is queued and a
+// burst's memory goes back as soon as the queue drains: a protocol round
+// parks a quarter of a million deliveries here at one virtual instant, and
+// a slice kept at that high-water mark is 10 MiB nobody uses.
+type eventQueue struct {
+	chunks []*[evChunk]event
+	n      int
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+
+// evChunk is the number of events per chunk (160 KiB).
+const evChunk = 1 << 12
+
+func (q *eventQueue) at(i int) *event { return &q.chunks[uint(i)/evChunk][uint(i)%evChunk] }
+
+func (e *event) before(o *event) bool {
+	return e.when < o.when || (e.when == o.when && e.seq < o.seq)
+}
+
+// push sifts ev up from a new last slot.
+//
+//hfc:hotpath budget=0
+func (q *eventQueue) push(ev event) {
+	if q.n == len(q.chunks)*evChunk {
+		//hfcvet:ignore hotalloc growth: one chunk per 4096 queued events, given back when the queue drains
+		q.chunks = append(q.chunks, new([evChunk]event))
+	}
+	i := q.n
+	q.n++
+	for i > 0 {
+		p := q.at((i - 1) / 2)
+		if !ev.before(p) {
+			break
+		}
+		*q.at(i) = *p
+		i = (i - 1) / 2
+	}
+	*q.at(i) = ev
+}
+
+// pop removes the earliest event, sifting the last one down from the root.
+// A queue that drains keeps one chunk and gives the rest back.
+//
+//hfc:hotpath budget=0
+func (q *eventQueue) pop() event {
+	top := *q.at(0)
+	q.n--
+	tail := q.at(q.n)
+	last := *tail
+	tail.fn, tail.timer = nil, nil // the vacated slot must not keep them alive
+	if q.n == 0 {
+		clear(q.chunks[1:])
+		q.chunks = q.chunks[:1]
+		return top
+	}
+	i := 0
+	for child := 1; child < q.n; child = 2*i + 1 {
+		c := q.at(child)
+		if child+1 < q.n {
+			if r := q.at(child + 1); r.before(c) {
+				child, c = child+1, r
+			}
+		}
+		if !c.before(&last) {
+			break
+		}
+		*q.at(i) = *c
+		i = child
+	}
+	*q.at(i) = last
+	return top
 }
 
 // readyQueue is a FIFO of runnable tasks with amortised O(1) pop (head

@@ -18,6 +18,12 @@
 //     must not block; real-clock callbacks run on their own goroutine, as
 //     with time.AfterFunc.
 //
+// Sim alone also has Post(d, fn, arg): AfterFunc for a sender that never
+// cancels — a callback bound once plus a small integer argument, no Timer.
+// Events live by value in Sim's queue, so a Post allocates nothing and an
+// AfterFunc only its Timer. A Post callback runs on the scheduler loop like
+// any other and must not block.
+//
 // vtime is the sanctioned boundary to the time package: the detrand analyzer
 // forbids raw time.Now/Sleep/AfterFunc in the deterministic packages and
 // points callers here.
