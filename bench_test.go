@@ -93,9 +93,12 @@ func gateEngine(b *testing.B, e *env.Environment) *serve.Engine {
 	return eng
 }
 
-func benchGateEnvBuild(b *testing.B, workers int) {
+// BenchmarkGateEnvBuild measures the end-to-end environment build. The
+// build fans out on GOMAXPROCS workers, so `-cpu 1` is the serial reading
+// and `-cpu 1,2` the pair DESIGN.md §10.5 quotes (identical output either
+// way; see internal/env's pool test).
+func BenchmarkGateEnvBuild(b *testing.B) {
 	spec := gateSpec()
-	spec.Workers = workers
 	for i := 0; i < b.N; i++ {
 		s := spec
 		s.Seed = spec.Seed + int64(i)
@@ -104,14 +107,6 @@ func benchGateEnvBuild(b *testing.B, workers int) {
 		}
 	}
 }
-
-// BenchmarkGateEnvBuildSerial measures the end-to-end environment build on
-// one worker.
-func BenchmarkGateEnvBuildSerial(b *testing.B) { benchGateEnvBuild(b, 0) }
-
-// BenchmarkGateEnvBuildParallel measures the same build fanned across all
-// cores (identical output; see internal/env parallel tests).
-func BenchmarkGateEnvBuildParallel(b *testing.B) { benchGateEnvBuild(b, -1) }
 
 func benchGateRouteResolve(b *testing.B, cached bool) {
 	e := cachedEnv(b, gateSpec())
@@ -1041,10 +1036,11 @@ func BenchmarkClusterMergeSmall(b *testing.B) {
 	}
 }
 
-// scaleSpec is a 2048-proxy environment for the serial/parallel build-gap
-// measurement (not a gate: one build takes seconds).
-func scaleSpec(workers int) env.Spec {
-	return env.Spec{
+// BenchmarkEnvBuild2048 measures a 2048-proxy environment build (not a
+// gate: one build takes seconds); `-cpu 1,2` gives the serial/parallel gap
+// DESIGN.md §10.5 documents.
+func BenchmarkEnvBuild2048(b *testing.B) {
+	spec := env.Spec{
 		PhysicalNodes: 3000,
 		Landmarks:     12,
 		Proxies:       2048,
@@ -1056,28 +1052,16 @@ func scaleSpec(workers int) env.Spec {
 		CatalogSize:   40,
 		CoordDim:      2,
 		Probes:        3,
-		Workers:       workers,
 		Seed:          42,
 	}
-}
-
-func benchEnvBuild2048(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
-		spec := scaleSpec(workers)
-		spec.Seed += int64(i)
-		if _, err := env.Build(spec); err != nil {
+		s := spec
+		s.Seed += int64(i)
+		if _, err := env.Build(s); err != nil {
 			b.Fatalf("Build: %v", err)
 		}
 	}
 }
-
-// BenchmarkEnvBuild2048Serial measures a 2048-proxy environment build on
-// one worker; its ratio against BenchmarkEnvBuild2048Parallel is the
-// parallel speedup DESIGN.md §10 documents.
-func BenchmarkEnvBuild2048Serial(b *testing.B) { benchEnvBuild2048(b, 0) }
-
-// BenchmarkEnvBuild2048Parallel is the all-cores counterpart.
-func BenchmarkEnvBuild2048Parallel(b *testing.B) { benchEnvBuild2048(b, -1) }
 
 // BenchmarkGateSimConverge100k is the virtual-time scale gate: one full
 // 100k-proxy tri-level overlay — hierarchical construction plus the §4

@@ -60,7 +60,10 @@ func main() {
 		if len(parts) != 2 {
 			fatalf("-compare wants old.json,new.json")
 		}
-		if err := runCompare(parts[0], parts[1], *threshold); err != nil {
+		var report strings.Builder
+		err := runCompare(&report, parts[0], parts[1], *threshold)
+		fmt.Print(report.String())
+		if err != nil {
 			fatalf("%v", err)
 		}
 	default:
@@ -183,7 +186,7 @@ func readSnapshot(path string) (*Snapshot, error) {
 	return &snap, nil
 }
 
-func runCompare(oldPath, newPath string, threshold float64) error {
+func runCompare(w *strings.Builder, oldPath, newPath string, threshold float64) error {
 	oldSnap, err := readSnapshot(oldPath)
 	if err != nil {
 		return err
@@ -206,7 +209,7 @@ func runCompare(oldPath, newPath string, threshold float64) error {
 			status = "REGRESSED"
 			failures = append(failures, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%+.1f%%)", name, oldNS, newNS, (ratio-1)*100))
 		}
-		fmt.Printf("  %-44s %14.0f -> %14.0f ns/op  %+7.1f%%  %s\n", name, oldNS, newNS, (ratio-1)*100, status)
+		fmt.Fprintf(w, "  %-44s %14.0f -> %14.0f ns/op  %+7.1f%%  %s\n", name, oldNS, newNS, (ratio-1)*100, status)
 
 		// Alloc gating only applies when the old snapshot recorded allocs
 		// for this benchmark (snapshots predating -benchmem have none).
@@ -221,14 +224,21 @@ func runCompare(oldPath, newPath string, threshold float64) error {
 		}
 		if newAllocs > oldAllocs*(1+threshold) {
 			failures = append(failures, fmt.Sprintf("%s: %.0f -> %.0f allocs/op", name, oldAllocs, newAllocs))
-			fmt.Printf("  %-44s %14.0f -> %14.0f allocs/op          REGRESSED\n", name, oldAllocs, newAllocs)
+			fmt.Fprintf(w, "  %-44s %14.0f -> %14.0f allocs/op          REGRESSED\n", name, oldAllocs, newAllocs)
+		}
+	}
+	// A gate only the new snapshot has cannot regress, but a rename shows
+	// up as one missing line above and one of these: keep it visible.
+	for _, name := range sortedNames(newSnap) {
+		if _, ok := oldSnap.Benchmarks[name]; !ok {
+			fmt.Fprintf(w, "  %-44s %14s -> %14.0f ns/op           new gate (no baseline)\n", name, "-", newSnap.Benchmarks[name])
 		}
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("%d benchmark(s) regressed past %.0f%%:\n  %s",
 			len(failures), threshold*100, strings.Join(failures, "\n  "))
 	}
-	fmt.Printf("all %d benchmarks within %.0f%% of %s\n", len(oldSnap.Benchmarks), threshold*100, oldPath)
+	fmt.Fprintf(w, "all %d benchmarks within %.0f%% of %s\n", len(oldSnap.Benchmarks), threshold*100, oldPath)
 	return nil
 }
 

@@ -40,16 +40,47 @@ func main() {
 	}
 }
 
+// runNames lists every experiment -run accepts, besides "all".
+var runNames = []string{
+	"table1", "fig9a", "fig9b", "fig10", "messages", "qos", "multilevel",
+	"convergence", "faults", "chaos", "serve", "scale", "simscale",
+	"ablation-k", "ablation-dim", "ablation-relax", "ablation-border",
+	"ablation-landmarks", "ablation-churn",
+}
+
+// parseRuns splits the -run value into the set of experiments to run. A
+// name outside runNames (and "all") is an error, so a typo cannot end in a
+// run that did nothing and exited 0.
+func parseRuns(runs string) (map[string]bool, error) {
+	known := map[string]bool{"all": true}
+	for _, name := range runNames {
+		known[name] = true
+	}
+	want := map[string]bool{}
+	for _, r := range strings.Split(runs, ",") {
+		name := strings.TrimSpace(r)
+		if !known[name] {
+			return nil, fmt.Errorf("unknown experiment %q in -run; valid names: all, %s", name, strings.Join(runNames, ", "))
+		}
+		want[name] = true
+	}
+	return want, nil
+}
+
 func run() error {
-	runs := flag.String("run", "all", "comma-separated experiments to run (all, table1, fig9a, fig9b, fig10, messages, qos, multilevel, convergence, faults, chaos, serve, scale, simscale, ablation-k, ablation-dim, ablation-relax, ablation-border, ablation-landmarks, ablation-churn)")
+	runs := flag.String("run", "all", "comma-separated experiments to run (all, "+strings.Join(runNames, ", ")+")")
 	seed := flag.Int64("seed", 42, "base random seed")
 	full := flag.Bool("full", false, "paper-scale sample sizes (5 trials, 1000 requests; takes minutes)")
 	trials := flag.Int("trials", 0, "override trial count")
 	requests := flag.Int("requests", 0, "override request count")
-	parallel := flag.Int("parallel", 0, "worker pool for environment builds (0/1 serial, -1 all cores; results are bit-identical)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on clean shutdown")
 	flag.Parse()
+
+	want, err := parseRuns(*runs)
+	if err != nil {
+		return err
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -101,15 +132,8 @@ func run() error {
 		fig9Trials = 10
 	}
 
-	want := map[string]bool{}
-	for _, r := range strings.Split(*runs, ",") {
-		want[strings.TrimSpace(r)] = true
-	}
 	all := want["all"]
 	specs := env.Table1(*seed)
-	for i := range specs {
-		specs[i].Workers = *parallel
-	}
 
 	// The ablations run on the 250-proxy environment; paper-scale sweeps
 	// on every size would add little beyond runtime.
@@ -313,7 +337,6 @@ func run() error {
 		if err := timed("serve", func() error {
 			spec := env.SmallSpec(*seed)
 			spec.Proxies = 150
-			spec.Workers = *parallel
 			n := nRequests
 			if n > 500 {
 				n = 500

@@ -54,17 +54,13 @@ const relErrEps = 1e-6
 //
 // dists must be a symmetric m×m matrix with zero diagonal and positive
 // off-diagonal entries.
+//
+// Every random start is drawn from rng sequentially (in attempt order)
+// BEFORE any minimization runs, and the Nelder–Mead solver consumes no
+// randomness, so the restarts fan out on the par pool and the result — and
+// the rng stream left behind for the caller — is bit-identical for any
+// GOMAXPROCS.
 func EmbedLandmarks(rng *rand.Rand, dists [][]float64, dim int) ([]Point, error) {
-	return EmbedLandmarksWorkers(rng, dists, dim, 1)
-}
-
-// EmbedLandmarksWorkers is EmbedLandmarks with the restart attempts solved
-// on a bounded worker pool. Every random start is drawn from rng
-// sequentially (in attempt order) BEFORE any minimization runs, and the
-// Nelder–Mead solver consumes no randomness, so the result — and the rng
-// stream left behind for the caller — is bit-identical to the serial path
-// for any worker count.
-func EmbedLandmarksWorkers(rng *rand.Rand, dists [][]float64, dim, workers int) ([]Point, error) {
 	if rng == nil {
 		return nil, errors.New("coords: nil rng")
 	}
@@ -125,7 +121,7 @@ func EmbedLandmarksWorkers(rng *rand.Rand, dists [][]float64, dim, workers int) 
 		starts[a] = x0
 	}
 	results := make([]optimize.Result, attempts)
-	if err := par.ForErr(attempts, workers, func(a int) error {
+	if err := par.ForErr(attempts, func(a int) error {
 		res, err := optimize.Minimize(objective, starts[a], optimize.Options{
 			InitialStep: maxD / 4,
 			Restarts:    2,
@@ -139,8 +135,8 @@ func EmbedLandmarksWorkers(rng *rand.Rand, dists [][]float64, dim, workers int) 
 	}); err != nil {
 		return nil, err
 	}
-	// Merge in attempt order with the same strict-< rule as the serial
-	// loop, so ties keep resolving toward the earlier attempt.
+	// Merge in attempt order with strict <, so ties resolve toward the
+	// earlier attempt.
 	best := results[0]
 	for _, res := range results[1:] {
 		if res.F < best.F {

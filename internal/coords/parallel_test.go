@@ -2,43 +2,28 @@ package coords
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
+
+	"hfc/internal/par/partest"
 )
 
 // TestBuildMapWorkersBitIdentical is the determinism contract's hard gate:
 // the map, the landmark points, AND the rng stream left behind must all be
-// exactly what the serial path produces, for several worker counts.
+// exactly what the one-worker loop produces, for several pool sizes.
 func TestBuildMapWorkersBitIdentical(t *testing.T) {
 	net := buildNetwork(t, 30)
 	pool := net.Topology().StubNodes()
 	pick := pickNodes(rand.New(rand.NewSource(31)), pool, 40)
 	landmarks, nodes := pick[:8], pick[8:]
 
-	run := func(workers int) (*Map, []Point, float64) {
-		rng := rand.New(rand.NewSource(77))
-		cmap, lm, err := BuildMapWorkers(rng, net, landmarks, nodes, 2, 3, workers)
-		if err != nil {
-			t.Fatalf("BuildMapWorkers(%d): %v", workers, err)
-		}
-		// The next draw exposes any divergence in rng consumption.
-		return cmap, lm, rng.Float64()
+	type built struct {
+		Map       *Map
+		Landmarks []Point
 	}
-
-	wantMap, wantLM, wantNext := run(1)
-	for _, workers := range []int{2, 4, -1} {
-		gotMap, gotLM, gotNext := run(workers)
-		if !reflect.DeepEqual(gotMap, wantMap) {
-			t.Errorf("workers=%d: map differs from serial build", workers)
-		}
-		if !reflect.DeepEqual(gotLM, wantLM) {
-			t.Errorf("workers=%d: landmark points differ from serial build", workers)
-		}
-		//hfcvet:ignore floatdist identical rng streams must produce identical draws bit-for-bit
-		if gotNext != wantNext {
-			t.Errorf("workers=%d: rng stream diverged (next draw %v, want %v)", workers, gotNext, wantNext)
-		}
-	}
+	partest.EachPool(t, 77, func(rng *rand.Rand) (built, error) {
+		cmap, lm, err := BuildMap(rng, net, landmarks, nodes, 2, 3)
+		return built{cmap, lm}, err
+	})
 }
 
 func TestEmbedLandmarksWorkersBitIdentical(t *testing.T) {
@@ -54,18 +39,7 @@ func TestEmbedLandmarksWorkersBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	run := func(workers int) []Point {
-		rng := rand.New(rand.NewSource(5))
-		pts, err := EmbedLandmarksWorkers(rng, dists, 2, workers)
-		if err != nil {
-			t.Fatalf("EmbedLandmarksWorkers(%d): %v", workers, err)
-		}
-		return pts
-	}
-	want := run(1)
-	for _, workers := range []int{2, -1} {
-		if got := run(workers); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: embedding differs from serial", workers)
-		}
-	}
+	partest.EachPool(t, 5, func(rng *rand.Rand) ([]Point, error) {
+		return EmbedLandmarks(rng, dists, 2)
+	})
 }

@@ -27,21 +27,13 @@ type Measurer interface {
 // nodes[i]); the landmark coordinates are returned separately. Landmarks
 // only serve as reference points and take no further part in the overlay
 // (§3.1), so they are not included in the Map.
-func BuildMap(rng *rand.Rand, m Measurer, landmarks, nodes []int, dim, probes int) (*Map, []Point, error) {
-	return BuildMapWorkers(rng, m, landmarks, nodes, dim, probes, 1)
-}
-
-// BuildMapWorkers is BuildMap with the function minimizations fanned out
-// across a bounded worker pool (negative workers selects GOMAXPROCS; zero
-// or one selects the serial path).
 //
 // Determinism contract: every rng draw — landmark measurements, per-node
 // measurements, per-node placement jitters — happens sequentially on the
-// calling goroutine in exactly the order the serial path draws them; only
-// the rng-free Nelder–Mead solves run on the pool, and their results merge
-// by node index. The returned map is therefore bit-identical to BuildMap
-// for any worker count.
-func BuildMapWorkers(rng *rand.Rand, m Measurer, landmarks, nodes []int, dim, probes, workers int) (*Map, []Point, error) {
+// calling goroutine; only the rng-free Nelder–Mead solves fan out on the
+// par pool, and their results merge by node index. The returned map is
+// therefore bit-identical for any GOMAXPROCS.
+func BuildMap(rng *rand.Rand, m Measurer, landmarks, nodes []int, dim, probes int) (*Map, []Point, error) {
 	if rng == nil {
 		return nil, nil, errors.New("coords: nil rng")
 	}
@@ -74,14 +66,14 @@ func BuildMapWorkers(rng *rand.Rand, m Measurer, landmarks, nodes []int, dim, pr
 			dists[j][i] = d
 		}
 	}
-	lmPoints, err := EmbedLandmarksWorkers(rng, dists, dim, workers)
+	lmPoints, err := EmbedLandmarks(rng, dists, dim)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	// Phase 2: place every overlay node relative to the landmarks.
 	// Measurements and placement jitters draw from rng sequentially per
-	// node (exactly the serial order); the rng-free solves then fan out.
+	// node; the rng-free solves then fan out.
 	problems := make([]*placementProblem, len(nodes))
 	nodeDists := make([]float64, lm)
 	for i, node := range nodes {
@@ -99,7 +91,7 @@ func BuildMapWorkers(rng *rand.Rand, m Measurer, landmarks, nodes []int, dim, pr
 		problems[i] = p
 	}
 	points := make([]Point, len(nodes))
-	if err := par.ForErr(len(nodes), workers, func(i int) error {
+	if err := par.ForErr(len(nodes), func(i int) error {
 		p, err := problems[i].solve()
 		if err != nil {
 			return fmt.Errorf("coords: placing node %d: %w", nodes[i], err)

@@ -39,11 +39,6 @@ type Config struct {
 	Cluster cluster.Config
 	// Relax selects the cluster-level relaxation mode (§5.1 step 2).
 	Relax routing.RelaxMode
-	// Workers bounds the worker pool Bootstrap fans the rng-free pipeline
-	// stages out on — coordinate solves, pairwise distances, border scans
-	// (0/1 serial, negative = all cores). The framework is bit-identical
-	// for any value; see internal/par for the determinism contract.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -99,7 +94,7 @@ func Bootstrap(rng *rand.Rand, m coords.Measurer, landmarks, proxies []int, caps
 	}
 	cfg = cfg.withDefaults()
 
-	cmap, lmPoints, err := coords.BuildMapWorkers(rng, m, landmarks, proxies, cfg.CoordDim, cfg.Probes, cfg.Workers)
+	cmap, lmPoints, err := coords.BuildMap(rng, m, landmarks, proxies, cfg.CoordDim, cfg.Probes)
 	if err != nil {
 		return nil, fmt.Errorf("core: distance map: %w", err)
 	}
@@ -113,7 +108,7 @@ func Bootstrap(rng *rand.Rand, m coords.Measurer, landmarks, proxies []int, caps
 	if err != nil {
 		return nil, fmt.Errorf("core: clustering: %w", err)
 	}
-	topo, err := hfc.BuildParallel(cmap, clustering, cfg.Workers)
+	topo, err := hfc.Build(cmap, clustering)
 	if err != nil {
 		return nil, fmt.Errorf("core: hfc topology: %w", err)
 	}

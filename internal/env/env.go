@@ -48,11 +48,6 @@ type Spec struct {
 	// InconsistencyK overrides the MST clustering inconsistency factor
 	// when non-zero (ablation A1); zero keeps the library default.
 	InconsistencyK float64
-	// Workers bounds the worker pool the build's rng-free stages fan out
-	// on — delay precomputation, coordinate solves, border scans, routing
-	// tables (0/1 serial, negative = all cores). The built environment is
-	// bit-identical for any value.
-	Workers int
 	// Seed drives all randomness in the build.
 	Seed int64
 }
@@ -161,7 +156,7 @@ func Build(spec Spec) (*Environment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("env: %w", err)
 	}
-	net, err := netsim.New(topo, netsim.WithWorkers(spec.Workers))
+	net, err := netsim.New(topo)
 	if err != nil {
 		return nil, fmt.Errorf("env: %w", err)
 	}
@@ -206,7 +201,6 @@ func Build(spec Spec) (*Environment, error) {
 	coreCfg := core.Config{
 		CoordDim: spec.CoordDim,
 		Probes:   spec.Probes,
-		Workers:  spec.Workers,
 	}
 	if spec.InconsistencyK != 0 {
 		coreCfg.Cluster.InconsistencyFactor = spec.InconsistencyK
@@ -216,9 +210,7 @@ func Build(spec Spec) (*Environment, error) {
 		return nil, fmt.Errorf("env: %w", err)
 	}
 
-	meshCfg := mesh.DefaultConfig()
-	meshCfg.Workers = spec.Workers
-	m, err := mesh.Build(rng, fw.Topology().Coords(), meshCfg)
+	m, err := mesh.Build(rng, fw.Topology().Coords(), mesh.DefaultConfig())
 	if err != nil {
 		return nil, fmt.Errorf("env: %w", err)
 	}

@@ -1,110 +1,44 @@
 package env
 
 import (
-	"reflect"
-	"runtime"
+	"math/rand"
 	"testing"
-	"time"
+
+	"hfc/internal/hfc"
+	"hfc/internal/mesh"
+	"hfc/internal/netsim"
+	"hfc/internal/par/partest"
+	"hfc/internal/state"
+	"hfc/internal/svc"
 )
 
 // TestBuildParallelIdenticalToSerial is the end-to-end determinism gate for
-// the whole pipeline: a Spec built with the worker pool must produce the
-// SAME environment as the serial build — coordinates, clustering, borders,
-// mesh distances, and the continued rng stream (exercised via request
-// generation).
+// the whole pipeline: a Spec built on a pool must produce the SAME
+// environment as the one-worker build — physical delays, role placement,
+// coordinates, clustering, borders and backups, converged state, mesh
+// routing tables — and leave the build's own rng where the serial build
+// leaves it, which the first generated request exposes.
 func TestBuildParallelIdenticalToSerial(t *testing.T) {
-	serialSpec := SmallSpec(404)
-	parallelSpec := serialSpec
-	parallelSpec.Workers = -1
-
-	serial, err := Build(serialSpec)
-	if err != nil {
-		t.Fatalf("serial Build: %v", err)
+	// Everything Build returns except the Framework's router cache and
+	// solver, which hold pools and cannot be compared.
+	type built struct {
+		Net                         *netsim.Network
+		Landmarks, Proxies, Clients []int
+		Topology                    *hfc.Topology
+		States                      []state.NodeState
+		Mesh                        *mesh.Mesh
+		Next                        svc.Request
 	}
-	par, err := Build(parallelSpec)
-	if err != nil {
-		t.Fatalf("parallel Build: %v", err)
-	}
-
-	sc, pc := serial.Framework.Topology().Coords(), par.Framework.Topology().Coords()
-	if !reflect.DeepEqual(sc.Points, pc.Points) {
-		t.Error("embedded coordinates differ between serial and parallel builds")
-	}
-	st, pt := serial.Framework.Topology(), par.Framework.Topology()
-	if st.NumClusters() != pt.NumClusters() {
-		t.Fatalf("cluster counts differ: serial %d, parallel %d", st.NumClusters(), pt.NumClusters())
-	}
-	for i := 0; i < st.N(); i++ {
-		if st.ClusterOf(i) != pt.ClusterOf(i) {
-			t.Fatalf("node %d assigned to cluster %d serially, %d in parallel", i, st.ClusterOf(i), pt.ClusterOf(i))
+	partest.EachPool(t, 0, func(*rand.Rand) (built, error) {
+		e, err := Build(SmallSpec(404))
+		if err != nil {
+			return built{}, err
 		}
-	}
-	for a := 0; a < st.NumClusters(); a++ {
-		for b := 0; b < st.NumClusters(); b++ {
-			if a == b {
-				continue
-			}
-			sa, sb, serr := st.Border(a, b)
-			pa, pb, perr := pt.Border(a, b)
-			if (serr == nil) != (perr == nil) || sa != pa || sb != pb {
-				t.Errorf("Border(%d,%d): serial (%d,%d,%v), parallel (%d,%d,%v)", a, b, sa, sb, serr, pa, pb, perr)
-			}
-			sBk, _ := st.BackupBorders(a, b)
-			pBk, _ := pt.BackupBorders(a, b)
-			if !reflect.DeepEqual(sBk, pBk) {
-				t.Errorf("BackupBorders(%d,%d) differ: serial %v, parallel %v", a, b, sBk, pBk)
-			}
-		}
-	}
-	if !reflect.DeepEqual(serial.ProxyPhys, par.ProxyPhys) {
-		t.Error("proxy placements differ — rng streams diverged during build")
-	}
-	for u := 0; u < serial.Mesh.N(); u += 7 {
-		for v := 0; v < serial.Mesh.N(); v += 5 {
-			//hfcvet:ignore floatdist identical builds must agree bit-for-bit
-			if serial.Mesh.Dist(u, v) != par.Mesh.Dist(u, v) {
-				t.Fatalf("mesh Dist(%d,%d) differs between builds", u, v)
-			}
-		}
-	}
-	// The rng stream continues identically past the build: the next request
-	// drawn must match exactly.
-	sreq, serr := serial.NextRequest()
-	preq, perr := par.NextRequest()
-	if (serr == nil) != (perr == nil) || !reflect.DeepEqual(sreq, preq) {
-		t.Errorf("first post-build request differs: serial (%+v, %v), parallel (%+v, %v)", sreq, serr, preq, perr)
-	}
-}
-
-// TestBuildParallelSpeedup asserts the tentpole perf goal on machines with
-// enough cores; single-core CI cannot show a speedup and skips.
-func TestBuildParallelSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("speedup measurement is slow")
-	}
-	if runtime.GOMAXPROCS(0) < 4 {
-		t.Skipf("need >= 4 cores to demonstrate speedup, have %d", runtime.GOMAXPROCS(0))
-	}
-	spec := SmallSpec(11)
-	spec.PhysicalNodes = 600
-	spec.Proxies = 250
-
-	measure := func(workers int) time.Duration {
-		s := spec
-		s.Workers = workers
-		start := time.Now()
-		if _, err := Build(s); err != nil {
-			t.Fatalf("Build(workers=%d): %v", workers, err)
-		}
-		return time.Since(start)
-	}
-	// Warm-up pass so first-touch costs don't skew the serial number.
-	measure(1)
-	serial := measure(1)
-	parallel := measure(-1)
-	t.Logf("serial %v, parallel %v (%.2fx)", serial, parallel, float64(serial)/float64(parallel))
-	if parallel*2 > serial {
-		t.Errorf("parallel build %v not 2x faster than serial %v on %d cores",
-			parallel, serial, runtime.GOMAXPROCS(0))
-	}
+		next, err := e.NextRequest()
+		return built{
+			Net: e.Net, Landmarks: e.LandmarkPhys, Proxies: e.ProxyPhys, Clients: e.ClientPhys,
+			Topology: e.Framework.Topology(), States: e.Framework.States(),
+			Mesh: e.Mesh, Next: next,
+		}, err
+	})
 }

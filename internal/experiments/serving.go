@@ -83,7 +83,7 @@ func RunServe(spec env.Spec, requests int, workerCounts []int) ([]ServeRow, erro
 		errs := make([]error, len(stream))
 		//hfcvet:ignore detrand wall-clock throughput timing; route results stay seed-deterministic
 		start := time.Now()
-		par.For(len(stream), w, func(i int) {
+		par.ForN(len(stream), w, func(i int) {
 			_, errs[i] = eng.Resolve(stream[i])
 		})
 		elapsed := time.Since(start)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // CSR is a compressed-sparse-row mirror of a Graph: the adjacency lists
@@ -241,9 +242,10 @@ func (s *CSRScratch) pop() (radixItem, bool) {
 
 // DijkstraInto computes shortest paths from source into the scratch using
 // the monotone radix heap. Distances are bit-identical to the binary-heap
-// (*Graph).Dijkstra: both relax with strict <, and with non-negative
-// weights the final dist values are independent of settle order (ties
-// cannot improve each other because fl(d+w) >= d). Parents are the
+// pointer-graph Dijkstra kept as the test oracle (oracle_test.go): both
+// relax with strict <, and with non-negative weights the final dist
+// values are independent of settle order (ties cannot improve each other
+// because fl(d+w) >= d). Parents are the
 // canonical choice under the (dist, vertex-id) settle order with strict-<
 // relaxation. The settled inner loop stays allocation-free once the
 // scratch has grown to the graph's size.
@@ -280,12 +282,17 @@ func (c *CSR) DijkstraInto(source int, sc *CSRScratch) error {
 	return nil
 }
 
+// scratchPool lends scratches to the runs that keep only a copy of the
+// result (Dijkstra, AllPairsShortestPaths), so a fan-out over sources
+// grows one scratch per active worker rather than one per source.
+var scratchPool = sync.Pool{New: func() any { return NewCSRScratch() }}
+
 // Dijkstra is the allocating convenience wrapper: it runs DijkstraInto on
-// a fresh scratch and converts the result to the PathResult shape the
-// pointer-graph API returns. Callers on a hot path should hold a
-// CSRScratch and use DijkstraInto.
+// a pooled scratch and copies the result into an independent PathResult.
+// Callers on a hot path should hold a CSRScratch and use DijkstraInto.
 func (c *CSR) Dijkstra(source int) (*PathResult, error) {
-	sc := NewCSRScratch()
+	sc := scratchPool.Get().(*CSRScratch)
+	defer scratchPool.Put(sc)
 	if err := c.DijkstraInto(source, sc); err != nil {
 		return nil, err
 	}

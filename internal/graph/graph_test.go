@@ -207,6 +207,16 @@ func randomConnectedGraph(rng *rand.Rand, n, extra int) *Graph {
 	return g
 }
 
+// allPairs is the production all-pairs run: flatten to CSR, then one
+// Dijkstra per source.
+func allPairs(g *Graph) (*APSP, error) {
+	c, err := NewCSR(g)
+	if err != nil {
+		return nil, err
+	}
+	return c.AllPairsShortestPaths()
+}
+
 // floydWarshall is an independent APSP oracle used to cross-check Dijkstra.
 func floydWarshall(g *Graph) [][]float64 {
 	n := g.N()
@@ -243,7 +253,7 @@ func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 		n := 2 + rng.Intn(30)
 		g := randomConnectedGraph(rng, n, n)
 		want := floydWarshall(g)
-		apsp, err := g.AllPairsShortestPaths()
+		apsp, err := allPairs(g)
 		if err != nil {
 			t.Fatalf("trial %d: APSP: %v", trial, err)
 		}
@@ -260,7 +270,7 @@ func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 func TestAPSPSymmetricForUndirected(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnectedGraph(rng, 25, 30)
-	apsp, err := g.AllPairsShortestPaths()
+	apsp, err := allPairs(g)
 	if err != nil {
 		t.Fatalf("APSP: %v", err)
 	}
@@ -282,7 +292,7 @@ func TestDijkstraTriangleInequalityProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(20)
 		g := randomConnectedGraph(rng, n, n/2)
-		apsp, err := g.AllPairsShortestPaths()
+		apsp, err := allPairs(g)
 		if err != nil {
 			return false
 		}
@@ -299,80 +309,5 @@ func TestDijkstraTriangleInequalityProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTopoSortRequiresDirected(t *testing.T) {
-	g := New(2, false)
-	if _, err := g.TopoSort(); err == nil {
-		t.Error("TopoSort on undirected graph succeeded")
-	}
-}
-
-func TestTopoSortDetectsCycle(t *testing.T) {
-	g := New(3, true)
-	mustAdd(t, g, 0, 1, 1)
-	mustAdd(t, g, 1, 2, 1)
-	mustAdd(t, g, 2, 0, 1)
-	if _, err := g.TopoSort(); err == nil {
-		t.Error("TopoSort on cyclic graph succeeded")
-	}
-}
-
-func TestTopoSortOrder(t *testing.T) {
-	g := New(4, true)
-	mustAdd(t, g, 0, 1, 1)
-	mustAdd(t, g, 0, 2, 1)
-	mustAdd(t, g, 1, 3, 1)
-	mustAdd(t, g, 2, 3, 1)
-	order, err := g.TopoSort()
-	if err != nil {
-		t.Fatalf("TopoSort: %v", err)
-	}
-	pos := make(map[int]int)
-	for i, v := range order {
-		pos[v] = i
-	}
-	for _, e := range g.Edges() {
-		if pos[e.From] >= pos[e.To] {
-			t.Errorf("edge (%d,%d) violates topological order %v", e.From, e.To, order)
-		}
-	}
-}
-
-func TestDAGShortestPathsMatchesDijkstra(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(40)
-		g := New(n, true)
-		// Random DAG: edges only go from lower to higher index.
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Float64() < 0.3 {
-					mustAdd(t, g, u, v, rng.Float64()*10)
-				}
-			}
-		}
-		want, err := g.Dijkstra(0)
-		if err != nil {
-			t.Fatalf("Dijkstra: %v", err)
-		}
-		got, err := g.DAGShortestPaths(0)
-		if err != nil {
-			t.Fatalf("DAGShortestPaths: %v", err)
-		}
-		for v := 0; v < n; v++ {
-			wd, gd := want.Dist[v], got.Dist[v]
-			if math.IsInf(wd, 1) != math.IsInf(gd, 1) || (!math.IsInf(wd, 1) && math.Abs(wd-gd) > 1e-9) {
-				t.Fatalf("trial %d: dist[%d] = %v, want %v", trial, v, gd, wd)
-			}
-		}
-	}
-}
-
-func TestDAGShortestPathsSourceOutOfRange(t *testing.T) {
-	g := New(2, true)
-	if _, err := g.DAGShortestPaths(-1); err == nil {
-		t.Error("DAGShortestPaths(-1) succeeded")
 	}
 }

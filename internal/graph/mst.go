@@ -1,9 +1,7 @@
 package graph
 
 import (
-	"container/heap"
 	"errors"
-	"fmt"
 	"sort"
 )
 
@@ -56,99 +54,6 @@ func (uf *UnionFind) Union(x, y int) bool {
 
 // Sets returns the current number of disjoint sets.
 func (uf *UnionFind) Sets() int { return uf.sets }
-
-// MSTKruskal computes a minimum spanning tree of an undirected graph with
-// Kruskal's algorithm. It returns ErrDisconnected (wrapped) when the graph
-// has more than one component.
-func (g *Graph) MSTKruskal() ([]Edge, error) {
-	if g.directed {
-		return nil, errors.New("graph: minimum spanning tree requires an undirected graph")
-	}
-	if g.n == 0 {
-		return nil, errors.New("graph: minimum spanning tree of empty graph")
-	}
-	edges := g.Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		//hfcvet:ignore floatdist exact-tie fallback to endpoints keeps Kruskal deterministic
-		if edges[i].Weight != edges[j].Weight {
-			return edges[i].Weight < edges[j].Weight
-		}
-		// Deterministic tie-break so repeated runs yield the same tree.
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
-	uf := NewUnionFind(g.n)
-	tree := make([]Edge, 0, g.n-1)
-	for _, e := range edges {
-		if uf.Union(e.From, e.To) {
-			tree = append(tree, e)
-			if len(tree) == g.n-1 {
-				break
-			}
-		}
-	}
-	if len(tree) != g.n-1 {
-		return nil, fmt.Errorf("graph: kruskal found %d components: %w", uf.Sets(), ErrDisconnected)
-	}
-	return tree, nil
-}
-
-// mstItem is a priority-queue entry for Prim.
-type mstItem struct {
-	v    int
-	from int
-	w    float64
-}
-
-type mstQueue []mstItem
-
-func (q mstQueue) Len() int            { return len(q) }
-func (q mstQueue) Less(i, j int) bool  { return q[i].w < q[j].w }
-func (q mstQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *mstQueue) Push(x interface{}) { *q = append(*q, x.(mstItem)) }
-func (q *mstQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
-// MSTPrim computes a minimum spanning tree with Prim's algorithm starting
-// from vertex 0. It returns ErrDisconnected (wrapped) when the graph has
-// more than one component.
-func (g *Graph) MSTPrim() ([]Edge, error) {
-	if g.directed {
-		return nil, errors.New("graph: minimum spanning tree requires an undirected graph")
-	}
-	if g.n == 0 {
-		return nil, errors.New("graph: minimum spanning tree of empty graph")
-	}
-	inTree := make([]bool, g.n)
-	pq := &mstQueue{{v: 0, from: -1, w: 0}}
-	tree := make([]Edge, 0, g.n-1)
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(mstItem)
-		if inTree[it.v] {
-			continue
-		}
-		inTree[it.v] = true
-		if it.from != -1 {
-			tree = append(tree, Edge{From: it.from, To: it.v, Weight: it.w})
-		}
-		for _, e := range g.adj[it.v] {
-			if !inTree[e.to] {
-				heap.Push(pq, mstItem{v: e.to, from: it.v, w: e.w})
-			}
-		}
-	}
-	if len(tree) != g.n-1 {
-		return nil, fmt.Errorf("graph: prim reached %d of %d vertices: %w", len(tree)+1, g.n, ErrDisconnected)
-	}
-	return tree, nil
-}
 
 // EdgeLess is the canonical total order on oriented edges (From < To):
 // ascending Weight, then From, then To. Exact weight ties fall back to the

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"hfc/internal/par"
 )
@@ -39,99 +38,6 @@ func (r *PathResult) PathTo(v int) ([]int, error) {
 	return rev, nil
 }
 
-// pqItem is a priority-queue entry for Dijkstra.
-type pqItem struct {
-	v    int
-	dist float64
-}
-
-// priorityQueue is a concrete binary min-heap of pqItems — the same sift
-// rules as container/heap (including which child wins on equal keys), but
-// monomorphic: no interface{} boxing, no allocation per push. Keeping the
-// comparison and swap order identical to container/heap preserves the
-// exact pop sequence for equal-distance entries, so Dijkstra's Parent
-// tie-breaks are unchanged from the old boxed implementation.
-type priorityQueue []pqItem
-
-func (q *priorityQueue) push(it pqItem) {
-	*q = append(*q, it)
-	q.up(len(*q) - 1)
-}
-
-func (q *priorityQueue) pop() pqItem {
-	h := *q
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	q.down(0, n)
-	it := h[n]
-	*q = h[:n]
-	return it
-}
-
-func (q *priorityQueue) up(j int) {
-	h := *q
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !(h[j].dist < h[i].dist) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (q *priorityQueue) down(i0, n int) {
-	h := *q
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h[j2].dist < h[j1].dist {
-			j = j2 // = 2*i + 2  // right child
-		}
-		if !(h[j].dist < h[i].dist) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-}
-
-// Dijkstra computes shortest paths from source to every vertex using a
-// binary heap (lazy deletion). It returns an error if source is out of range.
-func (g *Graph) Dijkstra(source int) (*PathResult, error) {
-	if source < 0 || source >= g.n {
-		return nil, fmt.Errorf("graph: source %d out of range [0,%d)", source, g.n)
-	}
-	dist := make([]float64, g.n)
-	parent := make([]int, g.n)
-	done := make([]bool, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = -1
-	}
-	dist[source] = 0
-	pq := &priorityQueue{{v: source, dist: 0}}
-	for len(*pq) > 0 {
-		it := pq.pop()
-		if done[it.v] {
-			continue
-		}
-		done[it.v] = true
-		for _, e := range g.adj[it.v] {
-			if nd := it.dist + e.w; nd < dist[e.to] {
-				dist[e.to] = nd
-				parent[e.to] = it.v
-				pq.push(pqItem{v: e.to, dist: nd})
-			}
-		}
-	}
-	return &PathResult{Source: source, Dist: dist, Parent: parent}, nil
-}
-
 // APSP holds an all-pairs shortest-path distance matrix.
 type APSP struct {
 	n    int
@@ -141,41 +47,23 @@ type APSP struct {
 // AllPairsShortestPaths runs Dijkstra from every vertex and collects the
 // distance matrix. For the graph sizes in this simulator (≤ a few thousand
 // vertices) this is faster in practice than Floyd–Warshall on sparse graphs.
-func (g *Graph) AllPairsShortestPaths() (*APSP, error) {
-	return g.AllPairsShortestPathsWorkers(1)
-}
-
-// AllPairsShortestPathsWorkers is AllPairsShortestPaths with the
-// per-source Dijkstra runs fanned out across a bounded worker pool.
-// Each source's run only reads the (immutable) CSR arrays and writes its
-// own distance row, so the matrix is bit-identical to the serial loop for
-// any worker count. The runs go through the radix-heap CSR Dijkstra —
-// distances are bit-identical to the pointer-graph implementation (see
-// DijkstraInto) and only distance rows are kept, so the output matches
-// the old per-source (*Graph).Dijkstra loop exactly while the per-source
-// cost drops (one flat adjacency scan, pooled scratch, no boxing).
-func (g *Graph) AllPairsShortestPathsWorkers(workers int) (*APSP, error) {
-	c, err := NewCSR(g)
-	if err != nil {
-		return nil, fmt.Errorf("graph: apsp: %w", err)
-	}
-	var pool sync.Pool // of *CSRScratch, one per active worker
-	dist := make([][]float64, g.n)
-	if err := par.ForErr(g.n, workers, func(s int) error {
-		sc, _ := pool.Get().(*CSRScratch)
-		if sc == nil {
-			sc = NewCSRScratch()
-		}
+// The per-source runs fan out on the par pool: each only reads the
+// (immutable) CSR arrays and writes its own distance row, so the matrix is
+// bit-identical for any GOMAXPROCS.
+func (c *CSR) AllPairsShortestPaths() (*APSP, error) {
+	dist := make([][]float64, c.n)
+	if err := par.ForErr(c.n, func(s int) error {
+		sc := scratchPool.Get().(*CSRScratch)
+		defer scratchPool.Put(sc)
 		if err := c.DijkstraInto(s, sc); err != nil {
 			return fmt.Errorf("graph: apsp from %d: %w", s, err)
 		}
 		dist[s] = append([]float64(nil), sc.Dist()...)
-		pool.Put(sc)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	return &APSP{n: g.n, dist: dist}, nil
+	return &APSP{n: c.n, dist: dist}, nil
 }
 
 // N returns the number of vertices the matrix covers.
@@ -200,71 +88,3 @@ func (m *APSP) Symmetrize() {
 
 // Dist returns the shortest-path distance from u to v (+Inf if unreachable).
 func (m *APSP) Dist(u, v int) float64 { return m.dist[u][v] }
-
-// TopoSort returns a topological ordering of a directed graph, or an error
-// if the graph is undirected or contains a cycle.
-func (g *Graph) TopoSort() ([]int, error) {
-	if !g.directed {
-		return nil, errors.New("graph: topological sort requires a directed graph")
-	}
-	indeg := make([]int, g.n)
-	for u := 0; u < g.n; u++ {
-		for _, e := range g.adj[u] {
-			indeg[e.to]++
-		}
-	}
-	queue := make([]int, 0, g.n)
-	for v := 0; v < g.n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	order := make([]int, 0, g.n)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, e := range g.adj[u] {
-			indeg[e.to]--
-			if indeg[e.to] == 0 {
-				queue = append(queue, e.to)
-			}
-		}
-	}
-	if len(order) != g.n {
-		return nil, errors.New("graph: cycle detected during topological sort")
-	}
-	return order, nil
-}
-
-// DAGShortestPaths computes shortest paths from source in a directed acyclic
-// graph by relaxing edges in topological order. It is the classical
-// algorithm the paper applies on top of service DAGs.
-func (g *Graph) DAGShortestPaths(source int) (*PathResult, error) {
-	if source < 0 || source >= g.n {
-		return nil, fmt.Errorf("graph: source %d out of range [0,%d)", source, g.n)
-	}
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	dist := make([]float64, g.n)
-	parent := make([]int, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = -1
-	}
-	dist[source] = 0
-	for _, u := range order {
-		if math.IsInf(dist[u], 1) {
-			continue
-		}
-		for _, e := range g.adj[u] {
-			if nd := dist[u] + e.w; nd < dist[e.to] {
-				dist[e.to] = nd
-				parent[e.to] = u
-			}
-		}
-	}
-	return &PathResult{Source: source, Dist: dist, Parent: parent}, nil
-}

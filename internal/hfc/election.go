@@ -38,17 +38,17 @@ func (e *electionIndexes) forPair(hi int) geo.Index {
 	return e.idx[hi]
 }
 
-// buildElectionIndexes constructs the per-cluster indexes on the worker
-// pool (each slot is private to its cluster, so the fan-out is
-// deterministic). It returns nil — meaning brute elections — for small
-// overlays or non-finite coordinates.
-func buildElectionIndexes(cmap *coords.Map, clustering *cluster.Result, workers int) *electionIndexes {
+// buildElectionIndexes constructs the per-cluster indexes on the par pool
+// (each slot is private to its cluster, so the fan-out is deterministic).
+// It returns nil — meaning brute elections — for small overlays or
+// non-finite coordinates.
+func buildElectionIndexes(cmap *coords.Map, clustering *cluster.Result) *electionIndexes {
 	if cmap.N() < borderIndexMinN || !geo.Finite(cmap.Points) {
 		return nil
 	}
 	e := &electionIndexes{idx: make([]geo.Index, clustering.NumClusters())}
 	errs := make([]error, clustering.NumClusters())
-	par.For(clustering.NumClusters(), workers, func(c int) {
+	par.For(clustering.NumClusters(), func(c int) {
 		if len(clustering.Clusters[c]) < clusterIndexMinSize {
 			return
 		}

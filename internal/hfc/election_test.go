@@ -114,7 +114,7 @@ func TestDynamicIndexedMatchesDirectElections(t *testing.T) {
 func TestElectBordersEmptyCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cmap, clustering := randomClusteredInstance(rng, borderIndexMinN, 2)
-	idx := buildElectionIndexes(cmap, clustering, 0)
+	idx := buildElectionIndexes(cmap, clustering)
 	if idx == nil {
 		t.Fatal("expected election indexes at threshold size")
 	}

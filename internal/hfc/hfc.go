@@ -15,6 +15,7 @@ import (
 
 	"hfc/internal/cluster"
 	"hfc/internal/coords"
+	"hfc/internal/par"
 )
 
 // BorderPair is the pair of border proxies connecting two clusters: the two
@@ -65,8 +66,116 @@ const MaxBackupBorders = 2
 // elect through per-cluster geo indexes (see election.go); the result is
 // bit-identical to BuildWithSelector(cmap, clustering,
 // ClosestPairSelector()), which always runs the brute scans.
+//
+// The per-cluster-pair scans — the closest-pair searches and their
+// node-disjoint backup rankings — fan out on the par pool. Each pair's scan
+// reads only the immutable coordinate map, member lists and prebuilt
+// per-cluster indexes and writes a slot private to that pair, and assembly
+// walks the pairs in a < b order, so the topology is bit-identical for any
+// GOMAXPROCS.
 func Build(cmap *coords.Map, clustering *cluster.Result) (*Topology, error) {
-	return BuildParallel(cmap, clustering, 0)
+	if err := checkInputs(cmap, clustering); err != nil {
+		return nil, err
+	}
+	elect := buildElectionIndexes(cmap, clustering)
+	return assemble(cmap, clustering, par.For, func(a, b int) (BorderPair, []BorderPair, error) {
+		return electBorders(cmap, clustering.Clusters[a], clustering.Clusters[b], elect.forPair(b))
+	})
+}
+
+// checkInputs is the validation Build and BuildWithSelector share.
+func checkInputs(cmap *coords.Map, clustering *cluster.Result) error {
+	if cmap == nil {
+		return errors.New("hfc: nil coordinate map")
+	}
+	if clustering == nil {
+		return errors.New("hfc: nil clustering")
+	}
+	if len(clustering.Assignment) != cmap.N() {
+		return fmt.Errorf("hfc: clustering covers %d nodes but map has %d", len(clustering.Assignment), cmap.N())
+	}
+	return nil
+}
+
+// assemble builds the topology from one election per cluster pair: elect
+// returns pair (a, b)'s primary border pair and its ranked backups. each
+// visits the pairs — par.For when elect is a pure function of (a, b), a
+// plain loop in a < b order when it draws from an rng — and the tables are
+// then filled in a < b order whichever it was.
+func assemble(cmap *coords.Map, clustering *cluster.Result, each func(n int, fn func(i int)),
+	elect func(a, b int) (BorderPair, []BorderPair, error)) (*Topology, error) {
+	type pairResult struct {
+		a, b    int
+		primary BorderPair
+		backups []BorderPair
+		err     error
+	}
+	k := clustering.NumClusters()
+	results := make([]pairResult, 0, k*(k-1)/2)
+	for a := 0; a < k; a++ {
+		for b := a + 1; b < k; b++ {
+			results = append(results, pairResult{a: a, b: b})
+		}
+	}
+	each(len(results), func(i int) {
+		r := &results[i]
+		r.primary, r.backups, r.err = elect(r.a, r.b)
+	})
+
+	t := &Topology{
+		coords:               cmap,
+		clustering:           clustering,
+		borders:              make(map[[2]int]BorderPair),
+		backups:              make(map[[2]int][]BorderPair),
+		borderNodesByCluster: make(map[int][]int),
+	}
+	borderSet := make(map[int]bool)
+	backupSet := make(map[int]bool)
+	perCluster := make(map[int]map[int]bool)
+	t.borderInA = make([][]int, k)
+	for a := range t.borderInA {
+		t.borderInA[a] = make([]int, k)
+		for b := range t.borderInA[a] {
+			t.borderInA[a][b] = -1
+		}
+	}
+	for _, r := range results {
+		a, b, pair := r.a, r.b, r.primary
+		if r.err != nil {
+			return nil, fmt.Errorf("hfc: selecting border pair (%d,%d): %w", a, b, r.err)
+		}
+		if clustering.Assignment[pair.Low] != a || clustering.Assignment[pair.High] != b {
+			return nil, fmt.Errorf("hfc: selector returned pair (%d,%d) outside clusters (%d,%d)", pair.Low, pair.High, a, b)
+		}
+		t.borders[[2]int{a, b}] = pair
+		t.borderInA[a][b] = pair.Low
+		t.borderInA[b][a] = pair.High
+		if perCluster[a] == nil {
+			perCluster[a] = make(map[int]bool)
+		}
+		if perCluster[b] == nil {
+			perCluster[b] = make(map[int]bool)
+		}
+		borderSet[pair.Low] = true
+		borderSet[pair.High] = true
+		perCluster[a][pair.Low] = true
+		perCluster[b][pair.High] = true
+		// Failover spares: ranked node-disjoint backups behind the primary.
+		// They are tracked separately so the primary border metrics (Fig. 9,
+		// ablation A4) keep their meaning, but their coordinates travel in
+		// every node's view so failover routing can price the spare links.
+		t.backups[[2]int{a, b}] = r.backups
+		for _, bp := range r.backups {
+			backupSet[bp.Low] = true
+			backupSet[bp.High] = true
+		}
+	}
+	t.borderNodes = sortedKeys(borderSet)
+	t.backupNodes = sortedKeys(backupSet)
+	for c, set := range perCluster {
+		t.borderNodesByCluster[c] = sortedKeys(set)
+	}
+	return t, nil
 }
 
 func sortedKeys(set map[int]bool) []int {

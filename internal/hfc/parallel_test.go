@@ -2,11 +2,11 @@ package hfc
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"hfc/internal/cluster"
 	"hfc/internal/coords"
+	"hfc/internal/par/partest"
 )
 
 // randomClusteredInstance generates n points in k well-separated blobs with
@@ -29,41 +29,37 @@ func randomClusteredInstance(rng *rand.Rand, n, k int) (*coords.Map, *cluster.Re
 	return cmap, manualClustering(assignment)
 }
 
-// TestBuildParallelBitIdentical asserts the tentpole's hard gate: the
-// parallel border construction produces a topology deeply equal to the
-// serial Build for every worker count, across several instances.
+// TestBuildParallelBitIdentical asserts the fan-out's hard gate: the border
+// construction produces deeply equal topologies for every pool size,
+// across several instances — one below the indexed-election threshold's
+// reach (brute scans) and one at it (per-cluster geo indexes).
 func TestBuildParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	sizes := [][2]int{{borderIndexMinN, 4}}
 	for trial := 0; trial < 5; trial++ {
-		n := 24 + rng.Intn(60)
-		k := 2 + rng.Intn(6)
-		cmap, clustering := randomClusteredInstance(rng, n, k)
-		want, err := Build(cmap, clustering)
-		if err != nil {
-			t.Fatalf("trial %d: Build: %v", trial, err)
-		}
-		for _, workers := range []int{1, 2, 4, -1} {
-			got, err := BuildParallel(cmap, clustering, workers)
-			if err != nil {
-				t.Fatalf("trial %d: BuildParallel(%d): %v", trial, workers, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("trial %d: BuildParallel(workers=%d) differs from Build", trial, workers)
-			}
-		}
+		sizes = append(sizes, [2]int{24 + rng.Intn(60), 2 + rng.Intn(6)})
+	}
+	for _, nk := range sizes {
+		cmap, clustering := randomClusteredInstance(rng, nk[0], nk[1])
+		partest.EachPool(t, 0, func(*rand.Rand) (*Topology, error) {
+			return Build(cmap, clustering)
+		})
 	}
 }
 
+// TestBuildParallelValidation: with a pool to fan out on, bad inputs are
+// still rejected before anything dereferences them.
 func TestBuildParallelValidation(t *testing.T) {
+	partest.SetProcs(t, 2)
 	cmap, clustering := randomClusteredInstance(rand.New(rand.NewSource(1)), 12, 3)
-	if _, err := BuildParallel(nil, clustering, 2); err == nil {
+	if _, err := Build(nil, clustering); err == nil {
 		t.Error("nil map accepted")
 	}
-	if _, err := BuildParallel(cmap, nil, 2); err == nil {
+	if _, err := Build(cmap, nil); err == nil {
 		t.Error("nil clustering accepted")
 	}
 	short := manualClustering([]int{0, 0, 1})
-	if _, err := BuildParallel(cmap, short, 2); err == nil {
+	if _, err := Build(cmap, short); err == nil {
 		t.Error("mismatched clustering accepted")
 	}
 }

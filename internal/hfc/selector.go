@@ -82,76 +82,26 @@ func HeadSelector() BorderSelector {
 
 // BuildWithSelector constructs an HFC topology using a custom border
 // selector; Build is equivalent to BuildWithSelector(…, ClosestPairSelector()).
+// The selector runs once per cluster pair in serial a < b order, because
+// the ablation selectors draw from an rng.
 func BuildWithSelector(cmap *coords.Map, clustering *cluster.Result, sel BorderSelector) (*Topology, error) {
 	if sel == nil {
 		return nil, errors.New("hfc: nil border selector")
 	}
-	if cmap == nil {
-		return nil, errors.New("hfc: nil coordinate map")
+	if err := checkInputs(cmap, clustering); err != nil {
+		return nil, err
 	}
-	if clustering == nil {
-		return nil, errors.New("hfc: nil clustering")
-	}
-	if len(clustering.Assignment) != cmap.N() {
-		return nil, fmt.Errorf("hfc: clustering covers %d nodes but map has %d", len(clustering.Assignment), cmap.N())
-	}
-	t := &Topology{
-		coords:               cmap,
-		clustering:           clustering,
-		borders:              make(map[[2]int]BorderPair),
-		backups:              make(map[[2]int][]BorderPair),
-		borderNodesByCluster: make(map[int][]int),
-	}
-	k := clustering.NumClusters()
-	borderSet := make(map[int]bool)
-	backupSet := make(map[int]bool)
-	perCluster := make(map[int]map[int]bool)
-	t.borderInA = make([][]int, k)
-	for a := range t.borderInA {
-		t.borderInA[a] = make([]int, k)
-		for b := range t.borderInA[a] {
-			t.borderInA[a][b] = -1
+	inOrder := func(n int, fn func(i int)) {
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 	}
-	for a := 0; a < k; a++ {
-		for b := a + 1; b < k; b++ {
-			pair, err := sel(cmap, clustering.Clusters[a], clustering.Clusters[b])
-			if err != nil {
-				return nil, fmt.Errorf("hfc: selecting border pair (%d,%d): %w", a, b, err)
-			}
-			if clustering.Assignment[pair.Low] != a || clustering.Assignment[pair.High] != b {
-				return nil, fmt.Errorf("hfc: selector returned pair (%d,%d) outside clusters (%d,%d)", pair.Low, pair.High, a, b)
-			}
-			t.borders[[2]int{a, b}] = pair
-			t.borderInA[a][b] = pair.Low
-			t.borderInA[b][a] = pair.High
-			if perCluster[a] == nil {
-				perCluster[a] = make(map[int]bool)
-			}
-			if perCluster[b] == nil {
-				perCluster[b] = make(map[int]bool)
-			}
-			borderSet[pair.Low] = true
-			borderSet[pair.High] = true
-			perCluster[a][pair.Low] = true
-			perCluster[b][pair.High] = true
-			// Failover spares: ranked node-disjoint backups behind whatever
-			// pair the selector picked. They are tracked separately so the
-			// primary border metrics (Fig. 9, ablation A4) keep their
-			// meaning, but their coordinates travel in every node's view so
-			// failover routing can price the spare links.
-			backs := backupPairs(cmap, clustering.Clusters[a], clustering.Clusters[b], pair, MaxBackupBorders)
-			t.backups[[2]int{a, b}] = backs
-			for _, bp := range backs {
-				backupSet[bp.Low] = true
-				backupSet[bp.High] = true
-			}
+	return assemble(cmap, clustering, inOrder, func(a, b int) (BorderPair, []BorderPair, error) {
+		membersA, membersB := clustering.Clusters[a], clustering.Clusters[b]
+		pair, err := sel(cmap, membersA, membersB)
+		if err != nil {
+			return BorderPair{}, nil, err
 		}
-	}
-	t.borderNodes = sortedKeys(borderSet)
-	t.backupNodes = sortedKeys(backupSet)
-	for c, set := range perCluster {
-		t.borderNodesByCluster[c] = sortedKeys(set)
-	}
-	return t, nil
+		return pair, backupPairs(cmap, membersA, membersB, pair, MaxBackupBorders), nil
+	})
 }

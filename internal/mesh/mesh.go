@@ -26,10 +26,6 @@ type Config struct {
 	// MinFar and MaxFar bound the per-proxy count of random long links
 	// (paper: 1–2).
 	MinFar, MaxFar int
-	// Workers bounds the pool used for the all-pairs routing tables
-	// (0/1 serial, negative = all cores). Link construction stays serial
-	// — it draws from rng — so the mesh is identical for any value.
-	Workers int
 }
 
 // DefaultConfig returns the paper's 1–4 nearest plus 1–2 random settings.
@@ -168,10 +164,15 @@ func Build(rng *rand.Rand, cmap *coords.Map, cfg Config) (*Mesh, error) {
 		}
 	}
 
-	// Routing tables: one rng-free Dijkstra per source, fanned out.
+	// Routing tables: one rng-free Dijkstra per source, fanned out (link
+	// construction above draws from rng, so it stays on this goroutine).
+	csr, err := graph.NewCSR(g)
+	if err != nil {
+		return nil, fmt.Errorf("mesh: %w", err)
+	}
 	m := &Mesh{Graph: g, routes: make([]*graph.PathResult, n)}
-	if err := par.ForErr(n, cfg.Workers, func(s int) error {
-		r, err := g.Dijkstra(s)
+	if err := par.ForErr(n, func(s int) error {
+		r, err := csr.Dijkstra(s)
 		if err != nil {
 			return fmt.Errorf("mesh: routing table for %d: %w", s, err)
 		}

@@ -43,10 +43,6 @@ type Config struct {
 	// embeddings often lack a crisp second distance scale, so operators
 	// pick the hierarchy fan-out — √(#clusters) balances the levels.
 	TargetGroups int
-	// Workers bounds the worker pool for the per-group interior builds and
-	// super-border scans (0/1 serial, negative = all cores). The topology
-	// is identical for any value.
-	Workers int
 }
 
 // DefaultConfig returns the granularities used by the experiments: the
@@ -122,7 +118,7 @@ func Build(cmap *coords.Map, cfg Config) (*Topology, error) {
 		assignment[node] = clusterGroup[c]
 	}
 	grouping := groupingFromAssignment(assignment)
-	return BuildFromGroupingWorkers(cmap, grouping, cfg.Inner, cfg.Workers)
+	return BuildFromGrouping(cmap, grouping, cfg.Inner)
 }
 
 // cutToTarget removes the longest MST edges over the n points until exactly
@@ -169,17 +165,11 @@ func groupingFromAssignment(assignment []int) *cluster.Result {
 
 // BuildFromGrouping constructs the tri-level topology from an explicit
 // top-level grouping (used by tests and by callers with their own grouping
-// policy).
+// policy). The per-group interior HFC constructions and the super-border
+// scans fan out on the par pool: each group's construction and each group
+// pair's scan is independent and rng-free, and results merge by index, so
+// the topology is bit-identical for any GOMAXPROCS.
 func BuildFromGrouping(cmap *coords.Map, grouping *cluster.Result, inner cluster.Config) (*Topology, error) {
-	return BuildFromGroupingWorkers(cmap, grouping, inner, 1)
-}
-
-// BuildFromGroupingWorkers is BuildFromGrouping with the per-group interior
-// HFC constructions and the super-border scans fanned out across a bounded
-// worker pool. Each group's construction and each group pair's scan is
-// independent and rng-free, and results merge by index, so the topology is
-// bit-identical to the serial build for any worker count.
-func BuildFromGroupingWorkers(cmap *coords.Map, grouping *cluster.Result, inner cluster.Config, workers int) (*Topology, error) {
 	if cmap == nil {
 		return nil, errors.New("mlhfc: nil coordinate map")
 	}
@@ -205,7 +195,7 @@ func BuildFromGroupingWorkers(cmap *coords.Map, grouping *cluster.Result, inner 
 
 	// Interior bi-level HFC per group, one worker slot per group.
 	t.perGroup = make([]*hfc.Topology, len(t.groups))
-	if err := par.ForErr(len(t.groups), workers, func(g int) error {
+	if err := par.ForErr(len(t.groups), func(g int) error {
 		members := t.groups[g]
 		pts := make([]coords.Point, len(members))
 		for li, node := range members {
@@ -257,7 +247,7 @@ func BuildFromGroupingWorkers(cmap *coords.Map, grouping *cluster.Result, inner 
 	// geo's (Dist, A, B) tie rule equals the old brute scan's first-minimum
 	// over sorted members, so the elected pairs are bit-identical.
 	indexes := make([]geo.Index, k)
-	if err := par.ForErr(k, workers, func(g int) error {
+	if err := par.ForErr(k, func(g int) error {
 		idx, err := geo.NewIndex(cmap.Points, t.groups[g], geo.Auto)
 		if err != nil {
 			return fmt.Errorf("mlhfc: group %d index: %w", g, err)
@@ -267,7 +257,7 @@ func BuildFromGroupingWorkers(cmap *coords.Map, grouping *cluster.Result, inner 
 	}); err != nil {
 		return nil, err
 	}
-	par.For(len(pairs), workers, func(i int) {
+	par.For(len(pairs), func(i int) {
 		a, b := pairs[i].a, pairs[i].b
 		if p, ok := geo.ClosestPairIndexed(cmap.Points, t.groups[a], indexes[b], nil, nil); ok {
 			t.superBorder[a][b] = p.A

@@ -66,7 +66,7 @@ func (n *Network) spTree(source int) (*graph.PathResult, error) {
 	if t, ok := n.bw.trees[source]; ok {
 		return t, nil
 	}
-	t, err := n.topo.Graph.Dijkstra(source)
+	t, err := n.csr.Dijkstra(source)
 	if err != nil {
 		return nil, fmt.Errorf("netsim: %w", err)
 	}

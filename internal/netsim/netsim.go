@@ -19,14 +19,13 @@ import (
 // construction and safe for concurrent use.
 type Network struct {
 	topo *topology.Topology
+	// csr is the delay graph in the form every shortest-path run reads:
+	// the all-pairs precomputation in New and Bottleneck's trees.
+	csr  *graph.CSR
 	apsp *graph.APSP
 	// noiseMax bounds the multiplicative measurement noise: a single probe
 	// observes latency · (1 + U[0, noiseMax]).
 	noiseMax float64
-	// workers bounds the worker pool the all-pairs precomputation fans
-	// out on (0/1 serial, negative = all cores); results are identical
-	// either way.
-	workers int
 	// bw caches shortest-path trees for Bottleneck queries.
 	bw bwState
 	// faults holds the per-link fault overrides (see faults.go); the table
@@ -47,13 +46,6 @@ func WithNoise(max float64) Option {
 	return func(n *Network) { n.noiseMax = max }
 }
 
-// WithWorkers bounds the worker pool used for the up-front all-pairs
-// shortest-path computation (zero or one keeps it serial, negative uses
-// every core). The resulting delay matrix is bit-identical regardless.
-func WithWorkers(workers int) Option {
-	return func(n *Network) { n.workers = workers }
-}
-
 // New builds a delay oracle for topo by computing all-pairs shortest-path
 // delays once up front.
 func New(topo *topology.Topology, opts ...Option) (*Network, error) {
@@ -70,14 +62,18 @@ func New(topo *topology.Topology, opts ...Option) (*Network, error) {
 	if n.noiseMax < 0 {
 		return nil, fmt.Errorf("netsim: negative noise bound %v", n.noiseMax)
 	}
-	apsp, err := topo.Graph.AllPairsShortestPathsWorkers(n.workers)
+	csr, err := graph.NewCSR(topo.Graph)
+	if err != nil {
+		return nil, fmt.Errorf("netsim: computing delays: %w", err)
+	}
+	apsp, err := csr.AllPairsShortestPaths()
 	if err != nil {
 		return nil, fmt.Errorf("netsim: computing delays: %w", err)
 	}
 	// Clustering and MST construction treat latencies as a metric; make the
 	// matrix exactly symmetric (Dijkstra leaves ULP-level asymmetry).
 	apsp.Symmetrize()
-	n.apsp = apsp
+	n.csr, n.apsp = csr, apsp
 	return n, nil
 }
 

@@ -1,11 +1,13 @@
-// Package par provides the bounded worker pool the parallel construction
-// paths share. The contract every caller relies on: work items are pure
-// functions of their index writing only to index-owned slots, so running
-// them on any number of workers in any order yields results bit-identical
-// to the serial loop. Randomness is never drawn inside a worker — callers
-// draw every rng value sequentially before fanning out (see
-// coords.BuildMapWorkers), which keeps detrand's determinism contract
-// intact.
+// Package par provides the worker pool every build stage fans out on. The
+// pool size is read, never passed: For and ForErr run on
+// runtime.GOMAXPROCS(0) goroutines, clamped to the item count, and one
+// worker is the plain loop — so GOMAXPROCS=1 is the serial build. The
+// contract every caller relies on: work items are pure functions of their
+// index writing only to index-owned slots, so running them on any number
+// of workers in any order yields results bit-identical to the serial loop.
+// Randomness is never drawn inside a worker — callers draw every rng value
+// sequentially before fanning out (see coords.BuildMap), which keeps
+// detrand's determinism contract intact.
 package par
 
 import (
@@ -14,31 +16,38 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a worker-count knob to an effective pool size:
-// negative selects runtime.GOMAXPROCS(0) (all available cores), zero and
-// one select the serial path, and any other positive value is taken
-// as-is.
-func Workers(workers int) int {
-	if workers < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if workers == 0 {
-		return 1
-	}
-	return workers
+// For runs fn(0), …, fn(n-1) on min(GOMAXPROCS, n) goroutines and returns
+// when all calls have completed. Items are handed out through an atomic
+// counter, so the assignment of items to workers is nondeterministic — fn
+// must not care which worker runs it.
+func For(n int, fn func(i int)) {
+	ForN(n, runtime.GOMAXPROCS(0), fn)
 }
 
-// For runs fn(0), …, fn(n-1) on a pool of Workers(workers) goroutines and
-// returns when all calls have completed. With an effective pool of one it
-// degenerates to the plain serial loop (no goroutines). Items are handed
-// out through an atomic counter, so the assignment of items to workers is
-// nondeterministic — fn must not care which worker runs it.
-func For(n, workers int, fn func(i int)) {
-	w := Workers(workers)
-	if w > n {
-		w = n
+// ForErr is For with error collection: every item runs (a failing item
+// does not cancel the rest), and the error of the lowest-indexed failing
+// item is returned, so the reported error is deterministic regardless of
+// scheduling.
+func ForErr(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	For(n, func(i int) { errs[i] = fn(i) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	if w <= 1 {
+	return nil
+}
+
+// ForN is For on a caller-given number of workers, for the callers whose
+// fan-out is a workload parameter (a request batch's concurrency) rather
+// than a property of the machine. The pool is min(workers, n); one worker
+// or fewer runs the plain loop on the calling goroutine.
+func ForN(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
@@ -46,7 +55,7 @@ func For(n, workers int, fn func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
+	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -60,19 +69,4 @@ func For(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// ForErr is For with error collection: every item runs (a failing item
-// does not cancel the rest), and the error of the lowest-indexed failing
-// item is returned, so the reported error is deterministic regardless of
-// scheduling.
-func ForErr(n, workers int, fn func(i int) error) error {
-	errs := make([]error, n)
-	For(n, workers, func(i int) { errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -66,7 +66,7 @@ func TestResolveBatchMatchesLooped(t *testing.T) {
 	for round, mutate := range churn {
 		mutate(t, loopEng)
 		mutate(t, batchEng)
-		// Every documented fan-out: 0 and 1 serial, 4 bounded, -1 all cores.
+		// Serial (1 or less, however it is spelled) and a pool of 4.
 		for _, workers := range []int{0, 1, 4, -1} {
 			wantRes := make([]*routing.Result, len(stream))
 			wantErr := make([]error, len(stream))

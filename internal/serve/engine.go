@@ -456,8 +456,8 @@ func (e *Engine) ResolveBatch(reqs []svc.Request, workers int) ([]*routing.Path,
 //     router scratch (the routing pools are per-P; sorted order keeps them
 //     warm) instead of ping-ponging between destinations.
 //
-// workers bounds the fan-out over distinct groups (0 or 1 = serial,
-// negative = all cores; see internal/par). In-batch sharing does not count toward
+// workers is the fan-out over distinct groups (1 or less = serial; see
+// par.ForN). In-batch sharing does not count toward
 // Stats.Deduped (it never enters the flight map); concurrent callers outside
 // the batch dedup against it as usual.
 //
@@ -529,7 +529,7 @@ func (e *Engine) ResolveBatchDetailed(reqs []svc.Request, workers int) ([]*routi
 		}
 		return strings.Compare(ga.canonical, gb.canonical)
 	})
-	par.For(len(sc.perm), workers, func(j int) {
+	par.ForN(len(sc.perm), workers, func(j int) {
 		g := &sc.order[sc.perm[j]]
 		if g.err != nil {
 			return

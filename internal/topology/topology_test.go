@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"hfc/internal/graph"
 )
 
 func TestConfigForSizeMatchesPaperSizes(t *testing.T) {
@@ -150,7 +152,11 @@ func TestDelayHierarchyProperty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateTransitStub: %v", err)
 	}
-	apsp, err := topo.Graph.AllPairsShortestPaths()
+	csr, err := graph.NewCSR(topo.Graph)
+	if err != nil {
+		t.Fatalf("NewCSR: %v", err)
+	}
+	apsp, err := csr.AllPairsShortestPaths()
 	if err != nil {
 		t.Fatalf("APSP: %v", err)
 	}
