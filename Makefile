@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build test race lint lint-seam lint-view vet bench bench-full bench-compare bench-scale chaos sim fmt
 
 # Output snapshot for the regression-gate benchmarks (see cmd/benchgate).
-BENCH_OUT ?= BENCH_pr16.json
+BENCH_OUT ?= BENCH_pr17.json
 
 all: build test lint
 

@@ -1,6 +1,7 @@
 package hfc
 
 import (
+	"math/rand"
 	"testing"
 
 	"hfc/internal/coords"
@@ -128,5 +129,74 @@ func TestViewBorderFailover(t *testing.T) {
 	}
 	if pu != u || pw != w {
 		t.Errorf("all-dead fallback (%d,%d), want primary (%d,%d)", pu, pw, u, w)
+	}
+}
+
+// TestBorderIsFirstLiveRankedPair holds Border, which walks the primary and
+// the backups in place, to its definition over the list it no longer builds:
+// the first element of BorderRanked whose endpoints are both alive, the
+// primary when none is — on a materialized and a shared view, in both
+// orientations, for random failure sets, with an override in front.
+func TestBorderIsFirstLiveRankedPair(t *testing.T) {
+	topo := threeClusterFixture(t)
+	copied, err := topo.View(0)
+	if err != nil {
+		t.Fatalf("View: %v", err)
+	}
+	shared, err := topo.SharedView(5)
+	if err != nil {
+		t.Fatalf("SharedView: %v", err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for _, v := range []*NodeView{copied, shared} {
+		for trial := 0; trial < 200; trial++ {
+			// Trial 0 has no detector, 1 an all-live one, 2 an all-dead one;
+			// the rest kill each node with a probability that covers "primary
+			// dead", "some backups dead" and "every pair dead".
+			dead := map[int]bool{}
+			if p := rng.Float64(); trial > 2 {
+				for n := 0; n < topo.N(); n++ {
+					dead[n] = rng.Float64() < p
+				}
+			}
+			v.Alive = func(n int) bool { return trial != 2 && !dead[n] }
+			if trial == 0 {
+				v.Alive = nil
+			}
+			for a := 0; a < topo.NumClusters(); a++ {
+				for b := 0; b < topo.NumClusters(); b++ {
+					ranked, rerr := v.BorderRanked(a, b)
+					inA, inB, err := v.Border(a, b)
+					if (err == nil) != (rerr == nil) || (err != nil && err.Error() != rerr.Error()) {
+						t.Fatalf("Border(%d,%d) error %v, BorderRanked error %v", a, b, err, rerr)
+					}
+					if err != nil {
+						continue
+					}
+					want := ranked[0]
+					for _, p := range ranked {
+						if v.Alive != nil && v.Alive(p[0]) && v.Alive(p[1]) {
+							want = p
+							break
+						}
+					}
+					if got := [2]int{inA, inB}; got != want {
+						t.Fatalf("trial %d: Border(%d,%d) = %v, first live of %v is %v (dead %v)", trial, a, b, got, ranked, want, dead)
+					}
+				}
+			}
+		}
+		// An override answers before the table is consulted; declining falls
+		// through to the ranked walk.
+		v.Alive = nil
+		v.BorderOverride = func(a, b int) (int, int, bool) { return 100 + a, 100 + b, a == 0 }
+		if inA, inB, err := v.Border(0, 2); err != nil || inA != 100 || inB != 102 {
+			t.Errorf("Border(0,2) under an override = (%d,%d,%v), want (100,102,nil)", inA, inB, err)
+		}
+		ranked, _ := v.BorderRanked(1, 2)
+		if inA, inB, err := v.Border(1, 2); err != nil || [2]int{inA, inB} != ranked[0] {
+			t.Errorf("Border(1,2) with the override declining = (%d,%d,%v), want primary %v", inA, inB, err, ranked[0])
+		}
+		v.BorderOverride = nil
 	}
 }

@@ -294,53 +294,74 @@ func (v *NodeView) coordOf(u int) (coords.Point, error) {
 // that is always the primary pair; with one, the first ranked pair whose
 // endpoints are both live wins, and when every ranked pair has a crashed
 // endpoint the primary is returned so callers still compute a path (sends
-// to the crashed border surface as counted drops and RPC timeouts).
+// to the crashed border surface as counted drops and RPC timeouts). It is
+// the first live element of BorderRanked, found without building the list
+// (TestBorderIsFirstLiveRankedPair).
 func (v *NodeView) Border(a, b int) (inA, inB int, err error) {
 	if v.BorderOverride != nil && a != b {
 		if inA, inB, ok := v.BorderOverride(a, b); ok {
 			return inA, inB, nil
 		}
 	}
-	pairs, err := v.BorderRanked(a, b)
+	primary, backups, flip, err := v.rankedPairs(a, b)
 	if err != nil {
 		return 0, 0, err
 	}
 	if v.Alive != nil {
-		for _, p := range pairs {
-			if v.Alive(p[0]) && v.Alive(p[1]) {
+		if p := primary.oriented(flip); v.Alive(p[0]) && v.Alive(p[1]) {
+			return p[0], p[1], nil
+		}
+		for _, bp := range backups {
+			if p := bp.oriented(flip); v.Alive(p[0]) && v.Alive(p[1]) {
 				return p[0], p[1], nil
 			}
 		}
 	}
-	return pairs[0][0], pairs[0][1], nil
+	p := primary.oriented(flip)
+	return p[0], p[1], nil
 }
 
 // BorderRanked returns every border pair between two distinct clusters in
 // preference order — primary first, then the node-disjoint backups — each
 // oriented {inA, inB}. Liveness is not consulted.
 func (v *NodeView) BorderRanked(a, b int) ([][2]int, error) {
-	if a == b {
-		return nil, fmt.Errorf("hfc: no border pair within a single cluster %d", a)
+	primary, backups, flip, err := v.rankedPairs(a, b)
+	if err != nil {
+		return nil, err
 	}
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	pair, ok := v.Borders[[2]int{lo, hi}]
-	if !ok {
-		return nil, fmt.Errorf("hfc: view has no border pair for clusters (%d,%d)", a, b)
-	}
-	orient := func(p BorderPair) [2]int {
-		if a == lo {
-			return [2]int{p.Low, p.High}
-		}
-		return [2]int{p.High, p.Low}
-	}
-	out := [][2]int{orient(pair)}
-	for _, p := range v.BackupBorders[[2]int{lo, hi}] {
-		out = append(out, orient(p))
+	out := make([][2]int, 0, 1+len(backups))
+	out = append(out, primary.oriented(flip))
+	for _, bp := range backups {
+		out = append(out, bp.oriented(flip))
 	}
 	return out, nil
+}
+
+// rankedPairs looks up the primary pair and the ranked backups between two
+// distinct clusters. The tables store each pair as (Low, High) by cluster id;
+// flip reports that a is the High side.
+func (v *NodeView) rankedPairs(a, b int) (primary BorderPair, backups []BorderPair, flip bool, err error) {
+	if a == b {
+		return BorderPair{}, nil, false, fmt.Errorf("hfc: no border pair within a single cluster %d", a)
+	}
+	key := [2]int{a, b}
+	if flip = a > b; flip {
+		key = [2]int{b, a}
+	}
+	primary, ok := v.Borders[key]
+	if !ok {
+		return BorderPair{}, nil, false, fmt.Errorf("hfc: view has no border pair for clusters (%d,%d)", a, b)
+	}
+	return primary, v.BackupBorders[key], flip, nil
+}
+
+// oriented returns the pair as {inA, inB} for a query (a, b): stored order,
+// or swapped when a is the High side.
+func (p BorderPair) oriented(flip bool) [2]int {
+	if flip {
+		return [2]int{p.High, p.Low}
+	}
+	return [2]int{p.Low, p.High}
 }
 
 // CoordinateStateSize is the number of coordinate node-states the view

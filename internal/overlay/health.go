@@ -257,34 +257,43 @@ func (s *System) BorderSnapshot() hfc.DynamicSnapshot {
 	return s.dyn.Snapshot()
 }
 
+// knownGood is one last-known-good route with the canonical form of the
+// service graph it answers: the store is keyed by the 64-bit fingerprint, and
+// a degraded answer must pass the same collision guard as a cached one.
+type knownGood struct {
+	canonical string
+	res       *routing.Result
+}
+
 // storeLKG records a successfully resolved route as the last-known-good
 // answer for its request. No-op unless DegradedRoutes is on.
-func (s *System) storeLKG(key routing.CacheKey, res *routing.Result) {
+func (s *System) storeLKG(key routing.CacheKey, canonical string, res *routing.Result) {
 	if !s.cfg.DegradedRoutes || res == nil || res.Degraded {
 		return
 	}
 	s.lkgMu.Lock()
-	s.lkg[key] = res
+	s.lkg[key] = knownGood{canonical: canonical, res: res}
 	s.lkgMu.Unlock()
 }
 
 // degradedResult serves the last-known-good route for a request whose fresh
 // resolution timed out, as a shallow copy tagged Degraded. ok is false when
-// degraded serving is off or nothing good was ever known.
-func (s *System) degradedResult(key routing.CacheKey) (*routing.Result, bool) {
+// degraded serving is off, nothing good was ever known, or what sits under
+// key answers a different graph with the same fingerprint.
+func (s *System) degradedResult(key routing.CacheKey, canonical string) (*routing.Result, bool) {
 	if !s.cfg.DegradedRoutes {
 		return nil, false
 	}
 	s.lkgMu.RLock()
-	res, ok := s.lkg[key]
+	known, ok := s.lkg[key]
 	s.lkgMu.RUnlock()
-	if !ok {
+	if !ok || known.canonical != canonical {
 		return nil, false
 	}
 	s.dropMu.Lock()
 	s.faults.DegradedRoutes++
 	s.dropMu.Unlock()
-	stale := *res
+	stale := *known.res
 	stale.Degraded = true
 	return &stale, true
 }

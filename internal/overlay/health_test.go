@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"hfc/internal/hfc"
+	"hfc/internal/routing"
 	"hfc/internal/state"
+	"hfc/internal/svc"
 )
 
 // healthConfig is a fast accrual detector for tests: one round of tolerated
@@ -297,6 +299,49 @@ func TestDegradedRouteRequiresKnownGood(t *testing.T) {
 	}
 	if fc := sys.FaultCounters(); fc.DegradedRoutes != 0 {
 		t.Errorf("DegradedRoutes = %d, want 0", fc.DegradedRoutes)
+	}
+}
+
+// TestDegradedRouteCollisionGuard files one request's last-known-good route
+// under another request's key — what a 64-bit fingerprint collision between
+// their service graphs would do — and partitions the destination: the second
+// request must time out, not be answered with a route for the first one's
+// graph. The store runs the route cache's guard (TestRouteCacheCollisionGuard).
+func TestDegradedRouteCollisionGuard(t *testing.T) {
+	topo, caps := buildFixture(t, 87)
+	cfg := fastFaultConfig()
+	cfg.DegradedRoutes = true
+	sys := startSystem(t, topo, caps, cfg)
+	convergeRounds(t, sys, 2)
+	req, err := newRequest(t, caps, 87)
+	if err != nil {
+		t.Fatalf("newRequest: %v", err)
+	}
+	if _, err := sys.Route(req); err != nil {
+		t.Fatalf("fresh Route: %v", err)
+	}
+	other := req
+	if other.SG, err = svc.Linear(req.SG.Services[0]); err != nil {
+		t.Fatalf("Linear: %v", err)
+	}
+	if other.SG.Canonical() == req.SG.Canonical() {
+		t.Fatal("the colliding request must ask for a different graph")
+	}
+	sys.lkgMu.Lock()
+	sys.lkg[routing.NewCacheKey(other.Source, other.Dest, other.SG)] = sys.lkg[routing.NewCacheKey(req.Source, req.Dest, req.SG)]
+	sys.lkgMu.Unlock()
+
+	if err := sys.Crash(req.Dest); err != nil {
+		t.Fatalf("Crash: %v", err)
+	}
+	if res, rerr := sys.Route(other); !errors.Is(rerr, ErrRPCTimeout) {
+		t.Fatalf("Route under a forged collision = (%+v, %v), want ErrRPCTimeout", res, rerr)
+	}
+	if fc := sys.FaultCounters(); fc.DegradedRoutes != 0 {
+		t.Errorf("DegradedRoutes = %d after a refused lookup, want 0", fc.DegradedRoutes)
+	}
+	if stale, err := sys.Route(req); err != nil || !stale.Degraded {
+		t.Errorf("Route for the graph the store holds = (%+v, %v), want its degraded route", stale, err)
 	}
 }
 

@@ -267,7 +267,7 @@ type System struct {
 
 	// lkgMu guards the last-known-good route store for degraded serving.
 	lkgMu sync.RWMutex
-	lkg   map[routing.CacheKey]*routing.Result // guarded by lkgMu
+	lkg   map[routing.CacheKey]knownGood // guarded by lkgMu
 }
 
 // FaultStats counts fault-injection and recovery events in the runtime.
@@ -494,7 +494,7 @@ func New(topo *hfc.Topology, caps []svc.CapabilitySet, cfg Config) (*System, err
 	}
 	if cfg.DegradedRoutes {
 		s.lkgMu.Lock()
-		s.lkg = make(map[routing.CacheKey]*routing.Result)
+		s.lkg = make(map[routing.CacheKey]knownGood)
 		s.lkgMu.Unlock()
 	}
 	s.nodes = make([]*node, topo.N())
@@ -841,7 +841,7 @@ func (s *System) Route(req svc.Request) (*routing.Result, error) {
 		if v, ok := s.cache.Get(key, canonical); ok {
 			// Cached results are shared read-only values.
 			res := v.(*routing.Result)
-			s.storeLKG(key, res)
+			s.storeLKG(key, canonical, res)
 			return res, nil
 		}
 		version = s.cache.Version()
@@ -857,14 +857,14 @@ func (s *System) Route(req svc.Request) (*routing.Result, error) {
 			s.noteRPCOutcome(req.Dest, true)
 			if out.err == nil && out.result != nil {
 				if s.cache != nil {
-					s.cache.Put(key, canonical, out.result, s.routeClusters(out.result, req), version)
+					s.cache.Put(key, canonical, out.result, routing.RouteClusters(out.result, req, s.topo.ClusterOf), version)
 				}
-				s.storeLKG(key, out.result)
+				s.storeLKG(key, canonical, out.result)
 			}
 			if out.err != nil && errors.Is(out.err, ErrRPCTimeout) {
 				// The destination answered but could not reach the
 				// resolvers it needed — partitioned mid-resolution.
-				if res, ok := s.degradedResult(key); ok {
+				if res, ok := s.degradedResult(key, canonical); ok {
 					return res, nil
 				}
 			}
@@ -872,7 +872,7 @@ func (s *System) Route(req svc.Request) (*routing.Result, error) {
 		}
 		s.noteRPCOutcome(req.Dest, false)
 		if attempt == s.cfg.RPCRetries {
-			if res, ok := s.degradedResult(key); ok {
+			if res, ok := s.degradedResult(key, canonical); ok {
 				return res, nil
 			}
 			return nil, fmt.Errorf("overlay: route to %d after %d attempts: %w", req.Dest, attempt+1, ErrRPCTimeout)
@@ -883,23 +883,6 @@ func (s *System) Route(req svc.Request) (*routing.Result, error) {
 		}
 		backoff *= 2
 	}
-}
-
-// routeClusters lists every cluster a resolved route depends on — the CSP's
-// provider clusters, the cluster of every hop proxy on the composed path,
-// and both endpoint clusters — so the cache entry goes stale exactly when
-// one of them advances. Duplicates are fine; the cache deduplicates.
-func (s *System) routeClusters(res *routing.Result, req svc.Request) []int {
-	out := []int{s.topo.ClusterOf(req.Source), s.topo.ClusterOf(req.Dest)}
-	for _, e := range res.CSP {
-		out = append(out, e.Cluster)
-	}
-	if res.Path != nil {
-		for _, h := range res.Path.Hops {
-			out = append(out, s.topo.ClusterOf(h.Node))
-		}
-	}
-	return out
 }
 
 // RouteCacheStats snapshots the route cache's counters; ok is false when
@@ -1280,32 +1263,39 @@ var _ routing.IntraSolver = (*rpcSolver)(nil)
 // SolveChild implements routing.IntraSolver.
 func (s *rpcSolver) SolveChild(child routing.ChildRequest) (*routing.Path, error) {
 	sys := s.n.sys
-	candidates := routing.ResolverCandidates(s.n.view, child)
+	// The failover list opens with the designated resolver, and almost every
+	// child is answered there: the rest of the list (2(K−1) border lookups
+	// for a foreign cluster) is built only once that first candidate has
+	// timed out or is already suspected.
+	candidates := []int{child.Resolver}
 	tried := 0
-	for ci, resolver := range candidates {
+	for ci := 0; ci < len(candidates); ci++ {
+		resolver := candidates[ci]
 		// The failure detector prunes known-dead candidates; the designated
 		// resolver is still attempted when every candidate looks dead, so
 		// detector false positives degrade to a timeout, not a wrong answer.
-		if s.n.view.Alive != nil && !s.n.view.Alive(resolver) {
-			continue
-		}
-		tried++
-		c := child
-		c.Resolver = resolver
-		path, err := s.solveAt(c)
-		if err == nil {
-			if ci > 0 {
-				sys.noteResolverFailover()
-			}
-			return path, nil
-		}
-		if !errors.Is(err, ErrRPCTimeout) {
-			// A semantic failure (no provider, unsatisfiable graph) is the
-			// same at every resolver — converged SCT_Ps agree — so failing
-			// over would only repeat it.
+		if s.n.view.Alive == nil || s.n.view.Alive(resolver) {
+			tried++
 			c := child
-			s.failedChild = &c
-			return nil, err
+			c.Resolver = resolver
+			path, err := s.solveAt(c)
+			if err == nil {
+				if ci > 0 {
+					sys.noteResolverFailover()
+				}
+				return path, nil
+			}
+			if !errors.Is(err, ErrRPCTimeout) {
+				// A semantic failure (no provider, unsatisfiable graph) is the
+				// same at every resolver — converged SCT_Ps agree — so failing
+				// over would only repeat it.
+				c := child
+				s.failedChild = &c
+				return nil, err
+			}
+		}
+		if ci == 0 {
+			candidates = routing.ResolverCandidates(s.n.view, child)
 		}
 	}
 	if tried == 0 {

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -65,6 +66,16 @@ type cacheEntry struct {
 	canonical string
 	value     any
 	stamps    []stamp
+}
+
+// answers is the collision guard: whether the entry was computed for the
+// request's graph, given as sg when the caller holds it unrendered, else as
+// its canonical form.
+func (e *cacheEntry) answers(canonical string, sg *svc.Graph) bool {
+	if sg != nil {
+		return sg.HasCanonical(e.canonical)
+	}
+	return e.canonical == canonical
 }
 
 // cacheShard is one independently locked segment of the cache. Each shard
@@ -152,15 +163,28 @@ func (c *RouteCache) NumShards() int { return len(c.shards) }
 //
 //hfc:hotpath budget=0
 func (c *RouteCache) Get(key CacheKey, canonical string) (any, bool) {
+	return c.lookup(key, canonical, nil)
+}
+
+// GetGraph is Get for a caller that holds the request's service graph and
+// has not rendered its canonical form: the collision guard compares sg
+// against the stored form in place (svc.Graph.HasCanonical), so a hit
+// allocates nothing. key.SG must be sg's fingerprint.
+//
+//hfc:hotpath budget=0
+func (c *RouteCache) GetGraph(key CacheKey, sg *svc.Graph) (any, bool) {
+	return c.lookup(key, "", sg)
+}
+
+// lookup is the one locked probe behind Get and GetGraph.
+//
+//hfc:hotpath budget=0
+func (c *RouteCache) lookup(key CacheKey, canonical string, sg *svc.Graph) (any, bool) {
 	sh := &c.shards[key.shard(len(c.shards))]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.entries[key]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	if e.canonical != canonical {
+	if !ok || !e.answers(canonical, sg) {
 		c.misses.Add(1)
 		return nil, false
 	}
@@ -204,17 +228,41 @@ func (c *RouteCache) Put(key CacheKey, canonical string, value any, clusters []i
 	if version != c.version.Load() {
 		return
 	}
-	e := &cacheEntry{canonical: canonical, value: value, stamps: make([]stamp, 0, len(clusters))}
-	seen := make(map[int]bool, len(clusters))
+	// clusters lists one id per CSP entry and path hop — some twenty for
+	// three or four distinct clusters — and the entry lives as long as the
+	// route: stamp the distinct ones in stack scratch, keep an exact copy.
+	var scratch [8]stamp
+	stamps := scratch[:0]
 	for _, cl := range clusters {
-		if seen[cl] {
-			continue
+		if !slices.ContainsFunc(stamps, func(s stamp) bool { return s.cluster == cl }) {
+			stamps = append(stamps, stamp{cluster: cl, round: sh.effectiveRoundLocked(cl)})
 		}
-		seen[cl] = true
-		e.stamps = append(e.stamps, stamp{cluster: cl, round: sh.effectiveRoundLocked(cl)})
 	}
+	e := &cacheEntry{canonical: canonical, value: value, stamps: make([]stamp, len(stamps))}
+	copy(e.stamps, stamps)
 	sh.entries[key] = e
 	c.stores.Add(1)
+}
+
+// RouteClusters lists every cluster a resolved route depends on, for Put to
+// stamp — both endpoint clusters, the CSP's provider clusters, and the
+// cluster of every hop proxy on the composed path — so the cache entry goes
+// stale exactly when one of them advances. Duplicates are fine; Put
+// deduplicates.
+func RouteClusters(res *Result, req svc.Request, clusterOf func(node int) int) []int {
+	var hops []Hop
+	if res.Path != nil {
+		hops = res.Path.Hops
+	}
+	out := make([]int, 0, 2+len(res.CSP)+len(hops))
+	out = append(out, clusterOf(req.Source), clusterOf(req.Dest))
+	for _, entry := range res.CSP {
+		out = append(out, entry.Cluster)
+	}
+	for _, h := range hops {
+		out = append(out, clusterOf(h.Node))
+	}
+	return out
 }
 
 // AdvanceRound bumps one cluster's state round, invalidating every cached

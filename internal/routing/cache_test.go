@@ -113,8 +113,9 @@ func TestRouteCacheStaleVersionPutDropped(t *testing.T) {
 }
 
 // TestRouteCacheCollisionGuard forces two graphs under one key (same
-// fingerprint slot) and checks the canonical string demotes the mismatch to
-// a miss rather than returning the wrong route.
+// fingerprint slot) and checks the canonical form demotes the mismatch to a
+// miss rather than returning the wrong route — through both doors, which
+// share one lookup: by rendered canonical string and by graph.
 func TestRouteCacheCollisionGuard(t *testing.T) {
 	c := NewRouteCache()
 	g1 := testGraph(t, "a", "b")
@@ -124,23 +125,72 @@ func TestRouteCacheCollisionGuard(t *testing.T) {
 	if _, ok := c.Get(key, g2.Canonical()); ok {
 		t.Fatal("canonical mismatch returned a cached route")
 	}
+	if _, ok := c.GetGraph(key, g2); ok {
+		t.Fatal("graph mismatch returned a cached route")
+	}
 	if got, ok := c.Get(key, g1.Canonical()); !ok || got != "g1-route" {
 		t.Fatalf("matching canonical Get = (%v, %v), want (g1-route, true)", got, ok)
 	}
+	if got, ok := c.GetGraph(key, g1); !ok || got != "g1-route" {
+		t.Fatalf("matching GetGraph = (%v, %v), want (g1-route, true)", got, ok)
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 2 {
+		t.Errorf("stats = %+v, want 2 hits and 2 misses: one outcome per probe, whichever door", st)
+	}
 }
 
+// TestRouteCacheGetGraphAllocatesNothing is the run-time pin on a cache hit
+// through the engine's door: the collision guard renders the request's graph
+// into stack scratch and compares in place.
+func TestRouteCacheGetGraphAllocatesNothing(t *testing.T) {
+	c := NewRouteCache()
+	g := testGraph(t, "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9")
+	key := NewCacheKey(3, 4, g)
+	c.Put(key, g.Canonical(), "route", []int{0, 1, 1, 2}, c.Version())
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := c.GetGraph(NewCacheKey(3, 4, g), g); !ok {
+			t.Fatal("miss on a stored key")
+		}
+	}); allocs != 0 {
+		t.Errorf("a cache hit by graph allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestRouteCacheDedupesStampClusters: an entry keeps one stamp per distinct
+// cluster in a slice of exactly that size, whether the distinct clusters fit
+// Put's stack scratch or spill it.
 func TestRouteCacheDedupesStampClusters(t *testing.T) {
 	c := NewRouteCache()
 	g := testGraph(t, "a", "b")
-	key := NewCacheKey(0, 1, g)
 	canon := g.Canonical()
-	c.Put(key, canon, "r", []int{1, 1, 2, 1, 2}, c.Version())
-	sh := &c.shards[key.shard(len(c.shards))]
-	sh.mu.Lock()
-	stamps := len(sh.entries[key].stamps)
-	sh.mu.Unlock()
-	if stamps != 2 {
-		t.Errorf("stored %d stamps for clusters {1,2}, want 2", stamps)
+	many := make([]int, 0, 60)
+	for i := 0; i < 60; i++ {
+		many = append(many, i%20)
+	}
+	for i, tc := range []struct {
+		clusters []int
+		want     int
+	}{
+		{[]int{1, 1, 2, 1, 2}, 2},
+		{nil, 0},
+		{many, 20},
+	} {
+		key := NewCacheKey(i, i+1, g)
+		c.Put(key, canon, "r", tc.clusters, c.Version())
+		sh := &c.shards[key.shard(len(c.shards))]
+		sh.mu.Lock()
+		stamps := sh.entries[key].stamps
+		sh.mu.Unlock()
+		if len(stamps) != tc.want || cap(stamps) != tc.want {
+			t.Errorf("clusters %v: stored %d stamps (cap %d), want exactly %d", tc.clusters, len(stamps), cap(stamps), tc.want)
+		}
+		seen := map[int]bool{}
+		for _, s := range stamps {
+			if seen[s.cluster] {
+				t.Errorf("clusters %v: cluster %d stamped twice", tc.clusters, s.cluster)
+			}
+			seen[s.cluster] = true
+		}
 	}
 }
 

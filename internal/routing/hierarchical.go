@@ -202,48 +202,57 @@ func (r *HierarchicalRouter) mode() RelaxMode {
 }
 
 // dissect splits the original request along the CSP into per-cluster child
-// requests (§5.1 step 3).
+// requests (§5.1 step 3): one child per maximal run of CSP entries mapped to
+// the same cluster, opened by the source cluster and closed by the
+// destination cluster. The children's Services are sub-slices of one
+// allocation.
 func (r *HierarchicalRouter) dissect(req svc.Request, csp []CSPEntry, srcCluster, destCluster int) ([]ChildRequest, error) {
-	type run struct {
-		cluster  int
-		services []svc.Service
-	}
-	runs := []run{{cluster: srcCluster}}
+	n, last := 1, srcCluster
 	for _, e := range csp {
-		cur := &runs[len(runs)-1]
-		if e.Cluster == cur.cluster {
-			cur.services = append(cur.services, req.SG.Services[e.SGVertex])
-			continue
+		if e.Cluster != last {
+			n, last = n+1, e.Cluster
 		}
-		runs = append(runs, run{cluster: e.Cluster, services: []svc.Service{req.SG.Services[e.SGVertex]}})
 	}
-	if runs[len(runs)-1].cluster != destCluster {
-		runs = append(runs, run{cluster: destCluster})
+	if last != destCluster {
+		n++
+	}
+	children := make([]ChildRequest, 1, n)
+	children[0].Cluster = srcCluster
+	services := make([]svc.Service, len(csp))
+	start := 0
+	for i, e := range csp {
+		services[i] = req.SG.Services[e.SGVertex]
+		if e.Cluster != children[len(children)-1].Cluster {
+			children = append(children, ChildRequest{Cluster: e.Cluster})
+			start = i
+		}
+		children[len(children)-1].Services = services[start : i+1 : i+1]
+	}
+	if last != destCluster {
+		children = append(children, ChildRequest{Cluster: destCluster})
 	}
 
-	children := make([]ChildRequest, len(runs))
-	for i, ru := range runs {
-		child := ChildRequest{Cluster: ru.cluster, Services: ru.services}
+	for i := range children {
+		child := &children[i]
 		if i == 0 {
 			child.Source = req.Source
 		} else {
-			src, _, err := r.View.Border(ru.cluster, runs[i-1].cluster)
+			src, _, err := r.View.Border(child.Cluster, children[i-1].Cluster)
 			if err != nil {
 				return nil, err
 			}
 			child.Source = src
 		}
-		if i == len(runs)-1 {
+		if i == len(children)-1 {
 			child.Dest = req.Dest
 		} else {
-			dst, _, err := r.View.Border(ru.cluster, runs[i+1].cluster)
+			dst, _, err := r.View.Border(child.Cluster, children[i+1].Cluster)
 			if err != nil {
 				return nil, err
 			}
 			child.Dest = dst
 		}
 		child.Resolver = child.Dest
-		children[i] = child
 	}
 	return children, nil
 }
@@ -255,7 +264,13 @@ func compose(children []ChildRequest, childPaths []*Path, view *hfc.NodeView) (*
 	if len(children) != len(childPaths) {
 		return nil, fmt.Errorf("routing: %d children but %d child paths", len(children), len(childPaths))
 	}
-	var hops []Hop
+	total := 0
+	for _, p := range childPaths {
+		if p != nil {
+			total += len(p.Hops)
+		}
+	}
+	hops := make([]Hop, 0, total)
 	cost := 0.0
 	for i, p := range childPaths {
 		if p == nil || len(p.Hops) == 0 {
@@ -288,9 +303,10 @@ func viewExternal(view *hfc.NodeView, a, b int) (float64, error) {
 // CompactHops removes serviceless hops that duplicate an adjacent hop's
 // node (artifacts of child-path concatenation); the endpoints' nodes are
 // always preserved because their neighbours share the node. It is the last
-// step of compose at every level of the hierarchy.
+// step of compose at every level of the hierarchy, on the concatenation
+// compose has just built: it compacts in place and returns a prefix of hops.
 func CompactHops(hops []Hop) []Hop {
-	out := make([]Hop, 0, len(hops))
+	out := hops[:0]
 	for i, h := range hops {
 		if h.Service == "" {
 			if len(out) > 0 && out[len(out)-1].Node == h.Node {

@@ -475,3 +475,21 @@ func TestRelaxModeString(t *testing.T) {
 		t.Error("invalid mode has empty String()")
 	}
 }
+
+// TestCompactHopsInPlace: serviceless hops that repeat a neighbour's node go,
+// everything else stays in order, and the result is a prefix of the argument's
+// backing array — compose hands over the concatenation it has just built.
+func TestCompactHopsInPlace(t *testing.T) {
+	hops := []Hop{{Node: 1}, {Node: 1, Service: "a"}, {Node: 1}, {Node: 2}, {Node: 2}, {Node: 3, Service: "b"}, {Node: 3}, {Node: 4}}
+	want := []Hop{{Node: 1, Service: "a"}, {Node: 2}, {Node: 3, Service: "b"}, {Node: 4}}
+	got := CompactHops(hops)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("CompactHops = %v, want %v", got, want)
+	}
+	if &got[0] != &hops[0] {
+		t.Error("CompactHops copied; it compacts in place")
+	}
+	if got := CompactHops(nil); len(got) != 0 {
+		t.Errorf("CompactHops(nil) = %v", got)
+	}
+}

@@ -17,10 +17,10 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -68,6 +68,14 @@ var ErrUnavailable = errors.New("serve: destination unavailable")
 type flightKey struct {
 	key     routing.CacheKey
 	version uint64
+}
+
+// knownGood is one last-known-good answer with the canonical form of the
+// service graph it answers: the store is keyed by the 64-bit fingerprint, and
+// a degraded answer must pass the same collision guard as a cached one.
+type knownGood struct {
+	canonical string
+	res       *routing.Result
 }
 
 // flightCall is one in-flight resolution; res and err are written exactly
@@ -119,7 +127,7 @@ type Engine struct {
 	// path is impossible. Cleared on capability updates — degraded serving
 	// promises stale-but-valid, and validity is against the deployment.
 	lkgMu sync.RWMutex
-	lkg   map[routing.CacheKey]*routing.Result // guarded by lkgMu
+	lkg   map[routing.CacheKey]knownGood // guarded by lkgMu
 
 	resolutions atomic.Int64
 	deduped     atomic.Int64
@@ -167,7 +175,7 @@ func NewEngine(topo *hfc.Topology, caps []svc.CapabilitySet, states []state.Node
 		views:       make([]atomic.Pointer[hfc.NodeView], topo.N()),
 		flight:      make(map[flightKey]*flightCall),
 		unavailable: make([]atomic.Bool, topo.N()),
-		lkg:         make(map[routing.CacheKey]*routing.Result),
+		lkg:         make(map[routing.CacheKey]knownGood),
 	}
 	e.solver.Exclude = e.IsUnavailable
 	e.solver.ExcludeAny = func() bool { return e.unavailN.Load() > 0 }
@@ -207,33 +215,35 @@ func (e *Engine) Resolve(req svc.Request) (*routing.Path, error) {
 // are answered from the route cache until an update invalidates a cluster
 // their path depends on. The returned result is shared and read-only.
 //
-//hfc:hotpath budget=3
+// req.SG is the caller's and may have changed since its last resolve, so
+// every call validates and fingerprints it afresh — in stack scratch: a
+// cache hit allocates nothing (TestEngineResolveHitAllocatesNothing).
+//
+//hfc:hotpath budget=0
 func (e *Engine) ResolveDetailed(req svc.Request) (*routing.Result, error) {
 	if err := req.Validate(e.topo.N()); err != nil {
 		return nil, err
 	}
-	canonical := req.SG.Canonical()
-	key := routing.NewCacheKeyCanonical(req.Source, req.Dest, canonical)
-	return e.resolveKeyed(req, key, canonical)
+	return e.resolveKeyed(req, routing.NewCacheKey(req.Source, req.Dest, req.SG))
 }
 
 // resolveKeyed is resolution past validation and cache-key construction:
 // the degraded check, cache lookup, in-flight dedup, and computation.
-// Callers guarantee req is valid and (key, canonical) match req.
+// Callers guarantee req is valid and key is req's.
 //
 //hfc:hotpath budget=3
-func (e *Engine) resolveKeyed(req svc.Request, key routing.CacheKey, canonical string) (*routing.Result, error) {
+func (e *Engine) resolveKeyed(req svc.Request, key routing.CacheKey) (*routing.Result, error) {
 	if e.unavailable[req.Dest].Load() {
 		// The destination resolver is unreachable, so a fresh §5
 		// computation (which that proxy would perform) is impossible.
 		// Serve the last-known-good route tagged degraded — stale may be
 		// slower, never wrong — or report the outage.
-		if res := e.degradedResult(key); res != nil {
+		if res := e.degradedResult(key, req.SG); res != nil {
 			return res, nil
 		}
 		return nil, ErrUnavailable
 	}
-	if v, ok := e.cache.Get(key, canonical); ok {
+	if v, ok := e.cache.GetGraph(key, req.SG); ok {
 		return v.(*routing.Result), nil
 	}
 	version := e.cache.Version()
@@ -256,12 +266,12 @@ func (e *Engine) resolveKeyed(req svc.Request, key routing.CacheKey, canonical s
 	e.flight[fk] = c
 	e.flightMu.Unlock()
 
-	c.res, c.err = e.compute(req, key, canonical, version)
+	c.res, c.err = e.compute(req, key, version)
 	if c.err != nil && e.unavailN.Load() > 0 {
 		// Resolution failed while nodes are marked unavailable — likely
 		// every provider of some service sits behind the partition. Fall
 		// back to the last-known-good route; waiters share the copy.
-		if res := e.degradedResult(key); res != nil {
+		if res := e.degradedResult(key, req.SG); res != nil {
 			c.res, c.err = res, nil
 		}
 	}
@@ -275,8 +285,9 @@ func (e *Engine) resolveKeyed(req svc.Request, key routing.CacheKey, canonical s
 // compute performs the full hierarchical resolution under the state read
 // lock and publishes the result to the cache (unless an invalidation
 // overtook the computation — then the cache drops it and only this call's
-// waiters see the result).
-func (e *Engine) compute(req svc.Request, key routing.CacheKey, canonical string, version uint64) (*routing.Result, error) {
+// waiters see the result). The canonical form is rendered here, once per
+// miss, for the cache entry and the last-known-good store to share.
+func (e *Engine) compute(req svc.Request, key routing.CacheKey, version uint64) (*routing.Result, error) {
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
 	view, err := e.view(req.Dest)
@@ -296,33 +307,36 @@ func (e *Engine) compute(req svc.Request, key routing.CacheKey, canonical string
 	if err != nil {
 		return nil, err
 	}
-	e.cache.Put(key, canonical, res, e.routeClusters(res, req), version)
-	e.storeLKG(key, res)
+	canonical := req.SG.Canonical()
+	e.cache.Put(key, canonical, res, routing.RouteClusters(res, req, e.topo.ClusterOf), version)
+	e.storeLKG(key, canonical, res)
 	return res, nil
 }
 
 // storeLKG records a successful fresh result as the last-known-good answer
 // for its key. Degraded results never re-enter the store.
-func (e *Engine) storeLKG(key routing.CacheKey, res *routing.Result) {
+func (e *Engine) storeLKG(key routing.CacheKey, canonical string, res *routing.Result) {
 	if res == nil || res.Degraded {
 		return
 	}
 	e.lkgMu.Lock()
-	e.lkg[key] = res
+	e.lkg[key] = knownGood{canonical: canonical, res: res}
 	e.lkgMu.Unlock()
 }
 
 // degradedResult returns a degraded-tagged copy of the last-known-good
-// result for key (nil if none exists), counting the degraded serve. The
-// stored result stays untouched — callers own the copy's top level.
-func (e *Engine) degradedResult(key routing.CacheKey) *routing.Result {
+// result for (key, sg) — nil if none exists, or if what sits under key
+// answers a different graph with the same fingerprint — counting the
+// degraded serve. The stored result stays untouched — callers own the copy's
+// top level.
+func (e *Engine) degradedResult(key routing.CacheKey, sg *svc.Graph) *routing.Result {
 	e.lkgMu.RLock()
-	res, ok := e.lkg[key]
+	known, ok := e.lkg[key]
 	e.lkgMu.RUnlock()
-	if !ok {
+	if !ok || !sg.HasCanonical(known.canonical) {
 		return nil
 	}
-	cp := *res
+	cp := *known.res
 	cp.Degraded = true
 	e.degraded.Add(1)
 	return &cp
@@ -367,23 +381,6 @@ func (e *Engine) UnavailableNodes() []int {
 	return out
 }
 
-// routeClusters lists every cluster a resolved route depends on — both
-// endpoint clusters, the CSP's provider clusters, and the cluster of every
-// hop proxy on the composed path — so the cache entry goes stale exactly
-// when one of them advances. Duplicates are fine; the cache deduplicates.
-func (e *Engine) routeClusters(res *routing.Result, req svc.Request) []int {
-	out := []int{e.topo.ClusterOf(req.Source), e.topo.ClusterOf(req.Dest)}
-	for _, entry := range res.CSP {
-		out = append(out, entry.Cluster)
-	}
-	if res.Path != nil {
-		for _, h := range res.Path.Hops {
-			out = append(out, e.topo.ClusterOf(h.Node))
-		}
-	}
-	return out
-}
-
 // batchGroup is one distinct request within a batch: the representative
 // request, every batch position that asked for it, and the resolution
 // artifacts computed once for the whole group. Groups sharing a service
@@ -396,7 +393,6 @@ type batchGroup struct {
 	next        int32
 	destCluster int
 	key         routing.CacheKey
-	canonical   string
 	res         *routing.Result
 	err         error
 }
@@ -446,8 +442,9 @@ func (e *Engine) ResolveBatch(reqs []svc.Request, workers int) ([]*routing.Path,
 // as a loop over ResolveDetailed would, but with the per-request overhead
 // amortized across the batch:
 //
-//   - service graphs are canonicalized once per distinct *svc.Graph, not
-//     once per request (streams cycling a request pool share graph values);
+//   - service graphs are validated and fingerprinted once per distinct
+//     request, not once per batch position (streams cycling a request pool
+//     share graph values);
 //   - identical requests are grouped by cache key and resolved once, the
 //     shared read-only result scattered to every position — no flight-map
 //     round trip per duplicate;
@@ -461,7 +458,7 @@ func (e *Engine) ResolveBatch(reqs []svc.Request, workers int) ([]*routing.Path,
 // Stats.Deduped (it never enters the flight map); concurrent callers outside
 // the batch dedup against it as usual.
 //
-//hfc:hotpath budget=6
+//hfc:hotpath budget=5
 func (e *Engine) ResolveBatchDetailed(reqs []svc.Request, workers int) ([]*routing.Result, []error) {
 	results := make([]*routing.Result, len(reqs))
 	errs := make([]error, len(reqs))
@@ -494,7 +491,7 @@ func (e *Engine) ResolveBatchDetailed(reqs []svc.Request, workers int) ([]*routi
 		sc.bySG[req.SG] = sc.appendGroup(*req, i)
 	}
 	// Per-group front matter, once per distinct request instead of once per
-	// batch position: validation, canonicalization, cache-key hashing.
+	// batch position: validation and cache-key hashing.
 	n := e.topo.N()
 	for gi := range sc.order {
 		g := &sc.order[gi]
@@ -503,8 +500,7 @@ func (e *Engine) ResolveBatchDetailed(reqs []svc.Request, workers int) ([]*routi
 			continue
 		}
 		g.destCluster = e.topo.ClusterOf(g.req.Dest)
-		g.canonical = g.req.SG.Canonical()
-		g.key = routing.NewCacheKeyCanonical(g.req.Source, g.req.Dest, g.canonical)
+		g.key = routing.NewCacheKey(g.req.Source, g.req.Dest, g.req.SG)
 	}
 	// Deterministic, locality-friendly resolution order regardless of the
 	// batch's arrival order: consecutive groups on a worker share the same
@@ -527,14 +523,15 @@ func (e *Engine) ResolveBatchDetailed(reqs []svc.Request, workers int) ([]*routi
 		if ga.req.Source != gb.req.Source {
 			return ga.req.Source - gb.req.Source
 		}
-		return strings.Compare(ga.canonical, gb.canonical)
+		// Same endpoints, different graphs: any fixed order serves.
+		return cmp.Or(cmp.Compare(ga.key.SG, gb.key.SG), cmp.Compare(a, b))
 	})
 	par.ForN(len(sc.perm), workers, func(j int) {
 		g := &sc.order[sc.perm[j]]
 		if g.err != nil {
 			return
 		}
-		g.res, g.err = e.resolveKeyed(g.req, g.key, g.canonical)
+		g.res, g.err = e.resolveKeyed(g.req, g.key)
 	})
 	for gi := range sc.order {
 		g := &sc.order[gi]
@@ -542,7 +539,7 @@ func (e *Engine) ResolveBatchDetailed(reqs []svc.Request, workers int) ([]*routi
 			results[i], errs[i] = g.res, g.err
 		}
 		// Drop result references before pooling; keep idxs capacity.
-		g.res, g.err, g.req, g.canonical = nil, nil, svc.Request{}, ""
+		g.res, g.err, g.req = nil, nil, svc.Request{}
 	}
 	batchPool.Put(sc)
 	return results, errs

@@ -10,6 +10,7 @@ package svc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -168,8 +169,11 @@ type Graph struct {
 // Linear builds the SG s0 → s1 → … for the given sequence.
 func Linear(services ...Service) (*Graph, error) {
 	g := &Graph{Services: append([]Service(nil), services...)}
-	for i := 0; i+1 < len(services); i++ {
-		g.Edges = append(g.Edges, [2]int{i, i + 1})
+	if len(services) > 1 {
+		g.Edges = make([][2]int, len(services)-1)
+		for i := range g.Edges {
+			g.Edges[i] = [2]int{i, i + 1}
+		}
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -177,58 +181,101 @@ func Linear(services ...Service) (*Graph, error) {
 	return g, nil
 }
 
+// stackServices and stackEdges bound the graphs Validate checks in stack
+// scratch (the paper's requests name at most ~12 services); above either it
+// takes the same scratch from the heap, with identical results.
+const (
+	stackServices = 32
+	stackEdges    = 64
+)
+
 // Validate checks structural sanity: at least one service, unique non-empty
-// names, in-range acyclic edges.
+// names, in-range acyclic edges. Every resolve entry point calls it on a
+// caller-owned graph whose fields may have changed since the last call, so
+// it keeps no memo; on the success path it does not allocate (pinned by
+// TestGraphFrontMatterAllocatesNothing).
+//
+//hfc:hotpath budget=0
 func (g *Graph) Validate() error {
 	if g == nil {
 		return errors.New("svc: nil service graph")
 	}
-	n := len(g.Services)
+	n, m := len(g.Services), len(g.Edges)
 	if n == 0 {
 		return errors.New("svc: empty service graph")
 	}
-	seen := make(map[Service]bool, n)
+	// Unique names: pairwise on the stack path, a set above it.
+	var seen map[Service]bool
+	if n > stackServices {
+		//hfcvet:ignore hotalloc heap fallback above the stack bound
+		seen = make(map[Service]bool, n)
+	}
 	for i, s := range g.Services {
 		if s == "" {
+			//hfcvet:ignore hotalloc error path: a rejected graph is not resolved
 			return fmt.Errorf("svc: service %d has empty name", i)
 		}
-		if seen[s] {
+		var dup bool
+		if seen != nil {
+			dup, seen[s] = seen[s], true
+		} else {
+			dup = slices.Contains(g.Services[:i], s)
+		}
+		if dup {
+			//hfcvet:ignore hotalloc error path: a rejected graph is not resolved
 			return fmt.Errorf("svc: duplicate service %q in graph", s)
 		}
-		seen[s] = true
 	}
-	adj := make([][]int, n)
-	indeg := make([]int, n)
+	// One scratch block carved into the CSR row starts (n+1), the indegrees
+	// (n), Kahn's queue (n) and the CSR edge heads (m).
+	var stack [3*stackServices + 1 + stackEdges]int32
+	scratch := stack[:]
+	if n > stackServices || m > stackEdges {
+		//hfcvet:ignore hotalloc heap fallback above the stack bound
+		scratch = make([]int32, 3*n+1+m)
+	}
+	start, indeg, queue, heads := scratch[:n+1], scratch[n+1:2*n+1], scratch[2*n+1:3*n+1], scratch[3*n+1:3*n+1+m]
 	for _, e := range g.Edges {
 		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
+			//hfcvet:ignore hotalloc error path: a rejected graph is not resolved
 			return fmt.Errorf("svc: edge %v out of range [0,%d)", e, n)
 		}
 		if e[0] == e[1] {
+			//hfcvet:ignore hotalloc error path: a rejected graph is not resolved
 			return fmt.Errorf("svc: self-loop on service %q", g.Services[e[0]])
 		}
-		adj[e[0]] = append(adj[e[0]], e[1])
+		start[e[0]+1]++
 		indeg[e[1]]++
 	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	// Row v of the CSR is heads[start[v]:start[v+1]]. Until Kahn needs it,
+	// the queue holds each row's fill cursor.
+	copy(queue, start[:n])
+	for _, e := range g.Edges {
+		heads[queue[e[0]]] = int32(e[1])
+		queue[e[0]]++
+	}
 	// Kahn's algorithm detects cycles.
-	queue := make([]int, 0, n)
+	tail := 0
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
-			queue = append(queue, v)
+			queue[tail] = int32(v)
+			tail++
 		}
 	}
-	visited := 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		visited++
-		for _, v := range adj[u] {
+	for head := 0; head < tail; head++ {
+		u := queue[head]
+		for _, v := range heads[start[u]:start[u+1]] {
 			indeg[v]--
 			if indeg[v] == 0 {
-				queue = append(queue, v)
+				queue[tail] = v
+				tail++
 			}
 		}
 	}
-	if visited != n {
+	if tail != n {
 		return errors.New("svc: service graph contains a cycle")
 	}
 	return nil
