@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-seam lint-view vet bench bench-full bench-compare bench-scale chaos sim fmt
+.PHONY: all build test race lint lint-seam lint-view lint-solve vet bench bench-full bench-compare bench-scale chaos sim fmt
 
 # Output snapshot for the regression-gate benchmarks (see cmd/benchgate).
-BENCH_OUT ?= BENCH_pr17.json
+BENCH_OUT ?= BENCH_pr18.json
 
 all: build test lint
 
@@ -29,6 +29,7 @@ lint:
 	$(GO) run ./cmd/hfcvet ./...
 	$(MAKE) lint-seam
 	$(MAKE) lint-view
+	$(MAKE) lint-solve
 
 # lint-seam enforces the overlay's delivery seam: outside the event driver
 # and the Simulate harness, no non-test file of internal/overlay may name
@@ -41,6 +42,16 @@ lint-seam:
 # that count Fig. 9(a) state and for tests.
 lint-view:
 	! grep -nE '\.View\(' internal/serve/*.go internal/core/*.go internal/qos/*.go internal/routing/*.go | grep -v _test.go
+
+# lint-solve keeps §5 written once, in routing: the overlay runtime and the
+# QoS router hand a child to routing.IntraSolve rather than turning it into a
+# request themselves, and mlhfc resolves through routing.HierarchicalRouter
+# over an hfc.Topology of groups rather than keeping a label table, a
+# topological sort or a super-border election of its own (those live on as
+# the oracle in internal/mlhfc/oracle_test.go).
+lint-solve:
+	! grep -nE 'svc\.Linear\(' $$(ls internal/overlay/*.go internal/qos/*.go | grep -v _test.go)
+	! grep -nE 'labels|indeg|ClosestPairIndexed|superBorder' $$(ls internal/mlhfc/*.go | grep -v _test.go)
 
 # vet is the machine-readable variant: the registered-analyzer roster
 # followed by the full suite with -json diagnostics (one JSON object per

@@ -15,8 +15,8 @@
 //   - Function literals launched with `go` or `defer` start with an
 //     empty held set (they run in another goroutine / after unlock).
 //     Other function literals inherit the current held set: in this
-//     codebase closures built under a lock (e.g. the providers callback
-//     in overlay.solveChildLocal) are invoked synchronously while the
+//     codebase closures built under a lock (a callback handed to a search
+//     that returns before the unlock) are invoked synchronously while the
 //     lock is still held.
 //
 // Mutexes are identified by the printed form of the receiver expression

@@ -322,13 +322,6 @@ func (e *Engine) Summary() []string {
 	return out
 }
 
-// ResetCounters clears the per-link counters (not the active faults).
-func (e *Engine) ResetCounters() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.links = make(map[linkKey]*linkCounters)
-}
-
 // splitmix64 is the standard 64-bit mixer (Steele et al.) — tiny, fast, and
 // good enough to decorrelate the per-message draws.
 func splitmix64(x uint64) uint64 {

@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"hfc/internal/overlay"
 )
@@ -71,19 +70,6 @@ type Runner struct {
 	// waits for ConvergedLive (default 15). Hitting the cap is reported,
 	// not an error: a schedule that never heals is allowed to end diverged.
 	ReconvergeCap int
-
-	// progressMu guards the live progress cursor below; monitors of long
-	// chaos soaks read it through Progress while Run drives rounds.
-	progressMu sync.Mutex
-	round      int // guarded by progressMu
-}
-
-// Progress reports the protocol round the runner is currently driving, 0
-// before Run reaches its first round. Safe to call concurrently with Run.
-func (r *Runner) Progress() int {
-	r.progressMu.Lock()
-	defer r.progressMu.Unlock()
-	return r.round
 }
 
 // Report is the outcome of one Runner.Run.
@@ -124,9 +110,6 @@ func (r *Runner) Run() (*Report, error) {
 
 	rep := &Report{ReconvergeRounds: -1}
 	for round := 1; round <= last+cap; round++ {
-		r.progressMu.Lock()
-		r.round = round
-		r.progressMu.Unlock()
 		for _, ev := range byRound[round] {
 			// Heals before injects (the stable sort above): a same-round
 			// heal+inject of one ID is a reconfiguration, not a collision.

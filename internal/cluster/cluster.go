@@ -88,7 +88,7 @@ type Config struct {
 	// (geo.Auto) uses the k-d engine when Points are present, finite, and
 	// the node set is large enough to amortize tree construction, falling
 	// back to the O(n²) scans otherwise; geo.Brute forces the scans; an
-	// explicit geo.KDTree or geo.Grid requires Points.
+	// explicit geo.KDTree requires Points.
 	Index geo.Strategy
 }
 

@@ -47,7 +47,7 @@ func FuzzGeoIndex(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, strat := range []geo.Strategy{geo.KDTree, geo.Grid} {
+		for _, strat := range []geo.Strategy{geo.KDTree} {
 			idx, err := geo.NewIndex(pts, nil, strat)
 			if err != nil {
 				t.Fatal(err)
@@ -90,7 +90,7 @@ func FuzzGeoIndex(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, strat := range []geo.Strategy{geo.KDTree, geo.Grid} {
+		for _, strat := range []geo.Strategy{geo.KDTree} {
 			got, err := geo.ClosestPair(pts, a, b, strat)
 			if err != nil {
 				t.Fatal(err)

@@ -1,9 +1,8 @@
 // Package geo is the spatial-index geometric engine behind the
-// sub-quadratic construction paths: a k-d tree and a uniform-grid fallback
-// over embedded GNP points (internal/coords) answering nearest-neighbour,
-// k-NN, range, and bichromatic closest-pair queries, plus a Borůvka
-// Euclidean-MST builder for Zahn's clustering (§3.2) and the §3.3 border
-// elections.
+// sub-quadratic construction paths: a k-d tree over embedded GNP points
+// (internal/coords) answering nearest-neighbour, k-NN, range, and
+// bichromatic closest-pair queries, plus a Borůvka Euclidean-MST builder for
+// Zahn's clustering (§3.2) and the §3.3 border elections.
 //
 // Every query is exact, not approximate: candidate distances are computed
 // with coords.Dist — the same call the brute-force scans make — and
@@ -38,9 +37,6 @@ const (
 	Brute
 	// KDTree is a bucketed k-d tree with bounding-box pruning.
 	KDTree
-	// Grid is a uniform-grid fallback with ring search; it degrades more
-	// gracefully than the k-d tree on heavily duplicated point sets.
-	Grid
 )
 
 // String returns a short label for the strategy.
@@ -52,8 +48,6 @@ func (s Strategy) String() string {
 		return "brute"
 	case KDTree:
 		return "kdtree"
-	case Grid:
-		return "grid"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
@@ -150,8 +144,6 @@ func NewIndex(pts []coords.Point, members []int, strat Strategy) (Index, error) 
 		return &bruteIndex{pts: pts, members: members}, nil
 	case KDTree:
 		return newKDTree(pts, members, dim), nil
-	case Grid:
-		return newGridIndex(pts, members, dim), nil
 	case Auto:
 		if len(members) < autoBruteCutover {
 			return &bruteIndex{pts: pts, members: members}, nil

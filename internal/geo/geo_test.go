@@ -121,7 +121,7 @@ func pointSets(rng *rand.Rand, n, dim int) map[string][]coords.Point {
 	}
 }
 
-var allStrategies = []geo.Strategy{geo.Brute, geo.KDTree, geo.Grid}
+var allStrategies = []geo.Strategy{geo.Brute, geo.KDTree}
 
 func TestIndexMatchesReference(t *testing.T) {
 	for _, n := range []int{1, 7, 60, 300} {
@@ -305,7 +305,7 @@ func TestNewIndexValidation(t *testing.T) {
 
 func TestStrategyString(t *testing.T) {
 	for s, want := range map[geo.Strategy]string{
-		geo.Auto: "auto", geo.Brute: "brute", geo.KDTree: "kdtree", geo.Grid: "grid",
+		geo.Auto: "auto", geo.Brute: "brute", geo.KDTree: "kdtree",
 	} {
 		if got := s.String(); got != want {
 			t.Errorf("Strategy(%d).String()=%q want %q", int(s), got, want)

@@ -24,9 +24,8 @@ const mstBruteCutover = 64
 // the edge set of the dense Prim scan; the property tests assert the
 // DeepEqual.
 //
-// Brute selects the dense Prim scan; every indexed strategy runs Borůvka
-// rounds over a component-annotated k-d tree (the grid has no component
-// annotation, so Grid also uses the tree here). Points must be finite and
+// Brute selects the dense Prim scan; every other strategy runs Borůvka
+// rounds over a component-annotated k-d tree. Points must be finite and
 // share one dimension.
 func MST(pts []coords.Point, strat Strategy) ([]graph.Edge, error) {
 	n := len(pts)

@@ -50,9 +50,6 @@ func (g *Graph) N() int { return g.n }
 // M returns the number of edges (arcs for directed graphs).
 func (g *Graph) M() int { return g.numEdges }
 
-// Directed reports whether the graph is directed.
-func (g *Graph) Directed() bool { return g.directed }
-
 // AddEdge inserts an edge (or arc) from u to v with weight w. It returns an
 // error if either endpoint is out of range or the weight is negative or NaN.
 // Parallel edges are permitted; shortest-path algorithms simply consider all

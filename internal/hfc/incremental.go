@@ -147,28 +147,6 @@ func (d *Dynamic) Border(a, b int) (inA, inB int, ok bool) {
 	return pair.High, pair.Low, true
 }
 
-// BackupBorders returns the live ranked backup pairs between two distinct
-// clusters, each oriented as {inA, inB}.
-func (d *Dynamic) BackupBorders(a, b int) [][2]int {
-	if a == b || a < 0 || b < 0 || a >= len(d.members) || b >= len(d.members) {
-		return nil
-	}
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	pairs := d.backups[[2]int{lo, hi}]
-	out := make([][2]int, len(pairs))
-	for i, p := range pairs {
-		if a == lo {
-			out[i] = [2]int{p.Low, p.High}
-		} else {
-			out[i] = [2]int{p.High, p.Low}
-		}
-	}
-	return out
-}
-
 // touches reports whether node appears as an endpoint of the pair's current
 // primary or backup borders.
 func (d *Dynamic) touches(key [2]int, node int) bool {

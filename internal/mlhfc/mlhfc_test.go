@@ -1,7 +1,10 @@
 package mlhfc
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -344,4 +347,95 @@ func allOf(n int) []int {
 		out[i] = i
 	}
 	return out
+}
+
+// TestRouteMatchesGroupLevelOracle holds Route — routing.HierarchicalRouter
+// over the super tier — to the resolve this package used to run itself
+// (oracle_test.go): over seeded tri-level worlds with detected and fixed
+// fan-out groupings, sparse and dense deployments, linear chains and DAG
+// requests, the two agree on the group-level path, the children, every hop
+// and the bits of the cost, and fail on the same requests with the same class
+// of error.
+func TestRouteMatchesGroupLevelOracle(t *testing.T) {
+	const worlds, requests = 40, 60
+	routed, failed := 0, 0
+	for seed := int64(0); seed < worlds; seed++ {
+		rng := rand.New(rand.NewSource(1000 + seed))
+		cmap := triWorld(t, rng, 2+rng.Intn(4), 2+rng.Intn(3), 4+rng.Intn(4))
+		cfg := DefaultConfig()
+		if seed%2 == 1 {
+			cfg.TargetGroups = 2 + rng.Intn(4)
+		}
+		topo, err := Build(cmap, cfg)
+		if err != nil {
+			t.Fatalf("world %d: Build: %v", seed, err)
+		}
+		cat, err := svc.NewCatalog(16 + 8*int(seed%3))
+		if err != nil {
+			t.Fatalf("world %d: NewCatalog: %v", seed, err)
+		}
+		// One or two services per node leaves part of a large catalog
+		// undeployed, so some requests name a service nobody offers.
+		caps, err := svc.RandomCapabilities(rng, cmap.N(), cat, 1, 1+int(seed%4))
+		if err != nil {
+			t.Fatalf("world %d: RandomCapabilities: %v", seed, err)
+		}
+		states, err := Distribute(topo, caps)
+		if err != nil {
+			t.Fatalf("world %d: Distribute: %v", seed, err)
+		}
+		for i := 0; i < requests; i++ {
+			var req svc.Request
+			if i%3 == 2 {
+				req, err = svc.RandomDAGRequest(rng, cat, cmap.N(), 2, 1+rng.Intn(2), 1+rng.Intn(2))
+			} else {
+				req, err = svc.RandomLinearRequest(rng, cat, cmap.N(), 1, 6)
+			}
+			if err != nil {
+				t.Fatalf("world %d request %d: %v", seed, i, err)
+			}
+			want, wantErr := routeOracle(topo, states, req)
+			got, gotErr := Route(topo, states, req)
+			if wantErr != nil || gotErr != nil {
+				failed++
+				for _, class := range []error{routing.ErrNoProviders, routing.ErrInfeasible} {
+					if errors.Is(wantErr, class) != errors.Is(gotErr, class) {
+						t.Fatalf("world %d request %d: Route: %v, oracle: %v", seed, i, gotErr, wantErr)
+					}
+				}
+				if wantErr == nil || gotErr == nil {
+					t.Fatalf("world %d request %d: Route: %v, oracle: %v", seed, i, gotErr, wantErr)
+				}
+				continue
+			}
+			routed++
+			if len(got.GSP) != len(want.GSP) {
+				t.Fatalf("world %d request %d: GSP %v, oracle %v", seed, i, got.GSP, want.GSP)
+			}
+			for j, e := range want.GSP {
+				if got.GSP[j].SGVertex != e.SGVertex || got.GSP[j].Cluster != e.Group {
+					t.Fatalf("world %d request %d: GSP %v, oracle %v", seed, i, got.GSP, want.GSP)
+				}
+			}
+			if len(got.Children) != len(want.Children) {
+				t.Fatalf("world %d request %d: children %v, oracle %v", seed, i, got.Children, want.Children)
+			}
+			for j, c := range want.Children {
+				g := got.Children[j]
+				if g.Cluster != c.Group || g.Source != c.Source || g.Dest != c.Dest || !slices.Equal(g.Services, c.Services) {
+					t.Fatalf("world %d request %d child %d: %+v, oracle %+v", seed, i, j, g, c)
+				}
+			}
+			if !slices.Equal(got.Path.Hops, want.Path.Hops) {
+				t.Fatalf("world %d request %d: path %v, oracle %v", seed, i, got.Path, want.Path)
+			}
+			if math.Float64bits(got.Path.DecisionCost) != math.Float64bits(want.Path.DecisionCost) {
+				t.Fatalf("world %d request %d: cost %v, oracle %v", seed, i, got.Path.DecisionCost, want.Path.DecisionCost)
+			}
+		}
+	}
+	t.Logf("%d worlds x %d requests: %d routed identically, %d failed alike", worlds, requests, routed, failed)
+	if routed < worlds*requests/2 || failed == 0 {
+		t.Errorf("mix is one-sided: %d routed, %d failed", routed, failed)
+	}
 }

@@ -7,11 +7,12 @@ import (
 	"hfc/internal/par/partest"
 )
 
-// TestBuildBitIdenticalAcrossPools: the three fan-outs of
-// BuildFromGrouping — interior HFC per group (each fanning out again
-// inside hfc.Build), one spatial index per group, one super-border scan per
-// group pair — give the same groups, the same interior topologies and the
-// same super-border table under every pool size.
+// TestBuildBitIdenticalAcrossPools: the fan-outs of BuildFromGrouping —
+// interior HFC per group (each fanning out again inside hfc.Build) and the
+// super tier's own hfc.Build over the groups, one election per group pair —
+// give the same groups, the same interior topologies and the same super tier
+// (EachPool compares the whole Topology, super included) under every pool
+// size.
 func TestBuildBitIdenticalAcrossPools(t *testing.T) {
 	cmap := triWorld(t, rand.New(rand.NewSource(9)), 5, 4, 8)
 	topo := partest.EachPool(t, 0, func(*rand.Rand) (*Topology, error) {

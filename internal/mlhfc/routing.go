@@ -3,40 +3,31 @@ package mlhfc
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"hfc/internal/routing"
+	"hfc/internal/state"
 	"hfc/internal/svc"
 )
 
-// GroupChild is one piece of a request dissected at the super level: a run
-// of consecutive services mapped to the same group, with group-internal
-// endpoints (super-border nodes except at the original endpoints).
-type GroupChild struct {
-	// Group is the super-cluster resolving this child.
-	Group int
-	// Source and Dest are GLOBAL node indices inside Group.
-	Source, Dest int
-	// Services is the linear run to place.
-	Services []svc.Service
-}
-
 // Result carries the tri-level routing outcome.
 type Result struct {
-	// GSP is the group-level service path: (SG vertex, group) in order.
-	GSP []struct{ SGVertex, Group int }
-	// Children are the per-group child requests.
-	Children []GroupChild
+	// GSP is the group-level service path: each service-graph vertex with
+	// the group (the entry's Cluster) chosen to provide it, in order.
+	GSP []routing.CSPEntry
+	// Children are the per-group child requests the GSP was dissected into;
+	// Cluster is the group and the endpoints are global node indices,
+	// super-border nodes except at the original endpoints.
+	Children []routing.ChildRequest
 	// Path is the final composed concrete path (global indices).
 	Path *routing.Path
 }
 
-// Route resolves req with three-phase divide-and-conquer: (1) the
-// destination node maps the request onto groups using the super-aggregates
-// and a back-tracking relax over super-border distances; (2) the request is
-// dissected into per-group children; (3) each child is resolved by the
-// unchanged §5 bi-level hierarchical router inside its group, and the
-// answers compose.
+// Route resolves req with the §5 divide-and-conquer run one level up: the
+// destination node is a routing.HierarchicalRouter whose clusters are the
+// groups — its view is the super tier's, its SCT_C the super-aggregates — so
+// the group-level search, the dissection at super-border pairs and the
+// composition are routing's, and each per-group child is resolved by the same
+// router over the group's interior.
 func Route(t *Topology, states *States, req svc.Request) (*Result, error) {
 	if t == nil || states == nil {
 		return nil, errors.New("mlhfc: nil topology or states")
@@ -44,239 +35,37 @@ func Route(t *Topology, states *States, req svc.Request) (*Result, error) {
 	if err := req.Validate(t.N()); err != nil {
 		return nil, err
 	}
-	gs, gd := t.GroupOf(req.Source), t.GroupOf(req.Dest)
-
-	gsp, err := groupLevelPath(t, states, req, gs, gd)
+	view, err := t.super.SharedView(req.Dest)
 	if err != nil {
 		return nil, err
 	}
-	children, err := dissect(t, req, gsp, gs, gd)
+	router := routing.HierarchicalRouter{
+		View:            view,
+		State:           &state.NodeState{Node: req.Dest, SCTC: states.Super},
+		Intra:           &groupSolver{topo: t, states: states},
+		ClusterOfSource: t.GroupOf,
+		Mode:            routing.RelaxBacktrack,
+	}
+	res, err := router.Route(req)
 	if err != nil {
 		return nil, err
 	}
-
-	var hops []routing.Hop
-	cost := 0.0
-	for i, child := range children {
-		p, err := solveGroupChild(t, states, child)
-		if err != nil {
-			return nil, fmt.Errorf("mlhfc: child %d (group %d): %w", i, child.Group, err)
-		}
-		hops = append(hops, p.Hops...)
-		cost += p.DecisionCost
-		if i+1 < len(children) {
-			u, v, err := t.SuperBorder(child.Group, children[i+1].Group)
-			if err != nil {
-				return nil, err
-			}
-			cost += t.Dist(u, v)
-		}
-	}
-	res := &Result{GSP: gsp, Children: children, Path: &routing.Path{Hops: routing.CompactHops(hops), DecisionCost: cost}}
-	return res, nil
+	return &Result{GSP: res.CSP, Children: res.Children, Path: res.Path}, nil
 }
 
-// groupLevelPath is the phase-1 search: the super-level analogue of §5.1
-// step 2, with labels carrying the super-border entry node.
-func groupLevelPath(t *Topology, states *States, req svc.Request, gs, gd int) ([]struct{ SGVertex, Group int }, error) {
-	sg := req.SG
-	nv := sg.Len()
-	cands := make([][]int, nv)
-	for v := 0; v < nv; v++ {
-		cands[v] = states.GroupsProviding(sg.Services[v])
-		if len(cands[v]) == 0 {
-			return nil, fmt.Errorf("mlhfc: service %q: %w", sg.Services[v], routing.ErrNoProviders)
-		}
-	}
-	order, err := sgTopo(sg)
-	if err != nil {
-		return nil, err
-	}
-	edgesByTail := make([][]int, nv)
-	for _, e := range sg.Edges {
-		edgesByTail[e[0]] = append(edgesByTail[e[0]], e[1])
-	}
-
-	type label struct {
-		dist             float64
-		entry            int // global super-border node, -1 inside source group
-		parentV, parentG int
-	}
-	labels := make(map[[2]int]label)
-	better := func(v, g int, cand label) {
-		if old, ok := labels[[2]int{v, g}]; !ok || cand.dist < old.dist {
-			labels[[2]int{v, g}] = cand
-		}
-	}
-	internal := func(entry, exit int) float64 {
-		if entry == -1 || entry == exit {
-			return 0
-		}
-		return t.Dist(entry, exit)
-	}
-
-	for _, v := range sg.Sources() {
-		for _, g := range cands[v] {
-			l := label{parentV: -1, parentG: -1}
-			if g == gs {
-				l.dist, l.entry = 0, -1
-			} else {
-				out, in, err := t.SuperBorder(gs, g)
-				if err != nil {
-					return nil, err
-				}
-				l.dist = t.Dist(out, in)
-				l.entry = in
-			}
-			better(v, g, l)
-		}
-	}
-	for _, u := range order {
-		for _, g := range cands[u] {
-			ul, ok := labels[[2]int{u, g}]
-			if !ok {
-				continue
-			}
-			for _, v := range edgesByTail[u] {
-				for _, g2 := range cands[v] {
-					nl := label{parentV: u, parentG: g}
-					if g2 == g {
-						nl.dist, nl.entry = ul.dist, ul.entry
-					} else {
-						out, in, err := t.SuperBorder(g, g2)
-						if err != nil {
-							return nil, err
-						}
-						nl.dist = ul.dist + internal(ul.entry, out) + t.Dist(out, in)
-						nl.entry = in
-					}
-					better(v, g2, nl)
-				}
-			}
-		}
-	}
-
-	best := math.Inf(1)
-	bestV, bestG := -1, -1
-	for _, v := range sg.Sinks() {
-		for _, g := range cands[v] {
-			l, ok := labels[[2]int{v, g}]
-			if !ok {
-				continue
-			}
-			total := l.dist
-			if g == gd {
-				total += internal(l.entry, req.Dest)
-			} else {
-				out, in, err := t.SuperBorder(g, gd)
-				if err != nil {
-					return nil, err
-				}
-				total += internal(l.entry, out) + t.Dist(out, in) + t.Dist(in, req.Dest)
-			}
-			if total < best {
-				best, bestV, bestG = total, v, g
-			}
-		}
-	}
-	if bestV == -1 {
-		return nil, routing.ErrInfeasible
-	}
-	var rev []struct{ SGVertex, Group int }
-	v, g := bestV, bestG
-	for v != -1 {
-		rev = append(rev, struct{ SGVertex, Group int }{v, g})
-		l := labels[[2]int{v, g}]
-		v, g = l.parentV, l.parentG
-	}
-	out := make([]struct{ SGVertex, Group int }, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out, nil
+// groupSolver resolves a group-level child inside its group via the
+// unchanged bi-level hierarchical router, translating between global and
+// group-local indices.
+type groupSolver struct {
+	topo   *Topology
+	states *States
 }
 
-func sgTopo(sg *svc.Graph) ([]int, error) {
-	n := sg.Len()
-	indeg := make([]int, n)
-	adj := make([][]int, n)
-	for _, e := range sg.Edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
-		indeg[e[1]]++
-	}
-	queue := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, v := range adj[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, errors.New("mlhfc: service graph contains a cycle")
-	}
-	return order, nil
-}
+var _ routing.IntraSolver = (*groupSolver)(nil)
 
-// dissect splits the request along the GSP into per-group children.
-func dissect(t *Topology, req svc.Request, gsp []struct{ SGVertex, Group int }, gs, gd int) ([]GroupChild, error) {
-	type run struct {
-		group    int
-		services []svc.Service
-	}
-	runs := []run{{group: gs}}
-	for _, e := range gsp {
-		cur := &runs[len(runs)-1]
-		if e.Group == cur.group {
-			cur.services = append(cur.services, req.SG.Services[e.SGVertex])
-			continue
-		}
-		runs = append(runs, run{group: e.Group, services: []svc.Service{req.SG.Services[e.SGVertex]}})
-	}
-	if runs[len(runs)-1].group != gd {
-		runs = append(runs, run{group: gd})
-	}
-	children := make([]GroupChild, len(runs))
-	for i, ru := range runs {
-		child := GroupChild{Group: ru.group, Services: ru.services}
-		if i == 0 {
-			child.Source = req.Source
-		} else {
-			src, _, err := t.SuperBorder(ru.group, runs[i-1].group)
-			if err != nil {
-				return nil, err
-			}
-			child.Source = src
-		}
-		if i == len(runs)-1 {
-			child.Dest = req.Dest
-		} else {
-			dst, _, err := t.SuperBorder(ru.group, runs[i+1].group)
-			if err != nil {
-				return nil, err
-			}
-			child.Dest = dst
-		}
-		children[i] = child
-	}
-	return children, nil
-}
-
-// solveGroupChild resolves one child inside its group via the unchanged
-// bi-level hierarchical router, translating between global and group-local
-// indices.
-func solveGroupChild(t *Topology, states *States, child GroupChild) (*routing.Path, error) {
-	g := child.Group
+// SolveChild implements routing.IntraSolver.
+func (s *groupSolver) SolveChild(child routing.ChildRequest) (*routing.Path, error) {
+	t, g := s.topo, child.Cluster
 	if t.GroupOf(child.Source) != g || t.GroupOf(child.Dest) != g {
 		return nil, fmt.Errorf("mlhfc: child endpoints (%d,%d) not in group %d", child.Source, child.Dest, g)
 	}
@@ -301,7 +90,7 @@ func solveGroupChild(t *Topology, states *States, child GroupChild) (*routing.Pa
 		return nil, err
 	}
 	localReq := svc.Request{Source: localSrc, Dest: localDst, SG: sg}
-	res, err := routing.NewHierarchicalRouter(t.Interior(g), states.PerGroup[g], localDst, routing.RelaxBacktrack)
+	res, err := routing.NewHierarchicalRouter(t.Interior(g), s.states.PerGroup[g], localDst, routing.RelaxBacktrack)
 	if err != nil {
 		return nil, err
 	}

@@ -17,8 +17,10 @@ type States struct {
 	// PerGroup[g] holds group g's converged bi-level states, indexed by
 	// group-local node index.
 	PerGroup [][]state.NodeState
-	// Super[g] is group g's aggregate service set.
-	Super []svc.CapabilitySet
+	// Super is SCT_C one level up: group ID → the group's aggregate service
+	// set, the table the group-level search reads exactly as the
+	// cluster-level search reads a proxy's SCT_C.
+	Super map[int]svc.CapabilitySet
 	// Messages totals the protocol traffic across all groups' interior
 	// rounds plus the super-aggregate exchange.
 	Messages state.MessageStats
@@ -38,7 +40,7 @@ func Distribute(t *Topology, caps []svc.CapabilitySet) (*States, error) {
 	}
 	out := &States{
 		PerGroup: make([][]state.NodeState, t.NumGroups()),
-		Super:    make([]svc.CapabilitySet, t.NumGroups()),
+		Super:    make(map[int]svc.CapabilitySet, t.NumGroups()),
 	}
 	for g := 0; g < t.NumGroups(); g++ {
 		members := t.Members(g)
@@ -71,18 +73,6 @@ func Distribute(t *Topology, caps []svc.CapabilitySet) (*States, error) {
 		}
 	}
 	return out, nil
-}
-
-// GroupsProviding returns the groups whose super-aggregate includes x, in
-// increasing order.
-func (s *States) GroupsProviding(x svc.Service) []int {
-	var out []int
-	for g, set := range s.Super {
-		if set.Has(x) {
-			out = append(out, g)
-		}
-	}
-	return out
 }
 
 // Verify checks tri-level convergence: every group's interior state against

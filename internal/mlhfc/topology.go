@@ -8,11 +8,14 @@
 // |cluster| + #clusters (bi-level) to |cluster| + #clusters-in-own-group +
 // #groups.
 //
-// The implementation deliberately reuses the bi-level machinery: each
-// group's interior IS an hfc.Topology over group-local indices, and
-// per-group child requests are resolved by the §5 hierarchical router
-// unchanged. This package adds the third tier: super-aggregates, the
-// group-level path search, and the extra divide step.
+// The third tier is the second tier's types one level up. Each group's
+// interior IS an hfc.Topology over group-local indices; the tier above IS an
+// hfc.Topology over global indices whose clusters are the groups and whose
+// border pairs are the super-border pairs; and a request is resolved by
+// routing.HierarchicalRouter over that super tier, with each per-group child
+// resolved by the same router over the group's interior. This package adds
+// the grouping, the super-aggregates and the index translation; the search
+// and the divide are routing's.
 package mlhfc
 
 import (
@@ -22,7 +25,6 @@ import (
 
 	"hfc/internal/cluster"
 	"hfc/internal/coords"
-	"hfc/internal/geo"
 	"hfc/internal/graph"
 	"hfc/internal/hfc"
 	"hfc/internal/par"
@@ -57,21 +59,16 @@ func DefaultConfig() Config {
 
 // Topology is a constructed tri-level HFC overlay.
 type Topology struct {
-	cmap *coords.Map
-	// groupOf maps a global node index to its group.
-	groupOf []int
-	// groups maps a group ID to its sorted global node indices; the slice
-	// index of a node within its group is its group-local index.
-	groups [][]int
+	// super is the tier above the groups: an HFC topology over the global
+	// node indices whose clusters are the groups (members sorted; a node's
+	// position in its group's list is its group-local index) and whose
+	// border pairs are the super-border pairs — §3.3 one level up.
+	super *hfc.Topology
 	// local maps a global node to its group-local index.
 	local []int
 	// perGroup holds each group's interior bi-level HFC topology over
 	// group-local indices.
 	perGroup []*hfc.Topology
-	// superBorder[a][b] is the global node of group a closest to group b
-	// (-1 on the diagonal) — the super-border pair mirrors §3.3 one level
-	// up.
-	superBorder [][]int
 }
 
 // Build constructs the tri-level topology from embedded coordinates: a
@@ -165,10 +162,10 @@ func groupingFromAssignment(assignment []int) *cluster.Result {
 
 // BuildFromGrouping constructs the tri-level topology from an explicit
 // top-level grouping (used by tests and by callers with their own grouping
-// policy). The per-group interior HFC constructions and the super-border
-// scans fan out on the par pool: each group's construction and each group
-// pair's scan is independent and rng-free, and results merge by index, so
-// the topology is bit-identical for any GOMAXPROCS.
+// policy). The per-group interior HFC constructions fan out on the par pool,
+// as the super tier's border elections do inside hfc.Build: each is
+// independent and rng-free and results merge by index, so the topology is
+// bit-identical for any GOMAXPROCS.
 func BuildFromGrouping(cmap *coords.Map, grouping *cluster.Result, inner cluster.Config) (*Topology, error) {
 	if cmap == nil {
 		return nil, errors.New("mlhfc: nil coordinate map")
@@ -179,24 +176,29 @@ func BuildFromGrouping(cmap *coords.Map, grouping *cluster.Result, inner cluster
 	if len(grouping.Assignment) != cmap.N() {
 		return nil, fmt.Errorf("mlhfc: grouping covers %d nodes but map has %d", len(grouping.Assignment), cmap.N())
 	}
-	t := &Topology{
-		cmap:    cmap,
-		groupOf: append([]int(nil), grouping.Assignment...),
-		groups:  make([][]int, grouping.NumClusters()),
-		local:   make([]int, cmap.N()),
+	// The groups as a clustering of the global nodes, members sorted.
+	groups := &cluster.Result{
+		Assignment: append([]int(nil), grouping.Assignment...),
+		Clusters:   make([][]int, grouping.NumClusters()),
 	}
+	local := make([]int, cmap.N())
 	for g, members := range grouping.Clusters {
-		t.groups[g] = append([]int(nil), members...)
-		sort.Ints(t.groups[g])
-		for li, node := range t.groups[g] {
-			t.local[node] = li
+		groups.Clusters[g] = append([]int(nil), members...)
+		sort.Ints(groups.Clusters[g])
+		for li, node := range groups.Clusters[g] {
+			local[node] = li
 		}
 	}
+	// Super-border pairs: hfc.Build's closest-pair election per group pair.
+	super, err := hfc.Build(cmap, groups)
+	if err != nil {
+		return nil, fmt.Errorf("mlhfc: super tier: %w", err)
+	}
+	t := &Topology{super: super, local: local, perGroup: make([]*hfc.Topology, len(groups.Clusters))}
 
 	// Interior bi-level HFC per group, one worker slot per group.
-	t.perGroup = make([]*hfc.Topology, len(t.groups))
-	if err := par.ForErr(len(t.groups), func(g int) error {
-		members := t.groups[g]
+	if err := par.ForErr(t.NumGroups(), func(g int) error {
+		members := t.Members(g)
 		pts := make([]coords.Point, len(members))
 		for li, node := range members {
 			pts[li] = cmap.Points[node].Clone()
@@ -226,58 +228,20 @@ func BuildFromGrouping(cmap *coords.Map, grouping *cluster.Result, inner cluster
 		return nil, err
 	}
 
-	// Super-border pairs: closest cross pair per group pair, each pair's
-	// scan in its own slot.
-	k := len(t.groups)
-	t.superBorder = make([][]int, k)
-	for a := range t.superBorder {
-		t.superBorder[a] = make([]int, k)
-		for b := range t.superBorder[a] {
-			t.superBorder[a][b] = -1
-		}
-	}
-	type groupPair struct{ a, b int }
-	pairs := make([]groupPair, 0, k*(k-1)/2)
-	for a := 0; a < k; a++ {
-		for b := a + 1; b < k; b++ {
-			pairs = append(pairs, groupPair{a, b})
-		}
-	}
-	// One spatial index per group, shared by that group's k-1 pair scans;
-	// geo's (Dist, A, B) tie rule equals the old brute scan's first-minimum
-	// over sorted members, so the elected pairs are bit-identical.
-	indexes := make([]geo.Index, k)
-	if err := par.ForErr(k, func(g int) error {
-		idx, err := geo.NewIndex(cmap.Points, t.groups[g], geo.Auto)
-		if err != nil {
-			return fmt.Errorf("mlhfc: group %d index: %w", g, err)
-		}
-		indexes[g] = idx
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	par.For(len(pairs), func(i int) {
-		a, b := pairs[i].a, pairs[i].b
-		if p, ok := geo.ClosestPairIndexed(cmap.Points, t.groups[a], indexes[b], nil, nil); ok {
-			t.superBorder[a][b] = p.A
-			t.superBorder[b][a] = p.B
-		}
-	})
 	return t, nil
 }
 
 // N returns the number of overlay nodes.
-func (t *Topology) N() int { return t.cmap.N() }
+func (t *Topology) N() int { return t.super.N() }
 
 // NumGroups returns the number of super-clusters.
-func (t *Topology) NumGroups() int { return len(t.groups) }
+func (t *Topology) NumGroups() int { return t.super.NumClusters() }
 
 // GroupOf returns the group of a global node.
-func (t *Topology) GroupOf(node int) int { return t.groupOf[node] }
+func (t *Topology) GroupOf(node int) int { return t.super.ClusterOf(node) }
 
 // Members returns a group's global node list (sorted; shared slice).
-func (t *Topology) Members(g int) []int { return t.groups[g] }
+func (t *Topology) Members(g int) []int { return t.super.Members(g) }
 
 // Interior returns group g's bi-level HFC topology (group-local indices).
 func (t *Topology) Interior(g int) *hfc.Topology { return t.perGroup[g] }
@@ -286,29 +250,21 @@ func (t *Topology) Interior(g int) *hfc.Topology { return t.perGroup[g] }
 func (t *Topology) ToLocal(node int) int { return t.local[node] }
 
 // ToGlobal translates a group-local index back to the global node index.
-func (t *Topology) ToGlobal(g, localIdx int) int { return t.groups[g][localIdx] }
+func (t *Topology) ToGlobal(g, localIdx int) int { return t.super.Members(g)[localIdx] }
 
 // SuperBorder returns the super-border pair between two distinct groups,
 // oriented (inA, inB), as global node indices.
-func (t *Topology) SuperBorder(a, b int) (inA, inB int, err error) {
-	if a == b {
-		return 0, 0, fmt.Errorf("mlhfc: no super-border within group %d", a)
-	}
-	if a < 0 || a >= len(t.groups) || b < 0 || b >= len(t.groups) {
-		return 0, 0, fmt.Errorf("mlhfc: group pair (%d,%d) out of range", a, b)
-	}
-	return t.superBorder[a][b], t.superBorder[b][a], nil
-}
+func (t *Topology) SuperBorder(a, b int) (inA, inB int, err error) { return t.super.Border(a, b) }
 
 // Dist returns the embedded distance between two global nodes.
-func (t *Topology) Dist(u, v int) float64 { return t.cmap.Dist(u, v) }
+func (t *Topology) Dist(u, v int) float64 { return t.super.Dist(u, v) }
 
 // CoordinateStateSize is the number of coordinate records node keeps under
 // the tri-level scheme: its own inner cluster's members, the border proxies
 // of its own group's interior, and every super-border node in the system
 // (deduplicated) — the tri-level analogue of Fig. 9(a).
 func (t *Topology) CoordinateStateSize(node int) (int, error) {
-	g := t.groupOf[node]
+	g := t.GroupOf(node)
 	interior := t.perGroup[g]
 	view, err := interior.View(t.local[node])
 	if err != nil {
@@ -318,12 +274,8 @@ func (t *Topology) CoordinateStateSize(node int) (int, error) {
 	for li := range view.Coords {
 		known[t.ToGlobal(g, li)] = true
 	}
-	for a := 0; a < len(t.groups); a++ {
-		for b := 0; b < len(t.groups); b++ {
-			if sb := t.superBorder[a][b]; sb >= 0 {
-				known[sb] = true
-			}
-		}
+	for _, sb := range t.super.BorderNodes() {
+		known[sb] = true
 	}
 	return len(known), nil
 }
@@ -332,48 +284,31 @@ func (t *Topology) CoordinateStateSize(node int) (int, error) {
 // own-inner-cluster proxy, one aggregate per cluster in the own group, and
 // one super-aggregate per group.
 func (t *Topology) ServiceStateSize(node int) int {
-	g := t.groupOf[node]
-	interior := t.perGroup[g]
+	interior := t.perGroup[t.GroupOf(node)]
 	ownCluster := interior.ClusterOf(t.local[node])
-	return len(interior.Members(ownCluster)) + interior.NumClusters() + len(t.groups)
+	return len(interior.Members(ownCluster)) + interior.NumClusters() + t.NumGroups()
 }
 
 // MaxOverlayHops is the tri-level reachability bound: at most two
 // super-border relays plus two inner border relays.
 const MaxOverlayHops = 5
 
-// Validate checks structural invariants across all three levels.
+// Validate checks structural invariants across all three levels: the super
+// tier (every node in exactly one group, every super-border pair the closest
+// cross pair of its two groups), the index translation, and each group's
+// interior.
 func (t *Topology) Validate() error {
-	seen := make(map[int]bool, t.N())
-	for g, members := range t.groups {
-		for li, node := range members {
-			if t.groupOf[node] != g {
-				return fmt.Errorf("mlhfc: node %d listed in group %d but assigned to %d", node, g, t.groupOf[node])
-			}
+	if err := t.super.Validate(); err != nil {
+		return fmt.Errorf("mlhfc: super tier: %w", err)
+	}
+	for g := 0; g < t.NumGroups(); g++ {
+		for li, node := range t.Members(g) {
 			if t.local[node] != li {
 				return fmt.Errorf("mlhfc: node %d local index %d, want %d", node, t.local[node], li)
 			}
-			if seen[node] {
-				return fmt.Errorf("mlhfc: node %d appears in multiple groups", node)
-			}
-			seen[node] = true
 		}
 		if err := t.perGroup[g].Validate(); err != nil {
 			return fmt.Errorf("mlhfc: group %d interior: %w", g, err)
-		}
-	}
-	if len(seen) != t.N() {
-		return fmt.Errorf("mlhfc: groups cover %d of %d nodes", len(seen), t.N())
-	}
-	for a := 0; a < len(t.groups); a++ {
-		for b := 0; b < len(t.groups); b++ {
-			if a == b {
-				continue
-			}
-			sb := t.superBorder[a][b]
-			if sb < 0 || t.groupOf[sb] != a {
-				return fmt.Errorf("mlhfc: super-border of (%d,%d) is %d (group %d)", a, b, sb, t.groupOf[sb])
-			}
 		}
 	}
 	return nil

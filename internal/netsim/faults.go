@@ -125,12 +125,6 @@ func (t *FaultTable) SetBoth(u, v int, f LinkFault) {
 // Clear removes the fault on the directed link u→v.
 func (t *FaultTable) Clear(u, v int) { t.Set(u, v, LinkFault{}) }
 
-// ClearBoth removes the faults on both directions of the link.
-func (t *FaultTable) ClearBoth(u, v int) {
-	t.Clear(u, v)
-	t.Clear(v, u)
-}
-
 // Reset removes every fault.
 func (t *FaultTable) Reset() {
 	t.mu.Lock()

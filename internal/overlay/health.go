@@ -5,70 +5,52 @@ import (
 	"hfc/internal/routing"
 )
 
-// HealthConfig tunes the accrual failure detector. Unlike the binary
-// crash registry, the detector scores *partial* evidence: an RPC deadline
-// missed against a node, or a protocol round that passed without anyone
-// hearing the node's floods, each raise its suspicion; successful replies
-// and fresh floods lower it. A node whose suspicion crosses QuarantineAt is
-// quarantined — still running, still receiving traffic, but excluded from
-// border election (via the incremental §5.2 maintainer) and from
-// provider/resolver choice — until its suspicion decays below ReleaseBelow,
-// the hysteresis gap preventing flapping nodes from thrashing the border
-// tables every round.
+// HealthConfig switches on and bounds the accrual failure detector. Unlike
+// the binary crash registry, the detector scores *partial* evidence: an RPC
+// deadline missed against a node, or a protocol round that passed without
+// anyone hearing the node's floods, each raise its suspicion; successful
+// replies and fresh floods lower it. A node whose suspicion crosses
+// healthQuarantineAt is quarantined — still running, still receiving traffic,
+// but excluded from border election (via the incremental §5.2 maintainer)
+// and from provider/resolver choice — until its suspicion decays below
+// healthReleaseBelow, the hysteresis gap preventing flapping nodes from
+// thrashing the border tables every round.
 type HealthConfig struct {
-	// Enabled switches the detector on; all other fields default as noted
-	// when zero.
+	// Enabled switches the detector on.
 	Enabled bool
-	// MissScore is added per missed RPC deadline attributed to a node
-	// (default 1).
-	MissScore float64
-	// GapScore is added per protocol round of flood silence beyond
-	// GapRounds (default 1).
-	GapScore float64
-	// Relief is subtracted (floored at 0) per successful RPC reply and
-	// per round the node's floods were heard on time (default 0.5).
-	Relief float64
-	// GapRounds is how many rounds of silence are tolerated before
-	// GapScore accrues (default 2) — a freshly started system needs a
-	// round or two before silence means anything.
-	GapRounds uint64
-	// QuarantineAt is the suspicion level at which a node is quarantined
-	// (default 3).
-	QuarantineAt float64
-	// ReleaseBelow is the level a quarantined node must decay to before
-	// it is restored (default 1). Must be below QuarantineAt.
-	ReleaseBelow float64
-	// MaxScore caps suspicion (default 2·QuarantineAt): however long a
-	// node misbehaved, its release after healing takes at most
-	// (MaxScore − ReleaseBelow) / Relief healthy rounds — the bound the
-	// chaos reconvergence invariant relies on.
+	// MaxScore caps suspicion (default 2·healthQuarantineAt): however long
+	// a node misbehaved, its release after healing takes at most
+	// (MaxScore − healthReleaseBelow) / healthRelief healthy rounds — the
+	// bound the chaos reconvergence invariant relies on.
 	MaxScore float64
 }
 
+// The detector's scoring rules. Only the cap, HealthConfig.MaxScore, differs
+// between the drills that run it.
+const (
+	// healthMissScore is added per missed RPC deadline attributed to a node.
+	healthMissScore = 1.0
+	// healthGapScore is added per protocol round of flood silence beyond
+	// healthGapRounds.
+	healthGapScore = 1.0
+	// healthRelief is subtracted (floored at 0) per successful RPC reply and
+	// per round the node's floods were heard on time.
+	healthRelief = 0.5
+	// healthGapRounds is how many rounds of silence are tolerated before
+	// healthGapScore accrues — a freshly started system needs a round or two
+	// before silence means anything.
+	healthGapRounds = 2
+	// healthQuarantineAt is the suspicion level at which a node is
+	// quarantined.
+	healthQuarantineAt = 3.0
+	// healthReleaseBelow is the level a quarantined node must decay to
+	// before it is restored; below healthQuarantineAt by the hysteresis gap.
+	healthReleaseBelow = 1.0
+)
+
 func (h HealthConfig) withDefaults() HealthConfig {
-	if !h.Enabled {
-		return h
-	}
-	if h.MissScore == 0 {
-		h.MissScore = 1
-	}
-	if h.GapScore == 0 {
-		h.GapScore = 1
-	}
-	if h.Relief == 0 {
-		h.Relief = 0.5
-	}
-	if h.GapRounds == 0 {
-		h.GapRounds = 2
-	}
-	if h.QuarantineAt == 0 {
-		h.QuarantineAt = 3
-	}
-	if h.ReleaseBelow == 0 {
-		h.ReleaseBelow = 1
-	}
-	if h.MaxScore == 0 {
-		h.MaxScore = 2 * h.QuarantineAt
+	if h.Enabled && h.MaxScore == 0 {
+		h.MaxScore = 2 * healthQuarantineAt
 	}
 	return h
 }
@@ -103,13 +85,13 @@ func (s *System) noteRPCOutcome(target int, ok bool) {
 	s.healthMu.Lock()
 	if ok {
 		s.healthStats.RPCSuccesses++
-		s.suspicion[target] -= s.cfg.Health.Relief
+		s.suspicion[target] -= healthRelief
 		if s.suspicion[target] < 0 {
 			s.suspicion[target] = 0
 		}
 	} else {
 		s.healthStats.DeadlineMisses++
-		s.suspicion[target] += s.cfg.Health.MissScore
+		s.suspicion[target] += healthMissScore
 		if s.suspicion[target] > s.cfg.Health.MaxScore {
 			s.suspicion[target] = s.cfg.Health.MaxScore
 		}
@@ -122,7 +104,7 @@ func (s *System) noteRPCOutcome(target int, ok bool) {
 // and release transitions. Crashed nodes are the crash registry's business
 // and are skipped entirely.
 func (s *System) evaluateHealth(seq uint64) {
-	h := s.cfg.Health
+	maxScore := s.cfg.Health.MaxScore
 	var quarantine, release []int
 	s.healthMu.Lock()
 	for i := range s.suspicion {
@@ -134,23 +116,23 @@ func (s *System) evaluateHealth(seq uint64) {
 		if seq > 1 {
 			heard := s.lastHeard[i].Load()
 			gap := seq - 1 - heard // heard <= seq-1 always
-			if gap >= h.GapRounds {
-				s.suspicion[i] += h.GapScore
-				if s.suspicion[i] > h.MaxScore {
-					s.suspicion[i] = h.MaxScore
+			if gap >= healthGapRounds {
+				s.suspicion[i] += healthGapScore
+				if s.suspicion[i] > maxScore {
+					s.suspicion[i] = maxScore
 				}
 				s.healthStats.RoundGaps++
 			} else if gap == 0 {
-				s.suspicion[i] -= h.Relief
+				s.suspicion[i] -= healthRelief
 				if s.suspicion[i] < 0 {
 					s.suspicion[i] = 0
 				}
 			}
 		}
-		if !s.quarantined[i].Load() && s.suspicion[i] >= h.QuarantineAt {
+		if !s.quarantined[i].Load() && s.suspicion[i] >= healthQuarantineAt {
 			quarantine = append(quarantine, i)
 			s.healthStats.Quarantines++
-		} else if s.quarantined[i].Load() && s.suspicion[i] <= h.ReleaseBelow {
+		} else if s.quarantined[i].Load() && s.suspicion[i] <= healthReleaseBelow {
 			release = append(release, i)
 			s.healthStats.Unquarantines++
 		}

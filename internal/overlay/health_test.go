@@ -13,10 +13,9 @@ import (
 	"hfc/internal/svc"
 )
 
-// healthConfig is a fast accrual detector for tests: one round of tolerated
-// silence, quarantine at 3, release at 1.
+// healthConfig switches the accrual detector on with its default cap.
 func healthConfig() HealthConfig {
-	return HealthConfig{Enabled: true, GapRounds: 2, QuarantineAt: 3, ReleaseBelow: 1}
+	return HealthConfig{Enabled: true}
 }
 
 func TestLinkPolicyDuplicateAndDelayAreHarmless(t *testing.T) {
@@ -129,9 +128,9 @@ func TestGrayNodeQuarantineAndRelease(t *testing.T) {
 	if got := sys.QuarantinedNodes(); len(got) != 1 || got[0] != gray {
 		t.Errorf("QuarantinedNodes = %v, want [%d]", got, gray)
 	}
-	if sys.SuspicionLevel(gray) < cfg.Health.QuarantineAt {
+	if sys.SuspicionLevel(gray) < healthQuarantineAt {
 		t.Errorf("suspicion %v below quarantine threshold %v",
-			sys.SuspicionLevel(gray), cfg.Health.QuarantineAt)
+			sys.SuspicionLevel(gray), healthQuarantineAt)
 	}
 	if sys.nodes[0].view.Alive(gray) {
 		t.Error("failure detector still reports quarantined node alive")

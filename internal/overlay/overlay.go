@@ -1187,57 +1187,35 @@ func (n *node) handleRoute(m message) {
 
 // handleChild resolves a child request against this node's own SCT_P.
 func (n *node) handleChild(m message) {
-	path, err := n.solveChildLocal(*m.childReq)
+	path, err := n.solveChild(*m.childReq)
 	m.reply.deliver(answer{path: path, err: err})
 }
 
-// solveChildLocal is the §5.2 intra-cluster computation using this node's
-// privately accumulated SCT_P.
-func (n *node) solveChildLocal(child routing.ChildRequest) (*routing.Path, error) {
-	if len(child.Services) == 0 {
-		if child.Source == child.Dest {
-			return &routing.Path{Hops: []routing.Hop{{Node: child.Source}}}, nil
-		}
-		d, err := n.view.Dist(child.Source, child.Dest)
-		if err != nil {
-			return nil, err
-		}
-		return &routing.Path{
-			Hops:         []routing.Hop{{Node: child.Source}, {Node: child.Dest}},
-			DecisionCost: d,
-		}, nil
-	}
-	sg, err := svc.Linear(child.Services...)
-	if err != nil {
-		return nil, err
-	}
+// solveChild is the §5.2 intra-cluster computation over this node's
+// privately accumulated SCT_P, read in place under the node's lock. Providers
+// the failure detector reports dead are skipped: a path through a crashed
+// proxy would only fail at execution time.
+func (n *node) solveChild(child routing.ChildRequest) (*routing.Path, error) {
 	n.st.RLock()
-	providers := func(x svc.Service) []int {
-		var out []int
-		for _, member := range n.view.Members {
-			// Skip providers the failure detector reports dead: a path
-			// through a crashed proxy would only fail at execution time.
-			if n.view.Alive != nil && !n.view.Alive(member) {
-				continue
-			}
-			if set, ok := n.state.SCTP[member]; ok && set.Has(x) {
-				out = append(out, member)
-			}
-		}
-		return out
-	}
 	defer n.st.RUnlock()
-	oracle := routing.OracleFunc(func(u, v int) float64 {
-		d, err := n.view.Dist(u, v)
-		if err != nil {
-			// Intra-cluster endpoints are always in the view; an error
-			// here is a harness bug.
-			panic(err)
-		}
-		return d
-	})
-	req := svc.Request{Source: child.Source, Dest: child.Dest, SG: sg}
-	return routing.FindPath(req, providers, oracle, nil)
+	return routing.IntraSolve{
+		Members: n.view.Members,
+		SCTP:    n.state.SCTP,
+		Usable:  n.view.Alive,
+		Oracle:  n,
+	}.Solve(child)
+}
+
+// Dist implements routing.Oracle over the node's view for its own cluster's
+// child solves.
+func (n *node) Dist(u, v int) float64 {
+	d, err := n.view.Dist(u, v)
+	if err != nil {
+		// Intra-cluster endpoints are always in the view; an error here is a
+		// harness bug.
+		panic(err)
+	}
+	return d
 }
 
 // rpcSolver sends child requests to their resolver proxies and waits for
@@ -1309,7 +1287,7 @@ func (s *rpcSolver) SolveChild(child routing.ChildRequest) (*routing.Path, error
 // solveAt runs the deadline+retry loop against one specific resolver.
 func (s *rpcSolver) solveAt(child routing.ChildRequest) (*routing.Path, error) {
 	if child.Resolver == s.n.id {
-		return s.n.solveChildLocal(child)
+		return s.n.solveChild(child)
 	}
 	sys := s.n.sys
 	backoff := sys.cfg.RPCBackoff

@@ -606,7 +606,7 @@ func newMultilevelWorld(spec SimSpec, rng *rand.Rand, cat *svc.Catalog, sim *vti
 	w.prober = func(cur []svc.CapabilitySet) (func(svc.Request) (*routing.Path, string, error), func()) {
 		// The routing view aliases every runtime's live tables — no clones —
 		// and each group's super-aggregate is the union of its deployment.
-		st := &mlhfc.States{PerGroup: make([][]state.NodeState, k), Super: make([]svc.CapabilitySet, k)}
+		st := &mlhfc.States{PerGroup: make([][]state.NodeState, k), Super: make(map[int]svc.CapabilitySet, k)}
 		releases := make([]func(), k)
 		for g, sys := range w.systems {
 			st.PerGroup[g], releases[g] = sys.tables()

@@ -116,9 +116,10 @@ const (
 	// PolicyOptimistic admits a cluster when its bandwidth CEILING meets
 	// the demand: cluster-level admission may prove wrong, but the exact
 	// intra-cluster solving at the conquer stage still enforces the true
-	// constraints, so a request is never falsely satisfied — it fails at
-	// the child instead. This is the default: far fewer false blocks at
-	// the price of occasional wasted child computations.
+	// constraints on every hop, relay hops included, so a request is never
+	// falsely satisfied — it fails at the child instead. This is the
+	// default: far fewer false blocks at the price of occasional wasted
+	// child computations.
 	PolicyOptimistic Policy = iota + 1
 	// PolicyPessimistic admits a cluster only when its bandwidth FLOOR
 	// meets the demand: first-try success is guaranteed, but coarse

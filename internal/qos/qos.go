@@ -18,10 +18,12 @@
 // of each external border link, and feeds those aggregates into the §5
 // cluster-level search through the routing package's admissibility hooks;
 // child requests are then solved exactly under the true constraints
-// (Router). Aggregation is conservative: a hierarchical route is never
-// infeasible in reality, but some feasible requests may be falsely blocked
-// — the precision/state tradeoff the paper's §7 anticipates, measured by
-// the qos experiment.
+// (Router): routing's own child solve with the load bound as its provider
+// filter and the bandwidth bound as its hop filter, a relay-only child's
+// single hop included. Aggregation is conservative: a hierarchical route is
+// never infeasible in reality, but some feasible requests may be falsely
+// blocked — the precision/state tradeoff the paper's §7 anticipates,
+// measured by the qos experiment.
 package qos
 
 import (
@@ -124,58 +126,66 @@ func FindPath(req svc.Request, providers routing.ProviderFunc, oracle routing.Or
 	if prof == nil {
 		return nil, errors.New("qos: nil profile")
 	}
+	usable, admissible, oracleErr := prof.pruning(cons, exp)
 	filteredProviders := func(s svc.Service) []int {
 		var out []int
 		for _, p := range providers(s) {
-			if p < len(prof.Load) && prof.Load[p] <= cons.maxLoad() {
+			if usable(p) {
 				out = append(out, p)
 			}
 		}
 		return out
 	}
-	var filter routing.EdgeFilter
-	var bwErr error
-	if cons.MinBandwidth > 0 {
-		// The constraint applies to every hop of the CONCRETE path, so when
-		// the topology expands a logical hop through relays (mesh chains,
-		// HFC border pairs) each expanded segment must clear the bound.
-		segmentsOK := func(u, v int) (bool, error) {
-			seq := []int{u, v}
-			if exp != nil {
-				expanded, err := exp.Expand(u, v)
-				if err != nil {
-					return false, err
-				}
-				seq = expanded
-			}
-			for i := 0; i+1 < len(seq); i++ {
-				if seq[i] == seq[i+1] {
-					continue
-				}
-				bw, err := prof.Bandwidth(seq[i], seq[i+1])
-				if err != nil {
-					return false, err
-				}
-				if bw < cons.MinBandwidth {
-					return false, nil
-				}
-			}
-			return true, nil
-		}
-		filter = func(u, v int) bool {
-			ok, err := segmentsOK(u, v)
-			if err != nil {
-				bwErr = err
-				return false
-			}
-			return ok
-		}
-	}
-	path, err := routing.FindPathFiltered(req, filteredProviders, oracle, exp, filter)
-	if bwErr != nil {
-		return nil, fmt.Errorf("qos: bandwidth oracle: %w", bwErr)
+	path, err := routing.FindPathFiltered(req, filteredProviders, oracle, exp, admissible)
+	if *oracleErr != nil {
+		return nil, fmt.Errorf("qos: bandwidth oracle: %w", *oracleErr)
 	}
 	return path, err
+}
+
+// pruning translates the constraints into the two predicates routing prunes
+// a service DAG with, in the flat search and in every child solve alike: the
+// proxies a service may be placed on (the load bound) and the overlay hops a
+// path may lay (the bandwidth bound; nil when there is none). A hop the
+// bandwidth oracle fails on is rejected and the failure kept in *oracleErr,
+// which the caller checks once the search has returned.
+func (p *Profile) pruning(cons Constraints, exp routing.Expander) (usable func(node int) bool, admissible routing.EdgeFilter, oracleErr *error) {
+	usable = func(node int) bool {
+		return node < len(p.Load) && p.Load[node] <= cons.maxLoad()
+	}
+	oracleErr = new(error)
+	if cons.MinBandwidth <= 0 {
+		return usable, nil, oracleErr
+	}
+	// The constraint applies to every hop of the CONCRETE path, so when the
+	// topology expands a logical hop through relays (mesh chains, HFC border
+	// pairs) each expanded segment must clear the bound.
+	admissible = func(u, v int) bool {
+		seq := []int{u, v}
+		if exp != nil {
+			expanded, err := exp.Expand(u, v)
+			if err != nil {
+				*oracleErr = err
+				return false
+			}
+			seq = expanded
+		}
+		for i := 0; i+1 < len(seq); i++ {
+			if seq[i] == seq[i+1] {
+				continue
+			}
+			bw, err := p.Bandwidth(seq[i], seq[i+1])
+			if err != nil {
+				*oracleErr = err
+				return false
+			}
+			if bw < cons.MinBandwidth {
+				return false
+			}
+		}
+		return true
+	}
+	return usable, admissible, oracleErr
 }
 
 // VerifyPath checks a concrete path against the profile and constraints:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -554,5 +555,43 @@ func TestRouterValidation(t *testing.T) {
 	}
 	if r.Aggregates() == nil {
 		t.Error("Aggregates() returned nil")
+	}
+}
+
+// TestRelayOnlyChildHonoursBandwidth: a child with no service to place still
+// lays one overlay hop, and that hop answers to MinBandwidth like any other.
+// Here the source cluster only relays (0 → its border 1) over a pair under
+// the bound; the optimistic router must fail the request at that child with
+// routing.ErrInfeasible, not compose a path its own VerifyPath then rejects.
+func TestRelayOnlyChildHonoursBandwidth(t *testing.T) {
+	bws := symmetricBW(9, 500)
+	bws[0][1], bws[1][0] = 10, 10
+	topo, caps, states, prof := hierFixture(t, uniformLoads(9, 0.2), bws)
+	if inA, _, err := topo.Border(0, 1); err != nil || inA != 1 {
+		t.Fatalf("Border(0,1) = %d, %v; the fixture wants cluster 0 to leave through node 1", inA, err)
+	}
+	r, err := NewRouter(topo, states, caps, prof)
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	sg, err := svc.Linear("a")
+	if err != nil {
+		t.Fatalf("Linear: %v", err)
+	}
+	req := svc.Request{Source: 0, Dest: 7, SG: sg}
+	_, err = r.Route(req, Constraints{MinBandwidth: 100})
+	if !errors.Is(err, routing.ErrInfeasible) {
+		t.Fatalf("Route over a 10 Mbps relay hop under MinBandwidth 100: %v, want routing.ErrInfeasible", err)
+	}
+	if strings.Contains(err.Error(), "internal error") {
+		t.Fatalf("Route: %v", err)
+	}
+	// The same hop is fine for a request that asks for less.
+	p, err := r.Route(req, Constraints{MinBandwidth: 10})
+	if err != nil {
+		t.Fatalf("Route at MinBandwidth 10: %v", err)
+	}
+	if p.Hops[0].Node != 0 || p.Hops[1].Node != 1 {
+		t.Fatalf("path %v does not leave cluster 0 through its border 1", p)
 	}
 }

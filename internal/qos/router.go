@@ -50,10 +50,11 @@ func (r *Router) policy() Policy {
 }
 
 // Route resolves req hierarchically under the constraints. The returned
-// path is guaranteed to satisfy them (the aggregation is conservative);
-// requests the aggregates cannot admit fail with ErrInfeasible or
-// ErrNoProviders even when a flat router with full state would succeed —
-// the false-blocking cost of aggregation, measured by the qos experiment.
+// path is guaranteed to satisfy them (crossings are admitted on measured
+// bandwidth and the child solves are exact); requests the aggregates cannot
+// admit fail with ErrInfeasible or ErrNoProviders even when a flat router
+// with full state would succeed — the false-blocking cost of aggregation,
+// measured by the qos experiment.
 func (r *Router) Route(req svc.Request, cons Constraints) (*routing.Path, error) {
 	if err := cons.validate(); err != nil {
 		return nil, err
@@ -91,8 +92,10 @@ func (r *Router) Route(req svc.Request, cons Constraints) (*routing.Path, error)
 	return res.Path, nil
 }
 
-// intraSolver resolves child requests under the true QoS constraints using
-// the resolver's SCT_P, mirroring routing.LocalIntraSolver with pruning.
+// intraSolver resolves child requests exactly under the true QoS constraints:
+// routing.IntraSolve over the resolver's converged SCT_P, with the load bound
+// deciding which members may provide and the bandwidth bound which hops —
+// the relay hop of a service-free child included — may be laid.
 type intraSolver struct {
 	topo   *hfc.Topology
 	states []state.NodeState
@@ -107,30 +110,16 @@ func (s *intraSolver) SolveChild(child routing.ChildRequest) (*routing.Path, err
 	if s.topo.ClusterOf(child.Source) != child.Cluster || s.topo.ClusterOf(child.Dest) != child.Cluster {
 		return nil, fmt.Errorf("qos: child endpoints (%d,%d) not in cluster %d", child.Source, child.Dest, child.Cluster)
 	}
-	if len(child.Services) == 0 {
-		if child.Source == child.Dest {
-			return &routing.Path{Hops: []routing.Hop{{Node: child.Source}}}, nil
-		}
-		return &routing.Path{
-			Hops:         []routing.Hop{{Node: child.Source}, {Node: child.Dest}},
-			DecisionCost: s.topo.Dist(child.Source, child.Dest),
-		}, nil
+	usable, admissible, oracleErr := s.prof.pruning(s.cons, nil)
+	path, err := routing.IntraSolve{
+		Members:    s.topo.Members(child.Cluster),
+		SCTP:       s.states[child.Resolver].SCTP,
+		Usable:     usable,
+		Oracle:     s.topo,
+		Admissible: admissible,
+	}.Solve(child)
+	if *oracleErr != nil {
+		return nil, fmt.Errorf("qos: bandwidth oracle: %w", *oracleErr)
 	}
-	sg, err := svc.Linear(child.Services...)
-	if err != nil {
-		return nil, err
-	}
-	resolver := &s.states[child.Resolver]
-	members := s.topo.Members(child.Cluster)
-	providers := func(x svc.Service) []int {
-		var out []int
-		for _, m := range members {
-			if set, ok := resolver.SCTP[m]; ok && set.Has(x) {
-				out = append(out, m)
-			}
-		}
-		return out
-	}
-	req := svc.Request{Source: child.Source, Dest: child.Dest, SG: sg}
-	return FindPath(req, providers, routing.OracleFunc(s.topo.Dist), s.prof, s.cons, nil)
+	return path, err
 }

@@ -76,9 +76,6 @@ func (s *Sim) Now() time.Duration { return s.now }
 // tests asserting a quiesced scheduler.
 func (s *Sim) Pending() int { return s.live }
 
-// Tasks reports how many tasks are alive (running, ready, or parked).
-func (s *Sim) Tasks() int { return len(s.tasks) }
-
 // Go starts fn as a new cooperative task. The task becomes runnable
 // immediately (FIFO after already-ready tasks) but does not run until the
 // current task parks or finishes. name appears in deadlock reports; empty
