@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-seam lint-view lint-solve vet bench bench-full bench-compare bench-scale chaos sim fmt
+.PHONY: all build test race lint lint-seam lint-view lint-solve lint-border vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
 
 # Output snapshot for the regression-gate benchmarks (see cmd/benchgate).
-BENCH_OUT ?= BENCH_pr18.json
+BENCH_OUT ?= BENCH_pr19.json
 
 all: build test lint
 
@@ -30,6 +30,7 @@ lint:
 	$(MAKE) lint-seam
 	$(MAKE) lint-view
 	$(MAKE) lint-solve
+	$(MAKE) lint-border
 
 # lint-seam enforces the overlay's delivery seam: outside the event driver
 # and the Simulate harness, no non-test file of internal/overlay may name
@@ -52,6 +53,14 @@ lint-view:
 lint-solve:
 	! grep -nE 'svc\.Linear\(' $$(ls internal/overlay/*.go internal/qos/*.go | grep -v _test.go)
 	! grep -nE 'labels|indeg|ClosestPairIndexed|superBorder' $$(ls internal/mlhfc/*.go | grep -v _test.go)
+
+# lint-border keeps "which pair joins clusters a and b" answered in one place:
+# hfc elects it (Build, and Dynamic over the live membership) and publishes it
+# as a DenseTables; nothing outside internal/hfc reads the Borders map of a
+# view or runs a closest-pair election of its own (internal/geo only defines
+# the primitive).
+lint-border:
+	! grep -nE '\.Borders\[|[cC]losestPair(Indexed)?\(' $$(git ls-files '*.go' | grep -v -e _test.go -e '^vendor/' -e '^internal/hfc/' -e '^internal/geo/')
 
 # vet is the machine-readable variant: the registered-analyzer roster
 # followed by the full suite with -json diagnostics (one JSON object per
@@ -93,14 +102,28 @@ chaos:
 # driver parity included) plus the 32k convergence drill under the race
 # detector, then — without it, because they count heap objects — the
 # delayed-delivery allocation pins, then smokes the end-to-end benchmark's
-# overlay workload — CI's sim job. The 100k acceptance drill is opt-in:
-# HFC_SIM_SCALE=1 go test -run TestSimConverge100k ./internal/experiments/
+# overlay workload — CI's sim job. The 100k acceptance drill runs nightly
+# (see nightly).
 sim:
 	$(GO) test -race -run 'TestSimulateDeterministic|TestSimulateGolden|TestSimModeMatchesRealMode|TestSentPayloadIsNotMutated|TestNetsimLatencyUnderVirtualTime' -count 2 ./internal/overlay/
 	$(GO) test -race -run 'TestRunnerDeterministicUnderVirtualTime' -count 2 ./internal/chaos/
 	$(GO) test -race -run 'TestSimScaleConvergence' -timeout 30m ./internal/experiments/
 	$(GO) test -run 'AllocsPerRun|TestSimDriverArena|TestEventQueueGivesBack' ./internal/vtime/ ./internal/overlay/
 	$(GO) run ./bench -workload protocol-sim -seconds 1
+
+# nightly is what CI's scheduled job runs — the checks too expensive for every
+# push: the 100k-node convergence drill, then ten minutes of fuzzing for each
+# committed fuzz target (go test -fuzz takes one package and one target at a
+# time).
+FUZZ_TARGETS = cluster:FuzzZahnCluster cluster:FuzzClusterDeterminism \
+	svc:FuzzServiceGraphParse svc:FuzzGraphFrontMatter \
+	routing:FuzzFindPathScratch geo:FuzzGeoIndex graph:FuzzCSRDijkstra \
+	chaos:FuzzChaosSchedule vtime:FuzzVTimeSchedule
+nightly:
+	HFC_SIM_SCALE=1 $(GO) test -run 'TestSimConverge100k' -timeout 30m ./internal/experiments/
+	for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 10m ./internal/$${t%%:*}/ || exit 1; \
+	done
 
 fmt:
 	gofmt -l -w $$(git ls-files '*.go' | grep -v '^vendor/')

@@ -984,7 +984,7 @@ func benchBorderElection(b *testing.B, indexed bool) {
 	}
 }
 
-// BenchmarkGateBorderElectionIndexed measures the full §3.3 border + backup
+// BenchmarkGateBorderElectionIndexed measures the full §3.3 border
 // elections through the per-cluster geo indexes at n=4096.
 func BenchmarkGateBorderElectionIndexed(b *testing.B) { benchBorderElection(b, true) }
 

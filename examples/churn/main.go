@@ -109,12 +109,12 @@ func run() error {
 	}
 
 	// Final phase: node crashes on the churned membership — fail-stop a
-	// border proxy plus some regular proxies, keep routing through backup
-	// borders and live providers, then recover everyone.
+	// border proxy plus some regular proxies, keep routing through
+	// re-elected borders and live providers, then recover everyone.
 	return w.faultDrill()
 }
 
-// faultDrill crashes a primary border proxy and two regular proxies on the
+// faultDrill crashes a border proxy and two regular proxies on the
 // current membership, shows the overlay re-converging (modulo the crashed
 // set) and routing around the failures, then recovers the nodes and
 // re-verifies strict convergence.
@@ -148,17 +148,10 @@ func (w *world) faultDrill() error {
 	sys.TriggerStateRound()
 	sys.Quiesce()
 
-	// Crash one primary border proxy and two proxies with no border duty.
-	victims := topo.BorderNodes()[:1]
-	onDuty := map[int]bool{}
-	for _, b := range topo.BorderNodes() {
-		onDuty[b] = true
-	}
-	for _, b := range topo.BackupBorderNodes() {
-		onDuty[b] = true
-	}
+	// Crash one border proxy and two proxies with no border duty.
+	victims := []int{topo.BorderNodes()[0]}
 	for i := 0; i < topo.N() && len(victims) < 3; i++ {
-		if !onDuty[i] {
+		if !topo.IsBorder(i) {
 			victims = append(victims, i)
 		}
 	}

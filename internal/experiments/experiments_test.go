@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"hfc/internal/env"
+	"hfc/internal/mlhfc"
+	"hfc/internal/stats"
 )
 
 // smallSpecs returns two reduced environments so the experiment plumbing
@@ -58,6 +61,84 @@ func TestRunFig9ShapeAndScaling(t *testing.T) {
 	}
 	if out := FormatFig9b(rows); !strings.Contains(out, "Figure 9(b)") {
 		t.Error("FormatFig9b missing header")
+	}
+}
+
+// TestFig9aMatchesEntitlement pins Fig. 9(a) to the quantity the paper plots:
+// a proxy's coordinate state is its own cluster's members plus every border
+// proxy in the system, each counted once — recomputed here from the topology,
+// without a view. The tri-level column is held to the analogous sets one tier
+// up: own inner cluster, the borders of the own group's interior, and every
+// super-border.
+func TestFig9aMatchesEntitlement(t *testing.T) {
+	spec := env.SmallSpec(311)
+	e, err := env.Build(spec)
+	if err != nil {
+		t.Fatalf("env.Build: %v", err)
+	}
+	topo := e.Framework.Topology()
+	union := func(sets ...[]int) int {
+		seen := make(map[int]bool)
+		for _, set := range sets {
+			for _, n := range set {
+				seen[n] = true
+			}
+		}
+		return len(seen)
+	}
+	var want []float64
+	for node := 0; node < topo.N(); node++ {
+		want = append(want, float64(union(topo.Members(topo.ClusterOf(node)), topo.BorderNodes())))
+	}
+	rows, err := RunFig9([]env.Spec{spec}, 1)
+	if err != nil {
+		t.Fatalf("RunFig9: %v", err)
+	}
+	if got := rows[0].HFCCoordStates; math.Abs(got-stats.Mean(want)) > 1e-9 {
+		t.Errorf("Fig. 9(a) hierarchical = %v, mean |members ∪ borders| = %v", got, stats.Mean(want))
+	}
+
+	ml, err := RunMultiLevel([]env.Spec{spec}, 1)
+	if err != nil {
+		t.Fatalf("RunMultiLevel: %v", err)
+	}
+	if got := ml[0].BiCoordStates; math.Abs(got-stats.Mean(want)) > 1e-9 {
+		t.Errorf("multilevel bi coord = %v, mean |members ∪ borders| = %v", got, stats.Mean(want))
+	}
+	cfg := mlhfc.DefaultConfig()
+	cfg.TargetGroups = int(math.Round(math.Sqrt(float64(topo.NumClusters()))))
+	tri, err := mlhfc.Build(topo.Coords(), cfg)
+	if err != nil {
+		t.Fatalf("mlhfc.Build: %v", err)
+	}
+	if tri.NumGroups() != ml[0].Groups || tri.NumGroups() < 2 {
+		t.Fatalf("rebuilt %d groups, the row reports %d; want the same, and a real third tier", tri.NumGroups(), ml[0].Groups)
+	}
+	var super []int
+	for a := 0; a < tri.NumGroups(); a++ {
+		for b := a + 1; b < tri.NumGroups(); b++ {
+			inA, inB, err := tri.SuperBorder(a, b)
+			if err != nil {
+				t.Fatalf("SuperBorder(%d,%d): %v", a, b, err)
+			}
+			super = append(super, inA, inB)
+		}
+	}
+	var wantTri []float64
+	for node := 0; node < tri.N(); node++ {
+		g := tri.GroupOf(node)
+		interior := tri.Interior(g)
+		var own []int
+		for _, local := range interior.Members(interior.ClusterOf(tri.ToLocal(node))) {
+			own = append(own, tri.ToGlobal(g, local))
+		}
+		for _, local := range interior.BorderNodes() {
+			own = append(own, tri.ToGlobal(g, local))
+		}
+		wantTri = append(wantTri, float64(union(own, super)))
+	}
+	if got := ml[0].TriCoordStates; math.Abs(got-stats.Mean(wantTri)) > 1e-9 {
+		t.Errorf("multilevel tri coord = %v, mean |inner members ∪ interior borders ∪ super-borders| = %v", got, stats.Mean(wantTri))
 	}
 }
 

@@ -58,19 +58,12 @@ func RunFaults(spec env.Spec, crashFractions []float64, trials, requests int) ([
 	caps := e.Framework.Capabilities()
 	baseline := e.Framework.States()
 
-	// Crashes are drawn from nodes with no border duty, primary or backup:
-	// the paper's clustering keeps border pairs long-lived, and border
-	// failover has its own experiment.
-	protected := map[int]bool{}
-	for _, b := range topo.BorderNodes() {
-		protected[b] = true
-	}
-	for _, b := range topo.BackupBorderNodes() {
-		protected[b] = true
-	}
+	// Crashes are drawn from nodes with no border duty: the paper's
+	// clustering keeps border pairs long-lived, and border failover has its
+	// own experiment.
 	var crashable []int
 	for i := 0; i < topo.N(); i++ {
-		if !protected[i] {
+		if !topo.IsBorder(i) {
 			crashable = append(crashable, i)
 		}
 	}
@@ -165,11 +158,11 @@ func RunFaults(spec env.Spec, crashFractions []float64, trials, requests int) ([
 
 // BorderFailoverRow is one trial of the border-proxy failover experiment.
 type BorderFailoverRow struct {
-	// ClusterA, ClusterB is the cluster pair whose primary border was
-	// attacked; CrashedBorder is the primary endpoint crashed.
+	// ClusterA, ClusterB is the cluster pair whose border was attacked;
+	// CrashedBorder is the endpoint in ClusterA that was crashed.
 	ClusterA, ClusterB, CrashedBorder int
 	// ReconvergeRounds is how many protocol rounds the system needed to
-	// verify again (modulo the crash) with border duty on the backup pair.
+	// verify again (modulo the crash) with border duty on the re-elected pair.
 	ReconvergeRounds int
 	// SuccessRate is the request success rate after failover.
 	SuccessRate float64
@@ -179,10 +172,11 @@ type BorderFailoverRow struct {
 	Requests      int
 }
 
-// RunBorderFailover crashes a primary border proxy, measures how many §4
-// rounds the runtime needs to re-converge through the ranked backup border
-// pair, checks that requests keep succeeding, then recovers the node and
-// measures the return to strict convergence.
+// RunBorderFailover crashes a border proxy, measures how many §4 rounds the
+// runtime needs to re-converge through the re-elected pair — the closest
+// pair of the two clusters' live members — checks that requests keep
+// succeeding, then recovers the node and measures the return to strict
+// convergence.
 func RunBorderFailover(spec env.Spec, trials, requests int) ([]BorderFailoverRow, error) {
 	if trials < 1 || requests < 1 {
 		return nil, errors.New("experiments: trials and requests must be >= 1")
@@ -194,22 +188,19 @@ func RunBorderFailover(spec env.Spec, trials, requests int) ([]BorderFailoverRow
 	topo := e.Framework.Topology()
 	caps := e.Framework.Capabilities()
 
-	// Cluster pairs that actually have a backup border to fail over to.
+	// Cluster pairs whose attacked cluster keeps a live member to re-elect.
 	type pair struct{ a, b int }
 	var pairs []pair
 	for a := 0; a < topo.NumClusters(); a++ {
+		if len(topo.Members(a)) < 2 {
+			continue
+		}
 		for b := a + 1; b < topo.NumClusters(); b++ {
-			backups, err := topo.BackupBorders(a, b)
-			if err != nil {
-				return nil, err
-			}
-			if len(backups) > 0 {
-				pairs = append(pairs, pair{a, b})
-			}
+			pairs = append(pairs, pair{a, b})
 		}
 	}
 	if len(pairs) == 0 {
-		return nil, errors.New("experiments: border failover: no cluster pair has backup borders (clusters too small)")
+		return nil, errors.New("experiments: border failover: no cluster pair whose attacked side has two members")
 	}
 
 	rows := make([]BorderFailoverRow, 0, trials)
@@ -299,7 +290,7 @@ func FormatFaults(rows []FaultsRow) string {
 
 // FormatBorderFailover renders the border-failover table.
 func FormatBorderFailover(rows []BorderFailoverRow) string {
-	out := "Border-proxy failover: crash a primary border, converge via backups\n"
+	out := "Border-proxy failover: crash a border, converge via the re-elected pair\n"
 	out += fmt.Sprintf("%-10s %8s %11s %9s %14s\n",
 		"pair", "border", "reconverge", "success", "recover rounds")
 	for _, r := range rows {

@@ -22,7 +22,7 @@ type ScaleRow struct {
 	// Borůvka MST rounds, inconsistent-edge cut, small-cluster merge).
 	ClusterTime time.Duration
 	// BorderTime covers hfc.Build end to end (per-cluster indexes plus
-	// every pairwise primary + backup election).
+	// every pairwise border election).
 	BorderTime time.Duration
 }
 

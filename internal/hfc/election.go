@@ -62,38 +62,21 @@ func buildElectionIndexes(cmap *coords.Map, clustering *cluster.Result) *electio
 	return e
 }
 
-// electBorders runs the full §3.3 election for one cluster pair: the
-// primary closest cross pair plus its ranked node-disjoint backups. With a
-// nil index it is exactly the brute closestPair + backupPairs scan; with
-// an index it answers through geo.ClosestPairIndexed, which implements the
-// same canonical (distance, low node, high node) order, so the results are
-// bit-identical (asserted by the 200-seed property test).
-func electBorders(cmap *coords.Map, membersA, membersB []int, bIdx geo.Index) (BorderPair, []BorderPair, error) {
+// electBorders runs the §3.3 election for one cluster pair: the closest
+// cross pair. With a nil index it is exactly the brute closestPair scan;
+// with an index it answers through geo.ClosestPairIndexed, which implements
+// the same canonical (distance, low node, high node) order, so the results
+// are bit-identical (asserted by the 200-seed property test).
+func electBorders(cmap *coords.Map, membersA, membersB []int, bIdx geo.Index) (BorderPair, error) {
 	if bIdx == nil {
-		pair, err := closestPair(cmap, membersA, membersB)
-		if err != nil {
-			return BorderPair{}, nil, err
-		}
-		return pair, backupPairs(cmap, membersA, membersB, pair, MaxBackupBorders), nil
+		return closestPair(cmap, membersA, membersB)
 	}
 	if len(membersA) == 0 || len(membersB) == 0 {
-		return BorderPair{}, nil, errors.New("hfc: empty cluster")
+		return BorderPair{}, errors.New("hfc: empty cluster")
 	}
 	p, ok := geo.ClosestPairIndexed(cmap.Points, membersA, bIdx, nil, nil)
 	if !ok {
-		return BorderPair{}, nil, errors.New("hfc: empty cluster")
+		return BorderPair{}, errors.New("hfc: empty cluster")
 	}
-	primary := BorderPair{Low: p.A, High: p.B}
-	used := map[int]bool{primary.Low: true, primary.High: true}
-	skip := func(j int) bool { return used[j] }
-	var backs []BorderPair
-	for len(backs) < MaxBackupBorders {
-		bp, ok := geo.ClosestPairIndexed(cmap.Points, membersA, bIdx, skip, skip)
-		if !ok {
-			break
-		}
-		used[bp.A], used[bp.B] = true, true
-		backs = append(backs, BorderPair{Low: bp.A, High: bp.B})
-	}
-	return primary, backs, nil
+	return BorderPair{Low: p.A, High: p.B}, nil
 }

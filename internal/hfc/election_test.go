@@ -59,7 +59,10 @@ func TestDynamicIndexedMatchesDirectElections(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDynamic(topo)
-	if !d.geoOK {
+	d.mu.Lock()
+	geoOK := d.geoOK
+	d.mu.Unlock()
+	if !geoOK {
 		t.Fatalf("expected geo indexes enabled at n=%d", n)
 	}
 	gone := make(map[int]bool)
@@ -87,6 +90,7 @@ func TestDynamicIndexedMatchesDirectElections(t *testing.T) {
 		}
 	}
 	// Reference: brute-elect every live pair directly.
+	tab := d.Table()
 	for a := 0; a < k; a++ {
 		for b := a + 1; b < k; b++ {
 			ma, mb := d.Members(a), d.Members(b)
@@ -97,13 +101,8 @@ func TestDynamicIndexedMatchesDirectElections(t *testing.T) {
 			if err != nil {
 				t.Fatalf("pair (%d,%d): %v", a, b, err)
 			}
-			wantBacks := backupPairs(cmap, ma, mb, wantPair, MaxBackupBorders)
-			key := [2]int{a, b}
-			if d.borders[key] != wantPair {
-				t.Fatalf("pair (%d,%d): border=%v want %v", a, b, d.borders[key], wantPair)
-			}
-			if !reflect.DeepEqual(d.backups[key], wantBacks) {
-				t.Fatalf("pair (%d,%d): backups=%v want %v", a, b, d.backups[key], wantBacks)
+			if got := (BorderPair{Low: int(tab.BorderInA[a*k+b]), High: int(tab.BorderInA[b*k+a])}); got != wantPair {
+				t.Fatalf("pair (%d,%d): border=%v want %v", a, b, got, wantPair)
 			}
 		}
 	}
@@ -118,10 +117,10 @@ func TestElectBordersEmptyCluster(t *testing.T) {
 	if idx == nil {
 		t.Fatal("expected election indexes at threshold size")
 	}
-	if _, _, err := electBorders(cmap, nil, clustering.Clusters[1], idx.forPair(1)); err == nil {
+	if _, err := electBorders(cmap, nil, clustering.Clusters[1], idx.forPair(1)); err == nil {
 		t.Fatal("expected error for empty cluster (indexed)")
 	}
-	if _, _, err := electBorders(cmap, nil, clustering.Clusters[1], nil); err == nil {
+	if _, err := electBorders(cmap, nil, clustering.Clusters[1], nil); err == nil {
 		t.Fatal("expected error for empty cluster (brute)")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"hfc/internal/cluster"
 	"hfc/internal/coords"
@@ -33,31 +32,16 @@ type Topology struct {
 	// borders maps a normalized cluster-ID pair {lo, hi} to its border
 	// pair.
 	borders map[[2]int]BorderPair
-	// backups maps a normalized cluster-ID pair {lo, hi} to its ranked
-	// backup border pairs: successive closest cross pairs that are
-	// node-disjoint from every earlier pair for the same cluster pair, so
-	// a crashed primary endpoint never disables the first backup too.
-	backups map[[2]int][]BorderPair
-	// borderNodes is the sorted set of all primary border proxies in the
-	// system; backupNodes is the sorted set of nodes that appear only in
-	// backup pairs (the two sets may overlap across different cluster
-	// pairs — backupNodes is reported as computed, without subtracting
-	// borderNodes).
+	// borderNodes is the sorted set of all border proxies in the system.
 	borderNodes []int
-	backupNodes []int
 	// borderNodesByCluster[c] lists cluster c's border proxies, sorted.
 	borderNodesByCluster map[int][]int
-	// borderInA[a][b] is the border node of cluster a toward cluster b
-	// (-1 on the diagonal); a dense mirror of borders for hot paths.
-	borderInA [][]int
-	// dense caches the tables every SharedView hands out (see sharedDense).
-	dense atomic.Pointer[DenseTables]
+	// static is the K×K table of borders that every reader indexes: what
+	// Border answers, what a detached SharedView's Dense returns, and the
+	// table a Dynamic publishes until the first membership change. Never
+	// written after Build.
+	static *DenseTables
 }
-
-// MaxBackupBorders is how many backup border pairs Build precomputes per
-// cluster pair (fewer when the clusters are too small to supply disjoint
-// pairs).
-const MaxBackupBorders = 2
 
 // Build constructs the HFC topology from an embedded coordinate map and a
 // clustering of the same node set. Border pairs are chosen per §3.3: for
@@ -67,18 +51,17 @@ const MaxBackupBorders = 2
 // bit-identical to BuildWithSelector(cmap, clustering,
 // ClosestPairSelector()), which always runs the brute scans.
 //
-// The per-cluster-pair scans — the closest-pair searches and their
-// node-disjoint backup rankings — fan out on the par pool. Each pair's scan
-// reads only the immutable coordinate map, member lists and prebuilt
-// per-cluster indexes and writes a slot private to that pair, and assembly
-// walks the pairs in a < b order, so the topology is bit-identical for any
-// GOMAXPROCS.
+// The per-cluster-pair closest-pair scans fan out on the par pool. Each
+// pair's scan reads only the immutable coordinate map, member lists and
+// prebuilt per-cluster indexes and writes a slot private to that pair, and
+// assembly walks the pairs in a < b order, so the topology is bit-identical
+// for any GOMAXPROCS.
 func Build(cmap *coords.Map, clustering *cluster.Result) (*Topology, error) {
 	if err := checkInputs(cmap, clustering); err != nil {
 		return nil, err
 	}
 	elect := buildElectionIndexes(cmap, clustering)
-	return assemble(cmap, clustering, par.For, func(a, b int) (BorderPair, []BorderPair, error) {
+	return assemble(cmap, clustering, par.For, func(a, b int) (BorderPair, error) {
 		return electBorders(cmap, clustering.Clusters[a], clustering.Clusters[b], elect.forPair(b))
 	})
 }
@@ -98,17 +81,16 @@ func checkInputs(cmap *coords.Map, clustering *cluster.Result) error {
 }
 
 // assemble builds the topology from one election per cluster pair: elect
-// returns pair (a, b)'s primary border pair and its ranked backups. each
-// visits the pairs — par.For when elect is a pure function of (a, b), a
-// plain loop in a < b order when it draws from an rng — and the tables are
-// then filled in a < b order whichever it was.
+// returns pair (a, b)'s border pair. each visits the pairs — par.For when
+// elect is a pure function of (a, b), a plain loop in a < b order when it
+// draws from an rng — and the tables are then filled in a < b order
+// whichever it was.
 func assemble(cmap *coords.Map, clustering *cluster.Result, each func(n int, fn func(i int)),
-	elect func(a, b int) (BorderPair, []BorderPair, error)) (*Topology, error) {
+	elect func(a, b int) (BorderPair, error)) (*Topology, error) {
 	type pairResult struct {
-		a, b    int
-		primary BorderPair
-		backups []BorderPair
-		err     error
+		a, b int
+		pair BorderPair
+		err  error
 	}
 	k := clustering.NumClusters()
 	results := make([]pairResult, 0, k*(k-1)/2)
@@ -119,28 +101,20 @@ func assemble(cmap *coords.Map, clustering *cluster.Result, each func(n int, fn 
 	}
 	each(len(results), func(i int) {
 		r := &results[i]
-		r.primary, r.backups, r.err = elect(r.a, r.b)
+		r.pair, r.err = elect(r.a, r.b)
 	})
 
 	t := &Topology{
 		coords:               cmap,
 		clustering:           clustering,
 		borders:              make(map[[2]int]BorderPair),
-		backups:              make(map[[2]int][]BorderPair),
 		borderNodesByCluster: make(map[int][]int),
+		static:               newDenseTables(k, cmap.Points),
 	}
 	borderSet := make(map[int]bool)
-	backupSet := make(map[int]bool)
 	perCluster := make(map[int]map[int]bool)
-	t.borderInA = make([][]int, k)
-	for a := range t.borderInA {
-		t.borderInA[a] = make([]int, k)
-		for b := range t.borderInA[a] {
-			t.borderInA[a][b] = -1
-		}
-	}
 	for _, r := range results {
-		a, b, pair := r.a, r.b, r.primary
+		a, b, pair := r.a, r.b, r.pair
 		if r.err != nil {
 			return nil, fmt.Errorf("hfc: selecting border pair (%d,%d): %w", a, b, r.err)
 		}
@@ -148,8 +122,7 @@ func assemble(cmap *coords.Map, clustering *cluster.Result, each func(n int, fn 
 			return nil, fmt.Errorf("hfc: selector returned pair (%d,%d) outside clusters (%d,%d)", pair.Low, pair.High, a, b)
 		}
 		t.borders[[2]int{a, b}] = pair
-		t.borderInA[a][b] = pair.Low
-		t.borderInA[b][a] = pair.High
+		t.static.setPair(a, b, pair, cmap.Dist(pair.Low, pair.High))
 		if perCluster[a] == nil {
 			perCluster[a] = make(map[int]bool)
 		}
@@ -160,18 +133,8 @@ func assemble(cmap *coords.Map, clustering *cluster.Result, each func(n int, fn 
 		borderSet[pair.High] = true
 		perCluster[a][pair.Low] = true
 		perCluster[b][pair.High] = true
-		// Failover spares: ranked node-disjoint backups behind the primary.
-		// They are tracked separately so the primary border metrics (Fig. 9,
-		// ablation A4) keep their meaning, but their coordinates travel in
-		// every node's view so failover routing can price the spare links.
-		t.backups[[2]int{a, b}] = r.backups
-		for _, bp := range r.backups {
-			backupSet[bp.Low] = true
-			backupSet[bp.High] = true
-		}
 	}
 	t.borderNodes = sortedKeys(borderSet)
-	t.backupNodes = sortedKeys(backupSet)
 	for c, set := range perCluster {
 		t.borderNodesByCluster[c] = sortedKeys(set)
 	}
@@ -187,11 +150,6 @@ func sortedKeys(set map[int]bool) []int {
 	return out
 }
 
-// backupPairs ranks the backup border pairs between two member lists:
-// repeatedly the closest cross pair whose endpoints are node-disjoint from
-// every pair chosen so far (primary included). Disjointness guarantees the
-// first backup survives any single crash among the primary's endpoints;
-// small clusters yield fewer (possibly zero) backups.
 // improves reports whether candidate pair (a, b) at distance d should
 // replace the incumbent best pair: strictly closer, or an exact distance tie
 // broken toward smaller node indices so border election is deterministic.
@@ -201,36 +159,6 @@ func improves(d, bestDist float64, a, b int, best BorderPair) bool {
 	}
 	//hfcvet:ignore floatdist exact ties break toward smaller indices for deterministic border pairs
 	return d == bestDist && (a < best.Low || (a == best.Low && b < best.High))
-}
-
-func backupPairs(cmap *coords.Map, membersA, membersB []int, primary BorderPair, max int) []BorderPair {
-	used := map[int]bool{primary.Low: true, primary.High: true}
-	var out []BorderPair
-	for len(out) < max {
-		best := BorderPair{Low: -1, High: -1}
-		bestDist := 0.0
-		for _, a := range membersA {
-			if used[a] {
-				continue
-			}
-			for _, b := range membersB {
-				if used[b] {
-					continue
-				}
-				d := cmap.Dist(a, b)
-				if improves(d, bestDist, a, b, best) {
-					best = BorderPair{Low: a, High: b}
-					bestDist = d
-				}
-			}
-		}
-		if best.Low == -1 {
-			break
-		}
-		used[best.Low], used[best.High] = true, true
-		out = append(out, best)
-	}
-	return out
 }
 
 // closestPair returns the minimum-distance cross pair between two member
@@ -283,36 +211,11 @@ func (t *Topology) Border(a, b int) (inA, inB int, err error) {
 	if a == b {
 		return 0, 0, fmt.Errorf("hfc: no border pair within a single cluster %d", a)
 	}
-	if a < 0 || a >= len(t.borderInA) || b < 0 || b >= len(t.borderInA) {
+	k := t.static.K
+	if a < 0 || a >= k || b < 0 || b >= k {
 		return 0, 0, fmt.Errorf("hfc: no border pair for clusters (%d,%d)", a, b)
 	}
-	return t.borderInA[a][b], t.borderInA[b][a], nil
-}
-
-// BackupBorders returns the ranked backup border pairs between two distinct
-// clusters, each oriented as {inA, inB}. The list may be empty when the
-// clusters are too small to supply node-disjoint spares.
-func (t *Topology) BackupBorders(a, b int) ([][2]int, error) {
-	if a == b {
-		return nil, fmt.Errorf("hfc: no border pairs within a single cluster %d", a)
-	}
-	if a < 0 || a >= len(t.borderInA) || b < 0 || b >= len(t.borderInA) {
-		return nil, fmt.Errorf("hfc: no border pairs for clusters (%d,%d)", a, b)
-	}
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	pairs := t.backups[[2]int{lo, hi}]
-	out := make([][2]int, len(pairs))
-	for i, p := range pairs {
-		if a == lo {
-			out[i] = [2]int{p.Low, p.High}
-		} else {
-			out[i] = [2]int{p.High, p.Low}
-		}
-	}
-	return out, nil
+	return int(t.static.BorderInA[a*k+b]), int(t.static.BorderInA[b*k+a]), nil
 }
 
 // ConstrainedDist returns the length of the HFC overlay hop path from u to
@@ -324,8 +227,9 @@ func (t *Topology) ConstrainedDist(u, v int) float64 {
 	if cu == cv {
 		return t.Dist(u, v)
 	}
-	bu, bv := t.borderInA[cu][cv], t.borderInA[cv][cu]
-	d := t.Dist(bu, bv)
+	k := t.static.K
+	bu, bv := int(t.static.BorderInA[cu*k+cv]), int(t.static.BorderInA[cv*k+cu])
+	d := t.static.Ext[cu*k+cv]
 	if u != bu {
 		d += t.Dist(u, bu)
 	}
@@ -345,13 +249,9 @@ func (t *Topology) ExternalLinkLength(a, b int) (float64, error) {
 	return t.Dist(u, v), nil
 }
 
-// BorderNodes returns all primary border proxies in the system, sorted
-// (shared slice — do not modify).
+// BorderNodes returns all border proxies in the system, sorted (shared
+// slice — do not modify).
 func (t *Topology) BorderNodes() []int { return t.borderNodes }
-
-// BackupBorderNodes returns every node that serves in some backup border
-// pair, sorted (shared slice — do not modify).
-func (t *Topology) BackupBorderNodes() []int { return t.backupNodes }
 
 // BorderNodesOf returns cluster c's border proxies, sorted (shared slice —
 // do not modify). A single-cluster system has none.
@@ -448,23 +348,6 @@ func (t *Topology) Validate() error {
 			}
 			if t.Dist(u, v) > t.Dist(want.Low, want.High)+1e-12 {
 				return fmt.Errorf("hfc: border pair (%d,%d) is not the closest pair between clusters (%d,%d)", u, v, a, b)
-			}
-			// Backups: correctly clustered and node-disjoint from every
-			// earlier pair of the same cluster pair.
-			backs, err := t.BackupBorders(a, b)
-			if err != nil {
-				return err
-			}
-			usedNodes := map[int]bool{u: true, v: true}
-			for _, p := range backs {
-				if t.ClusterOf(p[0]) != a || t.ClusterOf(p[1]) != b {
-					return fmt.Errorf("hfc: backup pair (%d,%d) of clusters (%d,%d) lies in clusters (%d,%d)",
-						p[0], p[1], a, b, t.ClusterOf(p[0]), t.ClusterOf(p[1]))
-				}
-				if usedNodes[p[0]] || usedNodes[p[1]] {
-					return fmt.Errorf("hfc: backup pair (%d,%d) of clusters (%d,%d) reuses an earlier border node", p[0], p[1], a, b)
-				}
-				usedNodes[p[0]], usedNodes[p[1]] = true, true
 			}
 		}
 	}

@@ -283,17 +283,13 @@ func TestViewContents(t *testing.T) {
 	if len(v.Borders) != 6 {
 		t.Errorf("Borders has %d entries, want 6", len(v.Borders))
 	}
-	// Coordinates: own members + every (primary or backup) border node;
-	// never a foreign node with no border duty at all.
-	backup := make(map[int]bool)
-	for _, b := range topo.BackupBorderNodes() {
-		backup[b] = true
-	}
+	// Coordinates: own members + every border node; never a foreign node
+	// with no border duty.
 	for id := range v.Coords {
 		if topo.ClusterOf(id) == 2 {
 			continue
 		}
-		if !topo.IsBorder(id) && !backup[id] {
+		if !topo.IsBorder(id) {
 			t.Errorf("view holds coordinates of foreign non-border node %d", id)
 		}
 	}
@@ -302,6 +298,41 @@ func TestViewContents(t *testing.T) {
 	}
 	if got := v.KnownNodes(); len(got) != len(v.Coords) {
 		t.Errorf("KnownNodes returned %d ids, want %d", len(got), len(v.Coords))
+	}
+}
+
+// TestViewCoordinateStateIsMembersPlusBorders holds Fig. 9(a)'s quantity to
+// the paper's definition: a proxy keeps coordinates for its own cluster's
+// members and for every border proxy in the system, each once — nothing else.
+func TestViewCoordinateStateIsMembersPlusBorders(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 4; trial++ {
+		cmap, clustering := randomClusteredInstance(rng, 40+rng.Intn(60), 2+rng.Intn(6))
+		topo, err := Build(cmap, clustering)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		for node := 0; node < topo.N(); node++ {
+			want := make(map[int]bool)
+			for _, m := range topo.Members(topo.ClusterOf(node)) {
+				want[m] = true
+			}
+			for _, b := range topo.BorderNodes() {
+				want[b] = true
+			}
+			v, err := topo.View(node)
+			if err != nil {
+				t.Fatalf("View(%d): %v", node, err)
+			}
+			if got := v.CoordinateStateSize(); got != len(want) {
+				t.Fatalf("trial %d: View(%d) keeps %d coordinates, |members ∪ borders| = %d", trial, node, got, len(want))
+			}
+			for _, id := range v.KnownNodes() {
+				if !want[id] {
+					t.Fatalf("trial %d: View(%d) keeps the coordinate of %d, neither a cluster member nor a border", trial, node, id)
+				}
+			}
+		}
 	}
 }
 

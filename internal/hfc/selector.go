@@ -96,12 +96,7 @@ func BuildWithSelector(cmap *coords.Map, clustering *cluster.Result, sel BorderS
 			fn(i)
 		}
 	}
-	return assemble(cmap, clustering, inOrder, func(a, b int) (BorderPair, []BorderPair, error) {
-		membersA, membersB := clustering.Clusters[a], clustering.Clusters[b]
-		pair, err := sel(cmap, membersA, membersB)
-		if err != nil {
-			return BorderPair{}, nil, err
-		}
-		return pair, backupPairs(cmap, membersA, membersB, pair, MaxBackupBorders), nil
+	return assemble(cmap, clustering, inOrder, func(a, b int) (BorderPair, error) {
+		return sel(cmap, clustering.Clusters[a], clustering.Clusters[b])
 	})
 }

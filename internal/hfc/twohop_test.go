@@ -76,6 +76,10 @@ func TestTwoRelayPropertySurvivesChurn(t *testing.T) {
 			if !dyn.Present(u) {
 				continue
 			}
+			view, err := dyn.SharedView(u)
+			if err != nil {
+				t.Fatalf("SharedView(%d): %v", u, err)
+			}
 			for v := 0; v < n; v++ {
 				if !dyn.Present(v) || u == v {
 					continue
@@ -84,9 +88,9 @@ func TestTwoRelayPropertySurvivesChurn(t *testing.T) {
 				if cu == cv {
 					continue // direct hop, trivially within bound
 				}
-				bu, bv, ok := dyn.Border(cu, cv)
-				if !ok {
-					t.Fatalf("no live border between clusters %d and %d", cu, cv)
+				bu, bv, err := view.Border(cu, cv)
+				if err != nil {
+					t.Fatalf("no live border between clusters %d and %d: %v", cu, cv, err)
 				}
 				if !dyn.Present(bu) || !dyn.Present(bv) {
 					t.Fatalf("elected border (%d,%d) includes an absent node", bu, bv)

@@ -1,16 +1,19 @@
 package overlay
 
 import (
+	"errors"
 	"fmt"
 
+	"hfc/internal/hfc"
 	"hfc/internal/state"
 	"hfc/internal/svc"
 )
 
 // Crash fail-stops a node: from now on every message addressed to it is
 // silently discarded at send time (counted in FaultStats.DroppedToCrashed),
-// and the runtime's failure detector reports it dead, so border duty
-// migrates to backup pairs and resolvers/providers stop being chosen on it.
+// and the runtime's failure detector reports it dead, so the border pairs it
+// served are re-elected among its cluster's live members and
+// resolvers/providers stop being chosen on it.
 // Messages already on their way to it are still consumed — a fail-stop
 // process disappears, it does not wedge the network — but no new traffic
 // reaches it. Crashing an already-crashed node is a no-op.
@@ -25,15 +28,9 @@ func (s *System) Crash(id int) error {
 	s.clearQuarantine(id)
 	// Incrementally re-elect the borders the crashed node served (§5.2):
 	// only its own cluster's pairs are touched. A node the accrual detector
-	// already quarantined has already left the elections; the Present check
-	// makes the two paths commute.
-	s.dynMu.Lock()
-	var err error
-	if s.dyn.Present(id) {
-		err = s.dyn.Leave(id)
-	}
-	s.dynMu.Unlock()
-	if err != nil {
+	// already quarantined has already left the elections; leaving twice is
+	// no change, which makes the two paths commute.
+	if err := s.setElectable(id, false); err != nil {
 		return fmt.Errorf("overlay: crash of %d: %w", id, err)
 	}
 	// Cached routes through the node's cluster may cross the dead proxy.
@@ -90,13 +87,7 @@ func (s *System) Recover(id int) error {
 	s.clearQuarantine(id)
 	// Restore the node into the live border elections before senders can
 	// see it alive, so border duty and view lookups are consistent.
-	s.dynMu.Lock()
-	var err error
-	if !s.dyn.Present(id) {
-		err = s.dyn.Rejoin(id)
-	}
-	s.dynMu.Unlock()
-	if err != nil {
+	if err := s.setElectable(id, true); err != nil {
 		return fmt.Errorf("overlay: recover of %d: %w", id, err)
 	}
 	if s.cache != nil {
@@ -106,6 +97,23 @@ func (s *System) Recover(id int) error {
 	// already in the clean rejoin state.
 	s.crashed[id].Store(false)
 	return nil
+}
+
+// setElectable puts a node into the live border elections (in) or takes it
+// out; asking for the standing it already has changes nothing and is not an
+// error, so the crash registry and the accrual detector can both call it for
+// the same node.
+func (s *System) setElectable(id int, in bool) error {
+	var err error
+	if in {
+		err = s.dyn.Rejoin(id)
+	} else {
+		err = s.dyn.Leave(id)
+	}
+	if errors.Is(err, hfc.ErrNoChange) {
+		return nil
+	}
+	return err
 }
 
 // IsCrashed reports whether a node is currently fail-stopped. Out-of-range

@@ -29,18 +29,11 @@ func convergeRounds(t *testing.T, sys *System, rounds int) {
 	}
 }
 
-// nonBorderNode returns a node with no border duty, primary or backup.
+// nonBorderNode returns a node with no border duty.
 func nonBorderNode(t *testing.T, sys *System) int {
 	t.Helper()
-	protected := map[int]bool{}
-	for _, b := range sys.topo.BorderNodes() {
-		protected[b] = true
-	}
-	for _, b := range sys.topo.BackupBorderNodes() {
-		protected[b] = true
-	}
 	for i := 0; i < sys.topo.N(); i++ {
-		if !protected[i] {
+		if !sys.topo.IsBorder(i) {
 			return i
 		}
 	}
@@ -119,8 +112,18 @@ func TestChildRPCFailsOverToAlternateResolver(t *testing.T) {
 	}
 	// Give the destination a service nobody else provides, so the CSP maps
 	// it to the destination's cluster and the source cluster contributes a
-	// pure-relay child whose resolver is its exit border.
-	ca, cb := 0, 1
+	// pure-relay child whose resolver is its exit border. The source cluster
+	// needs a second border proxy for the destination to fail over to.
+	ca := -1
+	for c := 0; c < topo.NumClusters() && ca == -1; c++ {
+		if len(topo.BorderNodesOf(c)) >= 2 {
+			ca = c
+		}
+	}
+	if ca == -1 {
+		t.Fatal("fixture has no cluster with two border proxies")
+	}
+	cb := (ca + 1) % topo.NumClusters()
 	src, dest := -1, -1
 	for i := 0; i < topo.N(); i++ {
 		if src == -1 && topo.ClusterOf(i) == ca {
@@ -145,11 +148,16 @@ func TestChildRPCFailsOverToAlternateResolver(t *testing.T) {
 		t.Fatalf("Crash: %v", err)
 	}
 	// Simulate failure-detector lag at the destination: it still believes
-	// the crashed border is alive (and has not heard the re-elected border
-	// either), so the child RPC must discover the failure the hard way —
-	// deadline misses, then alternate resolvers.
-	sys.nodes[dest].view.Alive = func(int) bool { return true }
-	sys.nodes[dest].view.BorderOverride = nil
+	// the crashed border is alive and has not heard the re-elected border
+	// either — a view detached from the live elections — so the child RPC
+	// must discover the failure the hard way: deadline misses, then
+	// alternate resolvers.
+	lagging, err := topo.SharedView(dest)
+	if err != nil {
+		t.Fatalf("SharedView: %v", err)
+	}
+	lagging.Alive = func(int) bool { return true }
+	sys.nodes[dest].view = lagging
 
 	sg, err := svc.Linear(unique)
 	if err != nil {
@@ -171,15 +179,17 @@ func TestChildRPCFailsOverToAlternateResolver(t *testing.T) {
 	}
 }
 
-func TestBorderCrashReconvergesThroughBackup(t *testing.T) {
+func TestBorderCrashReconvergesThroughReelectedBorder(t *testing.T) {
 	topo, caps := buildFixture(t, 63)
-	ca, cb := 0, 1
-	backups, err := topo.BackupBorders(ca, cb)
-	if err != nil {
-		t.Fatalf("BackupBorders: %v", err)
+	// Any pair whose near cluster keeps a live member once its border is gone.
+	ca, cb := -1, -1
+	for a := 0; a < topo.NumClusters() && ca == -1; a++ {
+		if len(topo.Members(a)) >= 2 {
+			ca, cb = a, (a+1)%topo.NumClusters()
+		}
 	}
-	if len(backups) == 0 {
-		t.Fatal("fixture clusters too small for backup borders")
+	if ca == -1 || ca == cb {
+		t.Fatal("fixture has no pair of clusters whose near side has two members")
 	}
 	inCa, _, err := topo.Border(ca, cb)
 	if err != nil {
@@ -194,7 +204,7 @@ func TestBorderCrashReconvergesThroughBackup(t *testing.T) {
 
 	// Change ground truth in the border's cluster AFTER the crash: the only
 	// way the new service can reach other clusters' SCT_C (the live-aggregate
-	// floor of ConvergedLive) is an aggregate exchange over a backup pair.
+	// floor of ConvergedLive) is an aggregate exchange over a re-elected pair.
 	fresh := svc.Service("post-crash-service")
 	var carrier int = -1
 	for i := 0; i < topo.N(); i++ {
@@ -224,9 +234,9 @@ func TestBorderCrashReconvergesThroughBackup(t *testing.T) {
 		}
 	}
 	if !reconverged {
-		t.Fatal("no re-convergence through backup border within 5 rounds")
+		t.Fatal("no re-convergence through the re-elected border within 5 rounds")
 	}
-	// The new service crossed clusters, so it travelled over a backup pair.
+	// The new service crossed clusters, so it travelled over a re-elected pair.
 	for i := 0; i < topo.N(); i++ {
 		if sys.IsCrashed(i) || topo.ClusterOf(i) == ca {
 			continue
@@ -236,10 +246,10 @@ func TestBorderCrashReconvergesThroughBackup(t *testing.T) {
 			t.Fatalf("StateOf: %v", err)
 		}
 		if !st.SCTC[ca].Has(fresh) {
-			t.Errorf("node %d SCT_C[%d] missing %q: backup exchange did not happen", i, ca, fresh)
+			t.Errorf("node %d SCT_C[%d] missing %q: the re-elected pair exchanged nothing", i, ca, fresh)
 		}
 	}
-	// Live views must now resolve the pair's border to a live backup.
+	// Live views must now resolve the pair's border to live proxies.
 	for _, n := range sys.nodes {
 		if sys.IsCrashed(n.id) {
 			continue

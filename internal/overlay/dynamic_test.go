@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"reflect"
 	"testing"
 
 	"hfc/internal/hfc"
@@ -55,23 +56,11 @@ func TestCrashReelectsBorderIncrementally(t *testing.T) {
 	if err := ref.Rebuild(); err != nil {
 		t.Fatalf("reference Rebuild: %v", err)
 	}
-	for a := 0; a < topo.NumClusters(); a++ {
-		for b := 0; b < topo.NumClusters(); b++ {
-			if a == b {
-				continue
-			}
-			wantA, wantB, wantOK := ref.Border(a, b)
-			sys.dynMu.RLock()
-			gotA, gotB, gotOK := sys.dyn.Border(a, b)
-			sys.dynMu.RUnlock()
-			if gotA != wantA || gotB != wantB || gotOK != wantOK {
-				t.Errorf("dyn.Border(%d,%d) = (%d,%d,%v), rebuild says (%d,%d,%v)",
-					a, b, gotA, gotB, gotOK, wantA, wantB, wantOK)
-			}
-		}
+	if got, want := sys.BorderSnapshot(), ref.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("live border state %+v, rebuild says %+v", got, want)
 	}
 
-	// Every live view resolves the pair through the override to live nodes.
+	// Every live view resolves the pair through the live table to live nodes.
 	for _, n := range sys.nodes {
 		if sys.IsCrashed(n.id) {
 			continue
@@ -104,12 +93,10 @@ func TestCrashReelectsBorderIncrementally(t *testing.T) {
 	if err := sys.Recover(inCa); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	sys.dynMu.RLock()
-	gotA, gotB, ok := sys.dyn.Border(ca, cb)
-	sys.dynMu.RUnlock()
-	if !ok || gotA != inCa || gotB != inCb {
-		t.Errorf("after recovery dyn.Border(%d,%d) = (%d,%d,%v), want static (%d,%d,true)",
-			ca, cb, gotA, gotB, ok, inCa, inCb)
+	gotA, gotB, err := sys.nodes[dest].view.Border(ca, cb)
+	if err != nil || gotA != inCa || gotB != inCb {
+		t.Errorf("after recovery Border(%d,%d) = (%d,%d,%v), want static (%d,%d)",
+			ca, cb, gotA, gotB, err, inCa, inCb)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // still walk the candidate list in its order — each silent candidate asked
 // RPCRetries+1 times, then the next — and one success past the front counts
 // one ResolverFailover; with no fault, only the designated resolver is asked
-// and the solve allocates fewer objects than the list's 2(K−1) BorderRanked
-// slices alone.
+// and the solve allocates fewer objects than the list has border lookups
+// (K−1).
 func TestChildFailoverListIsBuiltOnFailover(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const n = 400
@@ -125,9 +125,9 @@ func TestChildFailoverListIsBuiltOnFailover(t *testing.T) {
 				t.Errorf("fault-free SolveChild: %v", err)
 			}
 		})
-		t.Logf("a fault-free foreign child solve allocates %v objects; K = %d, the failover list is %d BorderRanked calls", allocs, k, 2*(k-1))
-		if allocs >= float64(2*(k-1)) {
-			t.Errorf("a fault-free child solve allocates %v objects, want fewer than the failover list's %d", allocs, 2*(k-1))
+		t.Logf("a fault-free foreign child solve allocates %v objects; K = %d, the failover list is %d border lookups", allocs, k, k-1)
+		if allocs >= float64(k-1) {
+			t.Errorf("a fault-free child solve allocates %v objects, want fewer than the failover list's %d", allocs, k-1)
 		}
 		if len(asked) != runs+1 {
 			t.Errorf("%d fault-free solves sent %d child RPCs, want one each", runs+1, len(asked))

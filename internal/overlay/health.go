@@ -140,17 +140,11 @@ func (s *System) evaluateHealth(seq uint64) {
 	s.healthMu.Unlock()
 
 	// Apply transitions outside healthMu: the border maintainer has its
-	// own lock, and the same Present checks Crash/Recover use make the two
+	// own lock, and setElectable, which Crash/Recover use too, makes the two
 	// state machines commute.
 	for _, id := range quarantine {
-		s.dynMu.Lock()
-		var err error
-		if s.dyn.Present(id) {
-			err = s.dyn.Leave(id)
-		}
-		s.dynMu.Unlock()
-		if err != nil {
-			// Leave only errors on out-of-range/absent ids, both excluded
+		if err := s.setElectable(id, false); err != nil {
+			// Leave otherwise only errors on out-of-range ids, excluded
 			// above; surfacing a harness bug loudly beats limping on.
 			panic(err)
 		}
@@ -161,14 +155,19 @@ func (s *System) evaluateHealth(seq uint64) {
 	}
 	for _, id := range release {
 		s.quarantined[id].Store(false)
-		s.dynMu.Lock()
-		var err error
-		if !s.dyn.Present(id) && !s.crashed[id].Load() {
-			err = s.dyn.Rejoin(id)
-		}
-		s.dynMu.Unlock()
-		if err != nil {
-			panic(err)
+		// A crashed node stays out. Crash raises its flag before it leaves
+		// the elections, so whichever of the two runs second sees the
+		// other: the check after the rejoin catches a crash that overtook
+		// the check before it.
+		if !s.crashed[id].Load() {
+			if err := s.setElectable(id, true); err != nil {
+				panic(err)
+			}
+			if s.crashed[id].Load() {
+				if err := s.setElectable(id, false); err != nil {
+					panic(err)
+				}
+			}
 		}
 		if s.cache != nil {
 			s.cache.AdvanceRound(s.topo.ClusterOf(id))
@@ -233,11 +232,7 @@ func (s *System) HealthCounters() HealthStats {
 // net of crashes and quarantines, plus the current elections. The chaos
 // property tests compare it against a fresh rebuild after every schedule
 // heals.
-func (s *System) BorderSnapshot() hfc.DynamicSnapshot {
-	s.dynMu.RLock()
-	defer s.dynMu.RUnlock()
-	return s.dyn.Snapshot()
-}
+func (s *System) BorderSnapshot() hfc.DynamicSnapshot { return s.dyn.Snapshot() }
 
 // knownGood is one last-known-good route with the canonical form of the
 // service graph it answers: the store is keyed by the 64-bit fingerprint, and

@@ -135,7 +135,7 @@ func TestGrayNodeQuarantineAndRelease(t *testing.T) {
 	if sys.nodes[0].view.Alive(gray) {
 		t.Error("failure detector still reports quarantined node alive")
 	}
-	if a, _, ok := sys.dynBorder(0, 1); ok && a == gray {
+	if a, _, err := sys.nodes[0].view.Border(0, 1); err == nil && a == gray {
 		t.Error("quarantined node still elected as border")
 	}
 	hc := sys.HealthCounters()
@@ -342,11 +342,4 @@ func TestDegradedRouteCollisionGuard(t *testing.T) {
 	if stale, err := sys.Route(req); err != nil || !stale.Degraded {
 		t.Errorf("Route for the graph the store holds = (%+v, %v), want its degraded route", stale, err)
 	}
-}
-
-// dynBorder reads the live border election for a cluster pair.
-func (s *System) dynBorder(a, b int) (int, int, bool) {
-	s.dynMu.RLock()
-	defer s.dynMu.RUnlock()
-	return s.dyn.Border(a, b)
 }

@@ -207,9 +207,10 @@ type System struct {
 	cfg         Config
 	nodes       []*node
 
-	// duty is the current round's border-duty table, published by
-	// TriggerStateRound before the round's triggers go out.
-	duty atomic.Pointer[dutyTable]
+	// duty is the border table the current round exchanges aggregates
+	// over: the one dyn had published when TriggerStateRound ran, fixed
+	// before the round's triggers go out.
+	duty atomic.Pointer[hfc.DenseTables]
 
 	// mu guards the start/stop lifecycle flags.
 	mu      sync.Mutex
@@ -225,12 +226,12 @@ type System struct {
 	// by the per-entry sequence check.
 	round atomic.Uint64
 
-	// dynMu guards the incremental §5.2 border maintainer that every
-	// node view's BorderOverride consults: on crash/recovery only the
-	// affected cluster's border elections are redone, instead of
-	// rebuilding the whole topology.
-	dynMu sync.RWMutex
-	dyn   *hfc.Dynamic // guarded by dynMu
+	// dyn is the incremental §5.2 border maintainer every node's view is
+	// attached to: on crash/recovery only the affected cluster's border
+	// elections are redone, instead of rebuilding the whole topology, and
+	// the views read the table it publishes. It serialises its own
+	// writers.
+	dyn *hfc.Dynamic
 
 	// cache, when non-nil (Config.CacheRoutes), answers repeated Route
 	// calls; it is internally synchronized, and cached results are shared
@@ -259,8 +260,8 @@ type System struct {
 	quarantined []atomic.Bool
 
 	// healthMu guards the suspicion scores and health counters; it is
-	// never held together with dynMu (transitions decide under healthMu,
-	// then apply under dynMu).
+	// never held while dyn re-elects (transitions decide under healthMu,
+	// then apply).
 	healthMu    sync.Mutex
 	suspicion   []float64   // guarded by healthMu
 	healthStats HealthStats // guarded by healthMu
@@ -499,31 +500,24 @@ func New(topo *hfc.Topology, caps []svc.CapabilitySet, cfg Config) (*System, err
 	}
 	s.nodes = make([]*node, topo.N())
 	for i := range s.nodes {
-		// SharedView aliases the topology's border tables and membership
-		// and serves coordinates on demand — O(1) per node where the
-		// materialized View's per-node copies are O(K²), which is what
-		// lets a 100k-node system construct in seconds. The runtime never
-		// mutates a view's shared maps. ResolveCoord doubles as the
-		// Fig. 4 coordinate hand-off for promoted backup borders.
-		view, err := topo.SharedView(i)
+		// A shared view aliases the topology's membership and serves
+		// coordinates on demand — O(1) per node where the materialized
+		// View's per-node copies are O(K²), which is what lets a 100k-node
+		// system construct in seconds. The runtime never mutates a view's
+		// shared maps. ResolveCoord doubles as the Fig. 4 coordinate
+		// hand-off for re-elected borders. Attached to dyn, the view's
+		// border lookups read the incrementally maintained live elections
+		// (§5.2): with no churn exactly the static pairs; after a crash the
+		// re-elected closest live pair for the affected cluster's links.
+		view, err := s.dyn.SharedView(i)
 		if err != nil {
 			return nil, fmt.Errorf("overlay: %w", err)
 		}
 		// The runtime's crash registry plus the accrual quarantine set
-		// double as every node's failure detector: border selection and
-		// intra-cluster provider choice skip nodes reported dead or
-		// suspected gray. A deployment would plug a gossip or heartbeat
-		// detector in here.
+		// double as every node's failure detector: intra-cluster provider
+		// and resolver choice skip nodes reported dead or suspected gray.
+		// A deployment would plug a gossip or heartbeat detector in here.
 		view.Alive = func(id int) bool { return !s.IsCrashed(id) && !s.IsQuarantined(id) }
-		// Border lookups consult the incrementally maintained live
-		// elections first (§5.2): with no churn they return exactly the
-		// static primaries; after a crash they return the re-elected
-		// closest live pair for the affected cluster's links.
-		view.BorderOverride = func(a, b int) (int, int, bool) {
-			s.dynMu.RLock()
-			defer s.dynMu.RUnlock()
-			return s.dyn.Border(a, b)
-		}
 		// Every node knows its own cluster's aggregate of what it has seen
 		// so far (initially just itself).
 		s.nodes[i] = &node{
@@ -693,37 +687,11 @@ func (s *System) TriggerStateRound() {
 	if s.cache != nil {
 		s.cache.AdvanceAll()
 	}
-	s.duty.Store(s.computeDuty())
+	s.duty.Store(s.dyn.Table())
 	trigger := &message{kind: kindTrigger, trigger: true, seq: seq}
 	for i := range s.nodes {
 		s.send(-1, i, trigger)
 	}
-}
-
-// dutyTable is one round's border assignment: in[a*K+b] is the node of
-// cluster a that terminates the (a,b) border and out[a*K+b] its peer in b,
-// -1 where the clusters share no border. Immutable once published.
-type dutyTable struct{ in, out []int32 }
-
-// computeDuty materializes this round's border-duty table: K² ranked-border
-// lookups once per round, instead of every node scanning all K clusters
-// through the locked Border path (n·K lookups). Border assignments are
-// cluster-symmetric, so any node's view answers for all of them.
-func (s *System) computeDuty() *dutyTable {
-	k := s.topo.NumClusters()
-	t := &dutyTable{in: make([]int32, k*k), out: make([]int32, k*k)}
-	v := s.nodes[0].view
-	for a := 0; a < k; a++ {
-		for b := a + 1; b < k; b++ {
-			inA, inB, err := v.Border(a, b)
-			if err != nil {
-				inA, inB = -1, -1
-			}
-			t.in[a*k+b], t.out[a*k+b] = int32(inA), int32(inB)
-			t.in[b*k+a], t.out[b*k+a] = int32(inB), int32(inA)
-		}
-	}
-	return t
 }
 
 // Quiesce blocks until all in-flight messages (and the messages they
@@ -1051,10 +1019,10 @@ func (n *node) applyAggregate(m message) {
 }
 
 // broadcast floods this node's local state to its cluster and, if it is
-// the preferred live border toward some cluster, aggregates its cluster's
-// (currently known) capability and sends it across the external link. With
-// the failure detector wired into the view, border duty migrates to the
-// first live backup pair when a primary border endpoint is crashed.
+// the live border toward some cluster, aggregates its cluster's (currently
+// known) capability and sends it across the external link. When a border
+// endpoint crashes, border duty migrates to the pair re-elected among the
+// clusters' live members.
 func (n *node) broadcast(seq uint64) {
 	s := n.sys
 	s.capsMu.RLock()
@@ -1069,9 +1037,9 @@ func (n *node) broadcast(seq uint64) {
 		s.send(n.id, member, flood)
 	}
 	// Border duty: for each cluster pair this node currently terminates
-	// (primary, or backup promoted by the failure detector), send the
-	// aggregate of its own cluster. The union over SCTP is cached and
-	// rebuilt only when some member's installed set actually changed.
+	// (elected by Build, or re-elected since a crash), send the aggregate
+	// of its own cluster. The union over SCTP is cached and rebuilt only
+	// when some member's installed set actually changed.
 	n.st.Lock()
 	if n.aggDirty || n.aggCache == nil {
 		sets := make([]svc.CapabilitySet, 0, len(n.state.SCTP))
@@ -1087,19 +1055,18 @@ func (n *node) broadcast(seq uint64) {
 	n.st.Unlock()
 	own := n.view.ClusterID
 	var exchange *message // built on the first border this node terminates
-	// The round's duty table answers "which pairs do I terminate" with K
-	// array reads instead of K locked ranked-border elections per node.
+	// The round's table answers "which pairs do I terminate" with K array
+	// reads, and every node of the round reads the same one.
 	duty := s.duty.Load()
-	k := n.view.NumClusters
-	base := own * k
+	k := duty.K
 	for other := 0; other < k; other++ {
-		if other == own || duty.in[base+other] != int32(n.id) {
+		if other == own || duty.BorderInA[own*k+other] != int32(n.id) {
 			continue
 		}
 		if exchange == nil {
 			exchange = &message{kind: kindAggregate, aggCluster: own, aggSet: agg, aggGen: aggGen, aggForward: true, seq: seq}
 		}
-		s.send(n.id, int(duty.out[base+other]), exchange)
+		s.send(n.id, int(duty.BorderInA[other*k+own]), exchange)
 	}
 	// Record our own cluster's aggregate locally (generation-guarded like
 	// any other receiver).
@@ -1242,8 +1209,8 @@ var _ routing.IntraSolver = (*rpcSolver)(nil)
 func (s *rpcSolver) SolveChild(child routing.ChildRequest) (*routing.Path, error) {
 	sys := s.n.sys
 	// The failover list opens with the designated resolver, and almost every
-	// child is answered there: the rest of the list (2(K−1) border lookups
-	// for a foreign cluster) is built only once that first candidate has
+	// child is answered there: the rest of the list (K−1 border lookups for
+	// a foreign cluster) is built only once that first candidate has
 	// timed out or is already suspected.
 	candidates := []int{child.Resolver}
 	tried := 0

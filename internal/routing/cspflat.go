@@ -14,8 +14,8 @@ import (
 
 // This file is the §5.1 cluster-level search (steps 1–2), the only
 // implementation on the production path. Labels live in pooled dense
-// arrays and border pairs and coordinates come from the view's DenseTables
-// instead of hashed map keys. The map-based search it replaced is the
+// arrays and border pairs and coordinates come from the one DenseTables
+// Route loaded, in every mode. The map-based search it replaced is the
 // oracle in oracle_test.go; the two agree on CSP, cost bits and error
 // strings in every relax mode — same candidate iteration order, same
 // strict-< improvements, same floating-point evaluation order.
@@ -54,12 +54,11 @@ type cspScratch struct {
 
 var cspPool = sync.Pool{New: func() any { return new(cspScratch) }}
 
-// layoutExact fills entOff/entNode for a view of k clusters. A cluster's
-// borders are what View.Border answers toward every cluster the view's
-// Borders table pairs it with — the set the oracle lists, so a pair known
-// only to BorderOverride adds none; pairs Border cannot answer for are
-// skipped.
-func (sc *cspScratch) layoutExact(view *hfc.NodeView, k int) {
+// layoutExact fills entOff/entNode from the border table: a cluster's
+// borders are its proxies toward every other cluster — the set the oracle
+// lists through View.Border.
+func (sc *cspScratch) layoutExact(dt *hfc.DenseTables) {
+	k := dt.K
 	sc.entOff = grow(sc.entOff, k+1)
 	sc.entNode = sc.entNode[:0]
 	for c := 0; c < k; c++ {
@@ -67,14 +66,9 @@ func (sc *cspScratch) layoutExact(view *hfc.NodeView, k int) {
 		sc.entNode = append(sc.entNode, -1)
 		first := len(sc.entNode)
 		for other := 0; other < k; other++ {
-			if _, paired := view.Borders[[2]int{min(c, other), max(c, other)}]; !paired {
-				continue
+			if inC := dt.BorderInA[c*k+other]; inC >= 0 {
+				sc.entNode = append(sc.entNode, inC)
 			}
-			inC, _, err := view.Border(c, other)
-			if err != nil {
-				continue
-			}
-			sc.entNode = append(sc.entNode, int32(inC))
 		}
 		borders := sc.entNode[first:]
 		slices.Sort(borders)
@@ -124,39 +118,19 @@ func errClusterRange(c, k int) error {
 	return fmt.Errorf("routing: cluster %d is outside the view's %d clusters", c, k)
 }
 
-// crossingFlat resolves the oriented border pair and external link length
-// between distinct clusters a and b, preferring the dense tables: when no
-// override is installed, the primary pair is known, and both endpoints
-// pass the failure detector (if any), the precomputed pair and length
-// apply; otherwise it falls back to the view's ranked map-based lookup —
-// exactly what the generic path computes via View.Border + View.Dist.
-func (r *HierarchicalRouter) crossingFlat(dt *hfc.DenseTables, a, b int) (inA, inB int, ext float64, err error) {
-	v := r.View
-	if v.BorderOverride == nil {
-		ia := dt.BorderInA[a*dt.K+b]
-		if ia >= 0 {
-			ib := dt.BorderInA[b*dt.K+a]
-			if v.Alive == nil || (v.Alive(int(ia)) && v.Alive(int(ib))) {
-				if e := dt.Ext[a*dt.K+b]; !math.IsNaN(e) {
-					return int(ia), int(ib), e, nil
-				}
-				d, err := v.Dist(int(ia), int(ib))
-				return int(ia), int(ib), d, err
-			}
-		}
-	}
-	inA, inB, err = v.Border(a, b)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	ext, err = r.distFlat(dt, inA, inB)
-	return inA, inB, ext, err
+// crossingFlat reads the oriented border pair and external link length
+// between distinct clusters a and b, both inside the table — exactly what
+// the oracle computes via View.Border + View.Dist.
+//
+//hfc:hotpath budget=0
+func crossingFlat(dt *hfc.DenseTables, a, b int) (inA, inB int, ext float64) {
+	return int(dt.BorderInA[a*dt.K+b]), int(dt.BorderInA[b*dt.K+a]), dt.Ext[a*dt.K+b]
 }
 
 // distFlat is View.Dist through the dense coordinate table, falling back
-// to the view's map lookup for ids the table does not cover (promoted
-// borders served via ResolveCoord). coords.Dist on the same points gives
-// bit-identical results to the map path.
+// to the view's own lookup — and so to its error — for ids the table does
+// not cover. coords.Dist on the same points gives bit-identical results to
+// the map path.
 func (r *HierarchicalRouter) distFlat(dt *hfc.DenseTables, u, w int) (float64, error) {
 	if u >= 0 && u < len(dt.Pts) && w >= 0 && w < len(dt.Pts) {
 		pu, pw := dt.Pts[u], dt.Pts[w]
@@ -179,13 +153,12 @@ func (r *HierarchicalRouter) internalFlat(dt *hfc.DenseTables, externalOnly bool
 
 // clusterLevelPath maps the request onto clusters (§5.1 steps 1–2): a DAG
 // shortest-path search over (SG vertex, cluster) labels — (SG vertex,
-// cluster, entry border) labels in exact mode. Every cluster id it meets
-// must lie inside the view's dense tables. In the greedy modes steady
-// state allocates only the returned CSP.
+// cluster, entry border) labels in exact mode — over dt, the border table
+// Route loaded. Every cluster id it meets must lie inside dt. In the greedy
+// modes steady state allocates only the returned CSP.
 //
 //hfc:hotpath budget=2
-func (r *HierarchicalRouter) clusterLevelPath(req svc.Request, srcCluster, destCluster int) ([]CSPEntry, float64, error) {
-	dt := r.View.Dense()
+func (r *HierarchicalRouter) clusterLevelPath(dt *hfc.DenseTables, req svc.Request, srcCluster, destCluster int) ([]CSPEntry, float64, error) {
 	k := dt.K
 	if srcCluster < 0 || srcCluster >= k {
 		return nil, 0, errClusterRange(srcCluster, k)
@@ -319,7 +292,7 @@ func (r *HierarchicalRouter) clusterLevelPath(req svc.Request, srcCluster, destC
 	// Flat label tables.
 	sc.exact, sc.stride = r.mode() == RelaxExact, k
 	if sc.exact {
-		sc.layoutExact(r.View, k)
+		sc.layoutExact(dt)
 	}
 	n := nv * sc.stride
 	sc.dist = grow(sc.dist, n)
@@ -343,10 +316,7 @@ func (r *HierarchicalRouter) clusterLevelPath(req svc.Request, srcCluster, destC
 				if r.CrossingAdmissible != nil && !r.CrossingAdmissible(srcCluster, c) {
 					continue
 				}
-				_, inC, ext, err := r.crossingFlat(dt, srcCluster, c)
-				if err != nil {
-					return nil, 0, err
-				}
+				_, inC, ext := crossingFlat(dt, srcCluster, c)
 				d = ext
 				entry = int32(inC)
 			}
@@ -382,10 +352,7 @@ func (r *HierarchicalRouter) clusterLevelPath(req svc.Request, srcCluster, destC
 							if r.CrossingAdmissible != nil && !r.CrossingAdmissible(c, c2) {
 								continue
 							}
-							exitB, inC2, ext, err := r.crossingFlat(dt, c, c2)
-							if err != nil {
-								return nil, 0, err
-							}
+							exitB, inC2, ext := crossingFlat(dt, c, c2)
 							internal, err := r.internalFlat(dt, externalOnly, ue, exitB)
 							if err != nil {
 								return nil, 0, err
@@ -431,10 +398,7 @@ func (r *HierarchicalRouter) clusterLevelPath(req svc.Request, srcCluster, destC
 					if r.CrossingAdmissible != nil && !r.CrossingAdmissible(c, destCluster) {
 						continue
 					}
-					exitB, inDest, ext, err := r.crossingFlat(dt, c, destCluster)
-					if err != nil {
-						return nil, 0, err
-					}
+					exitB, inDest, ext := crossingFlat(dt, c, destCluster)
 					internal, err := r.internalFlat(dt, externalOnly, entry, exitB)
 					if err != nil {
 						return nil, 0, err

@@ -14,9 +14,9 @@ var relaxModes = []RelaxMode{RelaxBacktrack, RelaxExact, RelaxExternalOnly}
 
 // TestClusterLevelPathFlatMatchesGeneric is the flat/oracle equivalence
 // property: across random overlays, all three relax modes, provider
-// indexes, QoS admissibility hooks, failure detectors, and border
-// overrides, clusterLevelPath returns exactly the map-based oracle's CSP,
-// bit-identical cost, and identical errors.
+// indexes, QoS admissibility hooks, and views attached to a Dynamic that has
+// lost border proxies, clusterLevelPath returns exactly the map-based
+// oracle's CSP, bit-identical cost, and identical errors.
 func TestClusterLevelPathFlatMatchesGeneric(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -47,9 +47,9 @@ func TestClusterLevelPathFlatMatchesGeneric(t *testing.T) {
 			}
 			switch trial % 5 {
 			case 1:
-				// Failure detector that kills some border proxies: the
-				// flat fast path must duck to the ranked fallback.
-				view.Alive = func(n int) bool { return n%4 != 1 }
+				// A view attached to a Dynamic that lost every node with
+				// n%4 == 1: the search crosses at the re-elected pairs.
+				r.View = viewAfterLosing(t, topo, req.Dest, func(n int) bool { return n%4 == 1 })
 			case 2:
 				r.ClusterAdmissible = func(s svc.Service, c int) bool {
 					return (len(s)+c)%5 != 0
@@ -57,28 +57,22 @@ func TestClusterLevelPathFlatMatchesGeneric(t *testing.T) {
 			case 3:
 				r.CrossingAdmissible = func(a, b int) bool { return (a+b)%7 != 3 }
 			case 4:
-				// Override re-routing half the pairs through their first
-				// backup, when one exists.
-				bb := view.BackupBorders
-				view.BorderOverride = func(a, b int) (int, int, bool) {
-					lo, hi := a, b
-					if lo > hi {
-						lo, hi = hi, lo
+				// A view attached to a Dynamic that lost the low-side border
+				// of every other cluster pair.
+				lost := map[int]bool{}
+				for a := 0; a < topo.NumClusters(); a++ {
+					for b := a + 1; b < topo.NumClusters(); b++ {
+						if inA, _, err := topo.Border(a, b); err == nil && (a+b)%2 == 1 {
+							lost[inA] = true
+						}
 					}
-					pairs := bb[[2]int{lo, hi}]
-					if len(pairs) == 0 || (a+b)%2 == 0 {
-						return 0, 0, false
-					}
-					if a == lo {
-						return pairs[0].Low, pairs[0].High, true
-					}
-					return pairs[0].High, pairs[0].Low, true
 				}
+				r.View = viewAfterLosing(t, topo, req.Dest, func(n int) bool { return lost[n] })
 			}
 			srcCluster := topo.ClusterOf(req.Source)
 			destCluster := view.ClusterID
 
-			cspF, costF, errF := r.clusterLevelPath(req, srcCluster, destCluster)
+			cspF, costF, errF := r.clusterLevelPath(r.View.Dense(), req, srcCluster, destCluster)
 			cspG, costG, errG := r.clusterLevelPathGeneric(req, srcCluster, destCluster)
 			if (errF == nil) != (errG == nil) {
 				t.Fatalf("seed %d trial %d: flat err %v, generic err %v", seed, trial, errF, errG)
@@ -104,6 +98,27 @@ func TestClusterLevelPathFlatMatchesGeneric(t *testing.T) {
 			}
 		}
 	}
+}
+
+// viewAfterLosing returns dest's view attached to a fresh Dynamic that every
+// node lose selects — dest itself and the last live member of a cluster
+// excepted — has left.
+func viewAfterLosing(t *testing.T, topo *hfc.Topology, dest int, lose func(node int) bool) *hfc.NodeView {
+	t.Helper()
+	dyn := hfc.NewDynamic(topo)
+	for n := 0; n < topo.N(); n++ {
+		if !lose(n) || n == dest || len(dyn.Members(topo.ClusterOf(n))) == 1 {
+			continue
+		}
+		if err := dyn.Leave(n); err != nil {
+			t.Fatalf("Leave(%d): %v", n, err)
+		}
+	}
+	view, err := dyn.SharedView(dest)
+	if err != nil {
+		t.Fatalf("Dynamic.SharedView(%d): %v", dest, err)
+	}
+	return view
 }
 
 // TestClusterLevelPathFlatSharedView repeats the equivalence check on
@@ -134,7 +149,7 @@ func TestClusterLevelPathFlatSharedView(t *testing.T) {
 			t.Fatalf("SharedView(%d): %v", req.Dest, err)
 		}
 		rs := mkRouter(shared)
-		cspF, costF, errF := rs.clusterLevelPath(req, topo.ClusterOf(req.Source), shared.ClusterID)
+		cspF, costF, errF := rs.clusterLevelPath(shared.Dense(), req, topo.ClusterOf(req.Source), shared.ClusterID)
 		cspG, costG, errG := rs.clusterLevelPathGeneric(req, topo.ClusterOf(req.Source), shared.ClusterID)
 		if (errF == nil) != (errG == nil) {
 			t.Fatalf("trial %d: flat err %v, generic err %v", trial, errF, errG)

@@ -145,15 +145,16 @@ func (r *HierarchicalRouter) Route(req svc.Request) (*Result, error) {
 	}
 	srcCluster := r.ClusterOfSource(req.Source)
 	destCluster := r.View.ClusterID
+	// One border table for the whole route: the search, the dissection and
+	// the composed cost must agree on where clusters are crossed, whatever a
+	// Dynamic publishes meanwhile.
+	dt := r.View.Dense()
 
-	csp, cost, err := r.clusterLevelPath(req, srcCluster, destCluster)
+	csp, cost, err := r.clusterLevelPath(dt, req, srcCluster, destCluster)
 	if err != nil {
 		return nil, err
 	}
-	children, err := r.dissect(req, csp, srcCluster, destCluster)
-	if err != nil {
-		return nil, err
-	}
+	children := dissect(dt, req, csp, srcCluster, destCluster)
 	childPaths := make([]*Path, len(children))
 	for i, child := range children {
 		p, err := r.Intra.SolveChild(child)
@@ -162,7 +163,7 @@ func (r *HierarchicalRouter) Route(req svc.Request) (*Result, error) {
 		}
 		childPaths[i] = p
 	}
-	final, err := compose(children, childPaths, r.View)
+	final, err := compose(dt, children, childPaths)
 	if err != nil {
 		return nil, err
 	}
@@ -205,8 +206,8 @@ func (r *HierarchicalRouter) mode() RelaxMode {
 // requests (§5.1 step 3): one child per maximal run of CSP entries mapped to
 // the same cluster, opened by the source cluster and closed by the
 // destination cluster. The children's Services are sub-slices of one
-// allocation.
-func (r *HierarchicalRouter) dissect(req svc.Request, csp []CSPEntry, srcCluster, destCluster int) ([]ChildRequest, error) {
+// allocation, and its endpoints are the border proxies dt names.
+func dissect(dt *hfc.DenseTables, req svc.Request, csp []CSPEntry, srcCluster, destCluster int) []ChildRequest {
 	n, last := 1, srcCluster
 	for _, e := range csp {
 		if e.Cluster != last {
@@ -234,33 +235,23 @@ func (r *HierarchicalRouter) dissect(req svc.Request, csp []CSPEntry, srcCluster
 
 	for i := range children {
 		child := &children[i]
-		if i == 0 {
-			child.Source = req.Source
-		} else {
-			src, _, err := r.View.Border(child.Cluster, children[i-1].Cluster)
-			if err != nil {
-				return nil, err
-			}
-			child.Source = src
+		child.Source, child.Dest = req.Source, req.Dest
+		if i > 0 {
+			child.Source, _, _ = crossingFlat(dt, child.Cluster, children[i-1].Cluster)
 		}
-		if i == len(children)-1 {
-			child.Dest = req.Dest
-		} else {
-			dst, _, err := r.View.Border(child.Cluster, children[i+1].Cluster)
-			if err != nil {
-				return nil, err
-			}
-			child.Dest = dst
+		if i < len(children)-1 {
+			child.Dest, _, _ = crossingFlat(dt, child.Cluster, children[i+1].Cluster)
 		}
 		child.Resolver = child.Dest
 	}
-	return children, nil
+	return children
 }
 
 // compose concatenates resolved child paths into the final service path
 // (§5.1 step 4). Consecutive children sit in different clusters; the
-// external link between their border proxies is implicit in hop adjacency.
-func compose(children []ChildRequest, childPaths []*Path, view *hfc.NodeView) (*Path, error) {
+// external link between their border proxies is implicit in hop adjacency;
+// its length is dt's.
+func compose(dt *hfc.DenseTables, children []ChildRequest, childPaths []*Path) (*Path, error) {
 	if len(children) != len(childPaths) {
 		return nil, fmt.Errorf("routing: %d children but %d child paths", len(children), len(childPaths))
 	}
@@ -282,22 +273,11 @@ func compose(children []ChildRequest, childPaths []*Path, view *hfc.NodeView) (*
 		hops = append(hops, p.Hops...)
 		cost += p.DecisionCost
 		if i+1 < len(childPaths) {
-			ext, err := viewExternal(view, children[i].Cluster, children[i+1].Cluster)
-			if err != nil {
-				return nil, err
-			}
+			_, _, ext := crossingFlat(dt, children[i].Cluster, children[i+1].Cluster)
 			cost += ext
 		}
 	}
 	return &Path{Hops: CompactHops(hops), DecisionCost: cost}, nil
-}
-
-func viewExternal(view *hfc.NodeView, a, b int) (float64, error) {
-	u, v, err := view.Border(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return view.Dist(u, v)
 }
 
 // CompactHops removes serviceless hops that duplicate an adjacent hop's

@@ -13,9 +13,8 @@ import (
 //
 //   - for the view's own cluster, the alternates are the remaining cluster
 //     members (sorted);
-//   - for a foreign cluster, the alternates are its primary border proxies
-//     toward each other cluster, then its backup border proxies, in
-//     cluster-ID order.
+//   - for a foreign cluster, the alternates are its border proxies toward
+//     every other cluster, in cluster-ID order.
 //
 // The caller retries down this list when the resolver at the front fails
 // to answer (crashed or unreachable) — the §5 conquer phase's failover.
@@ -34,28 +33,12 @@ func ResolverCandidates(view *hfc.NodeView, child ChildRequest) []int {
 		}
 		return out
 	}
-	// Primaries toward every other cluster first, then backups: primaries
-	// are likelier to already hold warm state for the pair being routed.
 	for other := 0; other < view.NumClusters; other++ {
 		if other == child.Cluster {
 			continue
 		}
-		pairs, err := view.BorderRanked(child.Cluster, other)
-		if err != nil {
-			continue
-		}
-		add(pairs[0][0])
-	}
-	for other := 0; other < view.NumClusters; other++ {
-		if other == child.Cluster {
-			continue
-		}
-		pairs, err := view.BorderRanked(child.Cluster, other)
-		if err != nil {
-			continue
-		}
-		for _, p := range pairs[1:] {
-			add(p[0])
+		if inC, _, err := view.Border(child.Cluster, other); err == nil {
+			add(inC)
 		}
 	}
 	return out

@@ -66,11 +66,14 @@ func TestResolverCandidatesForeignClusterUsesBorders(t *testing.T) {
 	}
 	child := ChildRequest{Cluster: 1, Source: in1, Dest: in1, Resolver: in1}
 	got := ResolverCandidates(view, child)
-	if got[0] != in1 {
-		t.Fatalf("candidates %v: designated resolver %d not first", got, in1)
+	// The designated resolver, then cluster 1's border toward cluster 2:
+	// the only proxies of cluster 1 a member of cluster 0 can address.
+	toward2, _, err := topo.Border(1, 2)
+	if err != nil {
+		t.Fatalf("Border: %v", err)
 	}
-	if len(got) < 2 {
-		t.Fatalf("candidates %v: no alternates despite backup borders", got)
+	if len(got) != 2 || got[0] != in1 || got[1] != toward2 {
+		t.Fatalf("candidates %v, want the designated resolver %d then the border toward cluster 2, %d", got, in1, toward2)
 	}
 	for _, c := range got {
 		if topo.ClusterOf(c) != 1 {

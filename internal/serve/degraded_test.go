@@ -2,10 +2,13 @@ package serve_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
+	"hfc/internal/hfc"
 	"hfc/internal/routing"
 	"hfc/internal/serve"
 	"hfc/internal/svc"
@@ -217,4 +220,151 @@ func TestEngineSetUnavailableValidation(t *testing.T) {
 	if n := eng.Stats().UnavailableNodes; n != 0 {
 		t.Errorf("UnavailableNodes after clear = %d, want 0", n)
 	}
+}
+
+// closestLivePair is the §3.3 definition applied to who is available: the
+// closest pair of available proxies drawn from clusters a and b, oriented
+// (inA, inB), with Build's tie-break — the lower cluster's smaller node
+// first (members ascend, so a strict < keeps it).
+func closestLivePair(eng *serve.Engine, a, b int) (inA, inB int) {
+	topo := eng.Topology()
+	lo, hi := min(a, b), max(a, b)
+	inLo, inHi, best := -1, -1, math.Inf(1)
+	for _, u := range topo.Members(lo) {
+		for _, v := range topo.Members(hi) {
+			if d := topo.Dist(u, v); d < best && !eng.IsUnavailable(u) && !eng.IsUnavailable(v) {
+				inLo, inHi, best = u, v, d
+			}
+		}
+	}
+	if a == lo {
+		return inLo, inHi
+	}
+	return inHi, inLo
+}
+
+// checkRoutesAround resolves req fresh and holds the path to the degraded-mode
+// contract: no hop on an unavailable proxy, and every crossing between two
+// clusters made at their closest pair of available proxies. It reports
+// whether the path crosses directly from cluster a to cluster b.
+func checkRoutesAround(t *testing.T, eng *serve.Engine, req svc.Request, a, b int) (crosses bool) {
+	t.Helper()
+	res, err := eng.ResolveDetailed(req)
+	if err != nil {
+		t.Fatalf("Resolve(%d→%d, %v) with %v unavailable: %v", req.Source, req.Dest, req.SG.Services, eng.UnavailableNodes(), err)
+	}
+	if res.Degraded {
+		t.Fatalf("Resolve(%d→%d) served degraded although source and destination are available", req.Source, req.Dest)
+	}
+	topo := eng.Topology()
+	hops := res.Path.Hops
+	for i, h := range hops {
+		if eng.IsUnavailable(h.Node) {
+			t.Fatalf("fresh path %v goes through unavailable proxy %d (unavailable: %v)", res.Path, h.Node, eng.UnavailableNodes())
+		}
+		if i == 0 {
+			continue
+		}
+		u, v := hops[i-1].Node, h.Node
+		cu, cv := topo.ClusterOf(u), topo.ClusterOf(v)
+		if cu == cv {
+			continue
+		}
+		if wantU, wantV := closestLivePair(eng, cu, cv); u != wantU || v != wantV {
+			t.Fatalf("path %v crosses clusters %d→%d at (%d,%d), the closest available pair is (%d,%d)", res.Path, cu, cv, u, v, wantU, wantV)
+		}
+		crosses = crosses || (cu == a && cv == b)
+	}
+	return crosses
+}
+
+// TestEngineRoutesAroundAnyNumberOfDownBorders: however many border proxies
+// of a cluster are marked unavailable, as long as the cluster keeps an
+// available member a fresh route avoids every one of them and crosses at the
+// closest pair of available proxies — there is no depth of failure at which
+// the engine runs out of pairs and falls back to a dead one.
+func TestEngineRoutesAroundAnyNumberOfDownBorders(t *testing.T) {
+	// bySize returns the cluster ids ordered by membership, largest first.
+	bySize := func(topo *hfc.Topology) []int {
+		ids := make([]int, topo.NumClusters())
+		for c := range ids {
+			ids[c] = c
+		}
+		sort.SliceStable(ids, func(i, j int) bool { return len(topo.Members(ids[i])) > len(topo.Members(ids[j])) })
+		return ids
+	}
+	// sweep resolves requests from every available member of cluster a to
+	// every member of cluster b, one per service the destination itself
+	// offers (so the cheapest mapping stays on the a–b link), until enough of
+	// them cross that pair.
+	sweep := func(t *testing.T, eng *serve.Engine, caps []svc.CapabilitySet, a, b, enough int) int {
+		topo := eng.Topology()
+		crossed := 0
+		for _, src := range topo.Members(a) {
+			if eng.IsUnavailable(src) {
+				continue
+			}
+			for _, dest := range topo.Members(b) {
+				for _, s := range caps[dest].Sorted() {
+					sg, err := svc.Linear(s)
+					if err != nil {
+						t.Fatalf("Linear: %v", err)
+					}
+					if checkRoutesAround(t, eng, svc.Request{Source: src, Dest: dest, SG: sg}, a, b) {
+						crossed++
+					}
+					if crossed == enough {
+						return crossed
+					}
+				}
+			}
+		}
+		return crossed
+	}
+
+	t.Run("three deep on one side", func(t *testing.T) {
+		for seed := int64(300); seed < 306; seed++ {
+			_, eng, caps := buildEngine(t, seed, 60, serve.Config{})
+			topo := eng.Topology()
+			order := bySize(topo)
+			a, b := order[0], order[1]
+			if len(topo.Members(a)) < 4 {
+				t.Fatalf("seed %d: largest cluster has %d members, want >= 4", seed, len(topo.Members(a)))
+			}
+			// The border toward b, then whoever is elected in its place, then
+			// the next: one more than any fixed ladder of spares would hold.
+			for depth := 0; depth < 3; depth++ {
+				down, _ := closestLivePair(eng, a, b)
+				if err := eng.SetUnavailable(down, true); err != nil {
+					t.Fatalf("SetUnavailable(%d): %v", down, err)
+				}
+			}
+			if got := sweep(t, eng, caps, a, b, 100); got < 100 {
+				t.Errorf("seed %d: only %d requests crossed clusters %d→%d, want 100", seed, got, a, b)
+			}
+		}
+	})
+
+	t.Run("singleton far side", func(t *testing.T) {
+		// A singleton cluster has no second proxy to pair a spare with, so a
+		// ranking of node-disjoint pairs never had a fallback here.
+		crossed := 0
+		for seed := int64(300); seed < 305; seed++ {
+			_, eng, caps := buildEngine(t, seed, 60, serve.Config{})
+			topo := eng.Topology()
+			order := bySize(topo)
+			a, b := order[0], order[len(order)-1]
+			if len(topo.Members(b)) != 1 {
+				continue
+			}
+			down, _ := closestLivePair(eng, a, b)
+			if err := eng.SetUnavailable(down, true); err != nil {
+				t.Fatalf("SetUnavailable(%d): %v", down, err)
+			}
+			crossed += sweep(t, eng, caps, a, b, 100)
+		}
+		if crossed < 100 {
+			t.Errorf("only %d requests crossed into a singleton cluster, want 100", crossed)
+		}
+	})
 }

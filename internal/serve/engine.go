@@ -107,20 +107,23 @@ type Engine struct {
 	indexes *routing.LazyIndexes
 	solver  *routing.LocalIntraSolver
 
-	// views caches each destination proxy's shared topology view, built on
-	// first use; only the Alive hook is the engine's own. Concurrent first
-	// builds are idempotent.
+	// views caches each destination proxy's shared topology view, attached
+	// to avail and built on first use. Concurrent first builds are
+	// idempotent.
 	views []atomic.Pointer[hfc.NodeView]
 
 	flightMu sync.Mutex
 	flight   map[flightKey]*flightCall // guarded by flightMu
 
-	// unavailable[i] marks proxy i partitioned/unreachable per an external
-	// failure detector (SetUnavailable): fresh resolutions exclude it from
-	// provider and border selection, and requests destined to it are served
-	// from the last-known-good store, tagged degraded.
-	unavailable []atomic.Bool
-	unavailN    atomic.Int64
+	// avail is the availability set, kept where the border elections that
+	// depend on it are: a proxy an external failure detector reports
+	// partitioned/unreachable (SetUnavailable) has left it. Fresh
+	// resolutions exclude such a proxy from provider selection and cross
+	// clusters at the closest pair of available proxies, and requests
+	// destined to it are served from the last-known-good store, tagged
+	// degraded. unavailN counts the proxies that have left.
+	avail    *hfc.Dynamic
+	unavailN atomic.Int64
 
 	// lkgMu guards the last-known-good store: the most recent successful
 	// result per request key, serving degraded answers while the fresh
@@ -165,17 +168,17 @@ func NewEngine(topo *hfc.Topology, caps []svc.CapabilitySet, states []state.Node
 		return topo.Members(topo.ClusterOf(node))
 	}, cache.Version)
 	e := &Engine{
-		topo:        topo,
-		relax:       cfg.Relax,
-		caps:        capsClone,
-		states:      statesCopy,
-		cache:       cache,
-		indexes:     indexes,
-		solver:      &routing.LocalIntraSolver{Topo: topo, States: statesCopy, Indexes: indexes},
-		views:       make([]atomic.Pointer[hfc.NodeView], topo.N()),
-		flight:      make(map[flightKey]*flightCall),
-		unavailable: make([]atomic.Bool, topo.N()),
-		lkg:         make(map[routing.CacheKey]knownGood),
+		topo:    topo,
+		relax:   cfg.Relax,
+		caps:    capsClone,
+		states:  statesCopy,
+		cache:   cache,
+		indexes: indexes,
+		solver:  &routing.LocalIntraSolver{Topo: topo, States: statesCopy, Indexes: indexes},
+		views:   make([]atomic.Pointer[hfc.NodeView], topo.N()),
+		flight:  make(map[flightKey]*flightCall),
+		avail:   hfc.NewDynamic(topo),
+		lkg:     make(map[routing.CacheKey]knownGood),
 	}
 	e.solver.Exclude = e.IsUnavailable
 	e.solver.ExcludeAny = func() bool { return e.unavailN.Load() > 0 }
@@ -187,13 +190,10 @@ func (e *Engine) view(dest int) (*hfc.NodeView, error) {
 	if v := e.views[dest].Load(); v != nil {
 		return v, nil
 	}
-	v, err := e.topo.SharedView(dest)
+	v, err := e.avail.SharedView(dest)
 	if err != nil {
 		return nil, err
 	}
-	// The availability set doubles as every view's failure detector, so
-	// border selection skips unavailable endpoints via backup pairs.
-	v.Alive = func(id int) bool { return !e.IsUnavailable(id) }
 	// A concurrent builder may have won; either view is identical.
 	e.views[dest].CompareAndSwap(nil, v)
 	return e.views[dest].Load(), nil
@@ -233,7 +233,7 @@ func (e *Engine) ResolveDetailed(req svc.Request) (*routing.Result, error) {
 //
 //hfc:hotpath budget=3
 func (e *Engine) resolveKeyed(req svc.Request, key routing.CacheKey) (*routing.Result, error) {
-	if e.unavailable[req.Dest].Load() {
+	if !e.avail.Present(req.Dest) {
 		// The destination resolver is unreachable, so a fresh §5
 		// computation (which that proxy would perform) is impossible.
 		// Serve the last-known-good route tagged degraded — stale may be
@@ -345,36 +345,47 @@ func (e *Engine) degradedResult(key routing.CacheKey, sg *svc.Graph) *routing.Re
 // SetUnavailable marks (down=true) or clears (down=false) a proxy as
 // unavailable, as driven by an external failure detector — e.g. the overlay's
 // accrual health score quarantining a gray node. While marked, the proxy is
-// excluded from provider selection and border election in fresh resolutions,
-// and requests destined to it are served from the last-known-good store,
+// excluded from provider selection and border election in fresh resolutions —
+// its cluster's border pairs are re-elected among the proxies still available
+// — and requests destined to it are served from the last-known-good store,
 // tagged degraded. Each transition invalidates the proxy's cluster in the
 // route cache, since cached routes were computed under the old availability.
 func (e *Engine) SetUnavailable(node int, down bool) error {
 	if node < 0 || node >= e.topo.N() {
 		return fmt.Errorf("serve: node %d out of range [0,%d)", node, e.topo.N())
 	}
-	if e.unavailable[node].CompareAndSwap(!down, down) {
-		if down {
-			e.unavailN.Add(1)
-		} else {
-			e.unavailN.Add(-1)
-		}
-		e.cache.AdvanceRound(e.topo.ClusterOf(node))
+	var err error
+	if down {
+		err = e.avail.Leave(node)
+	} else {
+		err = e.avail.Rejoin(node)
 	}
+	if errors.Is(err, hfc.ErrNoChange) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	if down {
+		e.unavailN.Add(1)
+	} else {
+		e.unavailN.Add(-1)
+	}
+	e.cache.AdvanceRound(e.topo.ClusterOf(node))
 	return nil
 }
 
 // IsUnavailable reports whether a proxy is currently marked unavailable.
 // Out-of-range IDs report available.
 func (e *Engine) IsUnavailable(node int) bool {
-	return node >= 0 && node < len(e.unavailable) && e.unavailable[node].Load()
+	return node >= 0 && node < e.topo.N() && !e.avail.Present(node)
 }
 
 // UnavailableNodes lists the proxies currently marked unavailable, ascending.
 func (e *Engine) UnavailableNodes() []int {
 	var out []int
-	for i := range e.unavailable {
-		if e.unavailable[i].Load() {
+	for i := 0; i < e.topo.N(); i++ {
+		if !e.avail.Present(i) {
 			out = append(out, i)
 		}
 	}
