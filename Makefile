@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build test race lint lint-seam lint-view lint-solve lint-border vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
 
 # Output snapshot for the regression-gate benchmarks (see cmd/benchgate).
-BENCH_OUT ?= BENCH_pr19.json
+BENCH_OUT ?= BENCH_pr20.json
 
 all: build test lint
 
@@ -101,14 +101,15 @@ chaos:
 # sim runs the virtual-time determinism suite (golden traces and
 # driver parity included) plus the 32k convergence drill under the race
 # detector, then — without it, because they count heap objects — the
-# delayed-delivery allocation pins, then smokes the end-to-end benchmark's
-# overlay workload — CI's sim job. The 100k acceptance drill runs nightly
+# delayed-delivery allocation and give-back pins (events, batches, the event
+# driver's in-flight store), then smokes the end-to-end benchmark's overlay
+# workload — CI's sim job. The 100k acceptance drill runs nightly
 # (see nightly).
 sim:
-	$(GO) test -race -run 'TestSimulateDeterministic|TestSimulateGolden|TestSimModeMatchesRealMode|TestSentPayloadIsNotMutated|TestNetsimLatencyUnderVirtualTime' -count 2 ./internal/overlay/
+	$(GO) test -race -run 'TestSimulateDeterministic|TestSimulateGolden|TestSimModeMatchesRealMode|TestSentPayloadIsNotMutated|TestFloodMatchesPerMessagePosts|TestNetsimLatencyUnderVirtualTime' -count 2 ./internal/overlay/
 	$(GO) test -race -run 'TestRunnerDeterministicUnderVirtualTime' -count 2 ./internal/chaos/
 	$(GO) test -race -run 'TestSimScaleConvergence' -timeout 30m ./internal/experiments/
-	$(GO) test -run 'AllocsPerRun|TestSimDriverArena|TestEventQueueGivesBack' ./internal/vtime/ ./internal/overlay/
+	$(GO) test -run 'AllocsPerRun|TestSimDriverInFlightStore|TestEventQueueGivesBack|TestEventStays40Bytes' ./internal/vtime/ ./internal/overlay/
 	$(GO) run ./bench -workload protocol-sim -seconds 1
 
 # nightly is what CI's scheduled job runs — the checks too expensive for every

@@ -1084,10 +1084,12 @@ func BenchmarkGateSimConverge100k(b *testing.B) {
 
 // BenchmarkGateSimDelayedRound is the delayed-delivery gate: one steady §4
 // state round per iteration on the event driver with link latency — 2000
-// proxies in 49 blobs, DelayPerUnit 10 µs — so every message crosses the
-// driver's envelope arena and the virtual clock's event queue (the inline
-// path GateSimConverge100k runs touches neither). allocs/msg is the figure a
-// closure or a boxed event per delivery would move from ~0.05 to 1 or more.
+// proxies in 49 blobs, DelayPerUnit 10 µs — so every message is an entry of a
+// run in the driver's in-flight store and every flood one batch event on the
+// virtual clock (the inline path GateSimConverge100k runs touches neither).
+// allocs/msg is the figure a closure or a boxed event per delivery would move
+// from ~0.03 to 1 or more, and a batch object per flood by a sixtieth; B/op
+// is what the round's peak in flight costs, 16 B an entry.
 func BenchmarkGateSimDelayedRound(b *testing.B) {
 	const n, side = 2000, 7
 	rng := rand.New(rand.NewSource(15))

@@ -10,14 +10,9 @@ import (
 	"hfc/internal/vtime"
 )
 
-// TestSimDriverArena pins what a delayed delivery costs on the event driver,
-// on the geometry of the flat_n600_delay golden run: a steady, churn-free
-// state round allocates at most a quarter of an object per delivered message
-// (the flood payloads and the round's tables — no closure, timer or boxed
-// event per message), and once the round has drained the envelope arena is
-// back to one chunk. It counts heap objects, so CI also runs it without the
-// race detector (make sim).
-func TestSimDriverArena(t *testing.T) {
+// flatDelayWorld is the geometry of the flat_n600_delay golden run, started.
+func flatDelayWorld(t *testing.T) (*System, *simDriver, *vtime.Sim) {
+	t.Helper()
 	cat, err := svc.NewCatalog(12)
 	if err != nil {
 		t.Fatal(err)
@@ -31,37 +26,81 @@ func TestSimDriverArena(t *testing.T) {
 	if err := sys.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = sys.Stop() }()
-	drv := sys.drv.(*simDriver)
-	peak := 0
-	round := func() {
-		sys.TriggerStateRound()
-		if n := len(drv.chunks); n > peak {
-			peak = n
+	t.Cleanup(func() { _ = sys.Stop() })
+	return sys, sys.drv.(*simDriver), sim
+}
+
+// TestSimDriverInFlightStore pins what delayed delivery costs on the event
+// driver, on the geometry of the flat_n600_delay golden run. It counts heap
+// objects, so CI also runs it without the race detector (make sim).
+func TestSimDriverInFlightStore(t *testing.T) {
+	// A steady, churn-free state round allocates at most a quarter of an
+	// object per delivered message (the flood payloads and the round's tables
+	// — no closure, timer, boxed event or batch object per message or per
+	// flood), its floods outgrow the chunk the store keeps, and once the
+	// round has drained the store is back to that one chunk.
+	t.Run("drained", func(t *testing.T) {
+		sys, drv, sim := flatDelayWorld(t)
+		peak := 0
+		round := func() {
+			sys.TriggerStateRound()
+			if n := len(drv.chunks); n > peak {
+				peak = n
+			}
+			sys.Quiesce()
+			if drv.inFlight != 0 || len(drv.chunks) > 1 {
+				t.Errorf("after Quiesce the store holds %d entries in %d chunks, want 0 in at most 1", drv.inFlight, len(drv.chunks))
+			}
 		}
-		sys.Quiesce()
-		if drv.inFlight != 0 || len(drv.chunks) > 1 {
-			t.Errorf("after Quiesce the arena holds %d envelopes in %d chunks, want 0 in at most 1", drv.inFlight, len(drv.chunks))
+		const runs = 4
+		var allocs float64
+		var msgs int
+		sim.Run(func() {
+			round()
+			round() // converged: what follows is steady state
+			before := sys.Traffic().Total()
+			allocs = testing.AllocsPerRun(runs, round)
+			msgs = (sys.Traffic().Total() - before) / (runs + 1)
+		})
+		if peak < 2 {
+			t.Errorf("the store peaked at %d chunk(s): the round never outgrew the chunk that is kept, so the give-back went untested", peak)
 		}
-	}
-	const runs = 4
-	var allocs float64
-	var msgs int
-	sim.Run(func() {
-		round()
-		round() // converged: what follows is steady state
-		before := sys.Traffic().Total()
-		allocs = testing.AllocsPerRun(runs, round)
-		msgs = (sys.Traffic().Total() - before) / (runs + 1)
+		perMsg := allocs / float64(msgs)
+		t.Logf("a steady round: %d messages, %.0f objects, %.3f per message; store peak %d chunks", msgs, allocs, perMsg, peak)
+		if msgs == 0 || perMsg > 0.25 {
+			t.Errorf("a steady round allocates %.3f objects per delivered message, want <= 0.25", perMsg)
+		}
 	})
-	if peak < 2 {
-		t.Errorf("the arena peaked at %d chunk(s): the round never outgrew the chunk that is kept, so the give-back went untested", peak)
-	}
-	perMsg := allocs / float64(msgs)
-	t.Logf("a steady round: %d messages, %.0f objects, %.3f per message; arena peak %d chunks", msgs, allocs, perMsg, peak)
-	if msgs == 0 || perMsg > 0.25 {
-		t.Errorf("a steady round allocates %.3f objects per delivered message, want <= 0.25", perMsg)
-	}
+	// A system that never drains — a new round every 100µs, each on top of
+	// the ones still in flight — reuses the chunks whose entries have landed:
+	// over 200 rounds the store stays at the size its first rounds reached.
+	t.Run("never drained", func(t *testing.T) {
+		sys, drv, sim := flatDelayWorld(t)
+		early, late := 0, 0
+		sim.Run(func() {
+			for r := 0; r < 200; r++ {
+				sys.TriggerStateRound()
+				sim.Sleep(100 * time.Microsecond)
+				if drv.inFlight == 0 {
+					t.Errorf("round %d: the store drained; the rounds were meant to overlap", r)
+					return
+				}
+				if r < 20 {
+					early = max(early, len(drv.chunks))
+				} else {
+					late = max(late, len(drv.chunks))
+				}
+			}
+			sys.Quiesce()
+		})
+		t.Logf("store peak: %d chunks in the first 20 rounds, %d in the 180 after", early, late)
+		if early < 2 || late > early {
+			t.Errorf("the store peaked at %d chunks in the first 20 rounds and %d later, want the first peak (>= 2) never exceeded", early, late)
+		}
+		if drv.inFlight != 0 || len(drv.chunks) > 1 {
+			t.Errorf("after Quiesce the store holds %d entries in %d chunks, want 0 in at most 1", drv.inFlight, len(drv.chunks))
+		}
+	})
 }
 
 // TestSentPayloadIsNotMutated drives the mailbox driver, where every

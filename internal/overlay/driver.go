@@ -19,9 +19,10 @@ import (
 // only through node.handle (to run a message at its destination),
 // msgKind.blocks (to learn that a handler waits for replies and so must not
 // run on the node's message loop), System.count (as it hands a message
-// over) and the fault counters for what it sheds (noteDroppedAfterStop,
-// DroppedBackpressure with noteAggDrop). It decides nothing about the
-// protocol: no verdicts, no state, no message contents.
+// over), the fault counters for what it sheds (noteDroppedAfterStop,
+// DroppedBackpressure with noteAggDrop) and System.fate, which a flood asks
+// for each recipient's verdict exactly as send does. It decides nothing about
+// the protocol: no verdicts of its own, no state, no message contents.
 type driver interface {
 	// start begins consuming messages; stop closes the gate — later posts
 	// are counted DroppedAfterStop — releases every await and sleep, and
@@ -34,6 +35,13 @@ type driver interface {
 	// m is shared — held until delivery, posted again for a flood's next
 	// recipient — so neither side may write through it.
 	post(from, to int, m *message, d time.Duration)
+	// flood is send to every member but `from`, in member order: System.fate
+	// asked per recipient, every copy it grants posted with its delay. The
+	// drivers differ in how the copies travel — the mailbox driver posts them
+	// one by one, the event driver as one scheduler event for all that are
+	// delayed — never in the order they are delivered in, against each other
+	// or against anything else posted.
+	flood(from int, members []int, m *message)
 	// newReply makes the one-shot cell an RPC attempt's answer comes back
 	// through.
 	newReply() replyCell
@@ -172,6 +180,19 @@ func (d *mailboxDriver) post(from, to int, m *message, delay time.Duration) {
 	// Counted first: once handed over, its reply can reach a caller who reads the counters.
 	d.sys.count(from, m)
 	d.inbox[to] <- m
+}
+
+// flood is the loop of sends: each copy has a timer or a mailbox slot of its
+// own.
+func (d *mailboxDriver) flood(from int, members []int, m *message) {
+	for _, to := range members {
+		if to == from {
+			continue
+		}
+		for delay, copies := d.sys.fate(from, to, m); copies > 0; copies-- {
+			d.post(from, to, m, delay)
+		}
+	}
 }
 
 func (d *mailboxDriver) waitIdle() { d.inflight.Wait() }

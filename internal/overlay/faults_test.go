@@ -1,7 +1,9 @@
 package overlay
 
 import (
+	"math"
 	"testing"
+	"time"
 )
 
 func TestDropRateValidation(t *testing.T) {
@@ -17,6 +19,47 @@ func TestDropRateValidation(t *testing.T) {
 	}
 	if _, err := New(topo, caps, Config{ProtocolDropRate: 1.5}); err == nil {
 		t.Error("protocol drop rate > 1 accepted")
+	}
+}
+
+// TestDelayAndDropBoundaries: a configuration that cannot mean what it says
+// is refused instead of quietly running as something else — a negative
+// DelayPerUnit used to give an undelayed simulation, a NaN rate one that
+// never drops — and a link verdict's negative Delay holds nothing back but
+// does not shorten the link either: the round takes exactly as long on the
+// virtual clock as with no policy at all.
+func TestDelayAndDropBoundaries(t *testing.T) {
+	topo, caps := buildFixture(t, 32)
+	roundTakes := func(cfg Config) time.Duration {
+		sys, sim := startSimSystem(t, topo, caps, cfg)
+		sim.Run(func() {
+			sys.TriggerStateRound()
+			sys.Quiesce()
+		})
+		return sim.Now()
+	}
+	plain := roundTakes(Config{DelayPerUnit: time.Microsecond})
+	if plain == 0 {
+		t.Fatal("a delayed round took no virtual time")
+	}
+	early := func(from, to int, kind MsgKind) LinkVerdict { return LinkVerdict{Delay: -time.Hour} }
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		rejected bool
+	}{
+		{"negative DelayPerUnit", Config{DelayPerUnit: -time.Microsecond}, true},
+		{"NaN DropRate", Config{DropRate: math.NaN()}, true},
+		{"NaN ProtocolDropRate", Config{ProtocolDropRate: math.NaN()}, true},
+		{"negative verdict Delay", Config{DelayPerUnit: time.Microsecond, LinkPolicy: early}, false},
+	} {
+		if tc.rejected {
+			if _, err := New(topo, caps, tc.cfg); err == nil {
+				t.Errorf("%s: accepted", tc.name)
+			}
+		} else if got := roundTakes(tc.cfg); got != plain {
+			t.Errorf("%s: the round took %v, want the configured latency's %v", tc.name, got, plain)
+		}
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 
 // simGoldenCases are the sim_test.go scenarios whose full outcome is pinned
 // under testdata/sim_golden. The files were recorded at the commit before
-// the PR 13 driver refactor and are compared byte for byte: a reordered
-// event, a lost message or a shifted virtual clock anywhere in the runtime
-// shows up here even though every run still agrees with itself.
+// the PR 13 driver refactor — the multilevel run with link delay at the
+// commit before PR 20's batched floods — and are compared byte for byte: a
+// reordered event, a lost message or a shifted virtual clock anywhere in the
+// runtime shows up here even though every run still agrees with itself.
 var simGoldenCases = []struct {
 	name string
 	spec SimSpec
@@ -22,6 +23,8 @@ var simGoldenCases = []struct {
 	{"flat_n600_delay_seed42", SimSpec{N: 600, Churn: 4, Crashes: 2, Partition: true, Probes: 10,
 		MeasureImprecision: true, DelayPerUnit: time.Microsecond}, 42},
 	{"multilevel_n1200_seed11", SimSpec{N: 1200, Multilevel: true, Churn: 3, Crashes: 2, Probes: 8}, 11},
+	{"multilevel_n1200_delay_seed13", SimSpec{N: 1200, Multilevel: true, Churn: 3, Crashes: 2, Probes: 8,
+		DelayPerUnit: time.Microsecond}, 13},
 }
 
 // simGolden renders the pinned fields of a report.

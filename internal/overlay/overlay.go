@@ -46,7 +46,8 @@ type Config struct {
 	Clock vtime.Clock
 	// DelayPerUnit, when positive, makes message delivery between nodes u
 	// and v take Dist(u,v)·DelayPerUnit of clock time, simulating
-	// network latency. Zero delivers immediately (default).
+	// network latency. Zero delivers immediately (default); New rejects a
+	// negative value.
 	DelayPerUnit time.Duration
 	// Latency, when non-nil, adds its per-link duration to every
 	// node-to-node delivery on top of DelayPerUnit — the hook netsim's
@@ -57,7 +58,8 @@ type Config struct {
 	// protocol, route and child RPCs, data-plane forwards — be lost with
 	// this probability. The RPC paths survive it by deadline + retry; the
 	// periodic protocol needs no retry because the next round resends
-	// everything. Default 0.
+	// everything. Default 0. New rejects a rate outside the range, NaN
+	// included, here and for ProtocolDropRate.
 	DropRate float64
 	// ProtocolDropRate, in [0, 1], additionally drops only state-protocol
 	// messages (local-state floods, aggregate exchange and forwards) —
@@ -149,7 +151,7 @@ type LinkVerdict struct {
 	// Drop loses the message (counted in FaultStats.DroppedByPolicy).
 	Drop bool
 	// Delay holds delivery back by this much wall-clock time, on top of
-	// any configured DelayPerUnit latency.
+	// any configured DelayPerUnit latency. A negative value counts as zero.
 	Delay time.Duration
 	// Duplicate delivers a second copy of the message (after the same
 	// delay) — retransmission storms and routing loops in one knob.
@@ -464,11 +466,16 @@ func New(topo *hfc.Topology, caps []svc.CapabilitySet, cfg Config) (*System, err
 		return nil, fmt.Errorf("overlay: %d capability sets for %d nodes", len(caps), topo.N())
 	}
 	cfg = cfg.withDefaults()
-	if cfg.DropRate < 0 || cfg.DropRate > 1 {
+	// Written so that NaN, which compares false to everything and would
+	// then never drop, is outside the range too.
+	if !(cfg.DropRate >= 0 && cfg.DropRate <= 1) {
 		return nil, fmt.Errorf("overlay: drop rate %v outside [0,1]", cfg.DropRate)
 	}
-	if cfg.ProtocolDropRate < 0 || cfg.ProtocolDropRate > 1 {
+	if !(cfg.ProtocolDropRate >= 0 && cfg.ProtocolDropRate <= 1) {
 		return nil, fmt.Errorf("overlay: protocol drop rate %v outside [0,1]", cfg.ProtocolDropRate)
+	}
+	if cfg.DelayPerUnit < 0 {
+		return nil, fmt.Errorf("overlay: negative delay per unit %v", cfg.DelayPerUnit)
 	}
 	var cache *routing.RouteCache
 	if cfg.CacheRoutes {
@@ -570,22 +577,32 @@ func (s *System) Stop() error {
 }
 
 // send delivers a message to node `to`, optionally after the simulated
-// network delay from node `from` (-1 for external injection, no delay).
-// Messages to crashed nodes and sends after Stop are counted no-ops; all
-// payload kinds are subject to the configured drop rates and the LinkPolicy
-// hook (trigger messages are control-plane injections and never drop
-// randomly; external injections never face the link policy — a client's
-// request enters at its destination, it does not cross simulated links).
-// From here on m is shared (see message) and must not be written again.
+// network delay from node `from` (-1 for external injection, no delay): fate
+// decides, the driver carries. From here on m is shared (see message) and
+// must not be written again.
 func (s *System) send(from, to int, m *message) {
+	for d, copies := s.fate(from, to, m); copies > 0; copies-- {
+		s.drv.post(from, to, m, d)
+	}
+}
+
+// fate is every verdict on one message at send time: how many copies of m
+// reach node `to` — none when it is lost, two when the link policy duplicates
+// it — and after what link delay. Messages to crashed nodes are counted
+// no-ops; all payload kinds are subject to the configured drop rates and the
+// LinkPolicy hook (trigger messages are control-plane injections and never
+// drop randomly; external injections never face the link policy — a client's
+// request enters at its destination, it does not cross simulated links). A
+// flood asks once per recipient, in member order, so policy calls and drop
+// draws come in the order the messages were sent.
+func (s *System) fate(from, to int, m *message) (d time.Duration, copies int) {
 	if s.crashed[to].Load() {
 		s.dropMu.Lock()
 		s.faults.DroppedToCrashed++
 		s.dropMu.Unlock()
-		return
+		return 0, 0
 	}
 	// d is the link delay: policy-injected extra plus configured latency.
-	var d time.Duration
 	duplicate := false
 	if s.cfg.LinkPolicy != nil && from >= 0 && from != to && m.kind != kindTrigger {
 		v := s.cfg.LinkPolicy(from, to, MsgKind(m.kind))
@@ -594,9 +611,13 @@ func (s *System) send(from, to int, m *message) {
 			s.faults.DroppedByPolicy++
 			s.dropMu.Unlock()
 			s.noteAggDrop(to, m)
-			return
+			return 0, 0
 		}
-		d = v.Delay
+		// A verdict holds delivery back; it cannot make a link faster than
+		// it is configured to be.
+		if v.Delay > 0 {
+			d = v.Delay
+		}
 		duplicate = v.Duplicate
 	}
 	if s.dropRng != nil && m.kind != kindTrigger {
@@ -613,7 +634,7 @@ func (s *System) send(from, to int, m *message) {
 			s.dropMu.Unlock()
 			if drop {
 				s.noteAggDrop(to, m)
-				return
+				return 0, 0
 			}
 		}
 	}
@@ -625,16 +646,16 @@ func (s *System) send(from, to int, m *message) {
 			d += s.cfg.Latency(from, to)
 		}
 	}
-	s.drv.post(from, to, m, d)
-	if duplicate {
-		s.dropMu.Lock()
-		s.faults.DuplicatedByPolicy++
-		s.dropMu.Unlock()
-		// The copy takes the same delay; the protocol's sequence checks
-		// make duplicated floods idempotent, and a reply cell keeps only
-		// the first answer.
-		s.drv.post(from, to, m, d)
+	if !duplicate {
+		return d, 1
 	}
+	s.dropMu.Lock()
+	s.faults.DuplicatedByPolicy++
+	s.dropMu.Unlock()
+	// The copy takes the same delay; the protocol's sequence checks make
+	// duplicated floods idempotent, and a reply cell keeps only the first
+	// answer.
+	return d, 2
 }
 
 // noteAggDrop records that a node lost an aggregate message, so its
@@ -1029,13 +1050,7 @@ func (n *node) broadcast(seq uint64) {
 	services := s.caps[n.id] // immutable once stored; shared by every flood copy
 	gen := s.capGen[n.id]
 	s.capsMu.RUnlock()
-	flood := &message{kind: kindLocal, localFrom: n.id, localRank: n.rank, localSet: services, localGen: gen, seq: seq}
-	for _, member := range n.view.Members {
-		if member == n.id {
-			continue
-		}
-		s.send(n.id, member, flood)
-	}
+	s.drv.flood(n.id, n.view.Members, &message{kind: kindLocal, localFrom: n.id, localRank: n.rank, localSet: services, localGen: gen, seq: seq})
 	// Border duty: for each cluster pair this node currently terminates
 	// (elected by Build, or re-elected since a crash), send the aggregate
 	// of its own cluster. The union over SCTP is cached and rebuilt only
@@ -1082,13 +1097,7 @@ func (n *node) broadcast(seq uint64) {
 // forwardAggregate re-floods a received aggregate to the rest of this
 // node's cluster (§4 step 2, receiving border's duty).
 func (n *node) forwardAggregate(cluster int, set svc.CapabilitySet, gen, seq uint64) {
-	fwd := &message{kind: kindAggregate, aggCluster: cluster, aggSet: set, aggGen: gen, seq: seq}
-	for _, member := range n.view.Members {
-		if member == n.id {
-			continue
-		}
-		n.sys.send(n.id, member, fwd)
-	}
+	n.sys.drv.flood(n.id, n.view.Members, &message{kind: kindAggregate, aggCluster: cluster, aggSet: set, aggGen: gen, seq: seq})
 }
 
 // handleRoute performs the full §5 procedure at this (destination) node.

@@ -262,6 +262,12 @@ func Simulate(spec SimSpec, seed int64) (*SimReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	return w.run(spec, seed, rng, cat, sim)
+}
+
+// run starts the world's runtimes and drives them through the scenario, on
+// the clock and the random stream they were built with.
+func (w *simWorld) run(spec SimSpec, seed int64, rng *rand.Rand, cat *svc.Catalog, sim *vtime.Sim) (*SimReport, error) {
 	for _, sys := range w.systems {
 		if err := sys.Start(); err != nil {
 			return nil, err
@@ -399,7 +405,7 @@ func Simulate(spec SimSpec, seed int64) (*SimReport, error) {
 	}
 
 	rep.Converged = true
-	for g, sys := range w.systems {
+	for _, sys := range w.systems {
 		ok, err := sys.Converged()
 		if err != nil {
 			return nil, err
@@ -407,16 +413,8 @@ func Simulate(spec SimSpec, seed int64) (*SimReport, error) {
 		rep.Converged = rep.Converged && ok
 		rep.Traffic.add(sys.Traffic())
 		rep.Faults.add(sys.FaultCounters())
-		// Digest over GLOBAL node ids so two different groupings of the
-		// same converged facts cannot collide; the digest XORs entries, so
-		// it folds one runtime at a time.
-		states, release := sys.tables()
-		for local := range states {
-			states[local].Node = w.global(g, local)
-		}
-		rep.StateDigest ^= digestStates(states)
-		release()
 	}
+	rep.StateDigest = w.digest()
 	rep.VirtualTime = sim.Now()
 	if len(imprecisions) > 0 {
 		sum := 0.0
@@ -433,6 +431,22 @@ func Simulate(spec SimSpec, seed int64) (*SimReport, error) {
 		rep.Converged, rep.MaxRelayRun, rep.VirtualTime, super, rep.StateDigest)
 	rep.Trace = tr.b.String()
 	return rep, nil
+}
+
+// digest folds every runtime's tables into one state digest, over GLOBAL node
+// ids so two different groupings of the same facts cannot collide; the digest
+// XORs entries, so it folds one runtime at a time.
+func (w *simWorld) digest() uint64 {
+	var acc uint64
+	for g, sys := range w.systems {
+		states, release := sys.tables()
+		for local := range states {
+			states[local].Node = w.global(g, local)
+		}
+		acc ^= digestStates(states)
+		release()
+	}
+	return acc
 }
 
 // simTrace accumulates the deterministic event log.

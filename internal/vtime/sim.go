@@ -1,7 +1,9 @@
 package vtime
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -26,10 +28,13 @@ import (
 // a task started by Run/Go or from an event callback. Calling them from a
 // foreign goroutine is a data race by construction.
 type Sim struct {
-	now  time.Duration
-	seq  uint64
-	evq  eventQueue
-	live int // events in evq not invalidated by Stop/Reset
+	now     time.Duration
+	seq     uint64
+	evq     eventQueue
+	batches batchTable
+	// live counts what is still to fire: events in evq not invalidated by
+	// Stop/Reset, a batch event for every entry it has left.
+	live int
 
 	ready readyQueue
 	idle  []*task // tasks parked in WaitIdle
@@ -53,9 +58,11 @@ type task struct {
 }
 
 // event is one scheduled callback, stored by value in the queue: a Post
-// (fn, arg) or a timer's pending call (timer, with arg the generation the
+// (fn, arg), a timer's pending call (timer, with arg the generation the
 // event was armed under — the event is stale, already Stopped or Reset, when
-// that no longer matches the timer's).
+// that no longer matches the timer's), or, with neither fn nor timer, a
+// PostBatch in progress (arg is its slot in Sim.batches; when is the deadline
+// of its earliest entry left).
 type event struct {
 	when  time.Duration
 	seq   uint64
@@ -72,8 +79,8 @@ func NewSim() *Sim {
 // Now is the current virtual time.
 func (s *Sim) Now() time.Duration { return s.now }
 
-// Pending reports how many scheduled events are still live — useful for
-// tests asserting a quiesced scheduler.
+// Pending reports how many scheduled callbacks are still live, every entry
+// of a PostBatch counted — useful for tests asserting a quiesced scheduler.
 func (s *Sim) Pending() int { return s.live }
 
 // Go starts fn as a new cooperative task. The task becomes runnable
@@ -130,8 +137,7 @@ func (s *Sim) Run(fn func()) {
 			continue
 		}
 		if len(s.tasks) == 0 {
-			s.evq = eventQueue{}
-			s.live = 0
+			s.evq, s.batches, s.live = eventQueue{}, batchTable{}, 0
 			return
 		}
 		panic("vtime: deadlock — " + s.blockedReport())
@@ -152,11 +158,16 @@ func (s *Sim) blockedReport() string {
 // fireNext pops events until one live event fires (advancing virtual time
 // to its deadline and running its callback inline on the loop) or the queue
 // is exhausted. Stale events — invalidated by Timer.Stop or Reset — are
-// discarded without firing.
+// discarded without firing. A batch event fires its earliest entry and stays
+// queued for the rest.
 //
 //hfc:hotpath budget=0
 func (s *Sim) fireNext() bool {
 	for s.evq.n > 0 {
+		if root := s.evq.at(0); root.fn == nil && root.timer == nil {
+			s.fireBatch(root)
+			return true
+		}
 		ev := s.evq.pop()
 		t := ev.timer
 		if t != nil {
@@ -177,6 +188,29 @@ func (s *Sim) fireNext() bool {
 		return true
 	}
 	return false
+}
+
+// fireBatch fires the earliest entry of the batch the root event stands for.
+// Before the callback runs the root is re-keyed to the next entry's deadline
+// — which is no work at all when that is the same instant: its key has not
+// changed — or popped after the last, so whatever the callback schedules
+// meets the queue it would have met had every entry been a Post of its own.
+//
+//hfc:hotpath budget=0
+func (s *Sim) fireBatch(root *event) {
+	b := s.batches.at(root.arg)
+	fn, arg, when := b.fn, b.dues[0].Arg, root.when
+	if b.dues = b.dues[1:]; len(b.dues) == 0 {
+		s.batches.release(root.arg)
+		s.evq.pop()
+	} else if next := b.base + b.dues[0].After; next != when {
+		s.evq.rekeyRoot(next)
+	}
+	s.live--
+	if when > s.now {
+		s.now = when
+	}
+	fn(arg)
 }
 
 // park hands the baton back to the loop and blocks until the task is
@@ -245,6 +279,53 @@ func (s *Sim) Post(d time.Duration, fn func(int), arg int) {
 	s.schedule(d, event{fn: fn, arg: arg})
 }
 
+// Due is one entry of a PostBatch: the callback's argument and how long after
+// the call it is due.
+type Due struct {
+	After time.Duration
+	Arg   int
+}
+
+// PostBatch schedules fn(d.Arg) at Now()+d.After for every entry of dues. It
+// fires exactly as
+//
+//	for _, d := range dues { s.Post(d.After, fn, d.Arg) }
+//
+// would, against every other event, same-instant ties included — but as one
+// queued event that re-arms itself from entry to entry, not len(dues) events:
+// a flood occupies the queue once, however many recipients it has. The
+// entries are put in firing order (negative delays clamped to zero, then a
+// stable sort by deadline, so ties keep the order of dues) and the batch
+// takes one sequence number: every other event's is wholly below or above it,
+// which is all the loop of Posts guarantees either.
+//
+// dues is the caller's storage: PostBatch reorders it in place, allocates
+// nothing, and holds it until the last entry has fired (or Run has returned).
+//
+//hfc:hotpath budget=0
+func (s *Sim) PostBatch(fn func(int), dues []Due) {
+	if len(dues) == 0 {
+		return
+	}
+	sorted := true
+	for i := range dues {
+		if dues[i].After < 0 {
+			dues[i].After = 0
+		}
+		if i > 0 && dues[i].After < dues[i-1].After {
+			sorted = false
+		}
+	}
+	if !sorted {
+		slices.SortStableFunc(dues, byDeadline)
+	}
+	//hfcvet:ignore hotalloc a batch and an event value passed by value, not an allocation
+	s.schedule(dues[0].After, event{arg: s.batches.hold(batch{fn: fn, dues: dues, base: s.now})})
+	s.live += len(dues) - 1
+}
+
+func byDeadline(a, b Due) int { return cmp.Compare(a.After, b.After) }
+
 // schedule stamps ev with its deadline and sequence number and queues it.
 func (s *Sim) schedule(d time.Duration, ev event) {
 	if d < 0 {
@@ -296,9 +377,8 @@ func (t *simTimer) Reset(d time.Duration) bool {
 // eventQueue is a binary min-heap of event values ordered by (when, seq):
 // earliest deadline first, insertion order among same-instant events. It
 // lives in fixed-size chunks, so growing never copies what is queued and a
-// burst's memory goes back as soon as the queue drains: a protocol round
-// parks a quarter of a million deliveries here at one virtual instant, and
-// a slice kept at that high-water mark is 10 MiB nobody uses.
+// burst's memory goes back as soon as the queue drains: a slice kept at the
+// high-water mark of the largest round is memory nobody uses.
 type eventQueue struct {
 	chunks []*[evChunk]event
 	n      int
@@ -349,6 +429,25 @@ func (q *eventQueue) pop() event {
 		q.chunks = q.chunks[:1]
 		return top
 	}
+	q.siftDown(last)
+	return top
+}
+
+// rekeyRoot moves the root event to a later deadline, keeping its sequence
+// number: a batch moving on to its next entry.
+//
+//hfc:hotpath budget=0
+func (q *eventQueue) rekeyRoot(when time.Duration) {
+	ev := *q.at(0)
+	ev.when = when
+	q.siftDown(ev)
+}
+
+// siftDown stores ev where it belongs on the way down from the root, whose
+// old value the caller has taken.
+//
+//hfc:hotpath budget=0
+func (q *eventQueue) siftDown(last event) {
 	i := 0
 	for child := 1; child < q.n; child = 2*i + 1 {
 		c := q.at(child)
@@ -364,7 +463,67 @@ func (q *eventQueue) pop() event {
 		i = child
 	}
 	*q.at(i) = last
-	return top
+}
+
+// batch is one PostBatch in progress: the entries still to fire, earliest
+// first, each due at base + After.
+type batch struct {
+	fn   func(int)
+	dues []Due
+	base time.Duration
+}
+
+// batchTable holds the batches in progress in slots a batch event names by
+// index, so that event need not grow a field only batches use. It keeps the
+// queue's storage policy: fixed-size chunks that never move, released slots
+// reused first, and everything beyond one chunk given back when the last
+// batch finishes.
+type batchTable struct {
+	chunks []*[batchChunk]batch
+	free   int // 1 + the head of the list of released slots (linked through base); 0 when empty
+	fresh  int // the first slot never handed out
+	held   int
+}
+
+// batchChunk is the number of batches per chunk (40 KiB).
+const batchChunk = 1 << 10
+
+func (t *batchTable) at(slot int) *batch {
+	return &t.chunks[uint(slot)/batchChunk][uint(slot)%batchChunk]
+}
+
+// hold stores b and returns its slot.
+//
+//hfc:hotpath budget=0
+func (t *batchTable) hold(b batch) int {
+	slot := t.free - 1
+	if slot >= 0 {
+		t.free = int(t.at(slot).base)
+	} else {
+		slot = t.fresh
+		if slot == len(t.chunks)*batchChunk {
+			//hfcvet:ignore hotalloc growth: one chunk per 1024 batches in progress, given back when the last finishes
+			t.chunks = append(t.chunks, new([batchChunk]batch))
+		}
+		t.fresh++
+	}
+	t.held++
+	*t.at(slot) = b
+	return slot
+}
+
+// release hands a finished batch's slot back, letting go of its callback and
+// of the caller's dues.
+//
+//hfc:hotpath budget=0
+func (t *batchTable) release(slot int) {
+	//hfcvet:ignore hotalloc a batch value stored in place, not an allocation
+	*t.at(slot) = batch{base: time.Duration(t.free)}
+	t.free = slot + 1
+	if t.held--; t.held == 0 {
+		clear(t.chunks[1:])
+		t.chunks, t.free, t.fresh = t.chunks[:1], 0, 0
+	}
 }
 
 // readyQueue is a FIFO of runnable tasks with amortised O(1) pop (head

@@ -24,6 +24,13 @@
 // AfterFunc only its Timer. A Post callback runs on the scheduler loop like
 // any other and must not block.
 //
+// PostBatch(fn, dues) is the loop of Posts over dues — same firing order
+// against every other event, same-instant ties included — held as one queued
+// event that re-arms itself from entry to entry: a flood to k recipients
+// occupies the queue once, so the queue's length follows the number of
+// senders with something in flight, not the number of recipients. The entries
+// stay in the caller's storage (16 B each) until they have fired.
+//
 // vtime is the sanctioned boundary to the time package: the detrand analyzer
 // forbids raw time.Now/Sleep/AfterFunc in the deterministic packages and
 // points callers here.
