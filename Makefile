@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-seam lint-view lint-solve lint-border vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
+.PHONY: all build test race lint lint-seam lint-view lint-solve lint-border lint-tables vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
 
 # Output snapshot for the regression-gate benchmarks (see cmd/benchgate).
-BENCH_OUT ?= BENCH_pr20.json
+BENCH_OUT ?= BENCH_pr21.json
 
 all: build test lint
 
@@ -31,6 +31,7 @@ lint:
 	$(MAKE) lint-view
 	$(MAKE) lint-solve
 	$(MAKE) lint-border
+	$(MAKE) lint-tables
 
 # lint-seam enforces the overlay's delivery seam: outside the event driver
 # and the Simulate harness, no non-test file of internal/overlay may name
@@ -61,6 +62,12 @@ lint-solve:
 # the primitive).
 lint-border:
 	! grep -nE '\.Borders\[|[cC]losestPair(Indexed)?\(' $$(git ls-files '*.go' | grep -v -e _test.go -e '^vendor/' -e '^internal/hfc/' -e '^internal/geo/')
+
+# lint-tables keeps the §4 tables in one representation: SCT_P and SCT_C are
+# slices indexed by member rank and cluster id (internal/state), and nothing
+# outside tests holds capability sets in an int-keyed map beside them.
+lint-tables:
+	! grep -rnF 'map[int]svc.CapabilitySet' --include='*.go' internal cmd examples | grep -v _test.go
 
 # vet is the machine-readable variant: the registered-analyzer roster
 # followed by the full suite with -json diagnostics (one JSON object per
@@ -102,14 +109,14 @@ chaos:
 # driver parity included) plus the 32k convergence drill under the race
 # detector, then — without it, because they count heap objects — the
 # delayed-delivery allocation and give-back pins (events, batches, the event
-# driver's in-flight store), then smokes the end-to-end benchmark's overlay
-# workload — CI's sim job. The 100k acceptance drill runs nightly
+# driver's in-flight store) and the table footprint and zero-allocation pins,
+# then smokes the end-to-end benchmark's overlay workload — CI's sim job. The 100k acceptance drill runs nightly
 # (see nightly).
 sim:
 	$(GO) test -race -run 'TestSimulateDeterministic|TestSimulateGolden|TestSimModeMatchesRealMode|TestSentPayloadIsNotMutated|TestFloodMatchesPerMessagePosts|TestNetsimLatencyUnderVirtualTime' -count 2 ./internal/overlay/
 	$(GO) test -race -run 'TestRunnerDeterministicUnderVirtualTime' -count 2 ./internal/chaos/
 	$(GO) test -race -run 'TestSimScaleConvergence' -timeout 30m ./internal/experiments/
-	$(GO) test -run 'AllocsPerRun|TestSimDriverInFlightStore|TestEventQueueGivesBack|TestEventStays40Bytes' ./internal/vtime/ ./internal/overlay/
+	$(GO) test -run 'AllocsPerRun|TestSimDriverInFlightStore|TestEventQueueGivesBack|TestEventStays40Bytes|TestNodeTablesFootprint|TestStateRoundAllocatesNoTableMemory' ./internal/vtime/ ./internal/overlay/
 	$(GO) run ./bench -workload protocol-sim -seconds 1
 
 # nightly is what CI's scheduled job runs — the checks too expensive for every

@@ -26,9 +26,10 @@
 // order.txt (embedded, or -manifest to override) ranks every lock class in
 // the core concurrent packages (-packages, default overlay,serve,routing,
 // chaos). An acquisition edge that runs *backward* through the manifest is
-// reported even before it closes a cycle, and a mutex declared in a core
+// reported even before it closes a cycle, a mutex declared in a core
 // package but missing from the manifest is reported too — adding a lock
-// means declaring where it sits in the global order, in the same commit.
+// means declaring where it sits in the global order, in the same commit —
+// and so is a class ranked for a core package that no longer declares it.
 //
 // Suppress an intentional site with
 //
@@ -178,7 +179,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 	reportCycles(pass, dirs, graph, local)
 	reportManifestViolations(pass, dirs, manifest, local)
-	reportUnlistedLocks(pass, dirs, manifest, sc.declared)
+	reportUnlistedLocks(pass, dirs, manifest, sc.declared, sc.declaredSeen)
 
 	// Export this package's contribution: its own edges and summaries.
 	if len(local) > 0 || len(sc.funcs) > 0 {
@@ -281,9 +282,11 @@ func reportManifestViolations(pass *analysis.Pass, dirs *ignore.Directives, mani
 	}
 }
 
-// reportUnlistedLocks enforces manifest completeness for the configured
-// core packages: every mutex they declare must hold a rank.
-func reportUnlistedLocks(pass *analysis.Pass, dirs *ignore.Directives, manifest map[string]int, declared []declaredLock) {
+// reportUnlistedLocks enforces that the manifest and the configured core
+// packages agree: every mutex they declare must hold a rank, and every class
+// ranked under a package's name must still be declared there (reported at the
+// package clause; an external test package declares none and is not asked).
+func reportUnlistedLocks(pass *analysis.Pass, dirs *ignore.Directives, manifest map[string]int, declared []declaredLock, live map[string]bool) {
 	if !inPackageSet(pass.Pkg.Name(), packagesFlag) {
 		return
 	}
@@ -293,6 +296,20 @@ func reportUnlistedLocks(pass *analysis.Pass, dirs *ignore.Directives, manifest 
 				"lock %s is not in the lock-order manifest (internal/analysis/lockorder/order.txt); add it at its acquisition rank",
 				d.class)
 		}
+	}
+	if strings.HasSuffix(pass.Pkg.Name(), "_test") {
+		return
+	}
+	var dead []string
+	for class := range manifest {
+		if strings.HasPrefix(class, pass.Pkg.Name()+".") && !live[class] {
+			dead = append(dead, class)
+		}
+	}
+	sort.Strings(dead)
+	for _, class := range dead {
+		dirs.Report(pass, pass.Files[0].Name.Pos(),
+			"lock %s is ranked in the lock-order manifest (internal/analysis/lockorder/order.txt) but no longer declared; drop its line", class)
 	}
 }
 

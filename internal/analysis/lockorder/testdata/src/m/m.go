@@ -1,8 +1,9 @@
 // Fixture m: manifest enforcement, driven by testdata/manifest.txt via
 // the -manifest flag (the test also sets -packages=m so the completeness
 // check applies here). No cycle exists — the contract violation reports
-// anyway, and the unranked mutex is flagged at its declaration.
-package m
+// anyway, the unranked mutex is flagged at its declaration, and the class
+// the manifest ranks but nothing declares any more at the package clause.
+package m // want `lock m\.M\.gone is ranked in the lock-order manifest .* but no longer declared`
 
 import "sync"
 

@@ -287,7 +287,9 @@ type Map struct {
 	Dim int
 }
 
-// NewMap validates and wraps a coordinate list.
+// NewMap validates and wraps a coordinate list. Every coordinate must be
+// finite: clustering and border election would build a valid-looking topology
+// around a NaN or infinite point, which compares false against everything.
 func NewMap(points []Point) (*Map, error) {
 	if len(points) == 0 {
 		return nil, errors.New("coords: empty coordinate map")
@@ -299,6 +301,11 @@ func NewMap(points []Point) (*Map, error) {
 	for i, p := range points {
 		if len(p) != dim {
 			return nil, fmt.Errorf("coords: point %d has dimension %d, want %d", i, len(p), dim)
+		}
+		for axis, x := range p {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("coords: point %d has non-finite coordinate %v on axis %d", i, x, axis)
+			}
 		}
 	}
 	return &Map{Points: points, Dim: dim}, nil

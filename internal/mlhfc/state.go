@@ -17,10 +17,10 @@ type States struct {
 	// PerGroup[g] holds group g's converged bi-level states, indexed by
 	// group-local node index.
 	PerGroup [][]state.NodeState
-	// Super is SCT_C one level up: group ID → the group's aggregate service
-	// set, the table the group-level search reads exactly as the
-	// cluster-level search reads a proxy's SCT_C.
-	Super map[int]svc.CapabilitySet
+	// Super is SCT_C one level up: the aggregate service set of every group,
+	// indexed by group ID — the table the group-level search reads exactly
+	// as the cluster-level search reads a proxy's SCT_C.
+	Super []svc.CapabilitySet
 	// Messages totals the protocol traffic across all groups' interior
 	// rounds plus the super-aggregate exchange.
 	Messages state.MessageStats
@@ -40,22 +40,20 @@ func Distribute(t *Topology, caps []svc.CapabilitySet) (*States, error) {
 	}
 	out := &States{
 		PerGroup: make([][]state.NodeState, t.NumGroups()),
-		Super:    make(map[int]svc.CapabilitySet, t.NumGroups()),
+		Super:    make([]svc.CapabilitySet, t.NumGroups()),
 	}
 	for g := 0; g < t.NumGroups(); g++ {
 		members := t.Members(g)
 		localCaps := make([]svc.CapabilitySet, len(members))
-		sets := make([]svc.CapabilitySet, len(members))
 		for li, node := range members {
 			localCaps[li] = caps[node]
-			sets[li] = caps[node]
 		}
 		states, msgs, err := state.Distribute(t.Interior(g), localCaps)
 		if err != nil {
 			return nil, fmt.Errorf("mlhfc: group %d state: %w", g, err)
 		}
 		out.PerGroup[g] = states
-		out.Super[g] = svc.Union(sets...)
+		out.Super[g] = svc.Union(localCaps...)
 		out.Messages.LocalMessages += msgs.LocalMessages
 		out.Messages.AggregateMessages += msgs.AggregateMessages
 		out.Messages.ForwardMessages += msgs.ForwardMessages
@@ -78,21 +76,19 @@ func Distribute(t *Topology, caps []svc.CapabilitySet) (*States, error) {
 // Verify checks tri-level convergence: every group's interior state against
 // the bi-level verifier, and every super-aggregate against the true union.
 func Verify(t *Topology, caps []svc.CapabilitySet, s *States) error {
-	if s == nil || len(s.PerGroup) != t.NumGroups() {
+	if s == nil || len(s.PerGroup) != t.NumGroups() || len(s.Super) != t.NumGroups() {
 		return errors.New("mlhfc: malformed states")
 	}
 	for g := 0; g < t.NumGroups(); g++ {
 		members := t.Members(g)
 		localCaps := make([]svc.CapabilitySet, len(members))
-		sets := make([]svc.CapabilitySet, len(members))
 		for li, node := range members {
 			localCaps[li] = caps[node]
-			sets[li] = caps[node]
 		}
 		if err := state.VerifyConvergence(t.Interior(g), localCaps, s.PerGroup[g]); err != nil {
 			return fmt.Errorf("mlhfc: group %d: %w", g, err)
 		}
-		if !s.Super[g].Equal(svc.Union(sets...)) {
+		if !s.Super[g].Equal(svc.Union(localCaps...)) {
 			return fmt.Errorf("mlhfc: group %d super-aggregate mismatch", g)
 		}
 	}

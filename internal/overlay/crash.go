@@ -6,7 +6,6 @@ import (
 
 	"hfc/internal/hfc"
 	"hfc/internal/state"
-	"hfc/internal/svc"
 )
 
 // Crash fail-stops a node: from now on every message addressed to it is
@@ -40,13 +39,13 @@ func (s *System) Crash(id int) error {
 	return nil
 }
 
-// Recover rejoins a crashed node with empty tables: it knows only its own
-// capability and its own cluster's aggregate-of-one, exactly like a freshly
-// booted proxy, and re-learns everything from the next protocol rounds. The
-// SeqP/SeqC trackers survive the crash (the stand-in for the stable-storage
-// epoch a real proxy would persist), so the recovered node still rejects
-// floods older than what it accepted before crashing. Recovering a live
-// node is a no-op.
+// Recover rejoins a crashed node with its tables cleared in place: it knows
+// only its own capability and its own cluster's aggregate-of-one, exactly like
+// a freshly booted proxy, and re-learns everything from the next protocol
+// rounds. The Seq round stamps survive the crash (the stand-in for the
+// stable-storage epoch a real proxy would persist), so the recovered node still
+// rejects floods older than what it accepted before crashing. Recovering a
+// live node is a no-op.
 func (s *System) Recover(id int) error {
 	if id < 0 || id >= len(s.nodes) {
 		return fmt.Errorf("overlay: node %d out of range [0,%d)", id, len(s.nodes))
@@ -57,26 +56,7 @@ func (s *System) Recover(id int) error {
 	n := s.nodes[id]
 	caps := s.capsOf(id)
 	n.st.Lock()
-	n.state = state.NodeState{
-		Node: id,
-		SCTP: map[int]svc.CapabilitySet{id: caps.Clone()},
-		SCTC: map[int]svc.CapabilitySet{n.view.ClusterID: caps.Clone()},
-		SeqP: n.state.SeqP,
-		SeqC: n.state.SeqC,
-	}
-	// The generation tokens and aggregate cache describe tables that were
-	// just wiped: forget them so the next flood re-installs everything.
-	for i := range n.genSeen {
-		n.genSeen[i] = 0
-	}
-	for i := range n.aggGenSeen {
-		n.aggGenSeen[i] = 0
-	}
-	for i := range n.fwdEpoch {
-		n.fwdEpoch[i] = 0
-	}
-	n.aggCache = nil
-	n.aggDirty = true
+	n.forgetLocked(caps)
 	n.st.Unlock()
 	// The rejoined node holds none of the foreign aggregates its cluster's
 	// borders may have stopped re-flooding: advance the repair epoch so

@@ -303,8 +303,8 @@ func TestRecoveredNodeRejoins(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StateOf: %v", err)
 	}
-	if len(st.SCTP) != 1 {
-		t.Errorf("recovered node rejoined with %d SCT_P entries, want only itself", len(st.SCTP))
+	if got := st.ServiceStateSize(); got != 2 {
+		t.Errorf("recovered node rejoined with %d learned entries, want its own SCT_P and SCT_C entries only", got)
 	}
 
 	convergeRounds(t, sys, 3)
@@ -319,7 +319,11 @@ func TestRecoveredNodeRejoins(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StateOf: %v", err)
 	}
-	if !st.SCTP[other].Has("while-you-were-out") {
+	if topo.ClusterOf(other) != topo.ClusterOf(victim) {
+		t.Fatalf("node %d is not a cluster peer of the victim %d", other, victim)
+	}
+	otherRank := sys.nodes[other].rank
+	if !st.SCTP[otherRank].Has("while-you-were-out") {
 		t.Error("recovered node missed the capability change made while it was down")
 	}
 }
@@ -344,7 +348,8 @@ func TestStaleRefloodRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StateOf: %v", err)
 	}
-	if !before.SCTP[origin].Equal(caps[origin]) {
+	originRank := sys.nodes[origin].rank
+	if !before.SCTP[originRank].Equal(caps[origin]) {
 		t.Fatalf("victim not converged before replay")
 	}
 
@@ -353,6 +358,7 @@ func TestStaleRefloodRejected(t *testing.T) {
 	sys.send(-1, victim, &message{
 		kind:      kindLocal,
 		localFrom: origin,
+		localRank: originRank,
 		localSet:  svc.NewCapabilitySet("bogus-replayed"),
 		seq:       1,
 	})
@@ -362,11 +368,11 @@ func TestStaleRefloodRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StateOf: %v", err)
 	}
-	if after.SCTP[origin].Has("bogus-replayed") {
+	if after.SCTP[originRank].Has("bogus-replayed") {
 		t.Error("stale re-flood overwrote newer state")
 	}
-	if !after.SCTP[origin].Equal(caps[origin]) {
-		t.Errorf("SCTP[%d] = %v after replay, want %v", origin, after.SCTP[origin], caps[origin])
+	if !after.SCTP[originRank].Equal(caps[origin]) {
+		t.Errorf("SCT_P entry for %d = %v after replay, want %v", origin, after.SCTP[originRank], caps[origin])
 	}
 	if fc := sys.FaultCounters(); fc.StaleRejected < 1 {
 		t.Errorf("StaleRejected = %d, want >= 1", fc.StaleRejected)

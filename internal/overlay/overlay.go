@@ -21,8 +21,8 @@ package overlay
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -340,8 +340,7 @@ type message struct {
 	// byte-identical content and treats the flood as a no-op. Zero means
 	// "unknown generation, always install". localRank is the sender's
 	// index in its own (sorted) cluster membership — every cluster peer
-	// shares that ordering, so stamping it once at send time saves each
-	// receiver a per-message binary search.
+	// shares that ordering, so it names the receiver's SCT_P slot.
 	localFrom int
 	localRank int
 	localSet  svc.CapabilitySet
@@ -413,7 +412,9 @@ type node struct {
 	// receivers skip the lookup (immutable after New).
 	rank int
 	// st guards the node's routing state, which worker goroutines read.
-	st    sync.RWMutex
+	st sync.RWMutex
+	// state holds the node's tables, sized once (in New) like the
+	// three slices below; floods store into them, Recover clears them.
 	state state.NodeState // guarded by st
 	// genSeen[r] is the capability generation last installed from the
 	// cluster member with rank r in view.Members — the token that lets a
@@ -422,8 +423,7 @@ type node struct {
 	genSeen []uint64 // guarded by st
 	// aggGenSeen[c] is the aggregate generation last installed for cluster
 	// c — the cluster-level counterpart of genSeen that lets the per-round
-	// aggregate re-flood skip the SeqC/SCTC map writes when nothing
-	// changed.
+	// aggregate re-flood skip the Seq/SCTC stores when nothing changed.
 	aggGenSeen []uint64 // guarded by st
 	// fwdEpoch[c] is the repair epoch of this node's own cluster at the
 	// time it last re-flooded cluster c's aggregate intra-cluster.
@@ -436,24 +436,6 @@ type node struct {
 	aggCache svc.CapabilitySet // guarded by st
 	aggGen   uint64            // guarded by st
 	aggDirty bool              // guarded by st
-}
-
-// rankOf returns member's index in the node's (sorted) cluster membership,
-// or -1 for a non-member.
-func (n *node) rankOf(member int) int {
-	lo, hi := 0, len(n.view.Members)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.view.Members[mid] < member {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(n.view.Members) && n.view.Members[lo] == member {
-		return lo
-	}
-	return -1
 }
 
 // New builds a system over a constructed HFC topology and per-proxy
@@ -505,46 +487,79 @@ func New(topo *hfc.Topology, caps []svc.CapabilitySet, cfg Config) (*System, err
 		s.lkg = make(map[routing.CacheKey]knownGood)
 		s.lkgMu.Unlock()
 	}
-	s.nodes = make([]*node, topo.N())
-	for i := range s.nodes {
-		// A shared view aliases the topology's membership and serves
-		// coordinates on demand — O(1) per node where the materialized
-		// View's per-node copies are O(K²), which is what lets a 100k-node
-		// system construct in seconds. The runtime never mutates a view's
-		// shared maps. ResolveCoord doubles as the Fig. 4 coordinate
-		// hand-off for re-elected borders. Attached to dyn, the view's
-		// border lookups read the incrementally maintained live elections
-		// (§5.2): with no churn exactly the static pairs; after a crash the
-		// re-elected closest live pair for the affected cluster's links.
-		view, err := s.dyn.SharedView(i)
-		if err != nil {
-			return nil, fmt.Errorf("overlay: %w", err)
+	// Tables are sized for good: the nodes are one allocation and each cluster's
+	// tables three slabs — sets (SCT_P, SCT_C), stamps (Seq, genSeen,
+	// aggGenSeen), forward epochs — cut into one run per member: a proxy's state
+	// is (members + K) slots per table and a round allocates none of it.
+	k := topo.NumClusters()
+	nodes := make([]node, topo.N())
+	s.nodes = make([]*node, len(nodes))
+	// The runtime's crash registry plus the accrual quarantine set double as
+	// every node's failure detector: intra-cluster provider and resolver
+	// choice skip nodes reported dead or suspected gray. A deployment would
+	// plug a gossip or heartbeat detector in here.
+	alive := func(id int) bool { return !s.IsCrashed(id) && !s.IsQuarantined(id) }
+	for c := 0; c < k; c++ {
+		members := topo.Members(c)
+		m := len(members)
+		sets := make([]svc.CapabilitySet, m*(m+k))
+		stamps := make([]uint64, 2*m*(m+k))
+		epochs := make([]uint32, m*k)
+		for r, i := range members {
+			// A shared view is O(1) per node (hfc.Topology.SharedView) and the
+			// runtime never mutates what it aliases. Attached to dyn, its border
+			// lookups read the live elections (§5.2): with no churn the static
+			// pairs; after a crash the re-elected closest live pair.
+			view, err := s.dyn.SharedView(i)
+			if err != nil {
+				return nil, fmt.Errorf("overlay: %w", err)
+			}
+			view.Alive = alive
+			// A booting proxy knows itself (see forgetLocked); the slabs are
+			// fresh, so every other slot already reads "not learned".
+			sctp, sctc := carve(&sets, m), carve(&sets, k)
+			sctp[r] = caps[i].Clone()
+			sctc[c] = sctp[r]
+			nodes[i] = node{
+				id:         i,
+				sys:        s,
+				view:       view,
+				rank:       r,
+				state:      state.NodeState{Node: i, SCTP: sctp, SCTC: sctc, Seq: carve(&stamps, m+k)},
+				genSeen:    carve(&stamps, m),
+				aggGenSeen: carve(&stamps, k),
+				fwdEpoch:   carve(&epochs, k),
+				aggDirty:   true,
+			}
+			s.nodes[i] = &nodes[i]
 		}
-		// The runtime's crash registry plus the accrual quarantine set
-		// double as every node's failure detector: intra-cluster provider
-		// and resolver choice skip nodes reported dead or suspected gray.
-		// A deployment would plug a gossip or heartbeat detector in here.
-		view.Alive = func(id int) bool { return !s.IsCrashed(id) && !s.IsQuarantined(id) }
-		// Every node knows its own cluster's aggregate of what it has seen
-		// so far (initially just itself).
-		s.nodes[i] = &node{
-			id:   i,
-			sys:  s,
-			view: view,
-			state: state.NodeState{
-				Node: i,
-				SCTP: map[int]svc.CapabilitySet{i: caps[i].Clone()},
-				SCTC: map[int]svc.CapabilitySet{view.ClusterID: caps[i].Clone()},
-			},
-			genSeen:    make([]uint64, len(view.Members)),
-			aggGenSeen: make([]uint64, topo.NumClusters()),
-			fwdEpoch:   make([]uint32, topo.NumClusters()),
-			aggDirty:   true,
-		}
-		s.nodes[i].rank = s.nodes[i].rankOf(i)
 	}
 	s.drv = newDriver(s)
 	return s, nil
+}
+
+// carve cuts the next n elements off the front of *slab, capped so that an
+// append to one piece can never reach the next.
+func carve[T any](slab *[]T, n int) []T {
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
+// forgetLocked leaves the node knowing what a freshly booted proxy knows: its
+// own capability and its cluster's aggregate of what it has seen so far —
+// just itself. The round trackers are not touched (see Recover).
+func (n *node) forgetLocked(caps svc.CapabilitySet) {
+	clear(n.state.SCTP)
+	clear(n.state.SCTC)
+	n.state.SCTP[n.rank] = caps.Clone()
+	n.state.SCTC[n.view.ClusterID] = n.state.SCTP[n.rank]
+	// The generation tokens and aggregate cache describe the wiped tables.
+	clear(n.genSeen)
+	clear(n.aggGenSeen)
+	clear(n.fwdEpoch)
+	n.aggCache = nil
+	n.aggDirty = true
 }
 
 // Start sets the system running. It is an error to start twice.
@@ -763,7 +778,7 @@ func (s *System) UpdateCapability(node int, set svc.CapabilitySet) error {
 	s.capsMu.Unlock()
 	n := s.nodes[node]
 	n.st.Lock()
-	n.state.SCTP[node] = set.Clone()
+	n.state.SCTP[n.rank] = set.Clone()
 	n.aggDirty = true
 	n.st.Unlock()
 	// Cached routes through this proxy's cluster may rely on the old
@@ -792,11 +807,7 @@ func (s *System) capsOf(i int) svc.CapabilitySet {
 func (s *System) Capabilities() []svc.CapabilitySet {
 	s.capsMu.RLock()
 	defer s.capsMu.RUnlock()
-	out := make([]svc.CapabilitySet, len(s.caps))
-	for i, c := range s.caps {
-		out[i] = c.Clone()
-	}
-	return out
+	return cloneTable(s.caps)
 }
 
 // Converged reports whether every node's state currently matches the
@@ -891,26 +902,23 @@ func (s *System) StateOf(id int) (state.NodeState, error) {
 	n := s.nodes[id]
 	n.st.RLock()
 	defer n.st.RUnlock()
-	out := state.NodeState{
+	return state.NodeState{
 		Node: id,
-		SCTP: make(map[int]svc.CapabilitySet, len(n.state.SCTP)),
-		SCTC: make(map[int]svc.CapabilitySet, len(n.state.SCTC)),
-		SeqP: make(map[int]uint64, len(n.state.SeqP)),
-		SeqC: make(map[int]uint64, len(n.state.SeqC)),
+		SCTP: cloneTable(n.state.SCTP),
+		SCTC: cloneTable(n.state.SCTC),
+		Seq:  slices.Clone(n.state.Seq),
+	}, nil
+}
+
+// cloneTable deep-copies a table; entries not learned yet stay nil.
+func cloneTable(table []svc.CapabilitySet) []svc.CapabilitySet {
+	out := make([]svc.CapabilitySet, len(table))
+	for i, set := range table {
+		if set != nil {
+			out[i] = set.Clone()
+		}
 	}
-	for k, v := range n.state.SCTP {
-		out.SCTP[k] = v.Clone()
-	}
-	for k, v := range n.state.SCTC {
-		out.SCTC[k] = v.Clone()
-	}
-	for k, v := range n.state.SeqP {
-		out.SeqP[k] = v
-	}
-	for k, v := range n.state.SeqC {
-		out.SeqC[k] = v
-	}
-	return out, nil
+	return out
 }
 
 // States snapshots every node's state, aligned by node index.
@@ -929,9 +937,9 @@ func (s *System) States() ([]state.NodeState, error) {
 // tables read-locks every node and returns aliases of their live routing
 // tables, aligned by node index, with the function that drops the locks
 // again. Holding all the locks gives one consistent cut without copying a
-// table — at 100k proxies that is ten million map entries — while protocol
+// table — at 100k proxies that is ten million entries — while protocol
 // handlers simply wait; the caller must release promptly and must neither
-// mutate nor keep the maps.
+// mutate nor keep the tables.
 func (s *System) tables() (states []state.NodeState, release func()) {
 	states = make([]state.NodeState, len(s.nodes))
 	for i, n := range s.nodes {
@@ -968,29 +976,29 @@ func (n *node) handle(m message) {
 // applyLocal installs a local-state flood. When the flood carries the
 // capability generation the node already holds for that origin, the
 // message is a pure no-op — the steady-state path that keeps a no-churn
-// round free of map writes and aggregate re-unions.
+// round free of table writes and aggregate re-unions. A flood whose origin
+// is not a member of this cluster has no slot in SCT_P and is rejected.
+//
+//hfc:hotpath budget=0
 func (n *node) applyLocal(m message) {
-	// Fast path: the flood carries a capability generation this node has
-	// already installed from this origin, so its content is byte-identical
-	// to the stored entry and the whole message is a no-op — no map touch
-	// at all. At ~10⁷ floods per large simulated round, this is the
-	// difference between seconds and minutes. The sender-stamped rank is
-	// validated against the shared membership before it is trusted.
+	// The sender-stamped rank is the slot (peers share the member ordering); a
+	// stamp that does not name the origin in this membership is no slot at all.
 	r := m.localRank
-	ranked := r >= 0 && r < len(n.view.Members) && n.view.Members[r] == m.localFrom
+	if r < 0 || r >= len(n.view.Members) || n.view.Members[r] != m.localFrom {
+		r = -1
+	}
 	n.st.Lock()
-	if ranked && m.localGen != 0 && n.genSeen[r] == m.localGen {
+	// Fast path: a generation already installed from this origin means the
+	// content is byte-identical to the stored entry — no table touch at all.
+	// At ~10⁷ floods per large simulated round, this is the difference
+	// between seconds and minutes.
+	if r >= 0 && m.localGen != 0 && n.genSeen[r] == m.localGen {
 		n.st.Unlock()
 		return
 	}
-	if !ranked {
-		r = n.rankOf(m.localFrom)
-	}
-	ok := n.state.ApplyLocal(m.localFrom, m.seq, m.localSet)
+	ok := n.state.ApplyLocal(r, m.seq, m.localSet)
 	if ok {
-		if r >= 0 {
-			n.genSeen[r] = m.localGen
-		}
+		n.genSeen[r] = m.localGen
 		n.aggDirty = true
 	}
 	n.st.Unlock()
@@ -1005,24 +1013,26 @@ func (n *node) applyLocal(m message) {
 // to the stored entry, so the table write is skipped. The border re-flood
 // of a known generation is also skipped — unless the cluster's repair
 // epoch advanced since this border last forwarded it, meaning some member
-// may have missed a forward (drop, crash/recovery) and needs the repeat.
+// may have missed a forward (drop, crash/recovery) and needs the repeat. A
+// cluster id outside [0, K) names no slot in SCT_C and is rejected.
+//
+//hfc:hotpath budget=0
 func (n *node) applyAggregate(m message) {
 	c := m.aggCluster
 	n.st.Lock()
-	inRange := c >= 0 && c < len(n.aggGenSeen)
-	known := m.aggGen != 0 && inRange && n.aggGenSeen[c] == m.aggGen
+	known := m.aggGen != 0 && c >= 0 && c < len(n.aggGenSeen) && n.aggGenSeen[c] == m.aggGen
 	ok := known
 	if !known {
 		ok = n.state.ApplyAggregate(c, m.seq, m.aggSet)
-		if ok && inRange {
+		if ok {
 			n.aggGenSeen[c] = m.aggGen
 		}
 	}
 	fwd := false
 	if ok && m.aggForward {
 		ep := n.sys.repairEpoch[n.view.ClusterID].Load()
-		fwd = !known || !inRange || n.fwdEpoch[c] != ep
-		if fwd && inRange {
+		fwd = !known || n.fwdEpoch[c] != ep
+		if fwd {
 			// Stamp the epoch only when the forward actually goes out; a
 			// bump that lands during or after these sends leaves the
 			// stamp behind and forces another repair round.
@@ -1057,12 +1067,7 @@ func (n *node) broadcast(seq uint64) {
 	// when some member's installed set actually changed.
 	n.st.Lock()
 	if n.aggDirty || n.aggCache == nil {
-		sets := make([]svc.CapabilitySet, 0, len(n.state.SCTP))
-		for _, set := range n.state.SCTP {
-			//hfcvet:ignore maporder set union is commutative; the aggregate is identical in any order
-			sets = append(sets, set)
-		}
-		n.aggCache = svc.Union(sets...)
+		n.aggCache = svc.Union(n.state.SCTP...)
 		n.aggGen = s.aggGenCtr.Add(1)
 		n.aggDirty = false
 	}
@@ -1110,11 +1115,11 @@ func (n *node) forwardAggregate(cluster int, set svc.CapabilitySet, gen, seq uin
 // ClusterAdmissible hook, steering the CSP to an alternate provider cluster
 // — route-level backtracking around crashed providers.
 func (n *node) handleRoute(m message) {
-	// Routing only reads the tables; holding the read lock for the whole
-	// computation would block protocol updates, so copy the two maps. The
-	// sets are shared: stored sets are replaced, never mutated.
+	// The cluster-level search reads SCT_C only (children read SCT_P in place,
+	// in solveChild); holding the read lock throughout would block protocol
+	// updates, so copy it. Stored sets are replaced, never mutated.
 	n.st.RLock()
-	stCopy := state.NodeState{Node: n.id, SCTP: maps.Clone(n.state.SCTP), SCTC: maps.Clone(n.state.SCTC)}
+	stCopy := state.NodeState{Node: n.id, SCTC: slices.Clone(n.state.SCTC)}
 	n.st.RUnlock()
 
 	type ban struct {

@@ -358,7 +358,7 @@ func TestSimModeMatchesRealMode(t *testing.T) {
 	for i := range reqs {
 		check(fmt.Sprintf("route %d", i), got.paths[i], want.paths[i])
 	}
-	// SeqP/SeqC record in which round an entry last changed hands, which the
+	// Seq records in which round an entry last changed hands, which the
 	// mailbox driver's interleaving decides; the tables are the protocol state.
 	for i := range want.states {
 		check(fmt.Sprintf("node %d SCT_P", i), got.states[i].SCTP, want.states[i].SCTP)

@@ -190,11 +190,11 @@ func maxRelayRun(p *routing.Path) int {
 	return best
 }
 
-// digestStates folds every (node, table, origin, services) entry of the
-// final protocol state into one order-independent digest: each entry is
-// FNV-hashed on its own and XORed in, so map iteration order cannot leak
-// into the result.
-func digestStates(states []state.NodeState) uint64 {
+// digestStates folds every learned (node, table, origin, services) entry of
+// the final protocol state into one digest: each entry is FNV-hashed on its
+// own and XORed in. members(i) is the sorted member list states[i].SCTP is
+// aligned with, which names an entry's origin.
+func digestStates(states []state.NodeState, members func(i int) []int) uint64 {
 	var acc uint64
 	// Simulation states alias shared capability sets (every SCTP entry for
 	// one origin is the same map; every SCTC entry for one cluster is the
@@ -224,12 +224,17 @@ func digestStates(states []state.NodeState) uint64 {
 		_, _ = fmt.Fprintf(h, "%d|%s|%d|%016x", node, table, key, setHash(set))
 		acc ^= h.Sum64()
 	}
-	for _, st := range states {
-		for origin, set := range st.SCTP {
-			entry(st.Node, "p", origin, set)
+	for i, st := range states {
+		origins := members(i)
+		for r, set := range st.SCTP {
+			if set != nil {
+				entry(st.Node, "p", origins[r], set)
+			}
 		}
 		for cl, set := range st.SCTC {
-			entry(st.Node, "c", cl, set)
+			if set != nil {
+				entry(st.Node, "c", cl, set)
+			}
 		}
 	}
 	return acc
@@ -443,7 +448,7 @@ func (w *simWorld) digest() uint64 {
 		for local := range states {
 			states[local].Node = w.global(g, local)
 		}
-		acc ^= digestStates(states)
+		acc ^= digestStates(states, func(local int) []int { return sys.nodes[local].view.Members })
 		release()
 	}
 	return acc
@@ -620,15 +625,14 @@ func newMultilevelWorld(spec SimSpec, rng *rand.Rand, cat *svc.Catalog, sim *vti
 	w.prober = func(cur []svc.CapabilitySet) (func(svc.Request) (*routing.Path, string, error), func()) {
 		// The routing view aliases every runtime's live tables — no clones —
 		// and each group's super-aggregate is the union of its deployment.
-		st := &mlhfc.States{PerGroup: make([][]state.NodeState, k), Super: make(map[int]svc.CapabilitySet, k)}
+		st := &mlhfc.States{PerGroup: make([][]state.NodeState, k), Super: make([]svc.CapabilitySet, k)}
 		releases := make([]func(), k)
 		for g, sys := range w.systems {
 			st.PerGroup[g], releases[g] = sys.tables()
-			sets := make([]svc.CapabilitySet, 0, len(topo.Members(g)))
+			st.Super[g] = make(svc.CapabilitySet)
 			for _, node := range topo.Members(g) {
-				sets = append(sets, cur[node])
+				st.Super[g].UnionInto(cur[node])
 			}
-			st.Super[g] = svc.Union(sets...)
 		}
 		route := func(req svc.Request) (*routing.Path, string, error) {
 			res, err := mlhfc.Route(topo, st, req)

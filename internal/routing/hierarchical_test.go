@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -327,7 +328,7 @@ func TestExactNeverWorseThanBacktrackProperty(t *testing.T) {
 func newGenFromStates(rng *rand.Rand, states []state.NodeState, topo *hfc.Topology) (*svc.RequestGenerator, error) {
 	caps := make([]svc.CapabilitySet, topo.N())
 	for i := range caps {
-		caps[i] = states[i].SCTP[i]
+		caps[i] = states[i].SCTP[slices.Index(topo.Members(topo.ClusterOf(i)), i)]
 	}
 	return svc.NewRequestGenerator(rng, caps, 2, 5)
 }

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"reflect"
 	"sort"
 	"sync"
 
@@ -33,7 +32,7 @@ type ProviderIndex struct {
 // provider lists come out in exactly the order the previous per-request
 // membership scan produced, so routing decisions are bit-identical.
 func BuildProviderIndex(st *state.NodeState, members []int) *ProviderIndex {
-	return newProviderIndex(invert(st.SCTP, members), invert(st.SCTC, sortedIDs(st.SCTC)))
+	return newProviderIndex(invert(st.SCTP, members), invert(st.SCTC, nil))
 }
 
 func newProviderIndex(local, clusters map[svc.Service][]int) *ProviderIndex {
@@ -42,12 +41,18 @@ func newProviderIndex(local, clusters map[svc.Service][]int) *ProviderIndex {
 	return pi
 }
 
-// invert turns one SCT table into per-service lists of the given ids (the
-// cluster's members for SCT_P, the table's keys for SCT_C), each ascending.
-func invert(table map[int]svc.CapabilitySet, ids []int) map[svc.Service][]int {
+// invert turns one SCT table into per-service lists of ids, each ascending:
+// entry i of the table is ids[i] (SCT_P against the cluster's sorted members)
+// or, with nil ids, i itself (SCT_C, indexed by cluster). Entries not learned
+// yet list nothing.
+func invert(table []svc.CapabilitySet, ids []int) map[svc.Service][]int {
 	lists := make(map[svc.Service][]int)
-	for _, id := range ids {
-		for s := range table[id] {
+	for i, set := range table {
+		id := i
+		if ids != nil {
+			id = ids[i]
+		}
+		for s := range set {
 			lists[s] = append(lists[s], id)
 		}
 	}
@@ -58,15 +63,6 @@ func invert(table map[int]svc.CapabilitySet, ids []int) map[svc.Service][]int {
 		sort.Ints(lists[s])
 	}
 	return packLists(lists)
-}
-
-func sortedIDs(table map[int]svc.CapabilitySet) []int {
-	ids := make([]int, 0, len(table))
-	for id := range table {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // packLists rewrites a map of per-service lists so every list is a window
@@ -114,7 +110,7 @@ func (pi *ProviderIndex) ProviderFunc() ProviderFunc { return pi.fn }
 // stale together.
 //
 // Each half of an index is cached by the table it inverts, not by the node
-// asking: the local half per SCT_P map, the clusters half per SCT_C map. On
+// asking: the local half per SCT_P table, the clusters half per SCT_C table. On
 // state.Distribute output the members of a cluster therefore share one
 // index and all indexes share one clusters half — K+1 inversions per
 // version, not n.
@@ -132,10 +128,20 @@ type LazyIndexes struct {
 
 	mu    sync.RWMutex
 	stamp uint64 // version idx was built at; guarded by mu
-	// idx is keyed by the addresses of the (SCT_P, SCT_C) maps inverted. An
-	// address names a table only within one version — replacing a table
-	// moves the version, and the map is cleared when the stamp moves.
-	idx map[[2]uintptr]*ProviderIndex // guarded by mu
+	// idx is keyed by the first-entry addresses of the (SCT_P, SCT_C) tables
+	// inverted. An address names a table only within one version — replacing
+	// a table moves the version, and the map is cleared when the stamp moves.
+	idx map[[2]*svc.CapabilitySet]*ProviderIndex // guarded by mu
+}
+
+// tableID is the identity a table is cached under: the address of its first
+// entry, nil for an empty table (every empty table inverts to the same
+// nothing).
+func tableID(table []svc.CapabilitySet) *svc.CapabilitySet {
+	if len(table) == 0 {
+		return nil
+	}
+	return &table[0]
 }
 
 // NewLazyIndexes builds an empty index cache. members maps a node to its
@@ -145,7 +151,7 @@ func NewLazyIndexes(states []state.NodeState, members func(node int) []int, vers
 		states:  states,
 		members: members,
 		version: version,
-		idx:     make(map[[2]uintptr]*ProviderIndex),
+		idx:     make(map[[2]*svc.CapabilitySet]*ProviderIndex),
 	}
 }
 
@@ -157,7 +163,7 @@ func (l *LazyIndexes) For(node int) *ProviderIndex {
 		v = l.version()
 	}
 	st := &l.states[node]
-	key := [2]uintptr{reflect.ValueOf(st.SCTP).Pointer(), reflect.ValueOf(st.SCTC).Pointer()}
+	key := [2]*svc.CapabilitySet{tableID(st.SCTP), tableID(st.SCTC)}
 	l.mu.RLock()
 	pi, ok := l.idx[key]
 	ok = ok && l.stamp == v
@@ -178,11 +184,11 @@ func (l *LazyIndexes) For(node int) *ProviderIndex {
 	var local, clusters map[svc.Service][]int
 	for k, other := range l.idx {
 		if k[0] == key[0] {
-			//hfcvet:ignore maporder every cached index over one SCT_P map holds the same local half
+			//hfcvet:ignore maporder every cached index over one SCT_P table holds the same local half
 			local = other.local
 		}
 		if k[1] == key[1] {
-			//hfcvet:ignore maporder every cached index over one SCT_C map holds the same clusters half
+			//hfcvet:ignore maporder every cached index over one SCT_C table holds the same clusters half
 			clusters = other.clusters
 		}
 	}
@@ -190,19 +196,9 @@ func (l *LazyIndexes) For(node int) *ProviderIndex {
 		local = invert(st.SCTP, members)
 	}
 	if clusters == nil {
-		clusters = invert(st.SCTC, sortedIDs(st.SCTC))
+		clusters = invert(st.SCTC, nil)
 	}
 	pi = newProviderIndex(local, clusters)
 	l.idx[key] = pi
 	return pi
-}
-
-// InvalidateAll drops every cached index immediately. Not required for
-// correctness when a version source is configured (a stale stamp already
-// forces rebuilds); it exists to release memory eagerly and to serve as the
-// invalidation hook for version-less (static) usage.
-func (l *LazyIndexes) InvalidateAll() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	clear(l.idx)
 }

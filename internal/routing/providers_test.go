@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -11,17 +12,10 @@ import (
 // testNodeState builds a NodeState whose cluster members hold the given
 // capability sets and whose SCT_C covers the given cluster aggregates.
 func testNodeState(members []int, memberCaps []svc.CapabilitySet, aggregates []svc.CapabilitySet) *state.NodeState {
-	st := &state.NodeState{
-		SCTP: make(map[int]svc.CapabilitySet),
-		SCTC: make(map[int]svc.CapabilitySet),
+	if len(memberCaps) != len(members) {
+		panic("testNodeState: one capability set per member")
 	}
-	for i, m := range members {
-		st.SCTP[m] = memberCaps[i]
-	}
-	for c, agg := range aggregates {
-		st.SCTC[c] = agg
-	}
-	return st
+	return &state.NodeState{SCTP: memberCaps, SCTC: aggregates}
 }
 
 func TestProviderIndexMatchesScan(t *testing.T) {
@@ -43,8 +37,8 @@ func TestProviderIndexMatchesScan(t *testing.T) {
 	for _, s := range []svc.Service{"a", "b", "c", "d", "missing"} {
 		// Reference: the scan SolveChild used to run per service.
 		var want []int
-		for _, m := range members {
-			if set, ok := st.SCTP[m]; ok && set.Has(s) {
+		for r, m := range members {
+			if st.SCTP[r].Has(s) {
 				want = append(want, m)
 			}
 		}
@@ -56,17 +50,42 @@ func TestProviderIndexMatchesScan(t *testing.T) {
 		}
 	}
 
-	// An SCT_C that is not full (a recovered proxy's holds its own cluster
-	// only): the index and the state walk the same keys.
-	recovered := &state.NodeState{SCTC: map[int]svc.CapabilitySet{2: aggregates[2]}}
-	pi = BuildProviderIndex(recovered, nil)
+	// Tables that are not full (a proxy just back from Recover has learned
+	// its own SCT_P and SCT_C entries only): the index, the state and a child
+	// solve walk the same learned entries and step over the rest.
+	recovered := &state.NodeState{
+		SCTP: []svc.CapabilitySet{nil, nil, memberCaps[2], nil},
+		SCTC: []svc.CapabilitySet{nil, nil, aggregates[2]},
+	}
+	pi = BuildProviderIndex(recovered, members)
 	for _, s := range []svc.Service{"a", "c", "d"} {
 		if got, want := pi.ClustersProviding(s), recovered.ClustersProviding(s); !reflect.DeepEqual(got, want) {
 			t.Errorf("sparse SCT_C: index ClustersProviding(%q) = %v, state says %v", s, got, want)
 		}
+		if got := pi.Providers(s); !reflect.DeepEqual(got, []int{11}) {
+			t.Errorf("sparse SCT_P: index Providers(%q) = %v, want [11]", s, got)
+		}
 	}
 	if got := recovered.ClustersProviding("a"); !reflect.DeepEqual(got, []int{2}) {
 		t.Errorf("sparse SCT_C: ClustersProviding(a) = %v, want [2]", got)
+	}
+	if got := pi.Providers("b"); got != nil {
+		t.Errorf("sparse SCT_P: index Providers(b) = %v, want none (its providers are not learned yet)", got)
+	}
+	solve := IntraSolve{Members: members, SCTP: recovered.SCTP, Oracle: OracleFunc(func(u, v int) float64 { return 1 })}
+	child := ChildRequest{Cluster: 2, Resolver: 11, Source: 3, Dest: 20, Services: []svc.Service{"a", "d"}}
+	path, err := solve.Solve(child)
+	if err != nil {
+		t.Fatalf("child solve over a recovered SCT_P: %v", err)
+	}
+	for _, h := range path.Hops {
+		if h.Service != "" && h.Node != 11 {
+			t.Errorf("child solve placed %q on %d, want the one learned provider 11", h.Service, h.Node)
+		}
+	}
+	child.Services = []svc.Service{"b"}
+	if _, err := solve.Solve(child); !errors.Is(err, ErrNoProviders) {
+		t.Errorf("child solve for an unlearned service: err = %v, want ErrNoProviders", err)
 	}
 }
 
@@ -115,11 +134,6 @@ func TestLazyIndexesRebuildOnVersionBump(t *testing.T) {
 	if got := rebuilt.Providers("c"); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("rebuilt Providers(c) = %v, want [0]", got)
 	}
-
-	li.InvalidateAll()
-	if li.For(1) == rebuilt {
-		t.Fatal("InvalidateAll kept a cached index")
-	}
 }
 
 // TestLazyIndexesSharedPerTable pins the cache to the tables, not the nodes:
@@ -127,9 +141,9 @@ func TestLazyIndexesRebuildOnVersionBump(t *testing.T) {
 // cluster's index shares the clusters half, and an in-place edit with a
 // version bump still rebuilds.
 func TestLazyIndexesSharedPerTable(t *testing.T) {
-	sctc := map[int]svc.CapabilitySet{0: svc.NewCapabilitySet("a", "b"), 1: svc.NewCapabilitySet("b")}
-	sctp0 := map[int]svc.CapabilitySet{0: svc.NewCapabilitySet("a"), 1: svc.NewCapabilitySet("b")}
-	sctp1 := map[int]svc.CapabilitySet{2: svc.NewCapabilitySet("b")}
+	sctc := []svc.CapabilitySet{svc.NewCapabilitySet("a", "b"), svc.NewCapabilitySet("b")}
+	sctp0 := []svc.CapabilitySet{svc.NewCapabilitySet("a"), svc.NewCapabilitySet("b")}
+	sctp1 := []svc.CapabilitySet{svc.NewCapabilitySet("b")}
 	states := []state.NodeState{
 		{Node: 0, SCTP: sctp0, SCTC: sctc},
 		{Node: 1, SCTP: sctp0, SCTC: sctc},

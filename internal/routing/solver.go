@@ -18,11 +18,11 @@ import (
 // only in the fields they fill.
 type IntraSolve struct {
 	// Members lists the cluster's proxies in index order and SCTP is the
-	// resolver's table of their capability sets: the providers of a service
-	// are the members SCTP lists it on. Whoever owns a live SCTP holds its
-	// read lock across Solve.
+	// resolver's table of their capability sets, entry r for Members[r]: the
+	// providers of a service are the members SCTP lists it on. Whoever owns
+	// a live SCTP holds its read lock across Solve.
 	Members []int
-	SCTP    map[int]svc.CapabilitySet
+	SCTP    []svc.CapabilitySet
 	// Indexes, when non-nil, answers the same lookup from the resolver's
 	// prebuilt inversion of SCTP instead of scanning Members per service.
 	Indexes *LazyIndexes
@@ -67,11 +67,11 @@ func (s IntraSolve) Solve(child ChildRequest) (*Path, error) {
 		members, sctp := s.Members, s.SCTP
 		providers = func(x svc.Service) []int {
 			var out []int
-			for _, m := range members {
+			for r, m := range members {
 				if usable != nil && !usable(m) {
 					continue
 				}
-				if set, ok := sctp[m]; ok && set.Has(x) {
+				if r < len(sctp) && sctp[r].Has(x) {
 					out = append(out, m)
 				}
 			}

@@ -22,7 +22,7 @@ func TestIntraSolveHostShapes(t *testing.T) {
 	// One cluster of six proxies; 0 and 5 are its borders.
 	pts := []coords.Point{{0, 0}, {10, 5}, {20, 1}, {30, 6}, {40, 2}, {50, 0}}
 	members := []int{0, 1, 2, 3, 4, 5}
-	sctp := map[int]svc.CapabilitySet{
+	sctp := []svc.CapabilitySet{
 		0: svc.NewCapabilitySet(),
 		1: svc.NewCapabilitySet("a"),
 		2: svc.NewCapabilitySet("a", "b"),
@@ -107,7 +107,7 @@ func TestIntraSolveHostShapes(t *testing.T) {
 // exhaustiveChild is the reference for IntraSolve.Solve: every placement of
 // the child's services on usable members the table lists them on, every hop
 // between distinct nodes admissible, cheapest wins (the fixture has no ties).
-func exhaustiveChild(child ChildRequest, members []int, sctp map[int]svc.CapabilitySet,
+func exhaustiveChild(child ChildRequest, members []int, sctp []svc.CapabilitySet,
 	usable func(int) bool, admissible EdgeFilter, dist func(u, v int) float64) (*Path, error) {
 	var best *Path
 	var place func(hops []Hop, cost float64, rest []svc.Service)

@@ -1,13 +1,24 @@
 package state
 
 import (
+	"reflect"
 	"testing"
 
 	"hfc/internal/svc"
 )
 
+// tracked builds an editable state the way a proxy of the overlay runtime
+// sizes one: a slot per cluster member and per cluster, rounds tracked.
+func tracked(members, k int) NodeState {
+	return NodeState{
+		SCTP: make([]svc.CapabilitySet, members),
+		SCTC: make([]svc.CapabilitySet, k),
+		Seq:  make([]uint64, members+k),
+	}
+}
+
 func TestApplyLocalRejectsStaleFlood(t *testing.T) {
-	st := NodeState{Node: 0}
+	st := tracked(4, 3)
 	if !st.ApplyLocal(3, 5, svc.NewCapabilitySet("fresh")) {
 		t.Fatal("first flood rejected")
 	}
@@ -36,7 +47,7 @@ func TestApplyLocalRejectsStaleFlood(t *testing.T) {
 }
 
 func TestApplyAggregateRejectsStale(t *testing.T) {
-	st := NodeState{Node: 0}
+	st := tracked(4, 3)
 	if !st.ApplyAggregate(1, 2, svc.NewCapabilitySet("a")) {
 		t.Fatal("first aggregate rejected")
 	}
@@ -61,7 +72,7 @@ func TestVerifyConvergenceExceptSkipsCrashed(t *testing.T) {
 	}
 	// Freeze node 1 as crashed: wipe its state entirely. Strict
 	// verification must fail, the crash-aware check must pass.
-	states[1] = NodeState{Node: 1, SCTP: map[int]svc.CapabilitySet{}, SCTC: map[int]svc.CapabilitySet{}}
+	states[1] = NodeState{Node: 1}
 	if err := VerifyConvergence(topo, caps, states); err == nil {
 		t.Fatal("strict check passed with a wiped node")
 	}
@@ -72,7 +83,7 @@ func TestVerifyConvergenceExceptSkipsCrashed(t *testing.T) {
 
 	// A live node missing the crashed member's SCT_P entry is still fine
 	// (a recovered node re-learns only from live floods)...
-	delete(states[0].SCTP, 1)
+	states[0].SCTP[1] = nil
 	if err := VerifyConvergenceExcept(topo, caps, states, crashed); err != nil {
 		t.Fatalf("crash-aware check failed with missing crashed-member entry: %v", err)
 	}
@@ -110,5 +121,81 @@ func TestVerifyConvergenceExceptBracketsAggregates(t *testing.T) {
 	states[3].SCTC[0] = extra
 	if err := VerifyConvergenceExcept(topo, caps, states, crashed); err == nil {
 		t.Fatal("super-full aggregate accepted")
+	}
+}
+
+// TestApplyBoundary is the node boundary of §4: what ApplyLocal and
+// ApplyAggregate accept, reject as stale, and reject as malformed because
+// the message names no slot of the table — and that none of it allocates.
+func TestApplyBoundary(t *testing.T) {
+	const members, k = 4, 3
+	old, fresh := svc.NewCapabilitySet("old"), svc.NewCapabilitySet("fresh")
+	for _, tc := range []struct {
+		name      string
+		aggregate bool
+		untracked bool // nil Seq: the synchronous model
+		key       int  // rank (local) or cluster id (aggregate)
+		seq       uint64
+		want      bool
+	}{
+		{name: "local, newer round", key: 1, seq: 6, want: true},
+		{name: "local, first flood for an unlearned slot", key: 2, seq: 1, want: true},
+		{name: "local, stale round", key: 1, seq: 4},
+		{name: "local, equal round is a replay", key: 1, seq: 5},
+		{name: "local, origin not a member (rank -1)", key: -1, seq: 9},
+		{name: "local, rank past the member list", key: members, seq: 9},
+		{name: "local, untracked state takes any round", untracked: true, key: 1, seq: 0, want: true},
+		{name: "local, untracked state still has no slot for a non-member", untracked: true, key: -1, seq: 9},
+		{name: "aggregate, newer round", aggregate: true, key: 1, seq: 6, want: true},
+		{name: "aggregate, equal round (a second border's forward)", aggregate: true, key: 1, seq: 5, want: true},
+		{name: "aggregate, stale round", aggregate: true, key: 1, seq: 4},
+		{name: "aggregate, negative cluster id", aggregate: true, key: -1, seq: 9},
+		{name: "aggregate, cluster id K", aggregate: true, key: k, seq: 9},
+		{name: "aggregate, cluster id far past K", aggregate: true, key: 1 << 20, seq: 9},
+		{name: "aggregate, untracked state takes any round", aggregate: true, untracked: true, key: 1, seq: 0, want: true},
+		{name: "aggregate, untracked state still has no slot past K", aggregate: true, untracked: true, key: k, seq: 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Every run starts from slot 1 of each table learned in round 5.
+			reset := func() NodeState {
+				st := tracked(members, k)
+				st.ApplyLocal(1, 5, old)
+				st.ApplyAggregate(1, 5, old)
+				if tc.untracked {
+					st.Seq = nil
+				}
+				return st
+			}
+			apply := func(st *NodeState) bool {
+				if tc.aggregate {
+					return st.ApplyAggregate(tc.key, tc.seq, fresh)
+				}
+				return st.ApplyLocal(tc.key, tc.seq, fresh)
+			}
+			st := reset()
+			before := reset()
+			if got := apply(&st); got != tc.want {
+				t.Fatalf("applied = %v, want %v", got, tc.want)
+			}
+			if !tc.want {
+				if !reflect.DeepEqual(st, before) {
+					t.Errorf("a rejected message changed the state:\n got %+v\nwant %+v", st, before)
+				}
+			} else {
+				table, stamp := st.SCTP, tc.key
+				if tc.aggregate {
+					table, stamp = st.SCTC, members+tc.key
+				}
+				if !table[tc.key].Equal(fresh) {
+					t.Errorf("slot %d = %v, want %v", tc.key, table[tc.key], fresh)
+				}
+				if st.Seq != nil && st.Seq[stamp] != tc.seq {
+					t.Errorf("recorded round %d, want %d", st.Seq[stamp], tc.seq)
+				}
+			}
+			if allocs := testing.AllocsPerRun(20, func() { apply(&st) }); allocs != 0 {
+				t.Errorf("allocates %.0f times per call, want 0", allocs)
+			}
+		})
 	}
 }

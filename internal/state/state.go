@@ -6,6 +6,13 @@
 // within its cluster; border proxies exchange aggregate-state messages
 // across the external links and re-flood them inside their clusters.
 //
+// Both tables are dense: their keys are a member's rank in its cluster's
+// sorted member list and a cluster id in [0, K), so a table is a slice with
+// one slot per key — (members + K) × 8 B per proxy, twice that with the round
+// stamps (≈ 2 kB at n = 4000, K = 66, where four Go maps held ≈ 9 kB). A
+// nil entry is one the proxy has not learned yet; a message that names no slot
+// (a non-member origin, a cluster id outside [0, K)) is rejected.
+//
 // This package provides the protocol as a deterministic synchronous
 // simulation with exact message accounting (used by the Fig. 9 experiments
 // and by hierarchical routing); package overlay runs the same logic as a
@@ -15,7 +22,6 @@ package state
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"hfc/internal/hfc"
 	"hfc/internal/svc"
@@ -23,108 +29,106 @@ import (
 
 // NodeState is the routing state one proxy holds after the protocol
 // converges. States returned by Distribute share their tables (see there)
-// and are read-only; only a NodeState whose owner built its maps itself —
+// and are read-only; only a NodeState whose owner sized its tables itself —
 // a proxy of the overlay runtime — may be edited through ApplyLocal and
 // ApplyAggregate.
 type NodeState struct {
 	// Node is the proxy this state belongs to.
 	Node int
-	// SCTP maps each proxy of the node's own cluster (including itself)
-	// to its service capability set.
-	SCTP map[int]svc.CapabilitySet
-	// SCTC maps every cluster ID in the system to the cluster's aggregate
-	// service set.
-	SCTC map[int]svc.CapabilitySet
-	// SeqP and SeqC track the highest protocol round accepted per origin
-	// proxy (local-state floods) and per origin cluster (aggregate
-	// messages). A message stamped with an older round than the recorded
-	// one is stale — a delayed or replayed flood — and must not overwrite
-	// newer state; ApplyLocal/ApplyAggregate enforce this. Nil maps mean
-	// no staleness tracking (the synchronous model, where ordering is
-	// implicit).
-	SeqP map[int]uint64
-	SeqC map[int]uint64
+	// SCTP holds the service capability set of each proxy of the node's own
+	// cluster (itself included), aligned with the cluster's sorted member
+	// list: entry r belongs to Members[r]. Nil means not learned yet.
+	SCTP []svc.CapabilitySet
+	// SCTC holds every cluster's aggregate service set, indexed by cluster
+	// ID. Nil means not learned yet.
+	SCTC []svc.CapabilitySet
+	// Seq tracks the highest protocol round accepted per origin: one stamp
+	// per SCTP slot (local-state floods), then one per SCTC slot (aggregate
+	// messages), in one slice so that a NodeState stays 80 bytes — Distribute
+	// returns one per proxy. Rounds count from 1, zero is "none yet". A
+	// message stamped with an older round than the recorded one is stale — a
+	// delayed or replayed flood — and must not overwrite newer state;
+	// ApplyLocal/ApplyAggregate enforce this. Nil means no staleness tracking
+	// (the synchronous model, where ordering is implicit).
+	Seq []uint64
 }
 
-// ApplyLocal installs a local-state flood from origin stamped with protocol
-// round seq, unless a flood from the same origin for this or a newer round
-// was already accepted. Exactly one authentic flood exists per (origin,
-// round) — an origin broadcasts once per round — so an equal-round arrival
-// is a replay and is rejected like any older one (duplicates of the
-// authentic flood are absorbed upstream by the capability-generation
-// check, which never calls down here). It reports whether the entry was
-// applied; false means the message was stale and rejected (the
-// resurrection guard a recovered node's re-flooded or delayed traffic
-// must not bypass).
-func (s *NodeState) ApplyLocal(origin int, seq uint64, set svc.CapabilitySet) bool {
-	if s.SeqP == nil {
-		s.SeqP = make(map[int]uint64)
-	}
-	if last, ok := s.SeqP[origin]; ok && seq <= last {
+// ApplyLocal installs a local-state flood from the cluster member of the
+// given rank, stamped with protocol round seq, unless a flood from the same
+// origin for this or a newer round was already accepted. Exactly one
+// authentic flood exists per (origin, round) — an origin broadcasts once per
+// round — so an equal-round arrival is a replay and is rejected like any
+// older one (duplicates of the authentic flood are absorbed upstream by the
+// capability-generation check, which never calls down here). A rank outside
+// the table — the caller's answer for an origin that is not a member of
+// this cluster — has no slot to land in and is rejected too. It reports
+// whether the entry was applied; false means the message was stale or
+// malformed (the resurrection guard a recovered node's re-flooded or
+// delayed traffic must not bypass). It allocates nothing.
+//
+//hfc:hotpath budget=0
+func (s *NodeState) ApplyLocal(rank int, seq uint64, set svc.CapabilitySet) bool {
+	if rank < 0 || rank >= len(s.SCTP) {
 		return false
 	}
-	s.SeqP[origin] = seq
-	if s.SCTP == nil {
-		s.SCTP = make(map[int]svc.CapabilitySet)
+	if s.Seq != nil {
+		if seq <= s.Seq[rank] {
+			return false
+		}
+		s.Seq[rank] = seq
 	}
-	s.SCTP[origin] = set
+	s.SCTP[rank] = set
 	return true
 }
 
 // ApplyAggregate installs an aggregate-state entry for an origin cluster
 // stamped with protocol round seq, with the same staleness rule as
-// ApplyLocal. Equal-round re-deliveries are accepted (several borders of
-// one cluster legitimately forward the same round's aggregate).
+// ApplyLocal, except that equal-round re-deliveries are accepted (several
+// borders of one cluster legitimately forward the same round's aggregate).
+// A cluster id outside [0, K) is rejected. It allocates nothing.
+//
+//hfc:hotpath budget=0
 func (s *NodeState) ApplyAggregate(cluster int, seq uint64, set svc.CapabilitySet) bool {
-	if s.SeqC == nil {
-		s.SeqC = make(map[int]uint64)
-	}
-	if last, ok := s.SeqC[cluster]; ok && seq < last {
+	if cluster < 0 || cluster >= len(s.SCTC) {
 		return false
 	}
-	s.SeqC[cluster] = seq
-	if s.SCTC == nil {
-		s.SCTC = make(map[int]svc.CapabilitySet)
+	if s.Seq != nil {
+		at := len(s.SCTP) + cluster
+		if seq < s.Seq[at] {
+			return false
+		}
+		s.Seq[at] = seq
 	}
 	s.SCTC[cluster] = set
 	return true
 }
 
-// ServiceStateSize is the number of service-capability node-states the
-// proxy maintains — the per-proxy quantity Fig. 9(b) reports: one entry per
-// own-cluster proxy plus one per cluster in the system.
-func (s *NodeState) ServiceStateSize() int { return len(s.SCTP) + len(s.SCTC) }
-
-// HasLocal reports whether the node's SCT_P lists service x on proxy p.
-func (s *NodeState) HasLocal(p int, x svc.Service) bool {
-	set, ok := s.SCTP[p]
-	return ok && set.Has(x)
-}
-
-// ClustersProviding returns the IDs of clusters whose aggregate set
-// includes x, in increasing order.
-func (s *NodeState) ClustersProviding(x svc.Service) []int {
-	var out []int
-	n, dense := len(s.SCTC), 0
-	for c := 0; c < n; c++ {
-		if set, ok := s.SCTC[c]; ok {
-			dense++
-			if set.Has(x) {
-				out = append(out, c)
-			}
+// learned counts the entries of a table that hold a set.
+func learned(table []svc.CapabilitySet) int {
+	n := 0
+	for _, set := range table {
+		if set != nil {
+			n++
 		}
 	}
-	if dense == n {
-		return out
-	}
-	// The table is not full yet (a proxy just back from Recover knows its
-	// own cluster only): the remaining ids lie outside [0, n).
+	return n
+}
+
+// ServiceStateSize is the number of service-capability node-states the
+// proxy maintains — the per-proxy quantity Fig. 9(b) reports: one entry per
+// own-cluster proxy plus one per cluster in the system, counting the
+// entries learned so far.
+func (s *NodeState) ServiceStateSize() int { return learned(s.SCTP) + learned(s.SCTC) }
+
+// ClustersProviding returns the IDs of clusters whose aggregate set
+// includes x, in increasing order. Clusters not learned yet provide nothing.
+func (s *NodeState) ClustersProviding(x svc.Service) []int {
+	var out []int
 	for c, set := range s.SCTC {
-		if (c < 0 || c >= n) && set.Has(x) {
+		if set.Has(x) {
 			out = append(out, c)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -158,11 +162,11 @@ func (m MessageStats) Total() int {
 // locally (no message needed).
 //
 // §4 converges with every member of a cluster holding the same SCT_P and
-// every proxy the same SCT_C, so each table is built once — one SCT_P map
-// per cluster, one SCT_C map for the system, caps cloned once per proxy —
+// every proxy the same SCT_C, so each table is built once — one SCT_P slice
+// per cluster, one SCT_C slice for the system, caps cloned once per proxy —
 // and the returned states reference them. The tables are read-only: a
 // caller that needs different state calls Distribute again and replaces
-// the states, it never edits a returned map or set.
+// the states, it never edits a returned table or set.
 func Distribute(t *hfc.Topology, caps []svc.CapabilitySet) ([]NodeState, MessageStats, error) {
 	if t == nil {
 		return nil, MessageStats{}, errors.New("state: nil topology")
@@ -178,7 +182,7 @@ func Distribute(t *hfc.Topology, caps []svc.CapabilitySet) ([]NodeState, Message
 
 	k := t.NumClusters()
 	states := make([]NodeState, t.N())
-	sctc := make(map[int]svc.CapabilitySet, k)
+	sctc := make([]svc.CapabilitySet, k)
 	var stats MessageStats
 	for c := 0; c < k; c++ {
 		members := t.Members(c)
@@ -186,10 +190,10 @@ func Distribute(t *hfc.Topology, caps []svc.CapabilitySet) ([]NodeState, Message
 		// Phase 1: every proxy floods its SCI to the other m-1 members, so
 		// all of them end with the same table. The cluster's aggregate is
 		// the union its border proxies compute from that table.
-		sctp := make(map[int]svc.CapabilitySet, m)
+		sctp := make([]svc.CapabilitySet, m)
 		agg := make(svc.CapabilitySet)
-		for _, p := range members {
-			sctp[p] = caps[p].Clone()
+		for r, p := range members {
+			sctp[r] = caps[p].Clone()
 			agg.UnionInto(caps[p])
 		}
 		sctc[c] = agg
@@ -226,7 +230,7 @@ func VerifyConvergence(t *hfc.Topology, caps []svc.CapabilitySet, states []NodeS
 // relax exactly as far as fail-stop semantics force them to:
 //
 //   - SCT_P must hold the true capability of every LIVE member of the
-//     node's cluster. Entries for crashed members may be absent (a
+//     node's cluster. Entries for crashed members may be unlearned (a
 //     recovered node re-learns only from live floods) or stale (a
 //     never-crashed node keeps the last pre-crash truth); either way they
 //     are not checked.
@@ -260,29 +264,26 @@ func VerifyConvergenceExcept(t *hfc.Topology, caps []svc.CapabilitySet, states [
 		st := &states[i]
 		own := t.ClusterOf(i)
 		members := t.Members(own)
-		liveMembers := 0
-		for _, m := range members {
+		// A table has one slot per key; what a node knows is the slots it
+		// has learned, so "missing" below is a nil entry, not a short table.
+		if len(st.SCTP) != len(members) || len(st.SCTC) != k {
+			return fmt.Errorf("state: node %d has %d SCT_P and %d SCT_C slots for %d cluster members and %d clusters",
+				i, len(st.SCTP), len(st.SCTC), len(members), k)
+		}
+		for r, m := range members {
 			if down(m) {
 				continue
 			}
-			liveMembers++
-			set, ok := st.SCTP[m]
-			if !ok {
+			set := st.SCTP[r]
+			if set == nil {
 				return fmt.Errorf("state: node %d SCT_P missing cluster member %d", i, m)
 			}
 			if !set.Equal(caps[m]) {
 				return fmt.Errorf("state: node %d SCT_P entry for %d is %v, want %v", i, m, set, caps[m])
 			}
 		}
-		if len(st.SCTP) < liveMembers || len(st.SCTP) > len(members) {
-			return fmt.Errorf("state: node %d SCT_P has %d entries, want %d..%d", i, len(st.SCTP), liveMembers, len(members))
-		}
-		if len(st.SCTC) != k {
-			return fmt.Errorf("state: node %d SCT_C has %d entries, want %d", i, len(st.SCTC), k)
-		}
-		for c := 0; c < k; c++ {
-			set, ok := st.SCTC[c]
-			if !ok {
+		for c, set := range st.SCTC {
+			if set == nil {
 				return fmt.Errorf("state: node %d SCT_C missing cluster %d", i, c)
 			}
 			if crashed == nil {
@@ -291,21 +292,12 @@ func VerifyConvergenceExcept(t *hfc.Topology, caps []svc.CapabilitySet, states [
 				}
 				continue
 			}
-			if !containsAll(set, liveAgg[c]) || !containsAll(fullAgg[c], set) {
+			// liveAgg ⊆ set ⊆ fullAgg: a union with a subset adds nothing.
+			if svc.Union(set, liveAgg[c]).Len() != set.Len() || svc.Union(fullAgg[c], set).Len() != fullAgg[c].Len() {
 				return fmt.Errorf("state: node %d SCT_C entry for cluster %d is %v, want between live aggregate %v and full aggregate %v",
 					i, c, set, liveAgg[c], fullAgg[c])
 			}
 		}
 	}
 	return nil
-}
-
-// containsAll reports whether super holds every service of sub.
-func containsAll(super, sub svc.CapabilitySet) bool {
-	for _, x := range sub.Sorted() {
-		if !super.Has(x) {
-			return false
-		}
-	}
-	return true
 }

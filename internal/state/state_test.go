@@ -97,19 +97,19 @@ func TestServiceStateSize(t *testing.T) {
 	}
 }
 
-func TestHasLocalAndClustersProviding(t *testing.T) {
+func TestLocalEntriesAndClustersProviding(t *testing.T) {
 	topo, caps := fixture(t)
 	states, _, err := Distribute(topo, caps)
 	if err != nil {
 		t.Fatalf("Distribute: %v", err)
 	}
 	// Node 0 (cluster 0) sees node 2's s4 locally.
-	if !states[0].HasLocal(2, "s4") {
+	if !states[0].SCTP[2].Has("s4") {
 		t.Error("node 0 does not see s4 on node 2")
 	}
-	// Node 0 must not have SCT_P entries for other clusters' nodes.
-	if states[0].HasLocal(3, "s5") {
-		t.Error("node 0 has foreign SCT_P entry for node 3")
+	// Node 0's SCT_P has a slot per member of its own cluster and no more.
+	if len(states[0].SCTP) != 3 {
+		t.Errorf("node 0 has %d SCT_P slots for a cluster of 3", len(states[0].SCTP))
 	}
 	// s1 is available in clusters 0 (nodes 0,2) and 2 (node 7).
 	got := states[4].ClustersProviding("s1")
@@ -132,23 +132,37 @@ func TestHasLocalAndClustersProviding(t *testing.T) {
 
 // TestClustersProvidingSparseTable covers an SCT_C that is not full: a proxy
 // just back from Recover knows its own cluster only, and a table still
-// filling up has gaps. Every key counts, whatever the entry count.
+// filling up has gaps. Every learned entry counts, wherever it sits, and an
+// unlearned one is never touched.
 func TestClustersProvidingSparseTable(t *testing.T) {
-	recovered := NodeState{SCTC: map[int]svc.CapabilitySet{2: svc.NewCapabilitySet("s1")}}
+	table := func(k int, learned map[int]svc.CapabilitySet) []svc.CapabilitySet {
+		out := make([]svc.CapabilitySet, k)
+		for c, set := range learned {
+			out[c] = set
+		}
+		return out
+	}
+	recovered := NodeState{SCTC: table(8, map[int]svc.CapabilitySet{2: svc.NewCapabilitySet("s1")})}
 	if got := recovered.ClustersProviding("s1"); !reflect.DeepEqual(got, []int{2}) {
 		t.Errorf("own cluster only: ClustersProviding(s1) = %v, want [2]", got)
 	}
-	filling := NodeState{SCTC: map[int]svc.CapabilitySet{
+	if got := recovered.ServiceStateSize(); got != 1 {
+		t.Errorf("own cluster only: ServiceStateSize = %d, want 1 (learned entries, not slots)", got)
+	}
+	filling := NodeState{SCTC: table(8, map[int]svc.CapabilitySet{
 		0: svc.NewCapabilitySet("s1"),
 		7: svc.NewCapabilitySet("s1", "s2"),
 		3: svc.NewCapabilitySet("s1"),
 		5: svc.NewCapabilitySet("s2"),
-	}}
+	})}
 	if got := filling.ClustersProviding("s1"); !reflect.DeepEqual(got, []int{0, 3, 7}) {
 		t.Errorf("gaps: ClustersProviding(s1) = %v, want [0 3 7]", got)
 	}
 	if got := filling.ClustersProviding("s2"); !reflect.DeepEqual(got, []int{5, 7}) {
 		t.Errorf("gaps: ClustersProviding(s2) = %v, want [5 7]", got)
+	}
+	if got := (&NodeState{}).ClustersProviding("s1"); got != nil {
+		t.Errorf("no table: ClustersProviding(s1) = %v, want none", got)
 	}
 }
 
@@ -195,12 +209,28 @@ func TestVerifyConvergenceDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Distribute: %v", err)
 	}
-	delete(states[5].SCTP, 6)
+	states[5].SCTP[1] = nil // node 6, rank 1 of cluster 2
 	if err := VerifyConvergence(topo, caps, states); err == nil {
 		t.Error("missing SCT_P entry passed verification")
 	}
 	if err := VerifyConvergence(topo, caps, states[:2]); err == nil {
 		t.Error("short state list passed verification")
+	}
+	// What a node knows is the entries it has learned, not the slots it
+	// has: a full-length SCT_C with one cluster unlearned is not converged,
+	// and neither is a table cut short.
+	states, _, err = Distribute(topo, caps)
+	if err != nil {
+		t.Fatalf("Distribute: %v", err)
+	}
+	full := states[3].SCTC
+	states[3].SCTC = []svc.CapabilitySet{full[0], full[1], nil}
+	if err := VerifyConvergence(topo, caps, states); err == nil {
+		t.Error("unlearned SCT_C entry passed verification")
+	}
+	states[3].SCTC = full[:2]
+	if err := VerifyConvergence(topo, caps, states); err == nil {
+		t.Error("short SCT_C passed verification")
 	}
 }
 

@@ -108,10 +108,11 @@ func (s *Sim) Go(name string, fn func()) {
 }
 
 // Run starts fn as the first task and drives the event loop until every
-// task has finished. Leftover events (stopped timers, timers past the last
-// task's lifetime) are discarded. Run panics if no runnable task exists, no
-// event can wake one, and tasks are still alive — a deadlock in simulated
-// code, reported with every parked task's name and park reason.
+// task has finished and nothing is pending: an event still queued when the
+// last task ends (a timer armed past its lifetime, a delayed delivery) fires,
+// advancing the clock, before Run returns. Run panics if no runnable task
+// exists, no event can wake one, and tasks are still alive — a deadlock in
+// simulated code, reported with every parked task's name and park reason.
 func (s *Sim) Run(fn func()) {
 	if s.running {
 		panic("vtime: nested Sim.Run")
