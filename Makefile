@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-seam lint-view lint-solve lint-border lint-tables vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
+.PHONY: all build test race lint lint-seam lint-view lint-solve lint-border lint-tables lint-lkg vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
 
 # Output snapshot for the regression-gate benchmarks (see cmd/benchgate).
-BENCH_OUT ?= BENCH_pr21.json
+BENCH_OUT ?= BENCH_pr22.json
 
 all: build test lint
 
@@ -32,6 +32,7 @@ lint:
 	$(MAKE) lint-solve
 	$(MAKE) lint-border
 	$(MAKE) lint-tables
+	$(MAKE) lint-lkg
 
 # lint-seam enforces the overlay's delivery seam: outside the event driver
 # and the Simulate harness, no non-test file of internal/overlay may name
@@ -68,6 +69,13 @@ lint-border:
 # outside tests holds capability sets in an int-keyed map beside them.
 lint-tables:
 	! grep -rnF 'map[int]svc.CapabilitySet' --include='*.go' internal cmd examples | grep -v _test.go
+
+# lint-lkg keeps routes in one store: routing.RouteCache holds an entry as a
+# hit while it is fresh and as the last-known-good answer once it is stale,
+# and nothing outside internal/routing keeps a second map of known-good
+# routes, with a lock of its own, beside it.
+lint-lkg:
+	! grep -nE 'knownGood|storeLKG|lkgMu' $$(git ls-files '*.go' | grep -v -e _test.go -e '^vendor/' -e '^internal/routing/')
 
 # vet is the machine-readable variant: the registered-analyzer roster
 # followed by the full suite with -json diagnostics (one JSON object per
@@ -126,7 +134,7 @@ sim:
 FUZZ_TARGETS = cluster:FuzzZahnCluster cluster:FuzzClusterDeterminism \
 	svc:FuzzServiceGraphParse svc:FuzzGraphFrontMatter \
 	routing:FuzzFindPathScratch geo:FuzzGeoIndex graph:FuzzCSRDijkstra \
-	chaos:FuzzChaosSchedule vtime:FuzzVTimeSchedule
+	chaos:FuzzChaosSchedule vtime:FuzzVTimeSchedule routing:FuzzRouteScratch
 nightly:
 	HFC_SIM_SCALE=1 $(GO) test -run 'TestSimConverge100k' -timeout 30m ./internal/experiments/
 	for t in $(FUZZ_TARGETS); do \

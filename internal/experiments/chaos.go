@@ -22,7 +22,7 @@ type ChaosDrillRow struct {
 	Cluster, Partitioned int
 	// FreshDuringCut / DegradedDuringCut / FailedDuringCut classify the
 	// request outcomes while the partition held: resolved normally, served
-	// stale from the last-known-good store, or failed outright.
+	// stale — the route cache's last-known-good entry — or failed outright.
 	FreshDuringCut, DegradedDuringCut, FailedDuringCut int
 	// DegradedValid counts degraded results that still validate against
 	// the (unchanged) deployment — the "stale, never wrong" promise; it
@@ -103,8 +103,8 @@ func RunChaosDrill(spec env.Spec, trials, requests int) ([]ChaosDrillRow, error)
 			return nil, fmt.Errorf("experiments: chaos drill: fault-free phase: %w", err)
 		}
 
-		// Warm phase: resolve the request set fresh, populating route
-		// caches and the last-known-good store.
+		// Warm phase: resolve the request set fresh, populating the route
+		// cache — its entries are the last-known-good routes too.
 		reqs := make([]svc.Request, 0, requests)
 		for q := 0; q < requests; q++ {
 			req, err := e.NextRequest()

@@ -9,7 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Objective is a function to be minimized. Implementations must not retain
@@ -109,6 +109,24 @@ type vertex struct {
 	f float64
 }
 
+// byValue orders vertices by objective value, best first.
+func byValue(a, b vertex) int {
+	switch {
+	case a.f < b.f:
+		return -1
+	case a.f > b.f:
+		return 1
+	}
+	return 0
+}
+
+// runSimplex is one simplex run from x0. Everything it allocates it allocates
+// before the first iteration: the dim+1 vertices and three work vectors. An
+// iteration sorts the simplex in place and, where it replaces the worst
+// vertex, swaps that vertex's vector with the work vector holding the new
+// point.
+//
+//hfc:hotpath budget=8
 func runSimplex(f Objective, x0 []float64, step float64, maxIter int, tol float64) Result {
 	dim := len(x0)
 	simplex := make([]vertex, dim+1)
@@ -122,10 +140,11 @@ func runSimplex(f Objective, x0 []float64, step float64, maxIter int, tol float6
 
 	centroid := make([]float64, dim)
 	trial := make([]float64, dim)
+	spare := make([]float64, dim)
 	iter := 0
 	converged := false
 	for ; iter < maxIter; iter++ {
-		sort.Slice(simplex, func(a, b int) bool { return simplex[a].f < simplex[b].f })
+		slices.SortFunc(simplex, byValue)
 		lo, hi := simplex[0].f, simplex[dim].f
 		if relativeSpread(lo, hi) < tol {
 			converged = true
@@ -145,33 +164,31 @@ func runSimplex(f Objective, x0 []float64, step float64, maxIter int, tol float6
 			centroid[j] /= float64(dim)
 		}
 
-		worst := simplex[dim]
+		worst := &simplex[dim]
 		// Reflection.
 		affine(trial, centroid, worst.x, 1+reflectCoeff, -reflectCoeff)
 		fr := f(trial)
 		switch {
 		case fr < simplex[0].f:
 			// Expansion.
-			expanded := make([]float64, dim)
-			affine(expanded, centroid, worst.x, 1+expandCoeff, -expandCoeff)
-			if fe := f(expanded); fe < fr {
-				simplex[dim] = vertex{x: expanded, f: fe}
+			affine(spare, centroid, worst.x, 1+expandCoeff, -expandCoeff)
+			if fe := f(spare); fe < fr {
+				worst.x, spare, worst.f = spare, worst.x, fe
 			} else {
-				simplex[dim] = vertex{x: append([]float64(nil), trial...), f: fr}
+				worst.x, trial, worst.f = trial, worst.x, fr
 			}
 		case fr < simplex[dim-1].f:
-			simplex[dim] = vertex{x: append([]float64(nil), trial...), f: fr}
+			worst.x, trial, worst.f = trial, worst.x, fr
 		default:
 			// Contraction (outside or inside, toward the better of
 			// reflected and worst).
-			ref := worst
+			refX, refF := worst.x, worst.f
 			if fr < worst.f {
-				ref = vertex{x: append([]float64(nil), trial...), f: fr}
+				refX, refF = trial, fr
 			}
-			contracted := make([]float64, dim)
-			affine(contracted, centroid, ref.x, 1-contractCoeff, contractCoeff)
-			if fc := f(contracted); fc < ref.f {
-				simplex[dim] = vertex{x: contracted, f: fc}
+			affine(spare, centroid, refX, 1-contractCoeff, contractCoeff)
+			if fc := f(spare); fc < refF {
+				worst.x, spare, worst.f = spare, worst.x, fc
 			} else {
 				// Shrink the whole simplex toward the best vertex.
 				for i := 1; i <= dim; i++ {
@@ -183,7 +200,7 @@ func runSimplex(f Objective, x0 []float64, step float64, maxIter int, tol float6
 			}
 		}
 	}
-	sort.Slice(simplex, func(a, b int) bool { return simplex[a].f < simplex[b].f })
+	slices.SortFunc(simplex, byValue)
 	return Result{
 		X:          append([]float64(nil), simplex[0].x...),
 		F:          simplex[0].f,

@@ -234,25 +234,6 @@ func (s *System) HealthCounters() HealthStats {
 // heals.
 func (s *System) BorderSnapshot() hfc.DynamicSnapshot { return s.dyn.Snapshot() }
 
-// knownGood is one last-known-good route with the canonical form of the
-// service graph it answers: the store is keyed by the 64-bit fingerprint, and
-// a degraded answer must pass the same collision guard as a cached one.
-type knownGood struct {
-	canonical string
-	res       *routing.Result
-}
-
-// storeLKG records a successfully resolved route as the last-known-good
-// answer for its request. No-op unless DegradedRoutes is on.
-func (s *System) storeLKG(key routing.CacheKey, canonical string, res *routing.Result) {
-	if !s.cfg.DegradedRoutes || res == nil || res.Degraded {
-		return
-	}
-	s.lkgMu.Lock()
-	s.lkg[key] = knownGood{canonical: canonical, res: res}
-	s.lkgMu.Unlock()
-}
-
 // degradedResult serves the last-known-good route for a request whose fresh
 // resolution timed out, as a shallow copy tagged Degraded. ok is false when
 // degraded serving is off, nothing good was ever known, or what sits under
@@ -261,16 +242,14 @@ func (s *System) degradedResult(key routing.CacheKey, canonical string) (*routin
 	if !s.cfg.DegradedRoutes {
 		return nil, false
 	}
-	s.lkgMu.RLock()
-	known, ok := s.lkg[key]
-	s.lkgMu.RUnlock()
-	if !ok || known.canonical != canonical {
+	v, ok := s.cache.LastKnownGood(key, canonical, nil)
+	if !ok {
 		return nil, false
 	}
 	s.dropMu.Lock()
 	s.faults.DegradedRoutes++
 	s.dropMu.Unlock()
-	stale := *known.res
+	stale := *v.(*routing.Result)
 	stale.Degraded = true
 	return &stale, true
 }

@@ -326,9 +326,11 @@ func TestDegradedRouteCollisionGuard(t *testing.T) {
 	if other.SG.Canonical() == req.SG.Canonical() {
 		t.Fatal("the colliding request must ask for a different graph")
 	}
-	sys.lkgMu.Lock()
-	sys.lkg[routing.NewCacheKey(other.Source, other.Dest, other.SG)] = sys.lkg[routing.NewCacheKey(req.Source, req.Dest, req.SG)]
-	sys.lkgMu.Unlock()
+	known, ok := sys.cache.LastKnownGood(routing.NewCacheKey(req.Source, req.Dest, req.SG), req.SG.Canonical(), nil)
+	if !ok {
+		t.Fatal("the store holds nothing for the request just routed")
+	}
+	sys.cache.Put(routing.NewCacheKey(other.Source, other.Dest, other.SG), req.SG.Canonical(), known, nil, sys.cache.Version())
 
 	if err := sys.Crash(req.Dest); err != nil {
 		t.Fatalf("Crash: %v", err)

@@ -108,6 +108,8 @@ type Config struct {
 	// graph, destination): when every Route attempt times out — the
 	// destination or its resolvers partitioned away — the stale result is
 	// served with Result.Degraded set instead of an error. Default off.
+	// It is the same store as CacheRoutes' — an entry that is no longer
+	// fresh — read through its stale-tolerant door.
 	DegradedRoutes bool
 }
 
@@ -235,9 +237,11 @@ type System struct {
 	// writers.
 	dyn *hfc.Dynamic
 
-	// cache, when non-nil (Config.CacheRoutes), answers repeated Route
-	// calls; it is internally synchronized, and cached results are shared
-	// read-only values.
+	// cache, when non-nil (Config.CacheRoutes or Config.DegradedRoutes),
+	// keeps every resolved route: CacheRoutes answers repeated Route calls
+	// from its fresh entries, DegradedRoutes a partitioned one from its
+	// last-known-good ones. It is internally synchronized, and cached results
+	// are shared read-only values.
 	cache *routing.RouteCache
 
 	// dropRng drives fault injection; the *rand.Rand pointer is immutable
@@ -267,10 +271,6 @@ type System struct {
 	healthMu    sync.Mutex
 	suspicion   []float64   // guarded by healthMu
 	healthStats HealthStats // guarded by healthMu
-
-	// lkgMu guards the last-known-good route store for degraded serving.
-	lkgMu sync.RWMutex
-	lkg   map[routing.CacheKey]knownGood // guarded by lkgMu
 }
 
 // FaultStats counts fault-injection and recovery events in the runtime.
@@ -460,7 +460,7 @@ func New(topo *hfc.Topology, caps []svc.CapabilitySet, cfg Config) (*System, err
 		return nil, fmt.Errorf("overlay: negative delay per unit %v", cfg.DelayPerUnit)
 	}
 	var cache *routing.RouteCache
-	if cfg.CacheRoutes {
+	if cfg.CacheRoutes || cfg.DegradedRoutes {
 		cache = routing.NewRouteCache()
 	}
 	s := &System{topo: topo, caps: caps, cfg: cfg, dyn: hfc.NewDynamic(topo), cache: cache}
@@ -481,11 +481,6 @@ func New(topo *hfc.Topology, caps []svc.CapabilitySet, cfg Config) (*System, err
 		s.healthMu.Lock()
 		s.suspicion = make([]float64, topo.N())
 		s.healthMu.Unlock()
-	}
-	if cfg.DegradedRoutes {
-		s.lkgMu.Lock()
-		s.lkg = make(map[routing.CacheKey]knownGood)
-		s.lkgMu.Unlock()
 	}
 	// Tables are sized for good: the nodes are one allocation and each cluster's
 	// tables three slabs — sets (SCT_P, SCT_C), stamps (Seq, genSeen,
@@ -782,16 +777,12 @@ func (s *System) UpdateCapability(node int, set svc.CapabilitySet) error {
 	n.aggDirty = true
 	n.st.Unlock()
 	// Cached routes through this proxy's cluster may rely on the old
-	// deployment; invalidate them. The last-known-good store is cleared
-	// outright: degraded serving promises stale-but-valid paths, and
-	// validity is against the deployment, which just changed.
+	// deployment; invalidate them. Every route already stale goes outright:
+	// degraded serving promises stale-but-valid paths, and validity is
+	// against the deployment, which just changed.
 	if s.cache != nil {
 		s.cache.AdvanceRound(s.topo.ClusterOf(node))
-	}
-	if s.cfg.DegradedRoutes {
-		s.lkgMu.Lock()
-		clear(s.lkg)
-		s.lkgMu.Unlock()
+		s.cache.AdvanceGeneration()
 	}
 	return nil
 }
@@ -833,16 +824,14 @@ func (s *System) Route(req svc.Request) (*routing.Result, error) {
 	var key routing.CacheKey
 	var canonical string
 	var version uint64
-	if s.cache != nil || s.cfg.DegradedRoutes {
+	if s.cache != nil {
 		canonical = req.SG.Canonical()
 		key = routing.NewCacheKeyCanonical(req.Source, req.Dest, canonical)
-	}
-	if s.cache != nil {
-		if v, ok := s.cache.Get(key, canonical); ok {
-			// Cached results are shared read-only values.
-			res := v.(*routing.Result)
-			s.storeLKG(key, canonical, res)
-			return res, nil
+		if s.cfg.CacheRoutes {
+			if v, ok := s.cache.Get(key, canonical); ok {
+				// Cached results are shared read-only values.
+				return v.(*routing.Result), nil
+			}
 		}
 		version = s.cache.Version()
 	}
@@ -855,11 +844,9 @@ func (s *System) Route(req svc.Request) (*routing.Result, error) {
 		s.send(-1, req.Dest, &message{kind: kindRoute, routeReq: &r, reply: reply})
 		if out, ok := reply.await(s.cfg.RouteTimeout); ok {
 			s.noteRPCOutcome(req.Dest, true)
-			if out.err == nil && out.result != nil {
-				if s.cache != nil {
-					s.cache.Put(key, canonical, out.result, routing.RouteClusters(out.result, req, s.topo.ClusterOf), version)
-				}
-				s.storeLKG(key, canonical, out.result)
+			if out.err == nil && out.result != nil && s.cache != nil {
+				var stamps [8]int
+				s.cache.Put(key, canonical, out.result, routing.RouteClusters(stamps[:0], out.result), version)
 			}
 			if out.err != nil && errors.Is(out.err, ErrRPCTimeout) {
 				// The destination answered but could not reach the
@@ -888,7 +875,7 @@ func (s *System) Route(req svc.Request) (*routing.Result, error) {
 // RouteCacheStats snapshots the route cache's counters; ok is false when
 // caching is disabled.
 func (s *System) RouteCacheStats() (stats routing.CacheStats, ok bool) {
-	if s.cache == nil {
+	if !s.cfg.CacheRoutes {
 		return routing.CacheStats{}, false
 	}
 	return s.cache.Stats(), true
@@ -1222,6 +1209,10 @@ var _ routing.IntraSolver = (*rpcSolver)(nil)
 // SolveChild implements routing.IntraSolver.
 func (s *rpcSolver) SolveChild(child routing.ChildRequest) (*routing.Path, error) {
 	sys := s.n.sys
+	// The services are on loan from the router for this call only, and what
+	// happens to the child here outlives it: a resolver may handle the message
+	// after its deadline has passed, and handleRoute reads failedChild.
+	child.Services = slices.Clone(child.Services)
 	// The failover list opens with the designated resolver, and almost every
 	// child is answered there: the rest of the list (K−1 border lookups for
 	// a foreign cluster) is built only once that first candidate has

@@ -47,25 +47,35 @@ func (k CacheKey) shard(n int) int {
 // CacheStats counts cache outcomes.
 type CacheStats struct {
 	// Hits and Misses count Get outcomes; a stale or collided entry is a
-	// miss. Invalidations counts stale entries evicted by Get; Stores
-	// counts Put calls that inserted or replaced an entry.
+	// miss. Invalidations counts the entries an advance made stale, each
+	// when a Get or the generation sweep first meets it; Stores counts Put
+	// calls that inserted or replaced an entry.
 	Hits, Misses, Invalidations, Stores int64
 }
 
-// stamp records the state round of one cluster at the time a route was
-// cached. The entry stays valid only while every stamped cluster remains at
-// its recorded round.
-type stamp struct {
-	cluster int
-	round   uint64
-}
+// inlineStamps is how many stamped clusters an entry holds without a second
+// allocation; a route depends on three or four.
+const inlineStamps = 6
 
+// cacheEntry is one stored route. It is fresh while every cluster it is
+// stamped with is still at the round it was stored under, last-known-good
+// from then on, and gone at the next deployment generation (AdvanceGeneration).
 type cacheEntry struct {
 	// canonical guards against fingerprint collisions: the full canonical
 	// form of the service graph the value was computed for.
 	canonical string
 	value     any
-	stamps    []stamp
+	// clusters are the distinct clusters the route depends on — inline when
+	// they fit — and roundSum the sum of their invalidation clocks when the
+	// entry was stored. Clocks only move forward, so the sum is still that
+	// exactly while none of them has moved.
+	clusters []int32
+	roundSum uint64
+	// stale marks an entry known to be last-known-good only: found so by a
+	// lookup, or born so — a result an invalidation overtook between its
+	// computation and its Put.
+	stale  bool
+	inline [inlineStamps]int32
 }
 
 // answers is the collision guard: whether the entry was computed for the
@@ -89,10 +99,24 @@ type cacheShard struct {
 	global  uint64                   // guarded by mu
 }
 
-// effectiveRoundLocked is the invalidation clock of one cluster: its own
+// roundSumLocked adds up the invalidation clocks of clusters: each one's own
 // round plus the global epoch. Called with sh.mu held.
-func (sh *cacheShard) effectiveRoundLocked(cluster int) uint64 {
-	return sh.rounds[cluster] + sh.global
+//
+//hfc:hotpath budget=0
+func (sh *cacheShard) roundSumLocked(clusters []int32) uint64 {
+	sum := uint64(len(clusters)) * sh.global
+	for _, cl := range clusters {
+		sum += sh.rounds[int(cl)]
+	}
+	return sum
+}
+
+// freshLocked reports whether e may still be served as fresh. Called with
+// sh.mu held.
+//
+//hfc:hotpath budget=0
+func (sh *cacheShard) freshLocked(e *cacheEntry) bool {
+	return !e.stale && sh.roundSumLocked(e.clusters) == e.roundSum
 }
 
 // DefaultCacheShards is the shard count NewRouteCache uses — enough to keep
@@ -100,32 +124,40 @@ func (sh *cacheShard) effectiveRoundLocked(cluster int) uint64 {
 // making the AdvanceRound sweep noticeable.
 const DefaultCacheShards = 16
 
-// RouteCache is an invalidation-aware cache of resolved routes keyed by
-// (source, service-graph fingerprint, destination). Entries carry the state
-// rounds of the clusters their path traverses; advancing a cluster's round
-// (capability change, membership churn) or the global round (a state
-// distribution sweep, §4) invalidates exactly the entries that depended on
-// it. Stale entries are evicted lazily on lookup.
+// RouteCache is an invalidation-aware store of resolved routes keyed by
+// (source, service-graph fingerprint, destination), and the one place a route
+// is kept. An entry carries the state rounds of the clusters its path
+// traverses; advancing a cluster's round (capability change, membership
+// churn) or the global round (a state distribution sweep, §4) makes exactly
+// the entries that depended on it stale. A stale entry is no longer a hit,
+// but it stays as the last-known-good answer for its request (LastKnownGood)
+// until the next Put for its key replaces it or the deployment generation
+// moves (AdvanceGeneration) — a route is only promised valid against the
+// deployment it was computed on — at which point every stale entry is freed.
 //
 // The cache is sharded by key hash: concurrent Get/Put calls on different
 // keys proceed on independent locks, and the outcome counters are atomics,
 // so the cache imposes no single serialization point on the request hot
-// path. Round advances bump the cache-wide version token and then sweep
-// every shard under its own lock, preserving the version contract: a Put
-// whose token predates any advance is dropped.
+// path. Advances bump the cache-wide version token and then sweep every
+// shard under its own lock, preserving the version contract: a Put whose
+// token predates any advance is never served fresh.
 //
 // Cached values are shared between callers and must be treated as
 // read-only. The cache itself is safe for concurrent use.
 type RouteCache struct {
 	shards []cacheShard
-	// version counts every round advance; Put refuses to store a value
-	// computed before the latest advance (see Version). Incremented before
-	// the shard sweep so a Put that still observes the old version is
-	// guaranteed no newer advance has been signaled (see Put).
+	// version counts every advance; Put stores a value computed before the
+	// latest advance born stale (see Version). Incremented before the shard
+	// sweep so a Put that still observes the old version is guaranteed no
+	// newer advance has been signaled (see Put).
 	version atomic.Uint64
-	// advanceMu serializes AdvanceRound/AdvanceAll so concurrent advances
-	// cannot interleave their shard sweeps (each shard must see advances
-	// in one consistent order).
+	// generation is the version the latest AdvanceGeneration moved to: a
+	// value computed under an older token belongs to a deployment that is
+	// gone, and Put drops it.
+	generation atomic.Uint64
+	// advanceMu serializes the advances so concurrent ones cannot interleave
+	// their shard sweeps (each shard must see advances in one consistent
+	// order).
 	advanceMu sync.Mutex
 
 	hits          atomic.Int64
@@ -158,8 +190,8 @@ func NewRouteCacheSharded(shards int) *RouteCache {
 func (c *RouteCache) NumShards() int { return len(c.shards) }
 
 // Get returns the cached value for key, if one exists whose canonical form
-// matches and whose cluster stamps are all still current. Stale entries are
-// evicted and counted as invalidations; every non-hit is a miss.
+// matches and whose cluster stamps are all still current. Every non-hit is a
+// miss; one that found the entry stale is counted as an invalidation.
 //
 //hfc:hotpath budget=0
 func (c *RouteCache) Get(key CacheKey, canonical string) (any, bool) {
@@ -188,30 +220,58 @@ func (c *RouteCache) lookup(key CacheKey, canonical string, sg *svc.Graph) (any,
 		c.misses.Add(1)
 		return nil, false
 	}
-	for _, s := range e.stamps {
-		if sh.effectiveRoundLocked(s.cluster) != s.round {
-			delete(sh.entries, key)
-			c.invalidations.Add(1)
-			c.misses.Add(1)
-			return nil, false
-		}
+	if !sh.freshLocked(e) {
+		// The entry stays: it is the last-known-good answer now, and the
+		// next Put for key overwrites it.
+		c.noteStale(e)
+		c.misses.Add(1)
+		return nil, false
 	}
 	c.hits.Add(1)
+	return e.value, true
+}
+
+// noteStale counts e as invalidated the first time it is met stale. Called
+// with e's shard locked.
+func (c *RouteCache) noteStale(e *cacheEntry) {
+	if !e.stale {
+		e.stale = true
+		c.invalidations.Add(1)
+	}
+}
+
+// LastKnownGood is the stale-tolerant door: the value stored for key,
+// fresh or not, provided it answers the request's graph — the same collision
+// guard as Get's, on sg when non-nil, else on canonical. It is what a caller
+// serves, marked degraded, when a fresh resolution is impossible; it moves
+// no counter.
+func (c *RouteCache) LastKnownGood(key CacheKey, canonical string, sg *svc.Graph) (any, bool) {
+	sh := &c.shards[key.shard(len(c.shards))]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := sh.entries[key]
+	if !ok || !e.answers(canonical, sg) {
+		return nil, false
+	}
 	return e.value, true
 }
 
 // Version returns an opaque token identifying the cache's current
 // invalidation state. Capture it BEFORE computing a route and pass it to
 // Put: if any round advanced in between, the just-computed route may
-// already be stale, and Put discards it instead of stamping old data with
-// fresh rounds.
+// already be stale, and Put stores it born stale instead of stamping old
+// data with fresh rounds.
 func (c *RouteCache) Version() uint64 { return c.version.Load() }
 
 // Put stores a resolved route under key, stamped with the current rounds of
-// the clusters the route depends on, unless the cache advanced past the
-// caller's version token since the computation began (then the value is
-// dropped — never cached stale). A later advance of any stamped cluster
-// makes the entry stale.
+// the clusters the route depends on (duplicates in clusters are fine). A
+// later advance of any stamped cluster makes the entry stale. If the cache
+// advanced past the caller's version token since the computation began, the
+// value is stored born stale — last-known-good, never a hit — unless a fresh
+// entry already answers key; if the deployment generation moved, it is
+// dropped.
+//
+//hfc:hotpath budget=1
 func (c *RouteCache) Put(key CacheKey, canonical string, value any, clusters []int, version uint64) {
 	sh := &c.shards[key.shard(len(c.shards))]
 	sh.mu.Lock()
@@ -223,50 +283,38 @@ func (c *RouteCache) Put(key CacheKey, canonical string, value any, clusters []i
 	// the capture, meaning the computation already saw the post-advance
 	// state. Stamping then uses either the swept (current) rounds, which
 	// is correct, or the pre-sweep rounds, which under-stamps and merely
-	// invalidates the entry early. No stale value is ever stored with
-	// fresh stamps.
-	if version != c.version.Load() {
+	// makes the entry stale early. No stale value is ever stored with
+	// fresh stamps. The generation is published before its sweep too, so a
+	// token older than it is caught here or its entry is swept.
+	if version < c.generation.Load() {
 		return
 	}
-	// clusters lists one id per CSP entry and path hop — some twenty for
-	// three or four distinct clusters — and the entry lives as long as the
-	// route: stamp the distinct ones in stack scratch, keep an exact copy.
-	var scratch [8]stamp
-	stamps := scratch[:0]
+	bornStale := version != c.version.Load()
+	if old, ok := sh.entries[key]; bornStale && ok && old.answers(canonical, nil) && sh.freshLocked(old) {
+		return
+	}
+	e := &cacheEntry{canonical: canonical, value: value, stale: bornStale}
+	e.clusters = e.inline[:0]
 	for _, cl := range clusters {
-		if !slices.ContainsFunc(stamps, func(s stamp) bool { return s.cluster == cl }) {
-			stamps = append(stamps, stamp{cluster: cl, round: sh.effectiveRoundLocked(cl)})
+		if !slices.Contains(e.clusters, int32(cl)) {
+			//hfcvet:ignore hotalloc grows only past the inline stamps: a route over more than inlineStamps clusters
+			e.clusters = append(e.clusters, int32(cl))
 		}
 	}
-	e := &cacheEntry{canonical: canonical, value: value, stamps: make([]stamp, len(stamps))}
-	copy(e.stamps, stamps)
+	e.roundSum = sh.roundSumLocked(e.clusters)
 	sh.entries[key] = e
 	c.stores.Add(1)
 }
 
-// RouteClusters lists every cluster a resolved route depends on, for Put to
-// stamp — both endpoint clusters, the CSP's provider clusters, and the
-// cluster of every hop proxy on the composed path — so the cache entry goes
-// stale exactly when one of them advances. Duplicates are fine; Put
-// deduplicates.
-func RouteClusters(res *Result, req svc.Request, clusterOf func(node int) int) []int {
-	var hops []Hop
-	if res.Path != nil {
-		hops = res.Path.Hops
-	}
-	out := make([]int, 0, 2+len(res.CSP)+len(hops))
-	out = append(out, clusterOf(req.Source), clusterOf(req.Dest))
-	for _, entry := range res.CSP {
-		out = append(out, entry.Cluster)
-	}
-	for _, h := range hops {
-		out = append(out, clusterOf(h.Node))
-	}
-	return out
+// RouteClusters appends to dst each cluster a Route result depends on, once,
+// for Put to stamp: its children's clusters — both endpoints', and every
+// provider's and relay's (what RoutePath hands back beside the path).
+func RouteClusters(dst []int, res *Result) []int {
+	return appendDistinctClusters(dst, res.Children)
 }
 
-// AdvanceRound bumps one cluster's state round, invalidating every cached
-// route stamped with that cluster.
+// AdvanceRound bumps one cluster's state round: every cached route stamped
+// with that cluster goes stale.
 func (c *RouteCache) AdvanceRound(cluster int) {
 	c.advanceMu.Lock()
 	defer c.advanceMu.Unlock()
@@ -280,8 +328,8 @@ func (c *RouteCache) AdvanceRound(cluster int) {
 	}
 }
 
-// AdvanceAll bumps the global epoch, invalidating every cached route (a
-// full state-distribution round touches every cluster).
+// AdvanceAll bumps the global epoch: every cached route goes stale (a full
+// state-distribution round touches every cluster).
 func (c *RouteCache) AdvanceAll() {
 	c.advanceMu.Lock()
 	defer c.advanceMu.Unlock()
@@ -291,6 +339,30 @@ func (c *RouteCache) AdvanceAll() {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		sh.global++
+		sh.mu.Unlock()
+	}
+}
+
+// AdvanceGeneration opens a new deployment generation — some proxy's
+// installed services changed. Stale entries were last-known-good against the
+// old deployment only, so every one of them is deleted, whether or not its
+// request is ever asked again; entries still fresh do not depend on what
+// changed (the caller advances the changed cluster's round first) and stay.
+// A route still being computed on the old deployment is dropped at its Put.
+func (c *RouteCache) AdvanceGeneration() {
+	c.advanceMu.Lock()
+	defer c.advanceMu.Unlock()
+	// Version, then generation, then the sweep — see the Put version check.
+	c.generation.Store(c.version.Add(1))
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for key, e := range sh.entries {
+			if !sh.freshLocked(e) {
+				c.noteStale(e)
+				delete(sh.entries, key)
+			}
+		}
 		sh.mu.Unlock()
 	}
 }
@@ -305,8 +377,8 @@ func (c *RouteCache) Stats() CacheStats {
 	}
 }
 
-// Len returns the number of entries currently stored (stale entries not yet
-// evicted included).
+// Len returns the number of entries currently stored, fresh and
+// last-known-good.
 func (c *RouteCache) Len() int {
 	total := 0
 	for i := range c.shards {

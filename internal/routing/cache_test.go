@@ -66,8 +66,11 @@ func TestRouteCachePerClusterInvalidation(t *testing.T) {
 	if st.Invalidations != 1 {
 		t.Errorf("Invalidations = %d, want 1", st.Invalidations)
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d after lazy eviction, want 1", c.Len())
+	if c.Len() != 2 {
+		t.Errorf("Len = %d, want 2: a stale entry stays as last-known-good until the generation moves", c.Len())
+	}
+	if got, ok := c.LastKnownGood(kA, canon, nil); !ok || got != "through-0" {
+		t.Errorf("LastKnownGood(stale) = (%v, %v), want (through-0, true)", got, ok)
 	}
 }
 
@@ -86,10 +89,12 @@ func TestRouteCacheAdvanceAllInvalidatesEverything(t *testing.T) {
 	}
 }
 
-// TestRouteCacheStaleVersionPutDropped is the race guard: a route computed
-// BEFORE an invalidation must not be stored AFTER it, or a stale path would
-// be stamped with fresh rounds and served forever.
-func TestRouteCacheStaleVersionPutDropped(t *testing.T) {
+// TestRouteCacheOvertakenPutIsBornStale is the race guard: a route computed
+// BEFORE an invalidation and stored AFTER it must never be a hit — or a stale
+// path would be stamped with fresh rounds and served forever — but it is
+// still the last-known-good answer; one computed before a deployment
+// generation is dropped outright; and neither displaces a fresh entry.
+func TestRouteCacheOvertakenPutIsBornStale(t *testing.T) {
 	c := NewRouteCache()
 	g := testGraph(t, "a", "b")
 	key := NewCacheKey(0, 1, g)
@@ -97,18 +102,71 @@ func TestRouteCacheStaleVersionPutDropped(t *testing.T) {
 
 	v := c.Version() // route computation starts here...
 	c.AdvanceRound(2)
-	c.Put(key, canon, "stale", []int{2}, v) // ...and finishes after the bump
+	c.Put(key, canon, "overtaken", []int{2}, v) // ...and finishes after the bump
 	if _, ok := c.Get(key, canon); ok {
-		t.Fatal("stale-version Put was stored")
+		t.Fatal("a Put under a stale version is served fresh")
 	}
-	if st := c.Stats(); st.Stores != 0 {
-		t.Errorf("Stores = %d, want 0 (dropped)", st.Stores)
+	if got, ok := c.LastKnownGood(key, canon, nil); !ok || got != "overtaken" {
+		t.Fatalf("LastKnownGood = (%v, %v), want (overtaken, true)", got, ok)
 	}
 
 	// A recapture after the advance is current again and must store.
 	c.Put(key, canon, "fresh", []int{2}, c.Version())
 	if got, ok := c.Get(key, canon); !ok || got != "fresh" {
 		t.Fatalf("Get = (%v, %v) after fresh Put, want (fresh, true)", got, ok)
+	}
+	// An older computation finishing late does not displace it.
+	c.Put(key, canon, "overtaken", []int{2}, v)
+	if got, ok := c.Get(key, canon); !ok || got != "fresh" {
+		t.Fatalf("Get = (%v, %v) after a late overtaken Put, want (fresh, true)", got, ok)
+	}
+
+	// A computation the deployment generation overtook is not even
+	// last-known-good.
+	other := NewCacheKey(2, 3, g)
+	v = c.Version()
+	c.AdvanceGeneration()
+	c.Put(other, canon, "old-deployment", []int{2}, v)
+	if got, ok := c.LastKnownGood(other, canon, nil); ok {
+		t.Fatalf("LastKnownGood = %v for a route computed on the previous deployment", got)
+	}
+}
+
+// TestRouteCacheGenerationSweepFreesStaleRoutes: routes nobody asks for
+// again are freed all the same. Stale entries stay as last-known-good until
+// the deployment generation moves, then every one of them goes at once.
+func TestRouteCacheGenerationSweepFreesStaleRoutes(t *testing.T) {
+	c := NewRouteCache()
+	g := testGraph(t, "a", "b")
+	canon := g.Canonical()
+	const n = 300
+	avoiding := 0
+	for i := 0; i < n; i++ {
+		clusters := []int{i % 3, (i / 3) % 3} // one or two of clusters 0, 1, 2
+		if clusters[0] != 1 && clusters[1] != 1 {
+			avoiding++
+		}
+		c.Put(NewCacheKey(i, i+1, g), canon, i, clusters, c.Version())
+	}
+	c.AdvanceRound(1)
+	if c.Len() != n {
+		t.Fatalf("Len = %d after AdvanceRound, want %d: stale routes are last-known-good", c.Len(), n)
+	}
+	c.AdvanceGeneration()
+	if c.Len() != avoiding {
+		t.Fatalf("Len = %d after the generation moved, want the %d routes that avoid cluster 1", c.Len(), avoiding)
+	}
+	for i := 0; i < n; i++ {
+		_, fresh := c.Get(NewCacheKey(i, i+1, g), canon)
+		_, known := c.LastKnownGood(NewCacheKey(i, i+1, g), canon, nil)
+		if avoids := i%3 != 1 && (i/3)%3 != 1; fresh != avoids || known != avoids {
+			t.Fatalf("route %d (avoids cluster 1: %v): fresh %v, last-known-good %v", i, avoids, fresh, known)
+		}
+	}
+	c.AdvanceAll()
+	c.AdvanceGeneration()
+	if c.Len() != 0 {
+		t.Fatalf("Len = %d after AdvanceAll and a generation, want 0", c.Len())
 	}
 }
 
@@ -156,9 +214,8 @@ func TestRouteCacheGetGraphAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestRouteCacheDedupesStampClusters: an entry keeps one stamp per distinct
-// cluster in a slice of exactly that size, whether the distinct clusters fit
-// Put's stack scratch or spill it.
+// TestRouteCacheDedupesStampClusters: an entry keeps each distinct cluster
+// once — inside the entry itself while they fit, in one spill past that.
 func TestRouteCacheDedupesStampClusters(t *testing.T) {
 	c := NewRouteCache()
 	g := testGraph(t, "a", "b")
@@ -173,23 +230,34 @@ func TestRouteCacheDedupesStampClusters(t *testing.T) {
 	}{
 		{[]int{1, 1, 2, 1, 2}, 2},
 		{nil, 0},
+		{[]int{5, 4, 3, 2, 1, 0, 0, 5}, inlineStamps},
 		{many, 20},
 	} {
 		key := NewCacheKey(i, i+1, g)
 		c.Put(key, canon, "r", tc.clusters, c.Version())
 		sh := &c.shards[key.shard(len(c.shards))]
 		sh.mu.Lock()
-		stamps := sh.entries[key].stamps
+		e := sh.entries[key]
 		sh.mu.Unlock()
-		if len(stamps) != tc.want || cap(stamps) != tc.want {
-			t.Errorf("clusters %v: stored %d stamps (cap %d), want exactly %d", tc.clusters, len(stamps), cap(stamps), tc.want)
+		if len(e.clusters) != tc.want {
+			t.Errorf("clusters %v: stored %d stamps, want %d", tc.clusters, len(e.clusters), tc.want)
 		}
-		seen := map[int]bool{}
-		for _, s := range stamps {
-			if seen[s.cluster] {
-				t.Errorf("clusters %v: cluster %d stamped twice", tc.clusters, s.cluster)
+		if inline := len(e.clusters) == 0 || &e.clusters[0] == &e.inline[0]; inline != (tc.want <= inlineStamps) {
+			t.Errorf("clusters %v: %d stamps inline = %v", tc.clusters, tc.want, inline)
+		}
+		seen := map[int32]bool{}
+		for _, cl := range e.clusters {
+			if seen[cl] {
+				t.Errorf("clusters %v: cluster %d stamped twice", tc.clusters, cl)
 			}
-			seen[s.cluster] = true
+			seen[cl] = true
+		}
+		for _, cl := range tc.clusters {
+			c.AdvanceRound(cl)
+			if _, ok := c.Get(key, canon); ok {
+				t.Errorf("clusters %v: entry survived AdvanceRound(%d)", tc.clusters, cl)
+			}
+			c.Put(key, canon, "r", tc.clusters, c.Version())
 		}
 	}
 }

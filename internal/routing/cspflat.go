@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"hfc/internal/coords"
 	"hfc/internal/hfc"
@@ -13,14 +12,15 @@ import (
 )
 
 // This file is the §5.1 cluster-level search (steps 1–2), the only
-// implementation on the production path. Labels live in pooled dense
-// arrays and border pairs and coordinates come from the one DenseTables
-// Route loaded, in every mode. The map-based search it replaced is the
+// implementation on the production path. Labels live in the route scratch's
+// dense arrays and border pairs and coordinates come from the one DenseTables
+// route loaded, in every mode. The map-based search it replaced is the
 // oracle in oracle_test.go; the two agree on CSP, cost bits and error
 // strings in every relax mode — same candidate iteration order, same
 // strict-< improvements, same floating-point evaluation order.
 
-// cspScratch is the reusable arena of one flat cluster-level search.
+// cspScratch is the reusable arena of one flat cluster-level search, the
+// search half of a routeScratch.
 type cspScratch struct {
 	cands   [][]int // candidate clusters per SG vertex (shared or candBuf-backed)
 	candBuf []int   // backing storage for admissibility-filtered lists
@@ -50,9 +50,23 @@ type cspScratch struct {
 	entOff  []int32
 	entNode []int32
 	parE    []int32
+
+	// The internal entry-border→exit-border distance of the label being
+	// relaxed, by exit border: a cluster reaches its three dozen neighbours
+	// through some six border proxies, and the entry is the label's. memoAt[b]
+	// == memoEpoch marks memoVal[b] as this label's; the epoch moves per label.
+	memoEpoch uint32
+	memoAt    []uint32
+	memoVal   []float64
 }
 
-var cspPool = sync.Pool{New: func() any { return new(cspScratch) }}
+// nextLabel opens the memo of a new label over a border table of n nodes.
+func (sc *cspScratch) nextLabel(n int) {
+	if len(sc.memoAt) < n || sc.memoEpoch == math.MaxUint32 {
+		sc.memoAt, sc.memoVal, sc.memoEpoch = make([]uint32, n), make([]float64, n), 0
+	}
+	sc.memoEpoch++
+}
 
 // layoutExact fills entOff/entNode from the border table: a cluster's
 // borders are its proxies toward every other cluster — the set the oracle
@@ -151,27 +165,42 @@ func (r *HierarchicalRouter) internalFlat(dt *hfc.DenseTables, externalOnly bool
 	return r.distFlat(dt, int(entry), exit)
 }
 
+// internalMemo is internalFlat for the label sc.nextLabel opened, computed
+// once per exit border. Exits outside the memo (and errors) take the direct
+// call every time.
+func (r *HierarchicalRouter) internalMemo(sc *cspScratch, dt *hfc.DenseTables, externalOnly bool, entry int32, exit int) (float64, error) {
+	if exit < 0 || exit >= len(sc.memoAt) {
+		return r.internalFlat(dt, externalOnly, entry, exit)
+	}
+	if sc.memoAt[exit] == sc.memoEpoch {
+		return sc.memoVal[exit], nil
+	}
+	d, err := r.internalFlat(dt, externalOnly, entry, exit)
+	if err == nil {
+		sc.memoAt[exit], sc.memoVal[exit] = sc.memoEpoch, d
+	}
+	return d, err
+}
+
 // clusterLevelPath maps the request onto clusters (§5.1 steps 1–2): a DAG
 // shortest-path search over (SG vertex, cluster) labels — (SG vertex,
 // cluster, entry border) labels in exact mode — over dt, the border table
-// Route loaded. Every cluster id it meets must lie inside dt. In the greedy
-// modes steady state allocates only the returned CSP.
+// route loaded. Every cluster id it meets must lie inside dt. It leaves the
+// CSP in rs.csp and returns its cost; in steady state it allocates nothing.
 //
-//hfc:hotpath budget=2
-func (r *HierarchicalRouter) clusterLevelPath(dt *hfc.DenseTables, req svc.Request, srcCluster, destCluster int) ([]CSPEntry, float64, error) {
+//hfc:hotpath budget=0
+func (r *HierarchicalRouter) clusterLevelPath(dt *hfc.DenseTables, req svc.Request, srcCluster, destCluster int, rs *routeScratch) (float64, error) {
 	k := dt.K
 	if srcCluster < 0 || srcCluster >= k {
-		return nil, 0, errClusterRange(srcCluster, k)
+		return 0, errClusterRange(srcCluster, k)
 	}
 	if destCluster < 0 || destCluster >= k {
-		return nil, 0, errClusterRange(destCluster, k)
+		return 0, errClusterRange(destCluster, k)
 	}
 	externalOnly := r.mode() == RelaxExternalOnly
 	sg := req.SG
 	nv := sg.Len()
-
-	sc := cspPool.Get().(*cspScratch)
-	defer cspPool.Put(sc)
+	sc := &rs.search
 
 	// Candidate clusters per SG vertex, from SCT_C (optionally narrowed
 	// by the QoS admissibility hook), matching the generic path's order.
@@ -200,11 +229,11 @@ func (r *HierarchicalRouter) clusterLevelPath(dt *hfc.DenseTables, req svc.Reque
 		}
 		if len(sc.cands[v]) == 0 {
 			//hfcvet:ignore hotalloc cold no-provider error path
-			return nil, 0, fmt.Errorf("routing: service %q: %w", sg.Services[v], ErrNoProviders)
+			return 0, fmt.Errorf("routing: service %q: %w", sg.Services[v], ErrNoProviders)
 		}
 		for _, c := range sc.cands[v] {
 			if c < 0 || c >= k {
-				return nil, 0, errClusterRange(c, k)
+				return 0, errClusterRange(c, k)
 			}
 		}
 	}
@@ -286,7 +315,7 @@ func (r *HierarchicalRouter) clusterLevelPath(dt *hfc.DenseTables, req svc.Reque
 		}
 	}
 	if len(sc.order) != nv {
-		return nil, 0, errors.New("routing: service graph contains a cycle")
+		return 0, errors.New("routing: service graph contains a cycle")
 	}
 
 	// Flat label tables.
@@ -340,6 +369,7 @@ func (r *HierarchicalRouter) clusterLevelPath(dt *hfc.DenseTables, req svc.Reque
 					continue
 				}
 				ue := sc.entry[uSlot]
+				sc.nextLabel(len(dt.Pts))
 				for i := sc.headOff[u]; i < sc.headOff[u+1]; i++ {
 					v := sc.heads[i]
 					for _, c2 := range sc.cands[v] {
@@ -353,9 +383,9 @@ func (r *HierarchicalRouter) clusterLevelPath(dt *hfc.DenseTables, req svc.Reque
 								continue
 							}
 							exitB, inC2, ext := crossingFlat(dt, c, c2)
-							internal, err := r.internalFlat(dt, externalOnly, ue, exitB)
+							internal, err := r.internalMemo(sc, dt, externalOnly, ue, exitB)
 							if err != nil {
-								return nil, 0, err
+								return 0, err
 							}
 							nd = ud + internal + ext
 							ne = int32(inC2)
@@ -391,7 +421,7 @@ func (r *HierarchicalRouter) clusterLevelPath(dt *hfc.DenseTables, req svc.Reque
 				if c == destCluster {
 					tail, err := r.internalFlat(dt, externalOnly, entry, r.View.Node)
 					if err != nil {
-						return nil, 0, err
+						return 0, err
 					}
 					total += tail
 				} else {
@@ -401,13 +431,13 @@ func (r *HierarchicalRouter) clusterLevelPath(dt *hfc.DenseTables, req svc.Reque
 					exitB, inDest, ext := crossingFlat(dt, c, destCluster)
 					internal, err := r.internalFlat(dt, externalOnly, entry, exitB)
 					if err != nil {
-						return nil, 0, err
+						return 0, err
 					}
 					tail := 0.0
 					if !externalOnly && inDest != r.View.Node {
 						tail, err = r.distFlat(dt, inDest, r.View.Node)
 						if err != nil {
-							return nil, 0, err
+							return 0, err
 						}
 					}
 					total += internal + ext + tail
@@ -420,7 +450,7 @@ func (r *HierarchicalRouter) clusterLevelPath(dt *hfc.DenseTables, req svc.Reque
 		}
 	}
 	if bestV == -1 {
-		return nil, 0, ErrInfeasible
+		return 0, ErrInfeasible
 	}
 
 	// Reconstruct the CSP: measure the chain, then fill back-to-front.
@@ -430,12 +460,12 @@ func (r *HierarchicalRouter) clusterLevelPath(dt *hfc.DenseTables, req svc.Reque
 		lo, _ := sc.run(v, c)
 		v, c, i = sc.parent(lo + i)
 	}
-	csp := make([]CSPEntry, depth)
+	rs.csp = grow(rs.csp, depth)
 	for v, c, i, at := bestV, bestC, bestI, depth-1; v != -1; at-- {
-		//hfcvet:ignore hotalloc value assignment into the preallocated result slice
-		csp[at] = CSPEntry{SGVertex: v, Cluster: c}
+		//hfcvet:ignore hotalloc value assignment into the scratch's CSP
+		rs.csp[at] = CSPEntry{SGVertex: v, Cluster: c}
 		lo, _ := sc.run(v, c)
 		v, c, i = sc.parent(lo + i)
 	}
-	return csp, best, nil
+	return best, nil
 }

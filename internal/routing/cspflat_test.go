@@ -3,6 +3,7 @@ package routing
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hfc/internal/hfc"
@@ -72,7 +73,7 @@ func TestClusterLevelPathFlatMatchesGeneric(t *testing.T) {
 			srcCluster := topo.ClusterOf(req.Source)
 			destCluster := view.ClusterID
 
-			cspF, costF, errF := r.clusterLevelPath(r.View.Dense(), req, srcCluster, destCluster)
+			cspF, costF, errF := searchCSP(r, r.View.Dense(), req, srcCluster, destCluster)
 			cspG, costG, errG := r.clusterLevelPathGeneric(req, srcCluster, destCluster)
 			if (errF == nil) != (errG == nil) {
 				t.Fatalf("seed %d trial %d: flat err %v, generic err %v", seed, trial, errF, errG)
@@ -149,7 +150,7 @@ func TestClusterLevelPathFlatSharedView(t *testing.T) {
 			t.Fatalf("SharedView(%d): %v", req.Dest, err)
 		}
 		rs := mkRouter(shared)
-		cspF, costF, errF := rs.clusterLevelPath(shared.Dense(), req, topo.ClusterOf(req.Source), shared.ClusterID)
+		cspF, costF, errF := searchCSP(rs, shared.Dense(), req, topo.ClusterOf(req.Source), shared.ClusterID)
 		cspG, costG, errG := rs.clusterLevelPathGeneric(req, topo.ClusterOf(req.Source), shared.ClusterID)
 		if (errF == nil) != (errG == nil) {
 			t.Fatalf("trial %d: flat err %v, generic err %v", trial, errF, errG)
@@ -169,4 +170,16 @@ func TestClusterLevelPathFlatSharedView(t *testing.T) {
 			}
 		}
 	}
+}
+
+// searchCSP runs the cluster-level search on a pooled route scratch — dirty
+// with whatever the previous resolve left — and copies the CSP out.
+func searchCSP(r *HierarchicalRouter, dt *hfc.DenseTables, req svc.Request, srcCluster, destCluster int) ([]CSPEntry, float64, error) {
+	sc := routePool.Get().(*routeScratch)
+	defer sc.release()
+	cost, err := r.clusterLevelPath(dt, req, srcCluster, destCluster, sc)
+	if err != nil {
+		return nil, 0, err
+	}
+	return slices.Clone(sc.csp), cost, nil
 }

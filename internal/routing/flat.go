@@ -85,6 +85,26 @@ type pathScratch struct {
 	sinks   []int
 	revV    []int // reconstruction stack (vertex, provider-index)
 	revI    []int
+
+	// chain is the linear service graph of a §5.2 child (IntraSolve.Solve):
+	// chainEdges[i] is always the arc i → i+1, so a chain of n services takes
+	// its first n−1 and the table only ever grows.
+	chain      svc.Graph
+	chainEdges [][2]int
+}
+
+// linear is svc.Linear built in the scratch: the chain s0 → s1 → … over
+// services, which it borrows rather than copies, validated as svc.Linear
+// validates it. The graph is good until the scratch is reused.
+func (sc *pathScratch) linear(services []svc.Service) (*svc.Graph, error) {
+	for i := len(sc.chainEdges); i < len(services)-1; i++ {
+		sc.chainEdges = append(sc.chainEdges, [2]int{i, i + 1})
+	}
+	sc.chain = svc.Graph{Services: services, Edges: sc.chainEdges[:max(len(services)-1, 0)]}
+	if err := sc.chain.Validate(); err != nil {
+		return nil, err
+	}
+	return &sc.chain, nil
 }
 
 // grow returns buf with length n, reusing its capacity when possible. The
@@ -117,8 +137,6 @@ func FindPathFiltered(req svc.Request, providers ProviderFunc, oracle Oracle, ex
 // findPathScratch is the FindPathFiltered implementation against an
 // explicit scratch arena (tests pass fresh arenas to compare against pooled
 // runs).
-//
-//hfc:hotpath budget=18
 func findPathScratch(req svc.Request, providers ProviderFunc, oracle Oracle, exp Expander, admissible EdgeFilter, sc *pathScratch) (*Path, error) {
 	if providers == nil {
 		return nil, errors.New("routing: nil provider function")
@@ -129,6 +147,14 @@ func findPathScratch(req svc.Request, providers ProviderFunc, oracle Oracle, exp
 	if err := req.SG.Validate(); err != nil {
 		return nil, err
 	}
+	return sc.search(req, providers, oracle, exp, admissible)
+}
+
+// search is the DAG search of [11] over a request whose graph has been
+// validated and whose provider function and oracle are set.
+//
+//hfc:hotpath budget=18
+func (sc *pathScratch) search(req svc.Request, providers ProviderFunc, oracle Oracle, exp Expander, admissible EdgeFilter) (*Path, error) {
 	hopOK := func(u, v int) bool {
 		return u == v || admissible == nil || admissible(u, v)
 	}

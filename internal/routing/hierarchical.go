@@ -3,6 +3,8 @@ package routing
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"hfc/internal/hfc"
 	"hfc/internal/state"
@@ -64,7 +66,10 @@ type ChildRequest struct {
 	Cluster int
 	// Source and Dest are overlay nodes inside Cluster.
 	Source, Dest int
-	// Services is the linear run of services to place, in order.
+	// Services is the linear run of services to place, in order. The child an
+	// IntraSolver is handed borrows it from the route's scratch: it is valid
+	// until SolveChild returns, and a solver that keeps or sends the child
+	// copies it first. The Children of a Result own theirs.
 	Services []svc.Service
 	// Resolver is the proxy responsible for computing the child path —
 	// the child's destination proxy, matching the paper's convention that
@@ -75,7 +80,8 @@ type ChildRequest struct {
 // IntraSolver resolves a child request inside one cluster using only that
 // cluster's full local state (SCT_P plus member coordinates). In the
 // in-process simulation it is a direct call; in package overlay it is an
-// RPC to the child's resolver proxy.
+// RPC to the child's resolver proxy. child.Services is on loan for the call
+// (see ChildRequest); the returned path is the caller's.
 type IntraSolver interface {
 	SolveChild(child ChildRequest) (*Path, error)
 }
@@ -110,17 +116,21 @@ type HierarchicalRouter struct {
 	Index *ProviderIndex
 }
 
-// Result carries the outcome of a hierarchical routing step, including the
-// intermediate artifacts the paper's Fig. 7 walks through.
+// Result carries the outcome of a hierarchical routing step. Route fills
+// every field: the composed path and the intermediate artifacts the paper's
+// Fig. 7 walks through. A result that started at RoutePath — what
+// serve.Engine computes, caches and hands out — carries Path, CSPCost and
+// Degraded only; its CSP, Children and ChildPaths are nil.
 type Result struct {
-	// CSP is the cluster-level service path chosen in step 2.
+	// CSP is the cluster-level service path chosen in step 2 (Route only).
 	CSP []CSPEntry
 	// CSPCost is the CSP's lower-bound cost (external links + known
 	// internal border distances).
 	CSPCost float64
-	// Children are the dissected child requests of step 3.
+	// Children are the dissected child requests of step 3 (Route only).
 	Children []ChildRequest
-	// ChildPaths are the resolved child paths, aligned with Children.
+	// ChildPaths are the resolved child paths, aligned with Children (Route
+	// only).
 	ChildPaths []*Path
 	// Path is the composed final service path (step 4).
 	Path *Path
@@ -132,16 +142,48 @@ type Result struct {
 	Degraded bool
 }
 
-// Route runs the full §5 procedure for req.
-func (r *HierarchicalRouter) Route(req svc.Request) (*Result, error) {
+// routeScratch is the arena of one §5 resolve: the label tables of the
+// cluster-level search and every intermediate of steps 2–3 — the CSP, the
+// dissected children with their one run of services, the child paths, the
+// uncompacted concatenation of their hops — none of which outlives the call
+// unless Route copies it out. Scratches are pooled; every field is
+// re-initialized per resolve.
+type routeScratch struct {
+	search     cspScratch
+	csp        []CSPEntry
+	children   []ChildRequest
+	services   []svc.Service
+	childPaths []*Path
+	hops       []Hop
+}
+
+var routePool = sync.Pool{New: func() any { return new(routeScratch) }}
+
+// release returns sc to the pool, dropping what it borrowed or was handed:
+// the request's service names and the child paths.
+func (sc *routeScratch) release() {
+	clear(sc.services)
+	clear(sc.childPaths)
+	clear(sc.hops[:cap(sc.hops)])
+	routePool.Put(sc)
+}
+
+// route is the §5 procedure, written once: the cluster-level search (steps
+// 1–2), the dissection (step 3), the child solves and the composition (step
+// 4). It returns the composed path and the CSP's cost; the Fig. 7 artifacts
+// stay in sc for the exit that wants them.
+//
+//hfc:hotpath budget=0
+func (r *HierarchicalRouter) route(req svc.Request, sc *routeScratch) (*Path, float64, error) {
 	if err := r.validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := req.SG.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if req.Dest != r.View.Node {
-		return nil, fmt.Errorf("routing: request destination %d is not this proxy %d", req.Dest, r.View.Node)
+		//hfcvet:ignore hotalloc cold misrouted-request error path
+		return nil, 0, fmt.Errorf("routing: request destination %d is not this proxy %d", req.Dest, r.View.Node)
 	}
 	srcCluster := r.ClusterOfSource(req.Source)
 	destCluster := r.View.ClusterID
@@ -150,30 +192,84 @@ func (r *HierarchicalRouter) Route(req svc.Request) (*Result, error) {
 	// Dynamic publishes meanwhile.
 	dt := r.View.Dense()
 
-	csp, cost, err := r.clusterLevelPath(dt, req, srcCluster, destCluster)
+	cost, err := r.clusterLevelPath(dt, req, srcCluster, destCluster, sc)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	children := dissect(dt, req, csp, srcCluster, destCluster)
-	childPaths := make([]*Path, len(children))
-	for i, child := range children {
+	sc.dissect(dt, req, srcCluster, destCluster)
+	sc.childPaths = grow(sc.childPaths, len(sc.children))
+	for i, child := range sc.children {
 		p, err := r.Intra.SolveChild(child)
 		if err != nil {
-			return nil, fmt.Errorf("routing: child %d (cluster %d): %w", i, child.Cluster, err)
+			//hfcvet:ignore hotalloc cold child-failure error path
+			return nil, 0, fmt.Errorf("routing: child %d (cluster %d): %w", i, child.Cluster, err)
 		}
-		childPaths[i] = p
+		sc.childPaths[i] = p
 	}
-	final, err := compose(dt, children, childPaths)
+	final, err := sc.compose(dt)
+	if err != nil {
+		return nil, 0, err
+	}
+	return final, cost, nil
+}
+
+// Route runs the full §5 procedure for req and copies the Fig. 7 artifacts
+// out of the scratch: the result owns everything it references.
+func (r *HierarchicalRouter) Route(req svc.Request) (*Result, error) {
+	sc := routePool.Get().(*routeScratch)
+	defer sc.release()
+	final, cost, err := r.route(req, sc)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		CSP:        csp,
+	res := &Result{
+		CSP:        slices.Clone(sc.csp),
 		CSPCost:    cost,
-		Children:   children,
-		ChildPaths: childPaths,
+		Children:   slices.Clone(sc.children),
+		ChildPaths: slices.Clone(sc.childPaths),
 		Path:       final,
-	}, nil
+	}
+	// The children's Services are windows into one run; so are the copy's.
+	services := slices.Clone(sc.services)
+	off := 0
+	for i := range res.Children {
+		if n := len(res.Children[i].Services); n > 0 {
+			res.Children[i].Services = services[off : off+n : off+n]
+			off += n
+		}
+	}
+	return res, nil
+}
+
+// RoutePath runs the same procedure for a caller that wants what the stream
+// gets (§5.1 step 4): the composed path, the CSP's cost and — appended to
+// clusters — each cluster the route depends on, once. Those are the
+// children's clusters: the endpoints' and every provider's and relay's, so
+// the set a route cache stamps (RouteCache.Put).
+//
+//hfc:hotpath budget=0
+func (r *HierarchicalRouter) RoutePath(req svc.Request, clusters []int) (*Path, float64, []int, error) {
+	sc := routePool.Get().(*routeScratch)
+	defer sc.release()
+	final, cost, err := r.route(req, sc)
+	if err != nil {
+		return nil, 0, clusters, err
+	}
+	return final, cost, appendDistinctClusters(clusters, sc.children), nil
+}
+
+// appendDistinctClusters appends each child's cluster to dst unless dst
+// holds it already.
+//
+//hfc:hotpath budget=0
+func appendDistinctClusters(dst []int, children []ChildRequest) []int {
+	for i := range children {
+		if c := children[i].Cluster; !slices.Contains(dst, c) {
+			//hfcvet:ignore hotalloc grows only past the caller's buffer: a route over more clusters than it sized for
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
 func (r *HierarchicalRouter) validate() error {
@@ -202,14 +298,17 @@ func (r *HierarchicalRouter) mode() RelaxMode {
 	return r.Mode
 }
 
-// dissect splits the original request along the CSP into per-cluster child
-// requests (§5.1 step 3): one child per maximal run of CSP entries mapped to
-// the same cluster, opened by the source cluster and closed by the
-// destination cluster. The children's Services are sub-slices of one
-// allocation, and its endpoints are the border proxies dt names.
-func dissect(dt *hfc.DenseTables, req svc.Request, csp []CSPEntry, srcCluster, destCluster int) []ChildRequest {
+// dissect splits the original request along sc.csp into per-cluster child
+// requests (§5.1 step 3), left in sc.children: one child per maximal run of
+// CSP entries mapped to the same cluster, opened by the source cluster and
+// closed by the destination cluster. The children's Services are windows
+// into sc.services (nil on a relay-only child), and their endpoints are the
+// border proxies dt names.
+//
+//hfc:hotpath budget=0
+func (sc *routeScratch) dissect(dt *hfc.DenseTables, req svc.Request, srcCluster, destCluster int) {
 	n, last := 1, srcCluster
-	for _, e := range csp {
+	for _, e := range sc.csp {
 		if e.Cluster != last {
 			n, last = n+1, e.Cluster
 		}
@@ -217,67 +316,71 @@ func dissect(dt *hfc.DenseTables, req svc.Request, csp []CSPEntry, srcCluster, d
 	if last != destCluster {
 		n++
 	}
-	children := make([]ChildRequest, 1, n)
-	children[0].Cluster = srcCluster
-	services := make([]svc.Service, len(csp))
+	sc.children = grow(sc.children, n)[:1]
+	//hfcvet:ignore hotalloc value assignment into the scratch's children
+	sc.children[0] = ChildRequest{Cluster: srcCluster}
+	sc.services = grow(sc.services, len(sc.csp))
 	start := 0
-	for i, e := range csp {
-		services[i] = req.SG.Services[e.SGVertex]
-		if e.Cluster != children[len(children)-1].Cluster {
-			children = append(children, ChildRequest{Cluster: e.Cluster})
+	for i, e := range sc.csp {
+		sc.services[i] = req.SG.Services[e.SGVertex]
+		if e.Cluster != sc.children[len(sc.children)-1].Cluster {
+			//hfcvet:ignore hotalloc children was grown to the child count above; append never reallocates
+			sc.children = append(sc.children, ChildRequest{Cluster: e.Cluster})
 			start = i
 		}
-		children[len(children)-1].Services = services[start : i+1 : i+1]
+		sc.children[len(sc.children)-1].Services = sc.services[start : i+1 : i+1]
 	}
 	if last != destCluster {
-		children = append(children, ChildRequest{Cluster: destCluster})
+		//hfcvet:ignore hotalloc children was grown to the child count above; append never reallocates
+		sc.children = append(sc.children, ChildRequest{Cluster: destCluster})
 	}
 
-	for i := range children {
-		child := &children[i]
+	for i := range sc.children {
+		child := &sc.children[i]
 		child.Source, child.Dest = req.Source, req.Dest
 		if i > 0 {
-			child.Source, _, _ = crossingFlat(dt, child.Cluster, children[i-1].Cluster)
+			child.Source, _, _ = crossingFlat(dt, child.Cluster, sc.children[i-1].Cluster)
 		}
-		if i < len(children)-1 {
-			child.Dest, _, _ = crossingFlat(dt, child.Cluster, children[i+1].Cluster)
+		if i < len(sc.children)-1 {
+			child.Dest, _, _ = crossingFlat(dt, child.Cluster, sc.children[i+1].Cluster)
 		}
 		child.Resolver = child.Dest
 	}
-	return children
 }
 
-// compose concatenates resolved child paths into the final service path
+// compose concatenates the resolved child paths into the final service path
 // (§5.1 step 4). Consecutive children sit in different clusters; the
 // external link between their border proxies is implicit in hop adjacency;
-// its length is dt's.
-func compose(dt *hfc.DenseTables, children []ChildRequest, childPaths []*Path) (*Path, error) {
+// its length is dt's. The concatenation is laid out and compacted in
+// sc.hops, so the path keeps an array of exactly its own length.
+//
+//hfc:hotpath budget=1
+func (sc *routeScratch) compose(dt *hfc.DenseTables) (*Path, error) {
+	children, childPaths := sc.children, sc.childPaths
 	if len(children) != len(childPaths) {
+		//hfcvet:ignore hotalloc cold internal-error path
 		return nil, fmt.Errorf("routing: %d children but %d child paths", len(children), len(childPaths))
 	}
-	total := 0
-	for _, p := range childPaths {
-		if p != nil {
-			total += len(p.Hops)
-		}
-	}
-	hops := make([]Hop, 0, total)
+	sc.hops = sc.hops[:0]
 	cost := 0.0
 	for i, p := range childPaths {
 		if p == nil || len(p.Hops) == 0 {
+			//hfcvet:ignore hotalloc cold malformed-child error path
 			return nil, fmt.Errorf("routing: child %d returned an empty path", i)
 		}
 		if p.Hops[0].Node != children[i].Source || p.Hops[len(p.Hops)-1].Node != children[i].Dest {
+			//hfcvet:ignore hotalloc cold malformed-child error path
 			return nil, fmt.Errorf("routing: child %d path %v does not span %d..%d", i, p, children[i].Source, children[i].Dest)
 		}
-		hops = append(hops, p.Hops...)
+		//hfcvet:ignore hotalloc hops retains capacity across pooled runs
+		sc.hops = append(sc.hops, p.Hops...)
 		cost += p.DecisionCost
 		if i+1 < len(childPaths) {
 			_, _, ext := crossingFlat(dt, children[i].Cluster, children[i+1].Cluster)
 			cost += ext
 		}
 	}
-	return &Path{Hops: CompactHops(hops), DecisionCost: cost}, nil
+	return &Path{Hops: slices.Clone(CompactHops(sc.hops)), DecisionCost: cost}, nil
 }
 
 // CompactHops removes serviceless hops that duplicate an adjacent hop's

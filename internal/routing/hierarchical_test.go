@@ -20,7 +20,7 @@ import (
 // randomOverlay builds a clusterable random overlay with converged state:
 // nClusters blobs of blobSize nodes, capabilities drawn from catSize
 // services.
-func randomOverlay(t *testing.T, rng *rand.Rand, nClusters, blobSize, catSize int) (*hfc.Topology, []svc.CapabilitySet, []state.NodeState) {
+func randomOverlay(t testing.TB, rng *rand.Rand, nClusters, blobSize, catSize int) (*hfc.Topology, []svc.CapabilitySet, []state.NodeState) {
 	t.Helper()
 	var pts []coords.Point
 	for c := 0; c < nClusters; c++ {

@@ -54,9 +54,16 @@ func (s IntraSolve) Solve(child ChildRequest) (*Path, error) {
 			DecisionCost: s.Oracle.Dist(child.Source, child.Dest),
 		}, nil
 	}
-	sg, err := svc.Linear(child.Services...)
+	// The chain is built in the search's own scratch and validated here,
+	// once; the search below takes it as is.
+	sc := scratchPool.Get().(*pathScratch)
+	defer scratchPool.Put(sc)
+	sg, err := sc.linear(child.Services)
 	if err != nil {
 		return nil, fmt.Errorf("routing: child service chain: %w", err)
+	}
+	if s.Oracle == nil {
+		return nil, errors.New("routing: nil oracle")
 	}
 	// The per-service lookup: one list per service — the index's own shared
 	// list when nothing is filtered, otherwise a fresh one filled in a single
@@ -93,7 +100,7 @@ func (s IntraSolve) Solve(child ChildRequest) (*Path, error) {
 		}
 	}
 	req := svc.Request{Source: child.Source, Dest: child.Dest, SG: sg}
-	return FindPathFiltered(req, providers, s.Oracle, nil, s.Admissible)
+	return sc.search(req, providers, s.Oracle, nil, s.Admissible)
 }
 
 // LocalIntraSolver resolves child requests by direct computation (§5.2),

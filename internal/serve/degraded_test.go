@@ -127,6 +127,83 @@ func TestEngineUpdateCapabilityClearsLastKnownGood(t *testing.T) {
 	}
 }
 
+// TestOvertakenResultIsLastKnownGoodNotFresh puts a SetUnavailable between a
+// resolve's version capture and its Put. The route was computed before the
+// proxy left, so it must never be a cache hit — the next resolve recomputes —
+// yet it is a route that was good, and a resolve while the destination is
+// down serves it, tagged degraded.
+func TestOvertakenResultIsLastKnownGoodNotFresh(t *testing.T) {
+	_, eng, caps := buildEngine(t, 151, 30, serve.Config{})
+	gen, err := svc.NewRequestGenerator(rand.New(rand.NewSource(152)), caps, 2, 4)
+	if err != nil {
+		t.Fatalf("NewRequestGenerator: %v", err)
+	}
+	req, err := gen.Next()
+	if err != nil {
+		t.Fatalf("Next: %v", err)
+	}
+	// Some proxy on the far side of nothing in particular: any transition
+	// moves the version.
+	bystander := 0
+	for bystander == req.Source || bystander == req.Dest {
+		bystander++
+	}
+	version := eng.CacheVersion()
+	if err := eng.SetUnavailable(bystander, true); err != nil {
+		t.Fatalf("SetUnavailable: %v", err)
+	}
+	overtaken, err := eng.ResolveAdmittedAt(req, version)
+	if err != nil {
+		t.Fatalf("the overtaken resolve: %v", err)
+	}
+	if eng.CachedRoutes() != 1 {
+		t.Fatalf("the engine holds %d routes, want the overtaken one", eng.CachedRoutes())
+	}
+
+	// While the destination is down, the overtaken route is what is known.
+	if err := eng.SetUnavailable(req.Dest, true); err != nil {
+		t.Fatalf("SetUnavailable(dest): %v", err)
+	}
+	deg, err := eng.ResolveDetailed(req)
+	if err != nil {
+		t.Fatalf("ResolveDetailed while the destination is down: %v", err)
+	}
+	if !deg.Degraded || !reflect.DeepEqual(deg.Path, overtaken.Path) {
+		t.Fatalf("served %+v while the destination is down, want the overtaken route tagged degraded", deg)
+	}
+	if err := eng.SetUnavailable(req.Dest, false); err != nil {
+		t.Fatalf("SetUnavailable(dest, clear): %v", err)
+	}
+
+	// It is never a hit: the next resolve computes.
+	before := eng.Stats()
+	fresh, err := eng.ResolveDetailed(req)
+	if err != nil {
+		t.Fatalf("ResolveDetailed: %v", err)
+	}
+	after := eng.Stats()
+	if fresh == overtaken || fresh.Degraded || after.Cache.Hits != before.Cache.Hits || after.Resolutions != before.Resolutions+1 {
+		t.Fatalf("the resolve after an overtaken one: %d hits, %d resolutions, degraded %v — want a fresh computation",
+			after.Cache.Hits-before.Cache.Hits, after.Resolutions-before.Resolutions, fresh.Degraded)
+	}
+
+	// Overtaken once more, over the fresh entry this time: a result that
+	// comes late does not displace it.
+	version = eng.CacheVersion()
+	if err := eng.SetUnavailable(bystander, false); err != nil {
+		t.Fatalf("SetUnavailable(clear): %v", err)
+	}
+	if fresh, err = eng.ResolveDetailed(req); err != nil {
+		t.Fatalf("ResolveDetailed: %v", err)
+	}
+	if _, err := eng.ResolveAdmittedAt(req, version); err != nil {
+		t.Fatalf("the second overtaken resolve: %v", err)
+	}
+	if hit, err := eng.ResolveDetailed(req); err != nil || hit != fresh {
+		t.Fatalf("a late overtaken result displaced the fresh entry (err %v)", err)
+	}
+}
+
 func TestEngineExcludesUnavailableProvider(t *testing.T) {
 	_, eng, caps := buildEngine(t, 111, 30, serve.Config{})
 

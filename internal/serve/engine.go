@@ -3,7 +3,9 @@
 // request concurrency. Three mechanisms carry the load:
 //
 //   - a sharded, invalidation-aware route cache (routing.RouteCache), so
-//     concurrent lookups on different keys never contend on one lock;
+//     concurrent lookups on different keys never contend on one lock — and
+//     the one store of routes: an entry is a hit while fresh and the
+//     last-known-good answer of degraded serving once stale;
 //   - inverted provider indexes (routing.LazyIndexes), rebuilt lazily when
 //     the engine's state advances, so resolution looks providers up instead
 //     of rescanning capability tables per request;
@@ -47,7 +49,7 @@ type Stats struct {
 	// Deduped counts resolutions answered by joining another caller's
 	// in-flight computation of the same request.
 	Deduped int64
-	// Degraded counts resolutions answered from the last-known-good store
+	// Degraded counts resolutions answered with a last-known-good route
 	// because the destination proxy was marked unavailable (or resolution
 	// failed while nodes were unavailable); see SetUnavailable.
 	Degraded int64
@@ -70,20 +72,14 @@ type flightKey struct {
 	version uint64
 }
 
-// knownGood is one last-known-good answer with the canonical form of the
-// service graph it answers: the store is keyed by the 64-bit fingerprint, and
-// a degraded answer must pass the same collision guard as a cached one.
-type knownGood struct {
-	canonical string
-	res       *routing.Result
-}
-
-// flightCall is one in-flight resolution; res and err are written exactly
-// once, before done is closed, and read only after <-done.
+// flightCall is one in-flight resolution. Its leader writes res and err
+// exactly once, then takes the call out of the flight map and closes done if
+// a joiner made one; joiners read them only after <-done. A miss nobody joins
+// — nearly every one — never makes the channel.
 type flightCall struct {
-	done chan struct{}
 	res  *routing.Result
 	err  error
+	done chan struct{} // made by the first joiner, read and written under the engine's flight lock
 }
 
 // Engine serves routing requests concurrently over one HFC overlay.
@@ -92,6 +88,9 @@ type flightCall struct {
 type Engine struct {
 	topo  *hfc.Topology
 	relax routing.RelaxMode
+	// clusterOf is topo.ClusterOf, bound once: a method value made per miss
+	// is an allocation per miss.
+	clusterOf func(node int) int
 
 	// stateMu orders resolutions against state mutation: every resolution
 	// computes under the read side, every mutation (UpdateCapability)
@@ -120,17 +119,10 @@ type Engine struct {
 	// partitioned/unreachable (SetUnavailable) has left it. Fresh
 	// resolutions exclude such a proxy from provider selection and cross
 	// clusters at the closest pair of available proxies, and requests
-	// destined to it are served from the last-known-good store, tagged
+	// destined to it are served the cache's last-known-good route, tagged
 	// degraded. unavailN counts the proxies that have left.
 	avail    *hfc.Dynamic
 	unavailN atomic.Int64
-
-	// lkgMu guards the last-known-good store: the most recent successful
-	// result per request key, serving degraded answers while the fresh
-	// path is impossible. Cleared on capability updates — degraded serving
-	// promises stale-but-valid, and validity is against the deployment.
-	lkgMu sync.RWMutex
-	lkg   map[routing.CacheKey]knownGood // guarded by lkgMu
 
 	resolutions atomic.Int64
 	deduped     atomic.Int64
@@ -168,17 +160,17 @@ func NewEngine(topo *hfc.Topology, caps []svc.CapabilitySet, states []state.Node
 		return topo.Members(topo.ClusterOf(node))
 	}, cache.Version)
 	e := &Engine{
-		topo:    topo,
-		relax:   cfg.Relax,
-		caps:    capsClone,
-		states:  statesCopy,
-		cache:   cache,
-		indexes: indexes,
-		solver:  &routing.LocalIntraSolver{Topo: topo, States: statesCopy, Indexes: indexes},
-		views:   make([]atomic.Pointer[hfc.NodeView], topo.N()),
-		flight:  make(map[flightKey]*flightCall),
-		avail:   hfc.NewDynamic(topo),
-		lkg:     make(map[routing.CacheKey]knownGood),
+		topo:      topo,
+		relax:     cfg.Relax,
+		clusterOf: topo.ClusterOf,
+		caps:      capsClone,
+		states:    statesCopy,
+		cache:     cache,
+		indexes:   indexes,
+		solver:    &routing.LocalIntraSolver{Topo: topo, States: statesCopy, Indexes: indexes},
+		views:     make([]atomic.Pointer[hfc.NodeView], topo.N()),
+		flight:    make(map[flightKey]*flightCall),
+		avail:     hfc.NewDynamic(topo),
 	}
 	e.solver.Exclude = e.IsUnavailable
 	e.solver.ExcludeAny = func() bool { return e.unavailN.Load() > 0 }
@@ -210,7 +202,10 @@ func (e *Engine) Resolve(req svc.Request) (*routing.Path, error) {
 	return res.Path, nil
 }
 
-// ResolveDetailed answers one service request with the full §5 result.
+// ResolveDetailed answers one service request with the result the engine
+// keeps: the composed path, the CSP's cost and the degraded mark. Its CSP,
+// Children and ChildPaths are nil — the Fig. 7 artifacts are steps on the way
+// to the path, and routing.HierarchicalRouter.Route is who hands them out.
 // Identical concurrent requests share one computation; repeated requests
 // are answered from the route cache until an update invalidates a cluster
 // their path depends on. The returned result is shared and read-only.
@@ -231,7 +226,7 @@ func (e *Engine) ResolveDetailed(req svc.Request) (*routing.Result, error) {
 // the degraded check, cache lookup, in-flight dedup, and computation.
 // Callers guarantee req is valid and key is req's.
 //
-//hfc:hotpath budget=3
+//hfc:hotpath budget=2
 func (e *Engine) resolveKeyed(req svc.Request, key routing.CacheKey) (*routing.Result, error) {
 	if !e.avail.Present(req.Dest) {
 		// The destination resolver is unreachable, so a fresh §5
@@ -250,19 +245,24 @@ func (e *Engine) resolveKeyed(req svc.Request, key routing.CacheKey) (*routing.R
 	fk := flightKey{key: key, version: version}
 	e.flightMu.Lock()
 	if c, ok := e.flight[fk]; ok {
+		if c.done == nil {
+			//hfcvet:ignore hotalloc only a second caller of a request in flight makes the wake-up
+			c.done = make(chan struct{})
+		}
+		done := c.done
 		e.flightMu.Unlock()
 		// Join the in-flight computation. No locks are held while waiting;
 		// the version in fk guarantees the leader started no earlier than
 		// this caller's current view of the cache, so the shared result is
 		// never older than this call.
-		<-c.done
+		<-done
 		if c.err != nil {
 			return nil, c.err
 		}
 		e.deduped.Add(1)
 		return c.res, nil
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall{}
 	e.flight[fk] = c
 	e.flightMu.Unlock()
 
@@ -277,16 +277,19 @@ func (e *Engine) resolveKeyed(req svc.Request, key routing.CacheKey) (*routing.R
 	}
 	e.flightMu.Lock()
 	delete(e.flight, fk)
+	done := c.done
 	e.flightMu.Unlock()
-	close(c.done)
+	if done != nil {
+		close(done)
+	}
 	return c.res, c.err
 }
 
 // compute performs the full hierarchical resolution under the state read
-// lock and publishes the result to the cache (unless an invalidation
-// overtook the computation — then the cache drops it and only this call's
-// waiters see the result). The canonical form is rendered here, once per
-// miss, for the cache entry and the last-known-good store to share.
+// lock and stores what it serves — the path, nothing it took to find it — in
+// the cache: fresh, or born stale if an invalidation overtook the
+// computation (then only this call's waiters and degraded serving see it).
+// The canonical form is rendered here, once per miss.
 func (e *Engine) compute(req svc.Request, key routing.CacheKey, version uint64) (*routing.Result, error) {
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
@@ -298,45 +301,32 @@ func (e *Engine) compute(req svc.Request, key routing.CacheKey, version uint64) 
 		View:            view,
 		State:           &e.states[req.Dest],
 		Intra:           e.solver,
-		ClusterOfSource: e.topo.ClusterOf,
+		ClusterOfSource: e.clusterOf,
 		Mode:            e.relax,
 		Index:           e.indexes.For(req.Dest),
 	}
-	res, err := r.Route(req)
+	var stamps [8]int
+	path, cost, clusters, err := r.RoutePath(req, stamps[:0])
 	e.resolutions.Add(1)
 	if err != nil {
 		return nil, err
 	}
-	canonical := req.SG.Canonical()
-	e.cache.Put(key, canonical, res, routing.RouteClusters(res, req, e.topo.ClusterOf), version)
-	e.storeLKG(key, canonical, res)
+	res := &routing.Result{Path: path, CSPCost: cost}
+	e.cache.Put(key, req.SG.Canonical(), res, clusters, version)
 	return res, nil
 }
 
-// storeLKG records a successful fresh result as the last-known-good answer
-// for its key. Degraded results never re-enter the store.
-func (e *Engine) storeLKG(key routing.CacheKey, canonical string, res *routing.Result) {
-	if res == nil || res.Degraded {
-		return
-	}
-	e.lkgMu.Lock()
-	e.lkg[key] = knownGood{canonical: canonical, res: res}
-	e.lkgMu.Unlock()
-}
-
 // degradedResult returns a degraded-tagged copy of the last-known-good
-// result for (key, sg) — nil if none exists, or if what sits under key
-// answers a different graph with the same fingerprint — counting the
+// result for (key, sg) — nil if the cache holds none, or if what sits under
+// key answers a different graph with the same fingerprint — counting the
 // degraded serve. The stored result stays untouched — callers own the copy's
 // top level.
 func (e *Engine) degradedResult(key routing.CacheKey, sg *svc.Graph) *routing.Result {
-	e.lkgMu.RLock()
-	known, ok := e.lkg[key]
-	e.lkgMu.RUnlock()
-	if !ok || !sg.HasCanonical(known.canonical) {
+	v, ok := e.cache.LastKnownGood(key, "", sg)
+	if !ok {
 		return nil
 	}
-	cp := *known.res
+	cp := *v.(*routing.Result)
 	cp.Degraded = true
 	e.degraded.Add(1)
 	return &cp
@@ -347,7 +337,7 @@ func (e *Engine) degradedResult(key routing.CacheKey, sg *svc.Graph) *routing.Re
 // accrual health score quarantining a gray node. While marked, the proxy is
 // excluded from provider selection and border election in fresh resolutions —
 // its cluster's border pairs are re-elected among the proxies still available
-// — and requests destined to it are served from the last-known-good store,
+// — and requests destined to it are served their last-known-good route,
 // tagged degraded. Each transition invalidates the proxy's cluster in the
 // route cache, since cached routes were computed under the old availability.
 func (e *Engine) SetUnavailable(node int, down bool) error {
@@ -585,10 +575,8 @@ func (e *Engine) UpdateCapability(node int, set svc.CapabilitySet) error {
 	// states in full.
 	e.cache.AdvanceRound(e.topo.ClusterOf(node))
 	// Last-known-good routes were validated against the old deployment;
-	// degraded serving promises stale-but-valid, so drop them all.
-	e.lkgMu.Lock()
-	clear(e.lkg)
-	e.lkgMu.Unlock()
+	// degraded serving promises stale-but-valid, so every stale route goes.
+	e.cache.AdvanceGeneration()
 	return nil
 }
 

@@ -19,3 +19,16 @@ func (e *Engine) States() []state.NodeState {
 func (e *Engine) DegradedUnderKey(key routing.CacheKey, sg *svc.Graph) *routing.Result {
 	return e.degradedResult(key, sg)
 }
+
+// ResolveAdmittedAt is the miss path of a resolve that captured the cache
+// version token at and only now gets to compute and store — the way a test
+// puts an invalidation between the capture and the Put.
+func (e *Engine) ResolveAdmittedAt(req svc.Request, version uint64) (*routing.Result, error) {
+	return e.compute(req, routing.NewCacheKey(req.Source, req.Dest, req.SG), version)
+}
+
+// CacheVersion is the token resolveKeyed captures before it computes.
+func (e *Engine) CacheVersion() uint64 { return e.cache.Version() }
+
+// CachedRoutes is how many routes the engine holds, fresh and last-known-good.
+func (e *Engine) CachedRoutes() int { return e.cache.Len() }

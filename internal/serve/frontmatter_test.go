@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"hfc/internal/env"
 	"hfc/internal/routing"
 	"hfc/internal/serve"
 	"hfc/internal/svc"
@@ -71,18 +73,54 @@ func TestEngineResolveHitAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestEngineResolveMissAllocsPerRun is the ratchet on the miss path: a miss
-// on a warmed engine allocates its answer (result, children, child paths,
-// composed path), one linear graph per child, the canonical string and the
-// cache and last-known-good entries. The bound is what this pool measures,
-// not a budget to spend.
-func TestEngineResolveMissAllocsPerRun(t *testing.T) {
+// missAllocBudget is what a miss on a warmed engine takes from the heap, in
+// objects, over the stream TestEngineMissAllocBudget draws (two to three
+// children per route):
+//
+//	1  the flight call (its wake-up channel only if a second caller joins)
+//	2  per child: its path and the path's hops
+//	2  the composed path and its hops, cut to length
+//	1  the result handed out and cached
+//	1  the canonical form, rendered once
+//	1  the cache entry, stamps inside it
+//
+// and, amortized to nothing, the growth of the cache's and the flight map's
+// tables. The CSP, the dissected children, their services, the child-path
+// list, the chain graph of each child solve and the stamp clusters live in
+// pooled scratch. It is what this stream measures, not a budget to spend.
+const missAllocBudget = 11
+
+// TestEngineMissAllocBudget is the ratchet on the miss path, on the
+// environment BenchmarkGateRouteResolve runs: distinct requests to warmed
+// destinations, every one a miss.
+func TestEngineMissAllocBudget(t *testing.T) {
 	if raceDetector() {
-		t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so the pooled search scratch is rebuilt inside the measurement")
+		t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so the pooled scratch is rebuilt inside the measurement")
 	}
-	_, eng, caps := buildEngine(t, 121, 40, serve.Config{})
-	const runs = 31
-	pool := requestPool(t, eng, caps, 123, runs+1)
+	e, eng := gateEnvironment(t)
+	const runs = 63
+	seen := map[string]bool{}
+	var pool []svc.Request
+	for len(pool) < runs+1 {
+		req, err := e.NextRequest()
+		if err != nil {
+			t.Fatalf("NextRequest: %v", err)
+		}
+		if seen[requestID(req)] {
+			continue
+		}
+		seen[requestID(req)] = true
+		// Warm the destination's view and provider index from another source.
+		warm := req
+		for warm.Source == req.Source || warm.Source == warm.Dest {
+			warm.Source = (warm.Source + 1) % e.Spec.Proxies
+		}
+		if _, err := eng.Resolve(warm); err != nil {
+			t.Fatalf("warming destination %d: %v", warm.Dest, err)
+		}
+		seen[requestID(warm)] = true
+		pool = append(pool, req)
+	}
 	before := eng.Stats()
 	runtime.GC() // a collection inside the measurement would empty the scratch pools
 	i := 0
@@ -96,9 +134,94 @@ func TestEngineResolveMissAllocsPerRun(t *testing.T) {
 		t.Fatalf("%d of %d resolves were misses; the pool must not repeat", got, i)
 	}
 	t.Logf("a warmed miss allocates %v objects", allocs)
-	if allocs > 22 {
-		t.Errorf("a warmed miss allocates %v objects, want <= 22", allocs)
+	if allocs > missAllocBudget {
+		t.Errorf("a warmed miss allocates %v objects, want <= %d", allocs, missAllocBudget)
 	}
+}
+
+// requestID identifies a request the way the route cache does.
+func requestID(req svc.Request) string {
+	return fmt.Sprint(req.Source, ">", req.Dest, ":", req.SG.Canonical())
+}
+
+// gateEnvironment builds the environment of the root package's
+// BenchmarkGateRouteResolve (gateSpec there) and a cold engine over it.
+func gateEnvironment(t testing.TB) (*env.Environment, *serve.Engine) {
+	t.Helper()
+	spec := env.SmallSpec(42)
+	spec.Proxies = 120
+	e, err := env.Build(spec)
+	if err != nil {
+		t.Fatalf("env.Build: %v", err)
+	}
+	fw := e.Framework
+	eng, err := serve.NewEngine(fw.Topology(), fw.Capabilities(), fw.States(), serve.Config{})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	return e, eng
+}
+
+// TestCachedRouteFootprint: what one cached route keeps alive — the result,
+// the composed path and its hops, the canonical form, the cache entry and its
+// slot in the shard's map — measured as the live heap 4096 distinct routes
+// add.
+func TestCachedRouteFootprint(t *testing.T) {
+	e, eng := gateEnvironment(t)
+	const routes = 4096
+	n := e.Spec.Proxies
+	seen := map[string]bool{}
+	// Every destination's view and index exist before the measurement.
+	warm, err := e.NextRequest()
+	if err != nil {
+		t.Fatalf("NextRequest: %v", err)
+	}
+	for warm.Dest = 0; warm.Dest < n; warm.Dest++ {
+		warm.Source = (warm.Dest + 1) % n
+		seen[requestID(warm)] = true
+		if _, err := eng.Resolve(warm); err != nil {
+			t.Fatalf("warming destination %d: %v", warm.Dest, err)
+		}
+	}
+	pool := make([]svc.Request, 0, routes)
+	for i := 0; len(pool) < routes; i++ {
+		req, err := e.NextRequest()
+		if err != nil {
+			t.Fatalf("NextRequest: %v", err)
+		}
+		// Any pair of proxies, not only the few next to a client.
+		req.Source, req.Dest = i%n, (i/n*7+i+1)%n
+		if req.Source == req.Dest || seen[requestID(req)] {
+			continue
+		}
+		seen[requestID(req)] = true
+		pool = append(pool, req)
+	}
+	seen = nil
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before, start := heap(), eng.Stats()
+	for _, req := range pool {
+		if _, err := eng.Resolve(req); err != nil {
+			t.Fatalf("Resolve: %v", err)
+		}
+	}
+	after := heap()
+	if stored := eng.Stats().Cache.Stores - start.Cache.Stores; stored != routes {
+		t.Fatalf("%d of %d resolves stored a route; the pool must not repeat", stored, routes)
+	}
+	perRoute := float64(int64(after)-int64(before)) / routes
+	t.Logf("a cached route holds %.0f B", perRoute)
+	if perRoute > 700 {
+		t.Errorf("a cached route holds %.0f B of live heap, want <= 700", perRoute)
+	}
+	runtime.KeepAlive(eng)
+	runtime.KeepAlive(pool)
 }
 
 // raceDetector reports whether this test binary was built with -race.

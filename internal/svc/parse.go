@@ -10,17 +10,20 @@ import (
 // vertex label length-prefixed in vertex order, then every edge as an index
 // pair. Unlike String (a display format that drops isolated vertices when
 // edges exist), two graphs share a Canonical form iff they have identical
-// vertex and edge lists, which is what cache keys need.
+// vertex and edge lists, which is what cache keys need. It is rendered on the
+// stack and costs the one allocation of the string (forms longer than
+// canonicalStackBytes spill to the heap on the way).
 //
-//hfc:hotpath budget=2
+//hfc:hotpath budget=1
 func (g *Graph) Canonical() string {
-	return string(g.AppendCanonical(make([]byte, 0, 16*len(g.Services)+8*len(g.Edges)+1)))
+	var stack [canonicalStackBytes]byte
+	return string(g.AppendCanonical(stack[:0]))
 }
 
 // AppendCanonical appends the Canonical form to buf. It is the one
 // definition of the format; Fingerprint and HasCanonical are checked against
 // it (FuzzGraphFrontMatter). The six appends are its whole budget: they grow
-// buf only when the caller's capacity runs out — Canonical sizes it,
+// buf only when the caller's capacity runs out — Canonical's and
 // HasCanonical's is on the stack.
 //
 //hfc:hotpath budget=6
@@ -41,15 +44,16 @@ func (g *Graph) AppendCanonical(buf []byte) []byte {
 	return buf
 }
 
-// canonicalStackBytes is the buffer HasCanonical renders into without
-// touching the heap; a 10-service chain over the "s0".."s39" catalogue
+// canonicalStackBytes is the buffer Canonical and HasCanonical render into
+// without touching the heap; a 10-service chain over the "s0".."s39" catalogue
 // renders to under 100 bytes.
 const canonicalStackBytes = 256
 
 // HasCanonical reports whether canonical is g's Canonical form, without
 // rendering a string: it is the fingerprint-collision guard of the route
-// cache and the last-known-good stores, run on every cache hit. Forms longer
-// than canonicalStackBytes spill to the heap with the same answer.
+// cache, through its fresh and its stale-tolerant door alike, run on every
+// cache hit. Forms longer than canonicalStackBytes spill to the heap with
+// the same answer.
 //
 //hfc:hotpath budget=0
 func (g *Graph) HasCanonical(canonical string) bool {
