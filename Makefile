@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-seam lint-view lint-solve lint-border lint-tables lint-lkg vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
+.PHONY: all build test race lint lint-seam lint-view lint-solve lint-border lint-tables lint-lkg lint-distribute vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
 
 # Output snapshot for the regression-gate benchmarks (see cmd/benchgate).
-BENCH_OUT ?= BENCH_pr22.json
+BENCH_OUT ?= BENCH_pr23.json
 
 all: build test lint
 
@@ -33,6 +33,7 @@ lint:
 	$(MAKE) lint-border
 	$(MAKE) lint-tables
 	$(MAKE) lint-lkg
+	$(MAKE) lint-distribute
 
 # lint-seam enforces the overlay's delivery seam: outside the event driver
 # and the Simulate harness, no non-test file of internal/overlay may name
@@ -76,6 +77,13 @@ lint-tables:
 # routes, with a lock of its own, beside it.
 lint-lkg:
 	! grep -nE 'knownGood|storeLKG|lkgMu' $$(git ls-files '*.go' | grep -v -e _test.go -e '^vendor/' -e '^internal/routing/')
+
+# lint-distribute keeps a capability update costing its cluster: the serving
+# engine re-converges through state.Update (one cluster, copy-on-write), and
+# the O(n) state.Distribute is called by whoever builds an engine's first
+# states, never by a non-test file of internal/serve.
+lint-distribute:
+	! grep -n 'state\.Distribute(' $$(ls internal/serve/*.go | grep -v _test.go)
 
 # vet is the machine-readable variant: the registered-analyzer roster
 # followed by the full suite with -json diagnostics (one JSON object per

@@ -459,9 +459,11 @@ func BenchmarkGateServeThroughput(b *testing.B) {
 }
 
 // BenchmarkGateUpdateCapability measures one capability update through
-// serve.Engine: a full state.Distribute plus the cluster's cache round. The
-// update alternates one proxy between two sets so every iteration changes
-// the deployment.
+// serve.Engine: the proxy's cluster re-converged (state.Update), the replaced
+// tables' index halves forgotten, and the cache invalidation — the cluster's
+// round, or the epoch when the cluster's aggregate moved. The update
+// alternates one proxy between two sets so every iteration changes the
+// deployment.
 func BenchmarkGateUpdateCapability(b *testing.B) {
 	e := cachedEnv(b, gateSpec())
 	eng := gateEngine(b, e)

@@ -346,8 +346,11 @@ func (c *RouteCache) AdvanceAll() {
 // AdvanceGeneration opens a new deployment generation — some proxy's
 // installed services changed. Stale entries were last-known-good against the
 // old deployment only, so every one of them is deleted, whether or not its
-// request is ever asked again; entries still fresh do not depend on what
-// changed (the caller advances the changed cluster's round first) and stay.
+// request is ever asked again; entries still fresh stay. Making stale what
+// the change can affect is the caller's job, before this call: the changed
+// proxy's cluster (AdvanceRound) while the cluster's aggregate stands, every
+// entry (AdvanceAll) once it moved — a route that avoids the cluster still
+// chose its clusters by reading that aggregate.
 // A route still being computed on the old deployment is dropped at its Put.
 func (c *RouteCache) AdvanceGeneration() {
 	c.advanceMu.Lock()

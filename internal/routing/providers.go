@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"sort"
 	"sync"
 
 	"hfc/internal/state"
@@ -45,8 +44,33 @@ func newProviderIndex(local, clusters map[svc.Service][]int) *ProviderIndex {
 // entry i of the table is ids[i] (SCT_P against the cluster's sorted members)
 // or, with nil ids, i itself (SCT_C, indexed by cluster). Entries not learned
 // yet list nothing.
+//
+// It counts, then fills: the table's sets sum to the size of one backing
+// array, a first pass counts each service's list, the array is cut into one
+// window per service, and a second pass writes the ids — so a table costs the
+// map and one array however many services it lists. The table is walked in
+// entry order and an entry lists itself once per service, so each list is
+// ascending exactly when ids is — which both callers' are (sorted members,
+// cluster ids) and nothing here re-checks.
 func invert(table []svc.CapabilitySet, ids []int) map[svc.Service][]int {
+	total := 0
+	for _, set := range table {
+		total += len(set)
+	}
+	backing := make([]int, total)
 	lists := make(map[svc.Service][]int)
+	for _, set := range table {
+		for s := range set {
+			// Until the cut a list is its count: an empty window that wide.
+			lists[s] = backing[: 0 : cap(lists[s])+1]
+		}
+	}
+	// Windows are disjoint: where one sits in the array changes no list.
+	off := 0
+	for s, l := range lists {
+		lists[s] = backing[off : off : off+cap(l)]
+		off += cap(l)
+	}
 	for i, set := range table {
 		id := i
 		if ids != nil {
@@ -56,39 +80,7 @@ func invert(table []svc.CapabilitySet, ids []int) map[svc.Service][]int {
 			lists[s] = append(lists[s], id)
 		}
 	}
-	// One id appends to many services, each exactly once, so the inner set
-	// iteration order is irrelevant and lists are ascending when ids are;
-	// sort defensively so the contract does not depend on the caller.
-	for s := range lists {
-		sort.Ints(lists[s])
-	}
-	return packLists(lists)
-}
-
-// packLists rewrites a map of per-service lists so every list is a window
-// into one shared CSR-style backing array, replacing len(m) separately grown
-// slices (and their append-doubling waste) with a single contiguous
-// allocation that hot readers walk with perfect locality. List contents and
-// per-list order are unchanged; map keys stay as-is.
-func packLists(m map[svc.Service][]int) map[svc.Service][]int {
-	total := 0
-	keys := make([]svc.Service, 0, len(m))
-	for s, l := range m {
-		total += len(l)
-		keys = append(keys, s)
-	}
-	// Sorted key order keeps the backing layout deterministic (map
-	// iteration order would not change any list's contents, but a
-	// reproducible array is worth the sort at build time).
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	backing := make([]int, 0, total)
-	for _, s := range keys {
-		l := m[s]
-		off := len(backing)
-		backing = append(backing, l...)
-		m[s] = backing[off : off+len(l) : off+len(l)]
-	}
-	return m
+	return lists
 }
 
 // Providers returns the sorted own-cluster providers of s (shared slice —
@@ -104,33 +96,37 @@ func (pi *ProviderIndex) ClustersProviding(s svc.Service) []int { return pi.clus
 // allocating a new closure per call.
 func (pi *ProviderIndex) ProviderFunc() ProviderFunc { return pi.fn }
 
-// LazyIndexes caches ProviderIndexes over a NodeState slice, rebuilding
-// them lazily when the owning engine's invalidation version moves — the
-// same token the route cache stamps entries with, so index and cache go
-// stale together.
+// LazyIndexes caches ProviderIndexes over a NodeState slice, inverting a
+// table the first time a resolve asks for it and keeping the inversion for as
+// long as the table stays in the states.
 //
 // Each half of an index is cached by the table it inverts, not by the node
 // asking: the local half per SCT_P table, the clusters half per SCT_C table. On
 // state.Distribute output the members of a cluster therefore share one
-// index and all indexes share one clusters half — K+1 inversions per
-// version, not n.
+// index and all indexes share one clusters half — K+1 inversions, not n.
 //
-// Readers and the version source must be externally consistent: a caller
-// that mutates the states must advance the version before the mutation is
-// observable to For (serve.Engine does both under its state write lock).
-// Within one version the tables are read-only.
+// Tables are read-only, so a half never goes stale; what ends its life is its
+// table being replaced. An owner that replaces a table (state.Update under
+// serve.Engine's state write lock) calls Forget with the old one before a
+// reader can ask again, and nothing else drops a half: K+1 stay cached however
+// many updates pass. An owner that instead edits tables in place passes a
+// version and moves it with every edit — a moved version drops everything.
 type LazyIndexes struct {
 	states  []state.NodeState
 	members func(node int) []int
-	// version supplies the current invalidation stamp; nil pins version 0
-	// (static states, e.g. the synchronous simulation).
+	// version, when non-nil, supplies a stamp that moves whenever a table
+	// was edited in place; nil for owners that only ever replace tables.
 	version func() uint64
 
 	mu    sync.RWMutex
-	stamp uint64 // version idx was built at; guarded by mu
-	// idx is keyed by the first-entry addresses of the (SCT_P, SCT_C) tables
-	// inverted. An address names a table only within one version — replacing
-	// a table moves the version, and the map is cleared when the stamp moves.
+	stamp uint64 // version the cached halves were built at; guarded by mu
+	// local and clusters hold the halves, keyed by the first-entry address of
+	// the SCT_P / SCT_C table inverted. The key keeps its table reachable, so
+	// an address names one table for as long as its half is cached.
+	local    map[*svc.CapabilitySet]map[svc.Service][]int // guarded by mu
+	clusters map[*svc.CapabilitySet]map[svc.Service][]int // guarded by mu
+	// idx holds the indexes assembled from two cached halves, keyed by the
+	// pair, so that every node over one pair of tables gets one index.
 	idx map[[2]*svc.CapabilitySet]*ProviderIndex // guarded by mu
 }
 
@@ -145,18 +141,21 @@ func tableID(table []svc.CapabilitySet) *svc.CapabilitySet {
 }
 
 // NewLazyIndexes builds an empty index cache. members maps a node to its
-// cluster's sorted member list; version may be nil for static states.
+// cluster's sorted member list; version is nil unless tables are edited in
+// place (see LazyIndexes).
 func NewLazyIndexes(states []state.NodeState, members func(node int) []int, version func() uint64) *LazyIndexes {
 	return &LazyIndexes{
-		states:  states,
-		members: members,
-		version: version,
-		idx:     make(map[[2]*svc.CapabilitySet]*ProviderIndex),
+		states:   states,
+		members:  members,
+		version:  version,
+		local:    make(map[*svc.CapabilitySet]map[svc.Service][]int),
+		clusters: make(map[*svc.CapabilitySet]map[svc.Service][]int),
+		idx:      make(map[[2]*svc.CapabilitySet]*ProviderIndex),
 	}
 }
 
-// For returns node's provider index, inverting on first use and after every
-// version advance whichever of its two tables no cached index has inverted.
+// For returns node's provider index, inverting whichever of its two tables
+// has no cached half.
 func (l *LazyIndexes) For(node int) *ProviderIndex {
 	var v uint64
 	if l.version != nil {
@@ -175,30 +174,51 @@ func (l *LazyIndexes) For(node int) *ProviderIndex {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.stamp != v {
+		clear(l.local)
+		clear(l.clusters)
 		clear(l.idx)
 		l.stamp = v
 	}
 	if pi, ok := l.idx[key]; ok {
 		return pi
 	}
-	var local, clusters map[svc.Service][]int
-	for k, other := range l.idx {
-		if k[0] == key[0] {
-			//hfcvet:ignore maporder every cached index over one SCT_P table holds the same local half
-			local = other.local
-		}
-		if k[1] == key[1] {
-			//hfcvet:ignore maporder every cached index over one SCT_C table holds the same clusters half
-			clusters = other.clusters
-		}
-	}
-	if local == nil {
+	local, ok := l.local[key[0]]
+	if !ok {
 		local = invert(st.SCTP, members)
+		l.local[key[0]] = local
 	}
-	if clusters == nil {
+	clusters, ok := l.clusters[key[1]]
+	if !ok {
 		clusters = invert(st.SCTC, nil)
+		l.clusters[key[1]] = clusters
 	}
 	pi = newProviderIndex(local, clusters)
 	l.idx[key] = pi
 	return pi
+}
+
+// Forget drops the half inverted from table — an SCT_P or an SCT_C that has
+// just been replaced in the states — and every index assembled from it. The
+// halves of the tables still in use stay.
+//
+//hfc:hotpath budget=0
+func (l *LazyIndexes) Forget(table []svc.CapabilitySet) {
+	id := tableID(table)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	delete(l.local, id)
+	delete(l.clusters, id)
+	for key := range l.idx {
+		if key[0] == id || key[1] == id {
+			delete(l.idx, key)
+		}
+	}
+}
+
+// Len reports how many halves are cached: local ones (one per SCT_P table
+// inverted) and clusters ones (one per SCT_C table).
+func (l *LazyIndexes) Len() (local, clusters int) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return len(l.local), len(l.clusters)
 }

@@ -178,3 +178,84 @@ func TestLazyIndexesSharedPerTable(t *testing.T) {
 		t.Error("members stopped sharing after the rebuild")
 	}
 }
+
+// TestForgetDropsOnlyThatTable: with no version, a half lives until its table
+// is forgotten — replacing one cluster's SCT_P and forgetting the old one
+// rebuilds that cluster's index over the kept clusters half and leaves the
+// other cluster's index the pointer it was; forgetting the SCT_C drops every
+// index, and the local halves survive it.
+func TestForgetDropsOnlyThatTable(t *testing.T) {
+	sctc := []svc.CapabilitySet{svc.NewCapabilitySet("a", "b"), svc.NewCapabilitySet("b")}
+	sctp0 := []svc.CapabilitySet{svc.NewCapabilitySet("a"), svc.NewCapabilitySet("b")}
+	sctp1 := []svc.CapabilitySet{svc.NewCapabilitySet("b")}
+	states := []state.NodeState{
+		{Node: 0, SCTP: sctp0, SCTC: sctc},
+		{Node: 1, SCTP: sctp0, SCTC: sctc},
+		{Node: 2, SCTP: sctp1, SCTC: sctc},
+	}
+	members := [][]int{{0, 1}, {0, 1}, {2}}
+	li := NewLazyIndexes(states, func(n int) []int { return members[n] }, nil)
+	halves := func() [2]int {
+		local, clusters := li.Len()
+		return [2]int{local, clusters}
+	}
+
+	a, c := li.For(0), li.For(2)
+	if got := halves(); got != [2]int{2, 1} {
+		t.Fatalf("cached halves = %v, want 2 local and 1 clusters", got)
+	}
+
+	// Cluster 0's SCT_P is replaced (node 1 gains "c"), the SCT_C stays.
+	replaced := []svc.CapabilitySet{sctp0[0], svc.NewCapabilitySet("b", "c")}
+	states[0].SCTP, states[1].SCTP = replaced, replaced
+	li.Forget(sctp0)
+	if got := halves(); got != [2]int{1, 1} {
+		t.Fatalf("after Forget(SCT_P): cached halves = %v, want 1 local and 1 clusters", got)
+	}
+	again := li.For(0)
+	if again == a {
+		t.Fatal("the forgotten table's index is still served")
+	}
+	if got := again.Providers("c"); !reflect.DeepEqual(got, []int{1}) {
+		t.Errorf("rebuilt Providers(c) = %v, want [1]", got)
+	}
+	if li.For(1) != again {
+		t.Error("members of the updated cluster do not share the rebuilt index")
+	}
+	if li.For(2) != c {
+		t.Error("Forget(SCT_P of cluster 0) replaced cluster 1's index")
+	}
+	if &again.ClustersProviding("b")[0] != &a.ClustersProviding("b")[0] {
+		t.Error("the rebuilt index did not keep the cached clusters half")
+	}
+
+	// The SCT_C is replaced (cluster 0's aggregate gains "c").
+	fresh := []svc.CapabilitySet{svc.NewCapabilitySet("a", "b", "c"), sctc[1]}
+	for i := range states {
+		states[i].SCTC = fresh
+	}
+	li.Forget(sctc)
+	if got := halves(); got != [2]int{2, 0} {
+		t.Fatalf("after Forget(SCT_C): cached halves = %v, want 2 local and 0 clusters", got)
+	}
+	moved := li.For(2)
+	if moved == c {
+		t.Fatal("an index over the forgotten SCT_C is still served")
+	}
+	if got := moved.ClustersProviding("c"); !reflect.DeepEqual(got, []int{0}) {
+		t.Errorf("ClustersProviding(c) = %v, want [0]", got)
+	}
+	if &moved.Providers("b")[0] != &c.Providers("b")[0] {
+		t.Error("Forget(SCT_C) dropped a local half")
+	}
+	if got := halves(); got != [2]int{2, 1} {
+		t.Errorf("cached halves = %v, want 2 local and 1 clusters", got)
+	}
+
+	// A table nothing was inverted from: nothing to drop.
+	li.Forget([]svc.CapabilitySet{svc.NewCapabilitySet("z")})
+	li.Forget(nil)
+	if li.For(2) != moved {
+		t.Error("forgetting an unknown table dropped an index")
+	}
+}

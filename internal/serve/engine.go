@@ -6,9 +6,10 @@
 //     concurrent lookups on different keys never contend on one lock — and
 //     the one store of routes: an entry is a hit while fresh and the
 //     last-known-good answer of degraded serving once stale;
-//   - inverted provider indexes (routing.LazyIndexes), rebuilt lazily when
-//     the engine's state advances, so resolution looks providers up instead
-//     of rescanning capability tables per request;
+//   - inverted provider indexes (routing.LazyIndexes), one half per
+//     capability table, built on first use and kept until an update replaces
+//     that table, so resolution looks providers up instead of rescanning
+//     capability tables per request;
 //   - in-flight deduplication: identical concurrent (source, destination,
 //     service-graph) resolutions share one computation instead of racing to
 //     compute the same route N times.
@@ -97,9 +98,9 @@ type Engine struct {
 	// rewrites states and advances the cache version under the write side.
 	stateMu sync.RWMutex
 	caps    []svc.CapabilitySet // guarded by stateMu
-	// states is updated in place (elements overwritten, header immutable),
-	// so the solver and index structures that captured the slice at
-	// construction observe every update.
+	// states is updated in place (state.Update stores new tables into the
+	// elements, header immutable), so the solver and index structures that
+	// captured the slice at construction observe every update.
 	states []state.NodeState // guarded by stateMu
 
 	cache   *routing.RouteCache
@@ -132,8 +133,10 @@ type Engine struct {
 // NewEngine builds an engine over a bootstrapped topology with converged
 // states. caps[i] is the deployment of proxy i (cloned; the engine owns its
 // copy). states must be the matching state.Distribute output; the engine
-// copies the slice and replaces its elements on every update — the tables
-// the caller's states reference are never edited.
+// copies the slice and points its elements at new tables on every update —
+// the tables the caller's states reference are never edited. States that are
+// not shaped like the topology (a table slot per cluster member and per
+// cluster, states[i] the state of node i) are rejected.
 func NewEngine(topo *hfc.Topology, caps []svc.CapabilitySet, states []state.NodeState, cfg Config) (*Engine, error) {
 	if topo == nil {
 		return nil, errors.New("serve: nil topology")
@@ -144,6 +147,21 @@ func NewEngine(topo *hfc.Topology, caps []svc.CapabilitySet, states []state.Node
 	if len(caps) != topo.N() {
 		return nil, fmt.Errorf("serve: %d capability sets for %d nodes", len(caps), topo.N())
 	}
+	// Tables are indexed by member rank and cluster id all the way down (the
+	// provider indexes, the child solves, state.Update), so their shape is
+	// checked here, once, and not inside a resolve.
+	for i := range states {
+		st := &states[i]
+		if st.Node != i {
+			return nil, fmt.Errorf("serve: states[%d] is the state of node %d", i, st.Node)
+		}
+		if m := len(topo.Members(topo.ClusterOf(i))); len(st.SCTP) != m {
+			return nil, fmt.Errorf("serve: node %d: SCT_P has %d slots, its cluster %d members", i, len(st.SCTP), m)
+		}
+		if len(st.SCTC) != topo.NumClusters() {
+			return nil, fmt.Errorf("serve: node %d: SCT_C has %d slots, the topology %d clusters", i, len(st.SCTC), topo.NumClusters())
+		}
+	}
 	if cfg.Relax == 0 {
 		cfg.Relax = routing.RelaxBacktrack
 	}
@@ -151,14 +169,16 @@ func NewEngine(topo *hfc.Topology, caps []svc.CapabilitySet, states []state.Node
 	for i, c := range caps {
 		capsClone[i] = c.Clone()
 	}
-	// The states slice header is fixed here; UpdateCapability copies fresh
-	// elements into it in place, so the indexes and solver built over it
+	// The states slice header is fixed here; UpdateCapability stores new
+	// tables into its elements, so the indexes and solver built over it
 	// always observe the current state.
 	statesCopy := append([]state.NodeState(nil), states...)
 	cache := routing.NewRouteCache()
+	// No version: the engine replaces tables (UpdateCapability), never edits
+	// one, and forgets the replaced table's half itself.
 	indexes := routing.NewLazyIndexes(statesCopy, func(node int) []int {
 		return topo.Members(topo.ClusterOf(node))
-	}, cache.Version)
+	}, nil)
 	e := &Engine{
 		topo:      topo,
 		relax:     cfg.Relax,
@@ -547,10 +567,17 @@ func (e *Engine) ResolveBatchDetailed(reqs []svc.Request, workers int) ([]*routi
 }
 
 // UpdateCapability replaces one proxy's installed services and re-converges
-// the engine's routing state, invalidating every cached route that depends
-// on the proxy's cluster. Resolutions in flight either complete against the
-// old state (and their cache entries are invalidated here) or observe the
-// new state in full — never a mix.
+// the engine's routing state the way §4 does — inside the proxy's cluster:
+// state.Update replaces that cluster's SCT_P and, only if the cluster's
+// aggregate changed, the SCT_C; the provider-index halves of the replaced
+// tables are forgotten and every other cluster's stay. Cached routes through
+// the cluster go stale — all cached routes, if the aggregate changed. The
+// write lock is held for that, not for a distribution over all n proxies.
+// Resolutions in flight either complete against the old state (and their
+// cache entries are invalidated here) or observe the new state in full —
+// never a mix.
+//
+//hfc:hotpath budget=2
 func (e *Engine) UpdateCapability(node int, set svc.CapabilitySet) error {
 	if node < 0 || node >= e.topo.N() {
 		return fmt.Errorf("serve: node %d out of range [0,%d)", node, e.topo.N())
@@ -560,35 +587,41 @@ func (e *Engine) UpdateCapability(node int, set svc.CapabilitySet) error {
 	}
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
-	old := e.caps[node]
 	e.caps[node] = set.Clone()
-	fresh, _, err := state.Distribute(e.topo, e.caps)
-	if err != nil {
-		e.caps[node] = old
-		return fmt.Errorf("serve: re-converge after capability update: %w", err)
-	}
-	copy(e.states, fresh)
+	oldSCTP, oldSCTC := e.states[node].SCTP, e.states[node].SCTC
+	aggregateChanged := state.Update(e.topo, e.caps, e.states, node)
+	e.indexes.Forget(oldSCTP)
 	// Version bump after the state swap: a resolution admitted after this
 	// line computes on the new states; one admitted before is either fully
 	// finished (its cache entry invalidated by this advance if it depends
-	// on the cluster) or blocked on the read lock and will see the new
+	// on what changed) or blocked on the read lock and will see the new
 	// states in full.
-	e.cache.AdvanceRound(e.topo.ClusterOf(node))
+	if aggregateChanged {
+		// Every request's cluster-level search reads SCT_C: a cached route
+		// that never touched this cluster may now lose to one through it.
+		// Every route goes stale.
+		e.indexes.Forget(oldSCTC)
+		e.cache.AdvanceAll()
+	} else {
+		// Same SCT_C, same cluster-level path for every request, and a route
+		// that avoids this cluster re-solves the same children: the routes
+		// through the cluster are exactly the ones that can change.
+		e.cache.AdvanceRound(e.topo.ClusterOf(node))
+	}
 	// Last-known-good routes were validated against the old deployment;
 	// degraded serving promises stale-but-valid, so every stale route goes.
 	e.cache.AdvanceGeneration()
 	return nil
 }
 
-// InvalidateCluster drops every cached route depending on one cluster and
-// forces provider-index rebuilds, as after an external state change in that
-// cluster.
+// InvalidateCluster drops every cached route depending on one cluster, as
+// after an external state change in that cluster.
 func (e *Engine) InvalidateCluster(cluster int) {
 	e.cache.AdvanceRound(cluster)
 }
 
-// InvalidateAll drops every cached route and forces provider-index
-// rebuilds, as after a full state-distribution round.
+// InvalidateAll drops every cached route, as after a full
+// state-distribution round.
 func (e *Engine) InvalidateAll() {
 	e.cache.AdvanceAll()
 }

@@ -32,3 +32,13 @@ func (e *Engine) CacheVersion() uint64 { return e.cache.Version() }
 
 // CachedRoutes is how many routes the engine holds, fresh and last-known-good.
 func (e *Engine) CachedRoutes() int { return e.cache.Len() }
+
+// IndexFor is the provider index a resolve to dest would use right now.
+func (e *Engine) IndexFor(dest int) *routing.ProviderIndex {
+	e.stateMu.RLock()
+	defer e.stateMu.RUnlock()
+	return e.indexes.For(dest)
+}
+
+// IndexHalves is how many provider-index halves the engine has cached.
+func (e *Engine) IndexHalves() (local, clusters int) { return e.indexes.Len() }

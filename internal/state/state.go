@@ -22,6 +22,7 @@ package state
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hfc/internal/hfc"
 	"hfc/internal/svc"
@@ -165,8 +166,9 @@ func (m MessageStats) Total() int {
 // every proxy the same SCT_C, so each table is built once — one SCT_P slice
 // per cluster, one SCT_C slice for the system, caps cloned once per proxy —
 // and the returned states reference them. The tables are read-only: a
-// caller that needs different state calls Distribute again and replaces
-// the states, it never edits a returned table or set.
+// caller whose deployment changes replaces them — Update for one proxy's
+// SCI, Distribute again for anything else — it never edits a returned table
+// or set.
 func Distribute(t *hfc.Topology, caps []svc.CapabilitySet) ([]NodeState, MessageStats, error) {
 	if t == nil {
 		return nil, MessageStats{}, errors.New("state: nil topology")
@@ -187,16 +189,8 @@ func Distribute(t *hfc.Topology, caps []svc.CapabilitySet) ([]NodeState, Message
 	for c := 0; c < k; c++ {
 		members := t.Members(c)
 		m := len(members)
-		// Phase 1: every proxy floods its SCI to the other m-1 members, so
-		// all of them end with the same table. The cluster's aggregate is
-		// the union its border proxies compute from that table.
-		sctp := make([]svc.CapabilitySet, m)
-		agg := make(svc.CapabilitySet)
-		for r, p := range members {
-			sctp[r] = caps[p].Clone()
-			agg.UnionInto(caps[p])
-		}
-		sctc[c] = agg
+		var sctp []svc.CapabilitySet
+		sctp, sctc[c] = convergeCluster(members, caps, nil, -1, 0)
 		for _, p := range members {
 			states[p] = NodeState{Node: p, SCTP: sctp, SCTC: sctc}
 		}
@@ -208,6 +202,69 @@ func Distribute(t *hfc.Topology, caps []svc.CapabilitySet) ([]NodeState, Message
 		stats.ForwardMessages += (k - 1) * (m - 1)
 	}
 	return states, stats, nil
+}
+
+// convergeCluster is one cluster's convergence step, the one place a table
+// is built. Phase 1: every proxy floods its SCI to the other members, so all
+// of them end with the same SCT_P; the cluster's aggregate is the union its
+// border proxies compute from that table. prev is the table the cluster
+// converged to before, nil for none: with it, only the proxy named changed
+// has a new SCI to flood — every other member's set is prev's (sets are
+// read-only, so the new table shares them) and one Clone is all the step
+// copies. services sizes the aggregate: how many the previous one listed, 0
+// for no idea.
+//
+//hfc:hotpath budget=2
+func convergeCluster(members []int, caps, prev []svc.CapabilitySet, changed, services int) (sctp []svc.CapabilitySet, aggregate svc.CapabilitySet) {
+	sctp = make([]svc.CapabilitySet, len(members))
+	aggregate = make(svc.CapabilitySet, services)
+	for r, p := range members {
+		if prev != nil && p != changed {
+			sctp[r] = prev[r]
+		} else {
+			sctp[r] = caps[p].Clone()
+		}
+		aggregate.UnionInto(sctp[r])
+	}
+	return sctp, aggregate
+}
+
+// Update re-converges states after one proxy's SCI changed: caps[node] is
+// the new set, and states is what Distribute (or an earlier Update) returned
+// for caps as it was before — the caller's own slice, whose elements Update
+// overwrites. It costs the proxy's cluster, not the overlay, as §4's flood
+// does: the cluster's members are pointed at a new SCT_P (convergeCluster
+// over the old one), and only if the cluster's aggregate came out different
+// — the case in which §4 sends aggregate-state messages across the borders —
+// is every proxy pointed at a new SCT_C, a copy of the old with that one
+// entry replaced. It reports that case. Tables are replaced, never edited:
+// whoever else holds the old ones (the states Distribute returned, an index
+// built over them) keeps a consistent, older picture, and every table the
+// update did not replace is the same slice as before. The result equals
+// Distribute(t, caps) (TestUpdateMatchesDistribute).
+//
+// That states is shaped like t (one SCT_P slot per cluster member, K SCT_C
+// slots — serve.NewEngine checks it once), that node is in range and that
+// caps[node] is not nil are the caller's contract.
+//
+//hfc:hotpath budget=0
+func Update(t *hfc.Topology, caps []svc.CapabilitySet, states []NodeState, node int) (aggregateChanged bool) {
+	c := t.ClusterOf(node)
+	members := t.Members(c)
+	old := states[node].SCTC
+	sctp, aggregate := convergeCluster(members, caps, states[node].SCTP, node, len(old[c]))
+	for _, p := range members {
+		states[p].SCTP = sctp
+	}
+	if aggregate.Equal(old[c]) {
+		return false
+	}
+	sctc := slices.Clone(old)
+	sctc[c] = aggregate
+	for i := range states {
+		states[i].SCTC = sctc
+	}
+	return true
 }
 
 // FlatStateSize returns the per-proxy node-state count of the flat
