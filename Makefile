@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build test race lint lint-seam lint-view lint-solve lint-border lint-tables lint-lkg lint-distribute vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
 
 # Output snapshot for the regression-gate benchmarks (see cmd/benchgate).
-BENCH_OUT ?= BENCH_pr23.json
+BENCH_OUT ?= BENCH_pr26.json
 
 all: build test lint
 
@@ -142,7 +142,8 @@ sim:
 FUZZ_TARGETS = cluster:FuzzZahnCluster cluster:FuzzClusterDeterminism \
 	svc:FuzzServiceGraphParse svc:FuzzGraphFrontMatter \
 	routing:FuzzFindPathScratch geo:FuzzGeoIndex graph:FuzzCSRDijkstra \
-	chaos:FuzzChaosSchedule vtime:FuzzVTimeSchedule routing:FuzzRouteScratch
+	chaos:FuzzChaosSchedule vtime:FuzzVTimeSchedule routing:FuzzRouteScratch \
+	serve:FuzzOpSequence
 nightly:
 	HFC_SIM_SCALE=1 $(GO) test -run 'TestSimConverge100k' -timeout 30m ./internal/experiments/
 	for t in $(FUZZ_TARGETS); do \

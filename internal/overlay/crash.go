@@ -29,13 +29,12 @@ func (s *System) Crash(id int) error {
 	// only its own cluster's pairs are touched. A node the accrual detector
 	// already quarantined has already left the elections; leaving twice is
 	// no change, which makes the two paths commute.
+	before := s.dyn.Table()
 	if err := s.setElectable(id, false); err != nil {
 		return fmt.Errorf("overlay: crash of %d: %w", id, err)
 	}
 	// Cached routes through the node's cluster may cross the dead proxy.
-	if s.cache != nil {
-		s.cache.AdvanceRound(s.topo.ClusterOf(id))
-	}
+	s.staleMembership(id, before)
 	return nil
 }
 
@@ -67,12 +66,11 @@ func (s *System) Recover(id int) error {
 	s.clearQuarantine(id)
 	// Restore the node into the live border elections before senders can
 	// see it alive, so border duty and view lookups are consistent.
+	before := s.dyn.Table()
 	if err := s.setElectable(id, true); err != nil {
 		return fmt.Errorf("overlay: recover of %d: %w", id, err)
 	}
-	if s.cache != nil {
-		s.cache.AdvanceRound(s.topo.ClusterOf(id))
-	}
+	s.staleMembership(id, before)
 	// Flip the flag last: once senders see the node live, its tables are
 	// already in the clean rejoin state.
 	s.crashed[id].Store(false)
@@ -94,6 +92,15 @@ func (s *System) setElectable(id int, in bool) error {
 		return nil
 	}
 	return err
+}
+
+// staleMembership stales the cached routes a change of id's standing in the
+// border elections can move, given the border table published before it
+// (routing.RouteCache.AdvanceMembership).
+func (s *System) staleMembership(id int, before *hfc.DenseTables) {
+	if s.cache != nil {
+		s.cache.AdvanceMembership(s.topo.ClusterOf(id), before, s.dyn.Table())
+	}
 }
 
 // IsCrashed reports whether a node is currently fail-stopped. Out-of-range

@@ -143,17 +143,17 @@ func (s *System) evaluateHealth(seq uint64) {
 	// own lock, and setElectable, which Crash/Recover use too, makes the two
 	// state machines commute.
 	for _, id := range quarantine {
+		before := s.dyn.Table()
 		if err := s.setElectable(id, false); err != nil {
 			// Leave otherwise only errors on out-of-range ids, excluded
 			// above; surfacing a harness bug loudly beats limping on.
 			panic(err)
 		}
 		s.quarantined[id].Store(true)
-		if s.cache != nil {
-			s.cache.AdvanceRound(s.topo.ClusterOf(id))
-		}
+		s.staleMembership(id, before)
 	}
 	for _, id := range release {
+		before := s.dyn.Table()
 		s.quarantined[id].Store(false)
 		// A crashed node stays out. Crash raises its flag before it leaves
 		// the elections, so whichever of the two runs second sees the
@@ -169,9 +169,7 @@ func (s *System) evaluateHealth(seq uint64) {
 				}
 			}
 		}
-		if s.cache != nil {
-			s.cache.AdvanceRound(s.topo.ClusterOf(id))
-		}
+		s.staleMembership(id, before)
 	}
 }
 

@@ -1,10 +1,12 @@
 package routing
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
 
+	"hfc/internal/hfc"
 	"hfc/internal/svc"
 )
 
@@ -57,25 +59,32 @@ type CacheStats struct {
 // allocation; a route depends on three or four.
 const inlineStamps = 6
 
-// cacheEntry is one stored route. It is fresh while every cluster it is
-// stamped with is still at the round it was stored under, last-known-good
-// from then on, and gone at the next deployment generation (AdvanceGeneration).
+// staleSum is the roundSum of an entry known to be last-known-good only:
+// found so by a lookup, or born so — a result an invalidation overtook
+// between its computation and its Put. freshLocked tests for it before it
+// compares sums, so a sum of clocks that reached it would cost a miss, never
+// a stale hit.
+const staleSum = ^uint64(0)
+
+// cacheEntry is one stored route, 96 bytes. It is fresh while every cluster
+// it is stamped with is still at the round it was stored under and no
+// service its graph names has had its clock advanced, last-known-good from
+// then on, and gone at the next deployment generation (AdvanceGeneration).
 type cacheEntry struct {
 	// canonical guards against fingerprint collisions: the full canonical
 	// form of the service graph the value was computed for.
 	canonical string
 	value     any
 	// clusters are the distinct clusters the route depends on — inline when
-	// they fit — and roundSum the sum of their invalidation clocks when the
-	// entry was stored. Clocks only move forward, so the sum is still that
-	// exactly while none of them has moved.
+	// they fit — and services the mask of the services its graph names
+	// (svc.CanonicalServiceMask). roundSum is the sum of their invalidation
+	// clocks when the entry was stored — each cluster's round and each
+	// masked bit's service clock — or staleSum. Clocks only move forward, so
+	// the sum is still that exactly while none of them has moved.
 	clusters []int32
+	services uint64
 	roundSum uint64
-	// stale marks an entry known to be last-known-good only: found so by a
-	// lookup, or born so — a result an invalidation overtook between its
-	// computation and its Put.
-	stale  bool
-	inline [inlineStamps]int32
+	inline   [inlineStamps]int32
 }
 
 // answers is the collision guard: whether the entry was computed for the
@@ -89,24 +98,29 @@ func (e *cacheEntry) answers(canonical string, sg *svc.Graph) bool {
 }
 
 // cacheShard is one independently locked segment of the cache. Each shard
-// keeps its own copy of the invalidation clocks (cluster rounds + global
-// epoch): AdvanceRound/AdvanceAll sweep all shards, while the hot Get/Put
-// path touches exactly one shard lock.
+// keeps its own copy of the invalidation clocks (cluster rounds and service
+// clocks): AdvanceRound/AdvanceServices sweep all shards, while the hot
+// Get/Put path touches exactly one shard lock.
 type cacheShard struct {
 	mu      sync.Mutex
 	entries map[CacheKey]*cacheEntry // guarded by mu
 	rounds  map[int]uint64           // guarded by mu
-	global  uint64                   // guarded by mu
+	// services[b] is the clock of service-mask bit b.
+	services [64]uint64 // guarded by mu
 }
 
-// roundSumLocked adds up the invalidation clocks of clusters: each one's own
-// round plus the global epoch. Called with sh.mu held.
+// roundSumLocked adds up the invalidation clocks of an entry's stamps: each
+// cluster's round and the clock of each bit of its service mask. Called with
+// sh.mu held.
 //
 //hfc:hotpath budget=0
-func (sh *cacheShard) roundSumLocked(clusters []int32) uint64 {
-	sum := uint64(len(clusters)) * sh.global
+func (sh *cacheShard) roundSumLocked(clusters []int32, services uint64) uint64 {
+	var sum uint64
 	for _, cl := range clusters {
 		sum += sh.rounds[int(cl)]
+	}
+	for m := services; m != 0; m &= m - 1 {
+		sum += sh.services[bits.TrailingZeros64(m)]
 	}
 	return sum
 }
@@ -116,7 +130,7 @@ func (sh *cacheShard) roundSumLocked(clusters []int32) uint64 {
 //
 //hfc:hotpath budget=0
 func (sh *cacheShard) freshLocked(e *cacheEntry) bool {
-	return !e.stale && sh.roundSumLocked(e.clusters) == e.roundSum
+	return e.roundSum != staleSum && sh.roundSumLocked(e.clusters, e.services) == e.roundSum
 }
 
 // DefaultCacheShards is the shard count NewRouteCache uses — enough to keep
@@ -126,13 +140,18 @@ const DefaultCacheShards = 16
 
 // RouteCache is an invalidation-aware store of resolved routes keyed by
 // (source, service-graph fingerprint, destination), and the one place a route
-// is kept. An entry carries the state rounds of the clusters its path
-// traverses; advancing a cluster's round (capability change, membership
-// churn) or the global round (a state distribution sweep, §4) makes exactly
-// the entries that depended on it stale. A stale entry is no longer a hit,
-// but it stays as the last-known-good answer for its request (LastKnownGood)
-// until the next Put for its key replaces it or the deployment generation
-// moves (AdvanceGeneration) — a route is only promised valid against the
+// is kept. An entry is stamped with two kinds of clock: the state round of
+// every cluster its path depends on, and the clock of every service its graph
+// names (one of 64 bits, svc.Service.MaskBit). Advancing a cluster's round
+// (capability change, membership churn) or a set of service clocks (a
+// cluster's aggregate gained or lost those services; every clock at once for
+// a state distribution sweep, §4) makes exactly the entries stamped with one
+// of them stale — plus, for a shared service bit, the entries of the services
+// it also stands for: a spare miss, never a stale hit. There is no other
+// clock. A stale entry is no longer a hit, but it stays as the
+// last-known-good answer for its request (LastKnownGood) until the next Put
+// for its key replaces it or the deployment generation moves
+// (AdvanceGeneration) — a route is only promised valid against the
 // deployment it was computed on — at which point every stale entry is freed.
 //
 // The cache is sharded by key hash: concurrent Get/Put calls on different
@@ -190,8 +209,9 @@ func NewRouteCacheSharded(shards int) *RouteCache {
 func (c *RouteCache) NumShards() int { return len(c.shards) }
 
 // Get returns the cached value for key, if one exists whose canonical form
-// matches and whose cluster stamps are all still current. Every non-hit is a
-// miss; one that found the entry stale is counted as an invalidation.
+// matches and whose cluster and service stamps are all still current. Every
+// non-hit is a miss; one that found the entry stale is counted as an
+// invalidation.
 //
 //hfc:hotpath budget=0
 func (c *RouteCache) Get(key CacheKey, canonical string) (any, bool) {
@@ -234,8 +254,8 @@ func (c *RouteCache) lookup(key CacheKey, canonical string, sg *svc.Graph) (any,
 // noteStale counts e as invalidated the first time it is met stale. Called
 // with e's shard locked.
 func (c *RouteCache) noteStale(e *cacheEntry) {
-	if !e.stale {
-		e.stale = true
+	if e.roundSum != staleSum {
+		e.roundSum = staleSum
 		c.invalidations.Add(1)
 	}
 }
@@ -264,15 +284,20 @@ func (c *RouteCache) LastKnownGood(key CacheKey, canonical string, sg *svc.Graph
 func (c *RouteCache) Version() uint64 { return c.version.Load() }
 
 // Put stores a resolved route under key, stamped with the current rounds of
-// the clusters the route depends on (duplicates in clusters are fine). A
-// later advance of any stamped cluster makes the entry stale. If the cache
-// advanced past the caller's version token since the computation began, the
-// value is stored born stale — last-known-good, never a hit — unless a fresh
-// entry already answers key; if the deployment generation moved, it is
-// dropped.
+// the clusters the route depends on (duplicates in clusters are fine) and the
+// current clocks of the services canonical names. A later advance of any
+// stamped cluster or service makes the entry stale. If the cache advanced
+// past the caller's version token since the computation began, the value is
+// stored born stale — last-known-good, never a hit — unless a fresh entry
+// already answers key; if the deployment generation moved, it is dropped.
 //
 //hfc:hotpath budget=1
 func (c *RouteCache) Put(key CacheKey, canonical string, value any, clusters []int, version uint64) {
+	services := svc.CanonicalServiceMask(canonical)
+	if services == 0 {
+		// A graph that names no service still goes stale with AdvanceAll.
+		services = ^uint64(0)
+	}
 	sh := &c.shards[key.shard(len(c.shards))]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -293,7 +318,7 @@ func (c *RouteCache) Put(key CacheKey, canonical string, value any, clusters []i
 	if old, ok := sh.entries[key]; bornStale && ok && old.answers(canonical, nil) && sh.freshLocked(old) {
 		return
 	}
-	e := &cacheEntry{canonical: canonical, value: value, stale: bornStale}
+	e := &cacheEntry{canonical: canonical, value: value, services: services, roundSum: staleSum}
 	e.clusters = e.inline[:0]
 	for _, cl := range clusters {
 		if !slices.Contains(e.clusters, int32(cl)) {
@@ -301,7 +326,9 @@ func (c *RouteCache) Put(key CacheKey, canonical string, value any, clusters []i
 			e.clusters = append(e.clusters, int32(cl))
 		}
 	}
-	e.roundSum = sh.roundSumLocked(e.clusters)
+	if !bornStale {
+		e.roundSum = sh.roundSumLocked(e.clusters, e.services)
+	}
 	sh.entries[key] = e
 	c.stores.Add(1)
 }
@@ -328,9 +355,12 @@ func (c *RouteCache) AdvanceRound(cluster int) {
 	}
 }
 
-// AdvanceAll bumps the global epoch: every cached route goes stale (a full
-// state-distribution round touches every cluster).
-func (c *RouteCache) AdvanceAll() {
+// AdvanceServices bumps the clock of every service-mask bit set in mask:
+// every cached route whose graph names a service with one of those bits goes
+// stale.
+//
+//hfc:hotpath budget=0
+func (c *RouteCache) AdvanceServices(mask uint64) {
 	c.advanceMu.Lock()
 	defer c.advanceMu.Unlock()
 	// Version first, shard sweep second — see the Put version check.
@@ -338,9 +368,33 @@ func (c *RouteCache) AdvanceAll() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		sh.global++
+		for m := mask; m != 0; m &= m - 1 {
+			sh.services[bits.TrailingZeros64(m)]++
+		}
 		sh.mu.Unlock()
 	}
+}
+
+// AdvanceAll bumps every service clock: every cached route goes stale, since
+// every entry's mask has a bit set (a full state-distribution round touches
+// every cluster).
+func (c *RouteCache) AdvanceAll() { c.AdvanceServices(^uint64(0)) }
+
+// AdvanceMembership stales what a proxy of cluster leaving or rejoining the
+// live border elections can change, given the border tables published
+// before and after it: the routes through the cluster while its border pairs
+// stand, every route once one of them moved — every request's cluster-level
+// search crosses clusters at those pairs and measures the links between them.
+func (c *RouteCache) AdvanceMembership(cluster int, before, after *hfc.DenseTables) {
+	if before != after {
+		for o, k := 0, after.K; o < k; o++ {
+			if before.BorderInA[cluster*k+o] != after.BorderInA[cluster*k+o] || before.BorderInA[o*k+cluster] != after.BorderInA[o*k+cluster] {
+				c.AdvanceAll()
+				return
+			}
+		}
+	}
+	c.AdvanceRound(cluster)
 }
 
 // AdvanceGeneration opens a new deployment generation — some proxy's
@@ -348,9 +402,10 @@ func (c *RouteCache) AdvanceAll() {
 // old deployment only, so every one of them is deleted, whether or not its
 // request is ever asked again; entries still fresh stay. Making stale what
 // the change can affect is the caller's job, before this call: the changed
-// proxy's cluster (AdvanceRound) while the cluster's aggregate stands, every
-// entry (AdvanceAll) once it moved — a route that avoids the cluster still
-// chose its clusters by reading that aggregate.
+// proxy's cluster (AdvanceRound), and, once the cluster's aggregate moved,
+// the services it gained or lost (AdvanceServices) — a route that avoids the
+// cluster still chose its clusters by reading the aggregate for the services
+// its graph names.
 // A route still being computed on the old deployment is dropped at its Put.
 func (c *RouteCache) AdvanceGeneration() {
 	c.advanceMu.Lock()

@@ -2,9 +2,12 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"hfc/internal/hfc"
 	"hfc/internal/svc"
 )
 
@@ -74,6 +77,8 @@ func TestRouteCachePerClusterInvalidation(t *testing.T) {
 	}
 }
 
+// TestRouteCacheAdvanceAllInvalidatesEverything: AdvanceAll advances every
+// service clock, so even a one-service graph's route goes stale.
 func TestRouteCacheAdvanceAllInvalidatesEverything(t *testing.T) {
 	c := NewRouteCache()
 	g := testGraph(t, "a")
@@ -85,6 +90,85 @@ func TestRouteCacheAdvanceAllInvalidatesEverything(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if _, ok := c.Get(NewCacheKey(i, i+1, g), canon); ok {
 			t.Errorf("entry %d survived AdvanceAll", i)
+		}
+	}
+}
+
+// TestRouteCacheAdvanceServices: advancing a set of service clocks stales
+// exactly the entries whose graph names a service with one of those bits — a
+// route avoiding every stamped cluster included — and no other; a canonical
+// form that does not parse is stamped with every bit.
+func TestRouteCacheAdvanceServices(t *testing.T) {
+	c := NewRouteCache()
+	graphs := []*svc.Graph{
+		testGraph(t, "s0"), testGraph(t, "s1", "s2"), testGraph(t, "s3", "s0", "s4"),
+		testGraph(t, "x:y;|"), testGraph(t, "s5"),
+	}
+	const malformed = "1:s0;" // no '|'
+	put := func() {
+		for i, g := range graphs {
+			c.Put(NewCacheKey(i, i+1, g), g.Canonical(), i, []int{i}, c.Version())
+		}
+		c.Put(CacheKey{Src: 9, Dst: 10, SG: 1}, malformed, "malformed", []int{9}, c.Version())
+	}
+	put()
+	for _, moved := range []svc.Service{"s0", "s2", "x:y;|", "absent"} {
+		c.AdvanceServices(moved.MaskBit())
+		for i, g := range graphs {
+			names := slices.ContainsFunc(g.Services, func(s svc.Service) bool { return s.MaskBit() == moved.MaskBit() })
+			if _, fresh := c.Get(NewCacheKey(i, i+1, g), g.Canonical()); fresh == names {
+				t.Errorf("after AdvanceServices(%q): graph %v fresh = %v", moved, g.Services, fresh)
+			}
+		}
+		if _, fresh := c.Get(CacheKey{Src: 9, Dst: 10, SG: 1}, malformed); fresh {
+			t.Errorf("after AdvanceServices(%q): the malformed form is fresh", moved)
+		}
+		put()
+	}
+}
+
+// TestRouteCacheEntrySizeClass pins a cached route's entry to the 96-byte
+// size class: a service mask beside the cluster stamps took a word, and the
+// stale mark gave it back by living in the stamp sum.
+func TestRouteCacheEntrySizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(cacheEntry{}); size > 96 {
+		t.Errorf("cacheEntry is %d bytes, want <= 96", size)
+	}
+}
+
+// TestRouteCacheAdvanceMembership: a membership change that leaves a
+// cluster's border pairs standing stales the routes through the cluster; one
+// that moves a pair in the cluster's row or column stales every route.
+func TestRouteCacheAdvanceMembership(t *testing.T) {
+	const k = 3
+	table := func(edit func(b []int32)) *hfc.DenseTables {
+		b := []int32{-1, 10, 20, 11, -1, 21, 12, 22, -1}
+		edit(b)
+		return &hfc.DenseTables{K: k, BorderInA: b}
+	}
+	base := table(func([]int32) {})
+	g := testGraph(t, "a")
+	for _, tc := range []struct {
+		name     string
+		after    *hfc.DenseTables
+		staleAll bool
+	}{
+		{"same table", base, false},
+		{"an equal copy", table(func([]int32) {}), false},
+		{"a pair of another cluster moved", table(func(b []int32) { b[1*k+2] = 99 }), false},
+		{"the cluster's row moved", table(func(b []int32) { b[0*k+1] = 99 }), true},
+		{"the cluster's column moved", table(func(b []int32) { b[2*k+0] = 99 }), true},
+	} {
+		c := NewRouteCache()
+		for cl := 0; cl < k; cl++ {
+			c.Put(NewCacheKey(cl, cl+1, g), g.Canonical(), cl, []int{cl}, c.Version())
+		}
+		c.AdvanceMembership(0, base, tc.after)
+		for cl := 0; cl < k; cl++ {
+			_, fresh := c.Get(NewCacheKey(cl, cl+1, g), g.Canonical())
+			if want := cl != 0 && !tc.staleAll; fresh != want {
+				t.Errorf("%s: route through cluster %d fresh = %v, want %v", tc.name, cl, fresh, want)
+			}
 		}
 	}
 }

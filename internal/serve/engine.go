@@ -358,12 +358,15 @@ func (e *Engine) degradedResult(key routing.CacheKey, sg *svc.Graph) *routing.Re
 // excluded from provider selection and border election in fresh resolutions —
 // its cluster's border pairs are re-elected among the proxies still available
 // — and requests destined to it are served their last-known-good route,
-// tagged degraded. Each transition invalidates the proxy's cluster in the
-// route cache, since cached routes were computed under the old availability.
+// tagged degraded. Each transition stales the cached routes through the
+// proxy's cluster, and every cached route if it moved one of the cluster's
+// border pairs: each request's cluster-level search crosses clusters at
+// those pairs (routing.RouteCache.AdvanceMembership).
 func (e *Engine) SetUnavailable(node int, down bool) error {
 	if node < 0 || node >= e.topo.N() {
 		return fmt.Errorf("serve: node %d out of range [0,%d)", node, e.topo.N())
 	}
+	before := e.avail.Table()
 	var err error
 	if down {
 		err = e.avail.Leave(node)
@@ -381,7 +384,7 @@ func (e *Engine) SetUnavailable(node int, down bool) error {
 	} else {
 		e.unavailN.Add(-1)
 	}
-	e.cache.AdvanceRound(e.topo.ClusterOf(node))
+	e.cache.AdvanceMembership(e.topo.ClusterOf(node), before, e.avail.Table())
 	return nil
 }
 
@@ -571,8 +574,9 @@ func (e *Engine) ResolveBatchDetailed(reqs []svc.Request, workers int) ([]*routi
 // state.Update replaces that cluster's SCT_P and, only if the cluster's
 // aggregate changed, the SCT_C; the provider-index halves of the replaced
 // tables are forgotten and every other cluster's stay. Cached routes through
-// the cluster go stale — all cached routes, if the aggregate changed. The
-// write lock is held for that, not for a distribution over all n proxies.
+// the cluster go stale, and, if the aggregate changed, so do the routes whose
+// graph names a service it gained or lost. The write lock is held for that,
+// not for a distribution over all n proxies.
 // Resolutions in flight either complete against the old state (and their
 // cache entries are invalidated here) or observe the new state in full —
 // never a mix.
@@ -596,22 +600,38 @@ func (e *Engine) UpdateCapability(node int, set svc.CapabilitySet) error {
 	// finished (its cache entry invalidated by this advance if it depends
 	// on what changed) or blocked on the read lock and will see the new
 	// states in full.
+	//
+	// A route that avoids this cluster re-solves the same children, and its
+	// cluster-level search reads SCT_C only for the services its graph names:
+	// past the routes through the cluster, the ones that can change are those
+	// that ask for a service the aggregate gained or lost.
+	c := e.topo.ClusterOf(node)
+	e.cache.AdvanceRound(c)
 	if aggregateChanged {
-		// Every request's cluster-level search reads SCT_C: a cached route
-		// that never touched this cluster may now lose to one through it.
-		// Every route goes stale.
 		e.indexes.Forget(oldSCTC)
-		e.cache.AdvanceAll()
-	} else {
-		// Same SCT_C, same cluster-level path for every request, and a route
-		// that avoids this cluster re-solves the same children: the routes
-		// through the cluster are exactly the ones that can change.
-		e.cache.AdvanceRound(e.topo.ClusterOf(node))
+		e.cache.AdvanceServices(symmetricDifferenceMask(oldSCTC[c], e.states[node].SCTC[c]))
 	}
 	// Last-known-good routes were validated against the old deployment;
 	// degraded serving promises stale-but-valid, so every stale route goes.
 	e.cache.AdvanceGeneration()
 	return nil
+}
+
+// symmetricDifferenceMask is the service mask (svc.Service.MaskBit) of the
+// services in exactly one of a and b.
+func symmetricDifferenceMask(a, b svc.CapabilitySet) uint64 {
+	var mask uint64
+	for s := range a {
+		if !b.Has(s) {
+			mask |= s.MaskBit()
+		}
+	}
+	for s := range b {
+		if !a.Has(s) {
+			mask |= s.MaskBit()
+		}
+	}
+	return mask
 }
 
 // InvalidateCluster drops every cached route depending on one cluster, as
@@ -621,7 +641,8 @@ func (e *Engine) InvalidateCluster(cluster int) {
 }
 
 // InvalidateAll drops every cached route, as after a full
-// state-distribution round.
+// state-distribution round: it advances every service clock, and every
+// cached route is stamped with at least one.
 func (e *Engine) InvalidateAll() {
 	e.cache.AdvanceAll()
 }

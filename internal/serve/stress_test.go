@@ -24,7 +24,20 @@ import (
 //   - requests for unchurned services always validate against the static
 //     deployment;
 //   - after churn stops and a final invalidation, every resolution is
-//     valid under exactly the current deployment — no stale route served.
+//     valid under exactly the current deployment — no stale route served;
+//   - a second quiesced pass over the static requests is answered from the
+//     cache, every one of them.
+//
+// Nothing is asserted about what the concurrent phase reaches — whether a
+// resolver repeats a request between two invalidations depends on how the
+// goroutines interleave, and a cheap update lets the churn finish first. The
+// cache hit is asserted where it is deterministic, in the quiesced phase. The
+// load recipe that shook out the old "stress run never hit the cache" flake
+// (25 of 500 runs on two cores; 0 of 500 since) is, from the repository root:
+//
+//	while :; do go test -count=1 ./internal/experiments/; done &
+//	go test -run TestEngineStressChurn -count 500 ./internal/serve/
+//	kill %1
 func TestEngineStressChurn(t *testing.T) {
 	_, eng, caps := buildEngine(t, 81, 30, serve.Config{})
 
@@ -184,11 +197,19 @@ func TestEngineStressChurn(t *testing.T) {
 		}
 	}
 
-	st := eng.Stats()
-	if st.Resolutions == 0 {
-		t.Error("stress run performed no full resolutions")
+	// Nothing changed since the pass above: every static request is a hit.
+	before := eng.Stats()
+	for _, req := range staticReqs {
+		if _, err := eng.Resolve(req); err != nil {
+			t.Fatalf("second static resolve: %v", err)
+		}
 	}
-	if st.Cache.Hits == 0 {
-		t.Error("stress run never hit the cache")
+	after := eng.Stats()
+	if hits := after.Cache.Hits - before.Cache.Hits; hits != int64(len(staticReqs)) || after.Resolutions != before.Resolutions {
+		t.Errorf("quiesced second pass: %d of %d static requests hit the cache, %d resolved afresh",
+			hits, len(staticReqs), after.Resolutions-before.Resolutions)
+	}
+	if after.Resolutions == 0 {
+		t.Error("stress run performed no full resolutions")
 	}
 }

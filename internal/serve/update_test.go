@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -279,8 +280,10 @@ func TestUpdateCapabilityAllocBudget(t *testing.T) {
 // must answer too. Invalidating only the updated cluster's routes is exact
 // while that cluster's aggregate stands — same SCT_C, same cluster-level path,
 // and a route that avoids the cluster re-solves the same children — and wrong
-// once it moves: every request's cluster-level search reads SCT_C, so a cached
-// route that never touched the cluster may now lose to one through it.
+// once it moves: a request's cluster-level search reads SCT_C for the services
+// its graph names, so a cached route that never touched the cluster may now
+// lose to one through it if its graph names a service the aggregate gained or
+// lost. Every other route is spared, and the test counts them.
 func TestCachedEqualsFreshAfterEveryUpdate(t *testing.T) {
 	_, eng, caps := buildEngine(t, 21, 120, serve.Config{})
 	topo := eng.Topology()
@@ -295,7 +298,7 @@ func TestCachedEqualsFreshAfterEveryUpdate(t *testing.T) {
 		t.Fatalf("NewCatalog: %v", err)
 	}
 	rng := rand.New(rand.NewSource(232))
-	moved, differ := 0, 0
+	moved, differ, spared := 0, 0, int64(0)
 	for u := 0; u < 40; u++ {
 		set, err := svc.RandomCapabilities(rng, 1, cat, 2, 5)
 		if err != nil {
@@ -319,6 +322,9 @@ func TestCachedEqualsFreshAfterEveryUpdate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
+		// The whole pool was resolved before the update, so a hit is a route
+		// the update left fresh.
+		hits := eng.Stats().Cache.Hits
 		for i, req := range pool {
 			got, gotErr := eng.Resolve(req)
 			want, wantErr := fresh.Resolve(req)
@@ -335,9 +341,72 @@ func TestCachedEqualsFreshAfterEveryUpdate(t *testing.T) {
 					u, node, topo.ClusterOf(node), aggregateMoved, i, got.Hops, got.DecisionCost, want.Hops, want.DecisionCost)
 			}
 		}
+		if aggregateMoved {
+			spared += eng.Stats().Cache.Hits - hits
+		}
 	}
 	if moved == 0 {
 		t.Fatal("no update of the sequence moved an aggregate: the test exercises nothing")
 	}
-	t.Logf("%d of 40 updates moved an aggregate; %d of %d answers differed from a fresh engine's", moved, differ, 40*len(pool))
+	t.Logf("%d of 40 updates moved an aggregate and spared %d of %d cached routes; %d of %d answers differed from a fresh engine's",
+		moved, spared, moved*len(pool), differ, 40*len(pool))
+	if spared == 0 {
+		t.Error("no update that moved an aggregate left a cached route fresh: every one re-missed the whole pool")
+	}
+}
+
+// TestCachedEqualsFreshAfterAvailabilityChange is the same check across
+// availability changes: every proxy in turn is taken down and brought back
+// up, and after each transition every answer is held to an engine built from
+// scratch with the same proxies unavailable (checkAnswer). Staling the
+// proxy's cluster alone is exact while the cluster's border pairs stand, and
+// wrong once Leave or Rejoin re-elects one: every request's cluster-level
+// search crosses clusters at those pairs, so a cached route that avoids the
+// cluster may now lose to one through it.
+func TestCachedEqualsFreshAfterAvailabilityChange(t *testing.T) {
+	seeds := []int64{21, 31, 41}
+	if testing.Short() || raceDetector() {
+		seeds = seeds[:1] // one goroutine: the detector has nothing to add per seed
+	}
+	for _, seed := range seeds {
+		fw, eng, caps := buildEngine(t, seed, 120, serve.Config{})
+		topo := eng.Topology()
+		pool := requestPool(t, eng, caps, seed+210, 300)
+		// All up, the reference never changes: one engine answers for every
+		// recovery.
+		up, _ := freshEngine(t, topo, caps, nil)
+		compared := 0
+		check := func(ref *serve.Engine, what string) {
+			for i, req := range pool {
+				if eng.IsUnavailable(req.Dest) {
+					continue
+				}
+				got, gotErr := eng.ResolveDetailed(req)
+				want, wantErr := ref.ResolveDetailed(req)
+				if err := checkAnswer(eng, caps, req, got, gotErr, want, wantErr); err != nil {
+					t.Fatalf("seed %d, %s, request %d: %v", seed, what, i, err)
+				}
+				compared++
+			}
+		}
+		check(up, "before any change")
+		for node := 0; node < topo.N(); node++ {
+			if err := eng.SetUnavailable(node, true); err != nil {
+				t.Fatalf("SetUnavailable(%d, true): %v", node, err)
+			}
+			down, err := serve.NewEngine(topo, caps, fw.States(), serve.Config{})
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			if err := down.SetUnavailable(node, true); err != nil {
+				t.Fatalf("reference SetUnavailable(%d, true): %v", node, err)
+			}
+			check(down, fmt.Sprintf("proxy %d down", node))
+			if err := eng.SetUnavailable(node, false); err != nil {
+				t.Fatalf("SetUnavailable(%d, false): %v", node, err)
+			}
+			check(up, fmt.Sprintf("proxy %d back up", node))
+		}
+		t.Logf("seed %d: %d answers held to a fresh engine's", seed, compared)
+	}
 }

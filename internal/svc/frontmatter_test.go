@@ -2,6 +2,7 @@ package svc
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 	"testing"
@@ -162,6 +163,9 @@ func FuzzGraphFrontMatter(f *testing.F) {
 		if !g.HasCanonical(canonical) {
 			t.Fatalf("graph %q does not have its own canonical form", text)
 		}
+		if got, want := CanonicalServiceMask(canonical), serviceMask(g.Services); got != want {
+			t.Fatalf("CanonicalServiceMask(%q) = %#x, the services' bits are %#x", canonical, got, want)
+		}
 		for _, c := range corpus {
 			cc := c.Canonical()
 			if got, want := g.HasCanonical(cc), canonical == cc; got != want {
@@ -172,6 +176,46 @@ func FuzzGraphFrontMatter(f *testing.F) {
 			}
 		}
 	})
+}
+
+// serviceMask is the union of the services' MaskBits.
+func serviceMask(services []Service) uint64 {
+	var mask uint64
+	for _, s := range services {
+		mask |= s.MaskBit()
+	}
+	return mask
+}
+
+// TestCanonicalServiceMask: the mask read from a canonical form is the mask
+// of the graph's services, whatever the names hold — the separators of the
+// format, digits that look like a length prefix — with or without edges, and a
+// string that is not a canonical form gets every bit.
+func TestCanonicalServiceMask(t *testing.T) {
+	for _, g := range []*Graph{
+		{},
+		{Services: []Service{"a"}},
+		{Services: []Service{"a", "b", "c"}},
+		{Services: []Service{"a:b", "c;d", "e|f", "12:x;", "|", ";", ":", "7"}},
+		{Services: []Service{"3:abc;", "s0"}, Edges: [][2]int{{0, 1}}},
+		{Services: []Service{"0123456789", Service(strings.Repeat("9", 20))}},
+		chainGraph(10), fig2b(), longNameGraph(t, canonicalStackBytes+1),
+	} {
+		if got, want := CanonicalServiceMask(g.Canonical()), serviceMask(g.Services); got != want {
+			t.Errorf("CanonicalServiceMask(%q) = %#x, the services' bits are %#x", g.Canonical(), got, want)
+		}
+	}
+	for _, bad := range []string{
+		"", "a", "1:a;", "1:a", "1:ab;|", "2:a;|", ":a;|", "x:a;|", "1a;|",
+		"99999999999999999999:a;|", "-1:a;|", "1:a;2:bc|",
+	} {
+		if got := CanonicalServiceMask(bad); got != ^uint64(0) {
+			t.Errorf("CanonicalServiceMask(%q) = %#x, want every bit", bad, got)
+		}
+	}
+	if n := bits.OnesCount64(serviceMask(chainGraph(40).Services)); n < 24 {
+		t.Errorf("s0 … s39 take %d of 64 bits; the hash does not spread them", n)
+	}
 }
 
 // TestGraphTextRoundTrip keeps the fuzz target honest: every corpus graph

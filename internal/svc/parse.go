@@ -116,6 +116,43 @@ func FingerprintCanonical(canonical string) uint64 {
 	return fnvString(fnvOffset64, canonical)
 }
 
+// MaskBit is s's bit in a 64-bit service mask: the top six bits of the FNV-1a
+// hash of its name after one xor-shift-multiply round (FNV-1a alone barely
+// mixes a name's last bytes into its high bits: "s0" … "s39" would share two;
+// with the round they take 32). Distinct services may share a bit, so a mask
+// over-approximates the set of services it summarises, never under-.
+func (s Service) MaskBit() uint64 {
+	h := fnvString(fnvOffset64, string(s))
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	return 1 << (h >> 58)
+}
+
+// CanonicalServiceMask is the union of the MaskBits of the services a
+// Canonical form names, read from the form without building the graph. A
+// string that is not a sequence of length-prefixed names ending at the '|'
+// gets every bit.
+func CanonicalServiceMask(canonical string) uint64 {
+	const all = ^uint64(0)
+	var mask uint64
+	s := canonical
+	for len(s) == 0 || s[0] != '|' {
+		n, i := 0, 0
+		for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+			if n = n*10 + int(s[i]-'0'); n > len(s) {
+				return all
+			}
+		}
+		// Digits, ':', n bytes of name, ';'.
+		if i == 0 || i+n+1 >= len(s) || s[i] != ':' || s[i+n+1] != ';' {
+			return all
+		}
+		mask |= Service(s[i+1 : i+1+n]).MaskBit()
+		s = s[i+n+2:]
+	}
+	return mask
+}
+
 // ParseGraph parses the String rendering of a service graph back into a
 // Graph: comma-separated tokens, each either a single service name or an
 // "a->b->c" dependency chain. Vertices are numbered by first occurrence;
