@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-seam lint-view lint-solve lint-border lint-tables lint-lkg lint-distribute vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
+.PHONY: all build test race lint lint-seam lint-solve lint-border lint-tables lint-lkg lint-distribute vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
 
 # Output snapshot for the regression-gate benchmarks (see cmd/benchgate).
-BENCH_OUT ?= BENCH_pr26.json
+BENCH_OUT ?= BENCH_pr28.json
 
 all: build test lint
 
@@ -28,7 +28,6 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/hfcvet ./...
 	$(MAKE) lint-seam
-	$(MAKE) lint-view
 	$(MAKE) lint-solve
 	$(MAKE) lint-border
 	$(MAKE) lint-tables
@@ -40,12 +39,6 @@ lint:
 # the virtual clock's type or test a mode flag.
 lint-seam:
 	! grep -nE 'vtime\.Sim|\bsim (!=|==) nil' $$(ls internal/overlay/*.go | grep -v -e _test.go -e driver_sim.go -e sim.go)
-
-# lint-view keeps the per-destination Topology.View copy (O(K²) map inserts)
-# off the routing paths: they use SharedView. View stays for the callers
-# that count Fig. 9(a) state and for tests.
-lint-view:
-	! grep -nE '\.View\(' internal/serve/*.go internal/core/*.go internal/qos/*.go internal/routing/*.go | grep -v _test.go
 
 # lint-solve keeps §5 written once, in routing: the overlay runtime and the
 # QoS router hand a child to routing.IntraSolve rather than turning it into a
@@ -59,11 +52,14 @@ lint-solve:
 
 # lint-border keeps "which pair joins clusters a and b" answered in one place:
 # hfc elects it (Build, and Dynamic over the live membership) and publishes it
-# as a DenseTables; nothing outside internal/hfc reads the Borders map of a
-# view or runs a closest-pair election of its own (internal/geo only defines
-# the primitive).
+# as a DenseTables; nothing outside internal/hfc reads a Borders map or runs
+# a closest-pair election of its own (internal/geo only defines the
+# primitive). Nowhere, internal/hfc included, does a second copy of the table
+# come back: no map of border pairs beside it, and no coordinate hand-off
+# hook beside its Pts.
 lint-border:
 	! grep -nE '\.Borders\[|[cC]losestPair(Indexed)?\(' $$(git ls-files '*.go' | grep -v -e _test.go -e '^vendor/' -e '^internal/hfc/' -e '^internal/geo/')
+	! grep -nE 'map\[\[2\]int\]BorderPair|ResolveCoord' $$(git ls-files '*.go' | grep -v -e _test.go -e '^vendor/')
 
 # lint-tables keeps the §4 tables in one representation: SCT_P and SCT_C are
 # slices indexed by member rank and cluster id (internal/state), and nothing

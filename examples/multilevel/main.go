@@ -59,17 +59,9 @@ func run() error {
 	biStates := fw.States()
 	var biSvc, triSvc float64
 	for node := 0; node < fw.N(); node++ {
-		view, err := biTopo.View(node)
-		if err != nil {
-			return err
-		}
-		biCoord += float64(view.CoordinateStateSize())
+		biCoord += float64(biTopo.CoordinateStateSize(node))
 		biSvc += float64(biStates[node].ServiceStateSize())
-		tc, err := tri.CoordinateStateSize(node)
-		if err != nil {
-			return err
-		}
-		triCoord += float64(tc)
+		triCoord += float64(tri.CoordinateStateSize(node))
 		triSvc += float64(tri.ServiceStateSize(node))
 	}
 	n := float64(fw.N())

@@ -47,11 +47,7 @@ func RunAblationK(spec env.Spec, ks []float64, requests int) ([]AblationKRow, er
 		states := e.Framework.States()
 		var coordStates, svcStates []float64
 		for node := 0; node < topo.N(); node++ {
-			view, err := topo.View(node)
-			if err != nil {
-				return nil, err
-			}
-			coordStates = append(coordStates, float64(view.CoordinateStateSize()))
+			coordStates = append(coordStates, float64(topo.CoordinateStateSize(node)))
 			svcStates = append(svcStates, float64(states[node].ServiceStateSize()))
 		}
 		var lengths []float64

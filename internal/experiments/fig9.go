@@ -58,11 +58,7 @@ func RunFig9(specs []env.Spec, trials int) ([]Fig9Row, error) {
 
 			var coordStates, svcStates []float64
 			for node := 0; node < topo.N(); node++ {
-				view, err := topo.View(node)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: fig9 view: %w", err)
-				}
-				coordStates = append(coordStates, float64(view.CoordinateStateSize()))
+				coordStates = append(coordStates, float64(topo.CoordinateStateSize(node)))
 				svcStates = append(svcStates, float64(states[node].ServiceStateSize()))
 			}
 			coordMeans = append(coordMeans, stats.Mean(coordStates))

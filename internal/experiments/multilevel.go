@@ -65,17 +65,9 @@ func RunMultiLevel(specs []env.Spec, requests int) ([]MultiLevelRow, error) {
 		var biCoord, triCoord, biSvc, triSvc []float64
 		biStates := fw.States()
 		for node := 0; node < biTopo.N(); node++ {
-			view, err := biTopo.View(node)
-			if err != nil {
-				return nil, err
-			}
-			biCoord = append(biCoord, float64(view.CoordinateStateSize()))
+			biCoord = append(biCoord, float64(biTopo.CoordinateStateSize(node)))
 			biSvc = append(biSvc, float64(biStates[node].ServiceStateSize()))
-			tc, err := tri.CoordinateStateSize(node)
-			if err != nil {
-				return nil, err
-			}
-			triCoord = append(triCoord, float64(tc))
+			triCoord = append(triCoord, float64(tri.CoordinateStateSize(node)))
 			triSvc = append(triSvc, float64(tri.ServiceStateSize(node)))
 		}
 		for g := 0; g < tri.NumGroups(); g++ {

@@ -1,10 +1,11 @@
 // Package hfc constructs the paper's Hierarchically Fully-Connected overlay
 // topology (§3): given the embedded coordinates of the overlay proxies and a
 // distance-based clustering, it selects the border-proxy pair for every pair
-// of clusters (the closest cross-cluster node pair, §3.3) and materializes
-// the per-node topology views that the election-winner proxy P distributes
-// (Fig. 4): cluster membership, the border table, and the coordinates every
-// node is entitled to keep (own cluster members + all border proxies).
+// of clusters (the closest cross-cluster node pair, §3.3) and hands out the
+// per-node topology views that the election-winner proxy P distributes
+// (Fig. 4): cluster membership and the border table, whose coordinates a
+// View bounds to what every node is entitled to keep (own cluster members +
+// all border proxies).
 package hfc
 
 import (
@@ -29,17 +30,14 @@ type BorderPair struct {
 type Topology struct {
 	coords     *coords.Map
 	clustering *cluster.Result
-	// borders maps a normalized cluster-ID pair {lo, hi} to its border
-	// pair.
-	borders map[[2]int]BorderPair
 	// borderNodes is the sorted set of all border proxies in the system.
 	borderNodes []int
 	// borderNodesByCluster[c] lists cluster c's border proxies, sorted.
 	borderNodesByCluster map[int][]int
 	// static is the K×K table of borders that every reader indexes: what
-	// Border answers, what a detached SharedView's Dense returns, and the
-	// table a Dynamic publishes until the first membership change. Never
-	// written after Build.
+	// Border answers, what a detached SharedView's Dense returns (a View
+	// shares its arrays), and the table a Dynamic publishes until the first
+	// membership change. Never written after Build.
 	static *DenseTables
 }
 
@@ -107,7 +105,6 @@ func assemble(cmap *coords.Map, clustering *cluster.Result, each func(n int, fn 
 	t := &Topology{
 		coords:               cmap,
 		clustering:           clustering,
-		borders:              make(map[[2]int]BorderPair),
 		borderNodesByCluster: make(map[int][]int),
 		static:               newDenseTables(k, cmap.Points),
 	}
@@ -121,7 +118,6 @@ func assemble(cmap *coords.Map, clustering *cluster.Result, each func(n int, fn 
 		if clustering.Assignment[pair.Low] != a || clustering.Assignment[pair.High] != b {
 			return nil, fmt.Errorf("hfc: selector returned pair (%d,%d) outside clusters (%d,%d)", pair.Low, pair.High, a, b)
 		}
-		t.borders[[2]int{a, b}] = pair
 		t.static.setPair(a, b, pair, cmap.Dist(pair.Low, pair.High))
 		if perCluster[a] == nil {
 			perCluster[a] = make(map[int]bool)

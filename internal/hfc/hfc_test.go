@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hfc/internal/cluster"
 	"hfc/internal/coords"
@@ -279,35 +280,32 @@ func TestViewContents(t *testing.T) {
 	if v.NumClusters != 4 {
 		t.Errorf("NumClusters = %d, want 4", v.NumClusters)
 	}
-	// The view knows all 6 border-pair entries (4 choose 2).
-	if len(v.Borders) != 6 {
-		t.Errorf("Borders has %d entries, want 6", len(v.Borders))
-	}
 	// Coordinates: own members + every border node; never a foreign node
 	// with no border duty.
-	for id := range v.Coords {
-		if topo.ClusterOf(id) == 2 {
+	for id, p := range v.Dense().Pts {
+		if p == nil || topo.ClusterOf(id) == 2 {
 			continue
 		}
 		if !topo.IsBorder(id) {
 			t.Errorf("view holds coordinates of foreign non-border node %d", id)
 		}
 	}
-	if v.CoordinateStateSize() != len(v.Coords) {
-		t.Error("CoordinateStateSize inconsistent")
-	}
-	if got := v.KnownNodes(); len(got) != len(v.Coords) {
-		t.Errorf("KnownNodes returned %d ids, want %d", len(got), len(v.Coords))
-	}
 }
 
 // TestViewCoordinateStateIsMembersPlusBorders holds Fig. 9(a)'s quantity to
 // the paper's definition: a proxy keeps coordinates for its own cluster's
 // members and for every border proxy in the system, each once — nothing else.
+// The arithmetic count, the explicit set and the coordinates View's table
+// holds must agree, down to a single cluster and to singleton clusters.
 func TestViewCoordinateStateIsMembersPlusBorders(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	// {n, k}: one cluster; only singletons; singletons beside pairs.
+	sizes := [][2]int{{30, 1}, {7, 7}, {10, 7}}
 	for trial := 0; trial < 4; trial++ {
-		cmap, clustering := randomClusteredInstance(rng, 40+rng.Intn(60), 2+rng.Intn(6))
+		sizes = append(sizes, [2]int{40 + rng.Intn(60), 2 + rng.Intn(6)})
+	}
+	for _, nk := range sizes {
+		cmap, clustering := randomClusteredInstance(rng, nk[0], nk[1])
 		topo, err := Build(cmap, clustering)
 		if err != nil {
 			t.Fatalf("Build: %v", err)
@@ -320,19 +318,55 @@ func TestViewCoordinateStateIsMembersPlusBorders(t *testing.T) {
 			for _, b := range topo.BorderNodes() {
 				want[b] = true
 			}
+			if got := topo.CoordinateStateSize(node); got != len(want) {
+				t.Fatalf("n=%d k=%d: CoordinateStateSize(%d) = %d, |members ∪ borders| = %d", nk[0], nk[1], node, got, len(want))
+			}
 			v, err := topo.View(node)
 			if err != nil {
 				t.Fatalf("View(%d): %v", node, err)
 			}
-			if got := v.CoordinateStateSize(); got != len(want) {
-				t.Fatalf("trial %d: View(%d) keeps %d coordinates, |members ∪ borders| = %d", trial, node, got, len(want))
-			}
-			for _, id := range v.KnownNodes() {
+			held := 0
+			for id, p := range v.Dense().Pts {
+				if p == nil {
+					continue
+				}
+				held++
 				if !want[id] {
-					t.Fatalf("trial %d: View(%d) keeps the coordinate of %d, neither a cluster member nor a border", trial, node, id)
+					t.Fatalf("n=%d k=%d: View(%d) holds the coordinate of %d, neither a cluster member nor a border", nk[0], nk[1], node, id)
 				}
 			}
+			if held != len(want) {
+				t.Fatalf("n=%d k=%d: View(%d) holds %d coordinates, |members ∪ borders| = %d", nk[0], nk[1], node, held, len(want))
+			}
 		}
+	}
+}
+
+// viewSink keeps the views TestViewShape measures on the heap.
+var viewSink *NodeView
+
+// TestViewShape pins what a view costs: a SharedView is the view and nothing
+// else, a View's allocations do not grow with the cluster count, and the
+// view itself stays small — the runtime holds one per node.
+func TestViewShape(t *testing.T) {
+	if size := unsafe.Sizeof(NodeView{}); size > 80 {
+		t.Errorf("unsafe.Sizeof(NodeView{}) = %d B, want <= 80", size)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var viewAllocs []int
+	for _, k := range []int{4, 32} {
+		cmap, clustering := randomClusteredInstance(rng, 96, k)
+		topo, err := Build(cmap, clustering)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		if a := testing.AllocsPerRun(20, func() { viewSink, _ = topo.SharedView(3) }); a != 1 {
+			t.Errorf("k=%d: SharedView allocates %v objects, want 1", k, a)
+		}
+		viewAllocs = append(viewAllocs, int(testing.AllocsPerRun(20, func() { viewSink, _ = topo.View(3) })))
+	}
+	if viewAllocs[0] != viewAllocs[1] {
+		t.Errorf("View allocates %d objects at k=4 and %d at k=32, want the same", viewAllocs[0], viewAllocs[1])
 	}
 }
 
@@ -356,7 +390,7 @@ func TestViewDistRefusesUnknownNodes(t *testing.T) {
 	// non-border; search for any node the view lacks.
 	var unknown = -1
 	for id := 0; id < topo.N(); id++ {
-		if _, ok := v.Coords[id]; !ok {
+		if v.Dense().Pts[id] == nil {
 			unknown = id
 			break
 		}
@@ -407,18 +441,6 @@ func TestViewBorderOrientation(t *testing.T) {
 	}
 	if _, _, err := v.Border(2, 2); err == nil {
 		t.Error("view Border(2,2) succeeded")
-	}
-}
-
-func TestViewCoordsAreCopies(t *testing.T) {
-	topo := fourClusterFixture(t)
-	v, err := topo.View(0)
-	if err != nil {
-		t.Fatalf("View: %v", err)
-	}
-	v.Coords[0][0] = 12345
-	if topo.Coords().Points[0][0] == 12345 {
-		t.Error("view coordinates alias the topology's points")
 	}
 }
 

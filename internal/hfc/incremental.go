@@ -156,7 +156,8 @@ func (d *Dynamic) Stats() DynamicStats {
 // membership into t, a table not yet published: the §3.3 election, or the
 // pair Build chose when either cluster has no live member.
 func (d *Dynamic) electLocked(t *DenseTables, lo, hi int) error {
-	pair := d.topo.borders[[2]int{lo, hi}]
+	s := d.topo.static
+	pair := BorderPair{Low: int(s.BorderInA[lo*s.K+hi]), High: int(s.BorderInA[hi*s.K+lo])}
 	if len(d.members[lo]) != 0 && len(d.members[hi]) != 0 {
 		var err error
 		pair, err = electBorders(d.topo.coords, d.members[lo], d.members[hi], d.indexForLocked(hi))

@@ -202,16 +202,8 @@ func TestStateSizesBelowBiLevel(t *testing.T) {
 	}
 	var triCoord, biCoord, triSvcTotal, biSvcTotal int
 	for node := 0; node < cmap.N(); node++ {
-		tc, err := tri.CoordinateStateSize(node)
-		if err != nil {
-			t.Fatalf("CoordinateStateSize: %v", err)
-		}
-		view, err := bi.View(node)
-		if err != nil {
-			t.Fatalf("View: %v", err)
-		}
-		triCoord += tc
-		biCoord += view.CoordinateStateSize()
+		triCoord += tri.CoordinateStateSize(node)
+		biCoord += bi.CoordinateStateSize(node)
 		triSvcTotal += tri.ServiceStateSize(node)
 		biSvcTotal += len(bi.Members(bi.ClusterOf(node))) + bi.NumClusters()
 	}
@@ -223,6 +215,40 @@ func TestStateSizesBelowBiLevel(t *testing.T) {
 	}
 	if triCoord >= biCoord {
 		t.Errorf("tri-level coordinate state %d not below bi-level %d", triCoord, biCoord)
+	}
+}
+
+// TestCoordinateStateSizeIsTheUnion holds the tri-level count to the set it
+// counts: the node's interior entitlement — its inner cluster and the
+// interior's border proxies — in global ids, united with every super border.
+func TestCoordinateStateSizeIsTheUnion(t *testing.T) {
+	deduped := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		topo, _, _ := buildTri(t, seed)
+		for node := 0; node < topo.N(); node++ {
+			g := topo.GroupOf(node)
+			interior := topo.Interior(g)
+			known := make(map[int]bool)
+			for _, li := range interior.Members(interior.ClusterOf(topo.ToLocal(node))) {
+				known[topo.ToGlobal(g, li)] = true
+			}
+			for _, li := range interior.BorderNodes() {
+				known[topo.ToGlobal(g, li)] = true
+			}
+			entitled := len(known)
+			for _, sb := range topo.super.BorderNodes() {
+				known[sb] = true
+			}
+			if got := topo.CoordinateStateSize(node); got != len(known) {
+				t.Fatalf("seed %d: CoordinateStateSize(%d) = %d, the union holds %d", seed, node, got, len(known))
+			}
+			if len(known) < entitled+len(topo.super.BorderNodes()) {
+				deduped++
+			}
+		}
+	}
+	if deduped == 0 {
+		t.Error("no node's interior entitlement held a super border: the deduplication went untested")
 	}
 }
 

@@ -262,22 +262,20 @@ func (t *Topology) Dist(u, v int) float64 { return t.super.Dist(u, v) }
 // CoordinateStateSize is the number of coordinate records node keeps under
 // the tri-level scheme: its own inner cluster's members, the border proxies
 // of its own group's interior, and every super-border node in the system
-// (deduplicated) — the tri-level analogue of Fig. 9(a).
-func (t *Topology) CoordinateStateSize(node int) (int, error) {
+// (deduplicated) — the tri-level analogue of Fig. 9(a). Only the own
+// group's super borders can already be entitled in the interior, so the
+// count is the interior's plus every super border less those.
+func (t *Topology) CoordinateStateSize(node int) int {
 	g := t.GroupOf(node)
 	interior := t.perGroup[g]
-	view, err := interior.View(t.local[node])
-	if err != nil {
-		return 0, fmt.Errorf("mlhfc: %w", err)
+	own := interior.ClusterOf(t.local[node])
+	n := interior.CoordinateStateSize(t.local[node]) + len(t.super.BorderNodes())
+	for _, sb := range t.super.BorderNodesOf(g) {
+		if li := t.local[sb]; interior.ClusterOf(li) == own || interior.IsBorder(li) {
+			n--
+		}
 	}
-	known := make(map[int]bool)
-	for li := range view.Coords {
-		known[t.ToGlobal(g, li)] = true
-	}
-	for _, sb := range t.super.BorderNodes() {
-		known[sb] = true
-	}
-	return len(known), nil
+	return n
 }
 
 // ServiceStateSize is the tri-level analogue of Fig. 9(b): one entry per

@@ -11,11 +11,11 @@ import (
 
 // NewHierarchicalRouter wires a §5 router for the destination proxy dest
 // from the simulation's global structures, handing it the knowledge dest
-// legitimately holds: its Fig. 4 view (shared, not copied; the
-// equivalence tests pin it to the materialized one), its converged state,
-// a LocalIntraSolver for child requests, and the cluster-ID query answered
-// from the clustering assignment (the source proxy would answer it in a
-// deployment).
+// legitimately holds: its Fig. 4 view (the topology's own tables; the
+// equivalence tests pin it to the entitlement-bounded View), its converged
+// state, a LocalIntraSolver for child requests, and the cluster-ID query
+// answered from the clustering assignment (the source proxy would answer it
+// in a deployment).
 func NewHierarchicalRouter(topo *hfc.Topology, states []state.NodeState, dest int, mode RelaxMode) (*HierarchicalRouter, error) {
 	if topo == nil {
 		return nil, errors.New("routing: nil topology")

@@ -141,10 +141,9 @@ func crossingFlat(dt *hfc.DenseTables, a, b int) (inA, inB int, ext float64) {
 	return int(dt.BorderInA[a*dt.K+b]), int(dt.BorderInA[b*dt.K+a]), dt.Ext[a*dt.K+b]
 }
 
-// distFlat is View.Dist through the dense coordinate table, falling back
-// to the view's own lookup — and so to its error — for ids the table does
-// not cover. coords.Dist on the same points gives bit-identical results to
-// the map path.
+// distFlat is View.Dist on the table route loaded, falling back to the
+// view's own lookup — and so to its error — for ids the table does not
+// cover.
 func (r *HierarchicalRouter) distFlat(dt *hfc.DenseTables, u, w int) (float64, error) {
 	if u >= 0 && u < len(dt.Pts) && w >= 0 && w < len(dt.Pts) {
 		pu, pw := dt.Pts[u], dt.Pts[w]

@@ -123,8 +123,8 @@ func viewAfterLosing(t *testing.T, topo *hfc.Topology, dest int, lose func(node 
 }
 
 // TestClusterLevelPathFlatSharedView repeats the equivalence check on
-// aliasing SharedViews (the 100k-node runtime's view flavor), where every
-// coordinate goes through ResolveCoord instead of a materialized map.
+// aliasing SharedViews (the 100k-node runtime's view flavor), whose table
+// holds every node's coordinate instead of the entitlement alone.
 func TestClusterLevelPathFlatSharedView(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	topo, caps, states := randomOverlay(t, rng, 4, 6, 10)

@@ -274,14 +274,8 @@ func (r *HierarchicalRouter) clusterLevelPathGeneric(req svc.Request, srcCluster
 // sorted for determinism.
 func (r *HierarchicalRouter) clusterBorders(c int) []int {
 	seen := make(map[int]bool)
-	for pair := range r.View.Borders {
-		var other int
-		switch c {
-		case pair[0]:
-			other = pair[1]
-		case pair[1]:
-			other = pair[0]
-		default:
+	for other := 0; other < r.View.NumClusters; other++ {
+		if other == c {
 			continue
 		}
 		inC, _, err := r.View.Border(c, other)

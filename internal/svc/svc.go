@@ -384,7 +384,9 @@ func (g *Graph) String() string {
 }
 
 // Request is a service request: find a service path from the source proxy
-// through the SG to the destination proxy (§2.2).
+// through the SG to the destination proxy (§2.2). Source may equal Dest:
+// the path is then a round trip that starts and ends at that proxy, and it
+// costs 0 — every hop on the proxy — when the proxy provides the whole SG.
 type Request struct {
 	// Source and Dest are overlay node indices.
 	Source, Dest int
