@@ -1,9 +1,10 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs the same
-# commands; keep the two in sync.
+# commands; keep the two in sync. The lint list lives here only: CI's lint
+# job runs `make lint`.
 
 GO ?= go
 
-.PHONY: all build test race lint lint-seam lint-solve lint-border lint-tables lint-lkg lint-distribute vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
+.PHONY: all build test race lint lint-ignore lint-atomic lint-seam lint-solve lint-border lint-tables lint-lkg lint-distribute vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
 
 # Output snapshot for the regression-gate benchmarks (see cmd/benchgate).
 BENCH_OUT ?= BENCH_pr28.json
@@ -19,20 +20,38 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint runs go vet plus hfcvet, the project's own analyzer suite
-# (lockscope, guardedby, detrand, floatdist, errsweep plus the v2
-# flow-sensitive passes lockorder, maporder, hotalloc, atomicmix, and
-# selected std passes). See DESIGN.md "Concurrency & determinism
-# invariants".
+# lint runs go vet (the standard passes), then hfcvet, the project's own
+# analyzers (the lock family lockscope, guardedby, lockorder; detrand,
+# maporder, errsweep and hotalloc), then the grep lints below. See DESIGN.md
+# "Concurrency & determinism invariants".
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/hfcvet ./...
+	$(MAKE) lint-ignore
+	$(MAKE) lint-atomic
 	$(MAKE) lint-seam
 	$(MAKE) lint-solve
 	$(MAKE) lint-border
 	$(MAKE) lint-tables
 	$(MAKE) lint-lkg
 	$(MAKE) lint-distribute
+
+# lint-ignore: every //hfcvet:ignore directive names an analyzer that
+# `hfcvet -list` prints and says why. hfcvet only sees directives for the
+# analyzers it runs, so one naming a deleted analyzer would otherwise lie
+# inert. Analyzer fixtures exercise malformed forms on purpose; bench/ keeps
+# two directives for the deleted floatdist.
+lint-ignore:
+	@names=$$($(GO) run ./cmd/hfcvet -list | awk '{printf "%s%s", s, $$1; s = "|"}'); \
+	bad=$$(git grep -nE '(^|[[:space:]])//[[:space:]]*hfcvet:ignore' -- '*.go' ':(exclude)vendor' ':(exclude)internal/analysis' ':(exclude)bench' \
+		| grep -vE "//hfcvet:ignore ($$names)[[:space:]]+[^[:space:]]"); \
+	if [ -n "$$bad" ]; then echo "suppressions naming no registered analyzer, or giving no reason:"; echo "$$bad"; exit 1; fi
+
+# lint-atomic keeps every atomic typed (atomic.Int64, atomic.Pointer, ...):
+# a plain access to a typed atomic does not compile, so no variable can mix
+# atomic and plain access.
+lint-atomic:
+	! git grep -nE 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int32|Int64|Uint32|Uint64|Uintptr|Pointer)\(' -- '*.go' ':(exclude)vendor'
 
 # lint-seam enforces the overlay's delivery seam: outside the event driver
 # and the Simulate harness, no non-test file of internal/overlay may name

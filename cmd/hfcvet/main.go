@@ -1,8 +1,8 @@
 // Command hfcvet machine-checks the repo's concurrency and determinism
-// invariants: the v1 analyzers (lockscope, guardedby, detrand, floatdist,
-// errsweep) and the v2 flow-sensitive suite (lockorder, maporder,
-// hotalloc, atomicmix), alongside a selection of the standard go vet
-// passes.
+// invariants: the lock analyzers (lockscope, guardedby, lockorder), the
+// determinism analyzers (detrand, maporder), errsweep, and the hot-path
+// allocation budgets (hotalloc). The standard vet passes are not repeated
+// here: `go vet ./...` runs them, and `make lint` runs it first.
 //
 // Usage:
 //
@@ -31,33 +31,10 @@ import (
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/assign"
-	"golang.org/x/tools/go/analysis/passes/atomic"
-	"golang.org/x/tools/go/analysis/passes/bools"
-	"golang.org/x/tools/go/analysis/passes/copylock"
-	"golang.org/x/tools/go/analysis/passes/defers"
-	"golang.org/x/tools/go/analysis/passes/errorsas"
-	"golang.org/x/tools/go/analysis/passes/httpresponse"
-	"golang.org/x/tools/go/analysis/passes/ifaceassert"
-	"golang.org/x/tools/go/analysis/passes/loopclosure"
-	"golang.org/x/tools/go/analysis/passes/lostcancel"
-	"golang.org/x/tools/go/analysis/passes/nilfunc"
-	"golang.org/x/tools/go/analysis/passes/printf"
-	"golang.org/x/tools/go/analysis/passes/sigchanyzer"
-	"golang.org/x/tools/go/analysis/passes/stdmethods"
-	"golang.org/x/tools/go/analysis/passes/stringintconv"
-	"golang.org/x/tools/go/analysis/passes/structtag"
-	"golang.org/x/tools/go/analysis/passes/testinggoroutine"
-	"golang.org/x/tools/go/analysis/passes/tests"
-	"golang.org/x/tools/go/analysis/passes/unmarshal"
-	"golang.org/x/tools/go/analysis/passes/unreachable"
-	"golang.org/x/tools/go/analysis/passes/unusedresult"
 	"golang.org/x/tools/go/analysis/unitchecker"
 
-	"hfc/internal/analysis/atomicmix"
 	"hfc/internal/analysis/detrand"
 	"hfc/internal/analysis/errsweep"
-	"hfc/internal/analysis/floatdist"
 	"hfc/internal/analysis/guardedby"
 	"hfc/internal/analysis/hotalloc"
 	"hfc/internal/analysis/lockorder"
@@ -65,41 +42,16 @@ import (
 	"hfc/internal/analysis/maporder"
 )
 
-// analyzers is the full hfcvet suite: custom invariants first (v1 then
-// the v2 flow-sensitive passes), then the go vet standard passes that
-// apply to a pure-Go repo.
+// analyzers is the hfcvet suite: the v1 lexical passes, then the v2
+// flow-sensitive ones.
 var analyzers = []*analysis.Analyzer{
 	lockscope.Analyzer,
 	guardedby.Analyzer,
 	detrand.Analyzer,
-	floatdist.Analyzer,
 	errsweep.Analyzer,
 	lockorder.Analyzer,
 	maporder.Analyzer,
 	hotalloc.Analyzer,
-	atomicmix.Analyzer,
-
-	assign.Analyzer,
-	atomic.Analyzer,
-	bools.Analyzer,
-	copylock.Analyzer,
-	defers.Analyzer,
-	errorsas.Analyzer,
-	httpresponse.Analyzer,
-	ifaceassert.Analyzer,
-	loopclosure.Analyzer,
-	lostcancel.Analyzer,
-	nilfunc.Analyzer,
-	printf.Analyzer,
-	sigchanyzer.Analyzer,
-	stdmethods.Analyzer,
-	stringintconv.Analyzer,
-	structtag.Analyzer,
-	testinggoroutine.Analyzer,
-	tests.Analyzer,
-	unmarshal.Analyzer,
-	unreachable.Analyzer,
-	unusedresult.Analyzer,
 }
 
 func main() {

@@ -98,34 +98,11 @@ func runPackage(t *testing.T, dir string, a *analysis.Analyzer) {
 		ExportPackageFact: func(analysis.Fact) {},
 		ExportObjectFact:  func(types.Object, analysis.Fact) {},
 	}
-	for _, req := range a.Requires {
-		res, err := runRequired(pass, req)
-		if err != nil {
-			t.Fatalf("%s: required analyzer %s: %v", dir, req.Name, err)
-		}
-		pass.ResultOf[req] = res
-	}
 	if _, err := a.Run(pass); err != nil {
 		t.Fatalf("%s: %s: %v", dir, a.Name, err)
 	}
 
 	checkExpectations(t, fset, files, diags)
-}
-
-// runRequired executes a prerequisite analyzer (e.g. the inspect pass)
-// against the same pass state.
-func runRequired(base *analysis.Pass, req *analysis.Analyzer) (interface{}, error) {
-	sub := *base
-	sub.Analyzer = req
-	sub.ResultOf = map[*analysis.Analyzer]interface{}{}
-	for _, r := range req.Requires {
-		res, err := runRequired(base, r)
-		if err != nil {
-			return nil, err
-		}
-		sub.ResultOf[r] = res
-	}
-	return req.Run(&sub)
 }
 
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {

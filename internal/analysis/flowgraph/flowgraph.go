@@ -1,16 +1,8 @@
-// Package flowgraph is the hfcvet v2 flow layer: per-function control-flow
-// graphs with reachability queries, built on the toolchain-vendored
-// golang.org/x/tools/go/cfg.
-//
-// The v2 analyzers (maporder, lockorder, hotalloc, atomicmix) reason about
-// *paths* — "can a map-ordered value reach a return without passing a
-// sort", "is this lock acquired while that one is held on some execution" —
-// which the v1 lexical passes could not express. The full
-// golang.org/x/tools/go/ssa package is not part of the toolchain-vendored
-// x/tools subset this repo builds against (the build must work with no
-// module proxy), so this package provides the minimal SSA-style flow
-// machinery those analyzers actually need: basic blocks, block-granular
-// forward reachability, and loop-exit lookup, on plain AST nodes.
+// Package flowgraph gives maporder per-function control-flow graphs with
+// one reachability query: can a sort run after this loop completes. It is
+// built on the vendored golang.org/x/tools/go/cfg; go/ssa is not vendored,
+// so this is the minimal flow machinery the query needs, on plain AST
+// nodes.
 package flowgraph
 
 import (

@@ -1,10 +1,8 @@
 // Package hotalloc defines an Analyzer that ratchets allocation counts
 // on the serving hot paths.
 //
-// PR 4's resolution benchmarks live and die by allocations per request
-// (a cache hit must stay allocation-free; a full path computation runs
-// from a pooled scratch). Benchmarks catch regressions after the fact;
-// this analyzer makes the budget part of the function's declaration:
+// Benchmarks catch an allocation regression after the fact; this analyzer
+// makes the budget part of the function's declaration:
 //
 //	// findPathScratch runs Dijkstra from pooled scratch state.
 //	//
@@ -16,15 +14,17 @@
 // (default 0) is reported with the full site list. Counted sites:
 //
 //   - make and new calls
-//   - composite literals (outermost only — nested literals share the
-//     enclosing allocation)
+//   - &T{…}, slice and map literals (outermost only — nested literals
+//     share the enclosing allocation); struct and array literals are
+//     values stored in place and count only when boxed
 //   - append calls (may grow the backing array)
 //   - function literals (closure allocation)
 //   - string concatenation with a non-constant result
 //   - string ⇄ byte/rune-slice conversions
 //   - interface boxing: a non-pointer-shaped value passed for an
-//     interface parameter (pointers, maps, chans and funcs fit the
-//     interface word and do not count)
+//     interface parameter, or a value literal assigned or returned as an
+//     interface (pointers, maps, chans and funcs fit the interface word
+//     and do not count)
 //
 // This is a syntactic may-allocate count, deliberately cruder than the
 // compiler's escape analysis: sites the compiler proves stack-safe still
@@ -59,8 +59,6 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-const directive = "hfc:hotpath"
-
 var budgetRe = regexp.MustCompile(`^//hfc:hotpath(?:\s+budget=(\d+))?\s*$`)
 
 func run(pass *analysis.Pass) (interface{}, error) {
@@ -89,7 +87,7 @@ func hotpathBudget(pass *analysis.Pass, fn *ast.FuncDecl) (int, bool) {
 		return 0, false
 	}
 	for _, c := range fn.Doc.List {
-		if !strings.HasPrefix(c.Text, "//"+directive) {
+		if !strings.HasPrefix(c.Text, "//hfc:hotpath") {
 			continue
 		}
 		m := budgetRe.FindStringSubmatch(c.Text)
@@ -98,11 +96,8 @@ func hotpathBudget(pass *analysis.Pass, fn *ast.FuncDecl) (int, bool) {
 			pass.Reportf(fn.Name.Pos(), "malformed hot-path annotation: want //hfc:hotpath budget=<n>")
 			return 0, false
 		}
-		if m[1] == "" {
-			return 0, true
-		}
-		n, err := strconv.Atoi(m[1])
-		if err != nil {
+		n, err := strconv.Atoi(m[1]) // no budget= reads as 0
+		if m[1] != "" && err != nil {
 			pass.Reportf(fn.Name.Pos(), "malformed hot-path budget %q", m[1])
 			return 0, false
 		}
@@ -111,66 +106,85 @@ func hotpathBudget(pass *analysis.Pass, fn *ast.FuncDecl) (int, bool) {
 	return 0, false
 }
 
-// site is one potential allocation.
-type site struct {
-	what string
-	pos  token.Pos
-}
-
 // checkHot counts allocation sites in one hot function and reports when
 // the count exceeds the budget.
 func checkHot(pass *analysis.Pass, dirs *ignore.Directives, fn *ast.FuncDecl, budget int) {
-	var sites []site
+	var sites []string // one "what at file:line" per potential allocation
 	add := func(what string, pos token.Pos) {
 		if dirs.Suppressed("hotalloc", pos) {
 			return // justified site: excluded from the count
 		}
-		sites = append(sites, site{what: what, pos: pos})
+		p := pass.Fset.Position(pos)
+		sites = append(sites, fmt.Sprintf("%s at %s:%d", what, filepath.Base(p.Filename), p.Line))
 	}
 
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CompositeLit:
-			// Count the outermost literal only; nested literals share the
-			// enclosing allocation. Calls inside elements still count.
-			add("composite literal", n.Pos())
-			for _, e := range n.Elts {
-				ast.Inspect(e, func(m ast.Node) bool {
-					if _, nested := m.(*ast.CompositeLit); nested {
-						return true
-					}
-					return visit(m)
-				})
-			}
-			return false
-		case *ast.FuncLit:
-			// The closure itself allocates; its body is part of this
-			// function's per-call cost when invoked inline, so keep
-			// counting inside it too.
-			add("closure", n.Pos())
-		case *ast.CallExpr:
-			classifyCall(pass, n, add)
-		case *ast.BinaryExpr:
-			if n.Op == token.ADD && isNonConstString(pass, n) {
-				add("string concatenation", n.OpPos)
-			}
+	boxed := func(to types.Type, e ast.Expr) {
+		if to != nil && types.IsInterface(to) && valueLit(pass, e) {
+			add("interface boxing", e.Pos())
 		}
-		return true
 	}
-	ast.Inspect(fn.Body, visit)
+	// walk counts the sites in body, whose returns box into sig's results.
+	var walk func(body ast.Node, sig *types.Signature)
+	walk = func(body ast.Node, sig *types.Signature) {
+		var addressed *ast.CompositeLit // the operand of the last &T{…} seen
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.UnaryExpr:
+				if lit, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok && n.Op == token.AND {
+					addressed = lit
+				}
+			case *ast.CompositeLit:
+				if n != addressed && valueLit(pass, n) {
+					break // a value stored in place
+				}
+				// Count the outermost literal only; nested literals share the
+				// enclosing allocation. Calls inside elements still count.
+				add("composite literal", n.Pos())
+				for _, e := range n.Elts {
+					ast.Inspect(e, func(m ast.Node) bool {
+						_, nested := m.(*ast.CompositeLit)
+						return nested || visit(m)
+					})
+				}
+				return false
+			case *ast.FuncLit:
+				// The closure itself allocates; its body is part of this
+				// function's per-call cost when invoked inline, so keep
+				// counting inside it too.
+				add("closure", n.Pos())
+				walk(n.Body, pass.TypesInfo.TypeOf(n).(*types.Signature))
+				return false
+			case *ast.CallExpr:
+				classifyCall(pass, n, add)
+			case *ast.BinaryExpr:
+				if n.Op == token.ADD && isNonConstString(pass, n) {
+					add("string concatenation", n.OpPos)
+				}
+			case *ast.AssignStmt:
+				for i := 0; i < len(n.Rhs) && len(n.Lhs) == len(n.Rhs); i++ {
+					boxed(pass.TypesInfo.TypeOf(n.Lhs[i]), n.Rhs[i])
+				}
+			case *ast.ValueSpec:
+				for _, v := range n.Values {
+					boxed(pass.TypesInfo.TypeOf(n.Type), v)
+				}
+			case *ast.ReturnStmt:
+				for i := 0; i < len(n.Results) && sig.Results().Len() == len(n.Results); i++ {
+					boxed(sig.Results().At(i).Type(), n.Results[i])
+				}
+			}
+			return true
+		}
+		ast.Inspect(body, visit)
+	}
+	walk(fn.Body, pass.TypesInfo.ObjectOf(fn.Name).Type().(*types.Signature))
 
 	if len(sites) <= budget {
 		return
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "hot path %s has %d potential allocation sites, budget %d:",
-		fn.Name.Name, len(sites), budget)
-	for _, s := range sites {
-		p := pass.Fset.Position(s.pos)
-		fmt.Fprintf(&b, "\n\t%s at %s:%d", s.what, filepath.Base(p.Filename), p.Line)
-	}
-	dirs.Report(pass, fn.Name.Pos(), "%s", b.String())
+	dirs.Report(pass, fn.Name.Pos(), "hot path %s has %d potential allocation sites, budget %d:\n\t%s",
+		fn.Name.Name, len(sites), budget, strings.Join(sites, "\n\t"))
 }
 
 // classifyCall records make/new/append, allocating conversions, and
@@ -216,10 +230,7 @@ func classifyCall(pass *analysis.Pass, call *ast.CallExpr, add func(string, toke
 		case i < params.Len():
 			pt = params.At(i).Type()
 		}
-		if pt == nil {
-			continue
-		}
-		if _, isIface := pt.Underlying().(*types.Interface); !isIface {
+		if pt == nil || !types.IsInterface(pt) {
 			continue
 		}
 		at := pass.TypesInfo.TypeOf(arg)
@@ -228,6 +239,18 @@ func classifyCall(pass *analysis.Pass, call *ast.CallExpr, add func(string, toke
 		}
 		add("interface boxing", arg.Pos())
 	}
+}
+
+// valueLit reports whether e is a struct or array literal: a value
+// stored in place, which allocates only when boxed.
+func valueLit(pass *analysis.Pass, e ast.Expr) bool {
+	if lit, ok := ast.Unparen(e).(*ast.CompositeLit); ok {
+		switch pass.TypesInfo.TypeOf(lit).Underlying().(type) {
+		case *types.Struct, *types.Array:
+			return true
+		}
+	}
+	return false
 }
 
 // boxFree reports whether a value of type t fits an interface without
@@ -264,16 +287,11 @@ func isByteOrRuneSlice(t types.Type) bool {
 		return false
 	}
 	e, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && (e.Kind() == types.Byte || e.Kind() == types.Rune ||
-		e.Kind() == types.Uint8 || e.Kind() == types.Int32)
+	return ok && (e.Kind() == types.Byte || e.Kind() == types.Rune) // Byte is Uint8, Rune is Int32
 }
 
 // isNonConstString reports a string + whose result is not a constant.
 func isNonConstString(pass *analysis.Pass, e *ast.BinaryExpr) bool {
 	tv, ok := pass.TypesInfo.Types[e]
-	if !ok || tv.Value != nil {
-		return false
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
+	return ok && tv.Value == nil && isString(tv.Type)
 }

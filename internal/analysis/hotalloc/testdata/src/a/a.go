@@ -50,6 +50,33 @@ func noBox(p *T, sink func(any)) {
 }
 
 //hfc:hotpath budget=0
+func values(ts []T, arr *[2]int, n int) T { // struct and array literals are stored in place
+	ts[0] = T{n: n}
+	*arr = [2]int{n, n}
+	return T{n: n}
+}
+
+//hfc:hotpath budget=0
+func literals(n int) ([]int, map[int]T, [1]*T) { // want `hot path literals has 3 potential allocation sites, budget 0`
+	return []int{n}, map[int]T{n: {n: n}}, [1]*T{&T{n: n}} // {n: n} shares the map's allocation
+}
+
+//hfc:hotpath budget=0
+func boxed(n int, sink func(any)) any { // want `hot path boxed has 4 potential allocation sites, budget 0`
+	sink(T{n: n})
+	var x any = T{n: n}
+	x = [1]int{n}
+	_ = x
+	return T{n: n}
+}
+
+//hfc:hotpath budget=0
+func closureReturn(n int) any { // want `hot path closureReturn has 1 potential allocation sites, budget 0`
+	f := func() T { return T{n: n} } // returns into the closure's T, no boxing
+	return f()
+}
+
+//hfc:hotpath budget=0
 func pooled() []byte {
 	//hfcvet:ignore hotalloc fixture: the buffer comes from a pool in the real caller
 	buf := make([]byte, 64)

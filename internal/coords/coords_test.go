@@ -186,7 +186,6 @@ func TestMapDistSymmetryProperty(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				//hfcvet:ignore floatdist symmetry of the same Euclidean computation must hold bitwise
 				if m.Dist(i, j) != m.Dist(j, i) {
 					return false
 				}

@@ -134,7 +134,6 @@ func TestTrueDistSymmetricPositive(t *testing.T) {
 		if u == v {
 			continue
 		}
-		//hfcvet:ignore floatdist the symmetrized matrix must agree bitwise in both directions
 		if e.TrueDist(u, v) != e.TrueDist(v, u) {
 			t.Errorf("TrueDist asymmetric for (%d,%d)", u, v)
 		}

@@ -42,7 +42,6 @@ func TestQoSProfileFromEnvironment(t *testing.T) {
 		if bw <= 0 || math.IsInf(bw, 1) {
 			t.Fatalf("Bandwidth(%d,%d) = %v", u, v, bw)
 		}
-		//hfcvet:ignore floatdist both directions read the same cached bottleneck, identity expected
 		if bw != rev {
 			t.Fatalf("bandwidth asymmetric: %v vs %v", bw, rev)
 		}

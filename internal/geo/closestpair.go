@@ -18,7 +18,6 @@ type Pair struct {
 // the canonical pair order — the exact tie rule the §3.3 brute-force
 // election uses.
 func pairLess(d1 float64, a1, b1 int, d2 float64, a2, b2 int) bool {
-	//hfcvet:ignore floatdist exact distance ties fall back to the index tuple so elections stay deterministic
 	if d1 != d2 {
 		return d1 < d2
 	}

@@ -178,7 +178,6 @@ func finitePoint(p coords.Point) bool {
 // neighborLess reports whether candidate (d1, i1) precedes (d2, i2) in the
 // canonical result order.
 func neighborLess(d1 float64, i1 int, d2 float64, i2 int) bool {
-	//hfcvet:ignore floatdist exact distance ties fall back to member index so every engine agrees bit for bit
 	if d1 != d2 {
 		return d1 < d2
 	}

@@ -20,7 +20,6 @@ func refNearest(pts []coords.Point, members []int, q coords.Point, skip func(int
 			continue
 		}
 		d := coords.Dist(q, pts[m])
-		//hfcvet:ignore floatdist the reference mirrors the engine's exact (dist, idx) tie order
 		if d < best.Dist || (d == best.Dist && m < best.Idx) {
 			best = geo.Neighbor{Idx: m, Dist: d}
 		}
@@ -37,7 +36,6 @@ func refKNN(pts []coords.Point, members []int, q coords.Point, k int, skip func(
 		all = append(all, geo.Neighbor{Idx: m, Dist: coords.Dist(q, pts[m])})
 	}
 	sort.Slice(all, func(i, j int) bool {
-		//hfcvet:ignore floatdist the reference mirrors the engine's exact (dist, idx) tie order
 		if all[i].Dist != all[j].Dist {
 			return all[i].Dist < all[j].Dist
 		}
@@ -66,7 +64,6 @@ func refClosestPair(pts []coords.Point, membersA, membersB []int) (geo.Pair, boo
 	for _, a := range membersA {
 		for _, b := range membersB {
 			d := coords.Dist(pts[a], pts[b])
-			//hfcvet:ignore floatdist the reference mirrors the engine's exact (dist, a, b) tie order
 			better := d < best.Dist || (d == best.Dist && (a < best.A || (a == best.A && b < best.B)))
 			if !found || better {
 				best = geo.Pair{A: a, B: b, Dist: d}

@@ -73,7 +73,6 @@ func (t *kdTree) build(start, end int) int {
 	}
 	seg := t.idxs[start:end]
 	sort.Slice(seg, func(i, j int) bool {
-		//hfcvet:ignore floatdist equal split coordinates order by member index for a deterministic tree shape
 		if t.pts[seg[i]][axis] != t.pts[seg[j]][axis] {
 			return t.pts[seg[i]][axis] < t.pts[seg[j]][axis]
 		}

@@ -160,7 +160,6 @@ func MST(pts []coords.Point, strat Strategy) ([]graph.Edge, error) {
 // edgeTupleLess is the canonical edge order on (weight, lo, hi) tuples
 // with lo < hi.
 func edgeTupleLess(w1 float64, lo1, hi1 int, w2 float64, lo2, hi2 int) bool {
-	//hfcvet:ignore floatdist equal-weight edges order by endpoint tuple, making the MST unique
 	if w1 != w2 {
 		return w1 < w2
 	}

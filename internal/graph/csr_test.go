@@ -137,7 +137,6 @@ func checkCSRAgainstGraph(t *testing.T, g *Graph, c *CSR, sc *CSRScratch, source
 		if p := sc.Parent(v); p != -1 {
 			found := false
 			g.Neighbors(p, func(u int, w float64) {
-				//hfcvet:ignore floatdist parent edges must witness the distance exactly, not approximately
 				if u == v && sc.Dist()[v] == sc.Dist()[p]+w {
 					found = true
 				}

@@ -62,7 +62,6 @@ func (uf *UnionFind) Sets() int { return uf.sets }
 // honouring it (the dense Prim scan here, Kruskal, internal/geo's Borůvka
 // rounds) produces the same edge set.
 func EdgeLess(a, b Edge) bool {
-	//hfcvet:ignore floatdist exact-weight ties fall back to the endpoint tuple for a deterministic order
 	if a.Weight != b.Weight {
 		return a.Weight < b.Weight
 	}

@@ -119,7 +119,6 @@ func (g *Graph) MSTKruskal() ([]Edge, error) {
 	}
 	edges := g.Edges()
 	sort.Slice(edges, func(i, j int) bool {
-		//hfcvet:ignore floatdist exact-tie fallback to endpoints keeps Kruskal deterministic
 		if edges[i].Weight != edges[j].Weight {
 			return edges[i].Weight < edges[j].Weight
 		}

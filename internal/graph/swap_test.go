@@ -40,7 +40,6 @@ func TestCSRTreesMatchPointerTreesOnTable1(t *testing.T) {
 				t.Fatalf("%s: pointer Dijkstra(%d): %v", name, s, err)
 			}
 			for v := range want.Parent {
-				//hfcvet:ignore floatdist the two runs must agree bit-for-bit
 				if got.Dist[v] != want.Dist[v] {
 					t.Fatalf("%s: source %d: dist[%d] = %v from CSR, %v from the pointer graph", name, s, v, got.Dist[v], want.Dist[v])
 				}

@@ -153,7 +153,6 @@ func improves(d, bestDist float64, a, b int, best BorderPair) bool {
 	if best.Low == -1 || d < bestDist {
 		return true
 	}
-	//hfcvet:ignore floatdist exact ties break toward smaller indices for deterministic border pairs
 	return d == bestDist && (a < best.Low || (a == best.Low && b < best.High))
 }
 

@@ -416,7 +416,6 @@ func TestViewDistMatchesTopologyDist(t *testing.T) {
 	if err != nil {
 		t.Fatalf("view Dist: %v", err)
 	}
-	//hfcvet:ignore floatdist the view forwards the topology's value unchanged, identity expected
 	if d != topo.Dist(0, 1) {
 		t.Errorf("view Dist = %v, topology Dist = %v", d, topo.Dist(0, 1))
 	}

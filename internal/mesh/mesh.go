@@ -102,7 +102,6 @@ func Build(rng *rand.Rand, cmap *coords.Map, cfg Config) (*Mesh, error) {
 		}
 		sort.Slice(order, func(a, b int) bool {
 			da, db := cmap.Dist(u, order[a]), cmap.Dist(u, order[b])
-			//hfcvet:ignore floatdist exact-tie fallback to index keeps the sort deterministic
 			if da != db {
 				return da < db
 			}

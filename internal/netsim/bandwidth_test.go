@@ -128,7 +128,6 @@ func TestBottleneckDeterministicAndCached(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Bottleneck: %v", err)
 	}
-	//hfcvet:ignore floatdist repeat of a cached query must be bitwise identical
 	if a != b {
 		t.Errorf("repeated queries differ: %v vs %v", a, b)
 	}

@@ -107,7 +107,6 @@ func TestPingUnchangedWithoutFaults(t *testing.T) {
 	ra, rb := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
 	for i := 0; i < 100; i++ {
 		u, v := i%a.N(), (i*7+1)%a.N()
-		//hfcvet:ignore floatdist the streams must match bit-identically, not approximately
 		if pa, pb := a.Ping(ra, u, v), b.Ping(rb, u, v); pa != pb {
 			t.Fatalf("ping %d: %v != %v", i, pa, pb)
 		}

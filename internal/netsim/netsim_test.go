@@ -49,7 +49,6 @@ func TestLatencyProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 200; trial++ {
 		u, v := rng.Intn(net.N()), rng.Intn(net.N())
-		//hfcvet:ignore floatdist latency symmetry is an identity on the same table entry
 		if d, rd := net.Latency(u, v), net.Latency(v, u); d != rd {
 			t.Errorf("Latency(%d,%d) = %v != Latency(%d,%d) = %v", u, v, d, v, u, rd)
 		}
@@ -101,7 +100,6 @@ func TestPingZeroNoiseIsExact(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4))
 	u, v := 1, 50
-	//hfcvet:ignore floatdist zero-noise ping is defined as exactly the latency
 	if net.Ping(rng, u, v) != net.Latency(u, v) {
 		t.Error("zero-noise ping differs from latency")
 	}

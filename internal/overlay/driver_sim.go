@@ -133,7 +133,6 @@ func (d *simDriver) gather(from, to int, m *message, delay time.Duration) {
 		d.open = 0
 	}
 	c := d.chunks[d.cur]
-	//hfcvet:ignore hotalloc a Due stored in place, not an allocation
 	c.dues[c.nd] = vtime.Due{After: delay, Arg: (d.cur*flightRuns+int(c.nr))<<32 | to}
 	c.nd++
 }
@@ -147,7 +146,6 @@ func (d *simDriver) closeRun(from int, m *message) {
 	}
 	c := d.chunks[d.cur]
 	k := c.nd - d.open
-	//hfcvet:ignore hotalloc a record stored in place, not an allocation
 	c.runs[c.nr] = run{m: m, from: int32(from), left: k}
 	c.nr++
 	c.live += k

@@ -461,7 +461,6 @@ func (r *HierarchicalRouter) clusterLevelPath(dt *hfc.DenseTables, req svc.Reque
 	}
 	rs.csp = grow(rs.csp, depth)
 	for v, c, i, at := bestV, bestC, bestI, depth-1; v != -1; at-- {
-		//hfcvet:ignore hotalloc value assignment into the scratch's CSP
 		rs.csp[at] = CSPEntry{SGVertex: v, Cluster: c}
 		lo, _ := sc.run(v, c)
 		v, c, i = sc.parent(lo + i)

@@ -317,7 +317,6 @@ func (sc *routeScratch) dissect(dt *hfc.DenseTables, req svc.Request, srcCluster
 		n++
 	}
 	sc.children = grow(sc.children, n)[:1]
-	//hfcvet:ignore hotalloc value assignment into the scratch's children
 	sc.children[0] = ChildRequest{Cluster: srcCluster}
 	sc.services = grow(sc.services, len(sc.csp))
 	start := 0

@@ -103,7 +103,6 @@ func comparePooledFresh(t *testing.T, sc scratchScenario) {
 		}
 		return
 	}
-	//hfcvet:ignore floatdist the pooled arena must reproduce the fresh result bit-identically
 	if pooled.DecisionCost != fresh.DecisionCost {
 		t.Fatalf("pooled cost = %v, fresh cost = %v (must be bit-identical)", pooled.DecisionCost, fresh.DecisionCost)
 	}
@@ -139,7 +138,6 @@ func TestFindPathScratchConcurrentReuse(t *testing.T) {
 					done <- errors.New("pooled/fresh error mismatch")
 					return
 				}
-				//hfcvet:ignore floatdist the pooled arena must reproduce the fresh result bit-identically
 				if errP == nil && (pooled.DecisionCost != fresh.DecisionCost || !reflect.DeepEqual(pooled.Hops, fresh.Hops)) {
 					done <- errors.New("pooled/fresh result mismatch")
 					return

@@ -91,7 +91,6 @@ func TestResolveBatchMatchesLooped(t *testing.T) {
 					continue
 				}
 				got, want := gotRes[i], wantRes[i]
-				//hfcvet:ignore floatdist batch must reproduce the looped result bit-identically
 				if got.Path.DecisionCost != want.Path.DecisionCost {
 					t.Fatalf("round %d workers %d req %d: batch cost %v, looped cost %v (must be bit-identical)",
 						round, workers, i, got.Path.DecisionCost, want.Path.DecisionCost)
@@ -100,7 +99,6 @@ func TestResolveBatchMatchesLooped(t *testing.T) {
 					t.Fatalf("round %d workers %d req %d: batch hops %v, looped hops %v",
 						round, workers, i, got.Path.Hops, want.Path.Hops)
 				}
-				//hfcvet:ignore floatdist batch must reproduce the looped result bit-identically
 				if got.CSPCost != want.CSPCost {
 					t.Fatalf("round %d workers %d req %d: batch CSP cost %v, looped CSP cost %v (must be bit-identical)",
 						round, workers, i, got.CSPCost, want.CSPCost)

@@ -84,7 +84,6 @@ func TestEngineMatchesFramework(t *testing.T) {
 		if err != nil {
 			t.Fatalf("engine Resolve: %v", err)
 		}
-		//hfcvet:ignore floatdist the engine must reproduce the framework result bit-identically
 		if got.DecisionCost != want.DecisionCost {
 			t.Fatalf("request %d: engine cost %v, framework cost %v (must be bit-identical)", i, got.DecisionCost, want.DecisionCost)
 		}

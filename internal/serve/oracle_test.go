@@ -76,7 +76,6 @@ func checkAnswer(eng *serve.Engine, caps []svc.CapabilitySet, req svc.Request, g
 			return fmt.Errorf("fresh path %v uses unavailable proxy %d", got.Path, h.Node)
 		}
 	}
-	//hfcvet:ignore floatdist a fresh answer must be the from-scratch engine's bit for bit
 	if want.Degraded || got.CSPCost != want.CSPCost || got.Path.DecisionCost != want.Path.DecisionCost || !reflect.DeepEqual(got.Path.Hops, want.Path.Hops) {
 		return fmt.Errorf("served %v (cost %v), a fresh engine answers %v (cost %v, degraded %v)",
 			got.Path, got.Path.DecisionCost, want.Path, want.Path.DecisionCost, want.Degraded)

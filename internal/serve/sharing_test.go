@@ -174,7 +174,6 @@ func engineMatchesView(t *testing.T, topo *hfc.Topology, states []state.NodeStat
 		}
 		return
 	}
-	//hfcvet:ignore floatdist the shared tables must reproduce the materialized view's result bit-identically
 	if got.DecisionCost != want.Path.DecisionCost || !reflect.DeepEqual(got.Hops, want.Path.Hops) {
 		t.Fatalf("%d→%d: engine %v (cost %v), materialized view %v (cost %v)",
 			req.Source, req.Dest, got.Hops, got.DecisionCost, want.Path.Hops, want.Path.DecisionCost)

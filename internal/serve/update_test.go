@@ -334,7 +334,6 @@ func TestCachedEqualsFreshAfterEveryUpdate(t *testing.T) {
 			if gotErr != nil {
 				continue
 			}
-			//hfcvet:ignore floatdist the cached answer must be the fresh one bit for bit
 			if got.DecisionCost != want.DecisionCost || !reflect.DeepEqual(got.Hops, want.Hops) {
 				differ++
 				t.Errorf("update %d (node %d, cluster %d, aggregate moved: %v), request %d: served %v (cost %v), a fresh engine answers %v (cost %v)",

@@ -276,7 +276,6 @@ func (s *Sim) AfterFunc(d time.Duration, fn func()) Timer {
 //
 //hfc:hotpath budget=0
 func (s *Sim) Post(d time.Duration, fn func(int), arg int) {
-	//hfcvet:ignore hotalloc an event value passed by value, not an allocation
 	s.schedule(d, event{fn: fn, arg: arg})
 }
 
@@ -320,7 +319,6 @@ func (s *Sim) PostBatch(fn func(int), dues []Due) {
 	if !sorted {
 		slices.SortStableFunc(dues, byDeadline)
 	}
-	//hfcvet:ignore hotalloc a batch and an event value passed by value, not an allocation
 	s.schedule(dues[0].After, event{arg: s.batches.hold(batch{fn: fn, dues: dues, base: s.now})})
 	s.live += len(dues) - 1
 }
@@ -518,7 +516,6 @@ func (t *batchTable) hold(b batch) int {
 //
 //hfc:hotpath budget=0
 func (t *batchTable) release(slot int) {
-	//hfcvet:ignore hotalloc a batch value stored in place, not an allocation
 	*t.at(slot) = batch{base: time.Duration(t.free)}
 	t.free = slot + 1
 	if t.held--; t.held == 0 {
