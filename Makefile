@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-ignore lint-atomic lint-seam lint-solve lint-border lint-tables lint-lkg lint-distribute vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
+.PHONY: all build test race lint lint-ignore lint-atomic lint-seam lint-solve lint-border lint-tables lint-lkg lint-distribute lint-aggregate vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
 
 # Output snapshot for the regression-gate benchmarks (see cmd/benchgate).
 BENCH_OUT ?= BENCH_pr28.json
@@ -35,6 +35,7 @@ lint:
 	$(MAKE) lint-tables
 	$(MAKE) lint-lkg
 	$(MAKE) lint-distribute
+	$(MAKE) lint-aggregate
 
 # lint-ignore: every //hfcvet:ignore directive names an analyzer that
 # `hfcvet -list` prints and says why. hfcvet only sees directives for the
@@ -99,6 +100,16 @@ lint-lkg:
 # states, never by a non-test file of internal/serve.
 lint-distribute:
 	! grep -n 'state\.Distribute(' $$(ls internal/serve/*.go | grep -v _test.go)
+
+# lint-aggregate keeps §4's aggregate written once: a cluster's aggregate is
+# the union of its members' sets, taken in state.convergeCluster for the
+# converged model and, everywhere else (mlhfc's groups one level up, a live
+# proxy into its own SCT_C slot), through svc.Union. No non-test file outside
+# internal/svc and internal/state unions members with a loop of its own, and
+# no proxy keeps a second copy of its aggregate beside SCT_C.
+lint-aggregate:
+	! grep -nF 'UnionInto(' $$(git ls-files '*.go' | grep -v -e _test.go -e '^vendor/' -e '^internal/svc/' -e '^internal/state/')
+	! grep -nE 'aggCache|aggDirty' internal/overlay/*.go
 
 # vet is the machine-readable variant: the registered-analyzer roster
 # followed by the full suite with -json diagnostics (one JSON object per

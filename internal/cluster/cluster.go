@@ -87,8 +87,9 @@ type Config struct {
 	// Index selects the geometric engine strategy. The zero value
 	// (geo.Auto) uses the k-d engine when Points are present, finite, and
 	// the node set is large enough to amortize tree construction, falling
-	// back to the O(n²) scans otherwise; geo.Brute forces the scans; an
-	// explicit geo.KDTree requires Points.
+	// back to the O(n²) scans otherwise (below 512 nodes); geo.Brute forces
+	// the scans, the reference geo_equiv_test.go and BenchmarkZahnClusterBrute
+	// hold the engine to; an explicit geo.KDTree requires Points.
 	Index geo.Strategy
 }
 

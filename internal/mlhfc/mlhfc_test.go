@@ -109,8 +109,29 @@ func TestDistributeAndVerify(t *testing.T) {
 	if err := Verify(topo, caps, states); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	if states.Messages.Total() == 0 {
-		t.Error("no protocol traffic recorded")
+	// The traffic is the interiors' §4 rounds plus the super exchange: each of
+	// the G groups sends its aggregate to the G−1 others, whose super border
+	// re-floods it to the rest of its group — (G−1)·G aggregates and
+	// (G−1)·(N−G) forwards.
+	var want state.MessageStats
+	for g := 0; g < topo.NumGroups(); g++ {
+		local := make([]svc.CapabilitySet, len(topo.Members(g)))
+		for _, node := range topo.Members(g) {
+			local[topo.ToLocal(node)] = caps[node]
+		}
+		_, msgs, err := state.Distribute(topo.Interior(g), local)
+		if err != nil {
+			t.Fatalf("group %d: state.Distribute: %v", g, err)
+		}
+		want.LocalMessages += msgs.LocalMessages
+		want.AggregateMessages += msgs.AggregateMessages
+		want.ForwardMessages += msgs.ForwardMessages
+	}
+	groups, n := topo.NumGroups(), topo.N()
+	want.AggregateMessages += (groups - 1) * groups
+	want.ForwardMessages += (groups - 1) * (n - groups)
+	if states.Messages != want {
+		t.Errorf("Messages = %+v, want %+v", states.Messages, want)
 	}
 	// Corruption detection.
 	states.Super[0].Add("bogus")

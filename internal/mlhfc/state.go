@@ -27,10 +27,10 @@ type States struct {
 }
 
 // Distribute runs the tri-level state protocol synchronously: each group's
-// interior §4 round, then the super-aggregate exchange between super-border
-// pairs with intra-group re-flooding (counted, not simulated node by node —
-// the interior machinery is identical to the bi-level case already
-// exercised by package state).
+// interior §4 round, then §4's aggregate step one level up — a super border
+// aggregates its group's SCT_C as a border aggregates its cluster's SCT_P,
+// and the super-border pairs exchange and re-flood it (counted by
+// SuperMessages, not simulated node by node).
 func Distribute(t *Topology, caps []svc.CapabilitySet) (*States, error) {
 	if t == nil {
 		return nil, errors.New("mlhfc: nil topology")
@@ -41,36 +41,40 @@ func Distribute(t *Topology, caps []svc.CapabilitySet) (*States, error) {
 	out := &States{
 		PerGroup: make([][]state.NodeState, t.NumGroups()),
 		Super:    make([]svc.CapabilitySet, t.NumGroups()),
+		Messages: t.SuperMessages(),
 	}
-	for g := 0; g < t.NumGroups(); g++ {
-		members := t.Members(g)
-		localCaps := make([]svc.CapabilitySet, len(members))
-		for li, node := range members {
-			localCaps[li] = caps[node]
-		}
-		states, msgs, err := state.Distribute(t.Interior(g), localCaps)
+	for g := range out.PerGroup {
+		states, msgs, err := state.Distribute(t.Interior(g), t.GroupCaps(caps, g))
 		if err != nil {
 			return nil, fmt.Errorf("mlhfc: group %d state: %w", g, err)
 		}
 		out.PerGroup[g] = states
-		out.Super[g] = svc.Union(localCaps...)
+		out.Super[g] = svc.Union(states[0].SCTC...)
 		out.Messages.LocalMessages += msgs.LocalMessages
 		out.Messages.AggregateMessages += msgs.AggregateMessages
 		out.Messages.ForwardMessages += msgs.ForwardMessages
 	}
-	// Super-aggregate exchange: one message per directed group pair, then
-	// |group|-1 forwards into each receiving group.
-	k := t.NumGroups()
-	for a := 0; a < k; a++ {
-		for b := 0; b < k; b++ {
-			if a == b {
-				continue
-			}
-			out.Messages.AggregateMessages++
-			out.Messages.ForwardMessages += len(t.Members(b)) - 1
-		}
-	}
 	return out, nil
+}
+
+// SuperMessages is the super tier's traffic in one tri-level round:
+// state.RoundMessages over the groups, less the local floods, which the
+// interiors' rounds already count.
+func (t *Topology) SuperMessages() state.MessageStats {
+	msgs := state.RoundMessages(t.super)
+	msgs.LocalMessages = 0
+	return msgs
+}
+
+// GroupCaps returns group g's share of a deployment over global indices,
+// indexed by group-local node index as the group's interior is.
+func (t *Topology) GroupCaps(caps []svc.CapabilitySet, g int) []svc.CapabilitySet {
+	members := t.Members(g)
+	out := make([]svc.CapabilitySet, len(members))
+	for li, node := range members {
+		out[li] = caps[node]
+	}
+	return out
 }
 
 // Verify checks tri-level convergence: every group's interior state against
@@ -80,11 +84,7 @@ func Verify(t *Topology, caps []svc.CapabilitySet, s *States) error {
 		return errors.New("mlhfc: malformed states")
 	}
 	for g := 0; g < t.NumGroups(); g++ {
-		members := t.Members(g)
-		localCaps := make([]svc.CapabilitySet, len(members))
-		for li, node := range members {
-			localCaps[li] = caps[node]
-		}
+		localCaps := t.GroupCaps(caps, g)
 		if err := state.VerifyConvergence(t.Interior(g), localCaps, s.PerGroup[g]); err != nil {
 			return fmt.Errorf("mlhfc: group %d: %w", g, err)
 		}

@@ -89,8 +89,10 @@ type Config struct {
 	// CacheRoutes enables the invalidation-aware route cache: Route
 	// answers repeated (source, service graph, destination) questions from
 	// cache until a state round, capability update, or crash/recovery in a
-	// cluster the cached path depends on invalidates the entry. Default
-	// off.
+	// cluster the cached path depends on invalidates the entry. On in the
+	// chaos runs and BenchmarkGateResolveUnderChaos; off by default and in
+	// Simulate, overlaysim and protocol-sim, whose probes exist to exercise
+	// the RPC path a hit would skip (and would move their traffic and digests).
 	CacheRoutes bool
 	// LinkPolicy, when non-nil, is consulted for every node-to-node
 	// payload message (never for externally injected control traffic) and
@@ -418,24 +420,19 @@ type node struct {
 	state state.NodeState // guarded by st
 	// genSeen[r] is the capability generation last installed from the
 	// cluster member with rank r in view.Members — the token that lets a
-	// re-flood of unchanged capabilities skip the set install (and, via
-	// aggDirty, skip re-unioning the cluster aggregate).
+	// re-flood of unchanged capabilities skip the set install (and so skip
+	// re-unioning the cluster aggregate).
 	genSeen []uint64 // guarded by st
 	// aggGenSeen[c] is the aggregate generation last installed for cluster
 	// c — the cluster-level counterpart of genSeen that lets the per-round
 	// aggregate re-flood skip the Seq/SCTC stores when nothing changed.
+	// SCTC[own] is the node's own union over SCTP and aggGenSeen[own] its
+	// generation (from System.aggGenCtr, unique across borders); 0 means SCTP
+	// moved since, and only then does broadcast re-union |C| sets.
 	aggGenSeen []uint64 // guarded by st
 	// fwdEpoch[c] is the repair epoch of this node's own cluster at the
 	// time it last re-flooded cluster c's aggregate intra-cluster.
 	fwdEpoch []uint32 // guarded by st
-	// aggCache is the node's current union over SCTP, rebuilt only when
-	// aggDirty — without it every border node re-unions |C| sets every
-	// round, which dominates large-scale rounds. aggGen identifies the
-	// rebuild (drawn from System.aggGenCtr, so generations never collide
-	// across borders).
-	aggCache svc.CapabilitySet // guarded by st
-	aggGen   uint64            // guarded by st
-	aggDirty bool              // guarded by st
 }
 
 // New builds a system over a constructed HFC topology and per-proxy
@@ -524,7 +521,6 @@ func New(topo *hfc.Topology, caps []svc.CapabilitySet, cfg Config) (*System, err
 				genSeen:    carve(&stamps, m),
 				aggGenSeen: carve(&stamps, k),
 				fwdEpoch:   carve(&epochs, k),
-				aggDirty:   true,
 			}
 			s.nodes[i] = &nodes[i]
 		}
@@ -549,12 +545,11 @@ func (n *node) forgetLocked(caps svc.CapabilitySet) {
 	clear(n.state.SCTC)
 	n.state.SCTP[n.rank] = caps.Clone()
 	n.state.SCTC[n.view.ClusterID] = n.state.SCTP[n.rank]
-	// The generation tokens and aggregate cache describe the wiped tables.
+	// The generation tokens describe the wiped tables; a cleared
+	// aggGenSeen[own] has the next broadcast re-union SCT_P.
 	clear(n.genSeen)
 	clear(n.aggGenSeen)
 	clear(n.fwdEpoch)
-	n.aggCache = nil
-	n.aggDirty = true
 }
 
 // Start sets the system running. It is an error to start twice.
@@ -774,7 +769,7 @@ func (s *System) UpdateCapability(node int, set svc.CapabilitySet) error {
 	n := s.nodes[node]
 	n.st.Lock()
 	n.state.SCTP[n.rank] = set.Clone()
-	n.aggDirty = true
+	n.aggGenSeen[n.view.ClusterID] = 0
 	n.st.Unlock()
 	// Cached routes through this proxy's cluster may rely on the old
 	// deployment; invalidate them. Every route already stale goes outright:
@@ -986,7 +981,7 @@ func (n *node) applyLocal(m message) {
 	ok := n.state.ApplyLocal(r, m.seq, m.localSet)
 	if ok {
 		n.genSeen[r] = m.localGen
-		n.aggDirty = true
+		n.aggGenSeen[n.view.ClusterID] = 0
 	}
 	n.st.Unlock()
 	if !ok {
@@ -1001,11 +996,17 @@ func (n *node) applyLocal(m message) {
 // of a known generation is also skipped — unless the cluster's repair
 // epoch advanced since this border last forwarded it, meaning some member
 // may have missed a forward (drop, crash/recovery) and needs the repeat. A
-// cluster id outside [0, K) names no slot in SCT_C and is rejected.
+// cluster id outside [0, K) names no slot in SCT_C, and the node's own
+// cluster's slot holds the union broadcast takes over its own SCT_P: both are
+// rejected.
 //
 //hfc:hotpath budget=0
 func (n *node) applyAggregate(m message) {
 	c := m.aggCluster
+	if c == n.view.ClusterID {
+		n.sys.noteStaleRejected()
+		return
+	}
 	n.st.Lock()
 	known := m.aggGen != 0 && c >= 0 && c < len(n.aggGenSeen) && n.aggGenSeen[c] == m.aggGen
 	ok := known
@@ -1050,17 +1051,18 @@ func (n *node) broadcast(seq uint64) {
 	s.drv.flood(n.id, n.view.Members, &message{kind: kindLocal, localFrom: n.id, localRank: n.rank, localSet: services, localGen: gen, seq: seq})
 	// Border duty: for each cluster pair this node currently terminates
 	// (elected by Build, or re-elected since a crash), send the aggregate
-	// of its own cluster. The union over SCTP is cached and rebuilt only
-	// when some member's installed set actually changed.
-	n.st.Lock()
-	if n.aggDirty || n.aggCache == nil {
-		n.aggCache = svc.Union(n.state.SCTP...)
-		n.aggGen = s.aggGenCtr.Add(1)
-		n.aggDirty = false
-	}
-	agg, aggGen := n.aggCache, n.aggGen
-	n.st.Unlock()
+	// of its own cluster. That is SCTC[own], re-unioned over SCTP under a
+	// fresh generation only when some member's installed set changed.
 	own := n.view.ClusterID
+	n.st.Lock()
+	if n.aggGenSeen[own] == 0 {
+		gen := s.aggGenCtr.Add(1)
+		if n.state.ApplyAggregate(own, seq, svc.Union(n.state.SCTP...)) {
+			n.aggGenSeen[own] = gen
+		}
+	}
+	agg, aggGen := n.state.SCTC[own], n.aggGenSeen[own]
+	n.st.Unlock()
 	var exchange *message // built on the first border this node terminates
 	// The round's table answers "which pairs do I terminate" with K array
 	// reads, and every node of the round reads the same one.
@@ -1075,15 +1077,6 @@ func (n *node) broadcast(seq uint64) {
 		}
 		s.send(n.id, int(duty.BorderInA[other*k+own]), exchange)
 	}
-	// Record our own cluster's aggregate locally (generation-guarded like
-	// any other receiver).
-	n.st.Lock()
-	if n.aggGenSeen[own] != aggGen {
-		if n.state.ApplyAggregate(own, seq, agg) {
-			n.aggGenSeen[own] = aggGen
-		}
-	}
-	n.st.Unlock()
 }
 
 // forwardAggregate re-floods a received aggregate to the rest of this

@@ -559,11 +559,11 @@ func newFlatWorld(spec SimSpec, rng *rand.Rand, cat *svc.Catalog, sim *vtime.Sim
 }
 
 // newMultilevelWorld builds the tri-level hierarchy: every group's interior
-// is a complete overlay runtime on the shared virtual clock, and the
-// harness plays the super layer — per-group super-aggregates, their
-// pairwise exchange accounted — exactly as mlhfc.Distribute models it
-// synchronously. Probes are resolved by mlhfc.Route over the runtimes' live
-// tables.
+// is a complete overlay runtime over its GroupCaps on the shared virtual
+// clock, and the harness plays the super layer — per-group super-aggregates,
+// their exchange accounted by SuperMessages — exactly as mlhfc.Distribute
+// models it synchronously. Probes are resolved by mlhfc.Route over the
+// runtimes' live tables.
 func newMultilevelWorld(spec SimSpec, rng *rand.Rand, cat *svc.Catalog, sim *vtime.Sim) (*simWorld, error) {
 	// Tri-level optimum: groups ≈ clusters-per-group ≈ |C| ≈ n^⅓, so each
 	// level fans out evenly and the per-round flood volume stays near
@@ -602,19 +602,14 @@ func newMultilevelWorld(spec SimSpec, rng *rand.Rand, cat *svc.Catalog, sim *vti
 		locate: func(node int) (int, int) { return topo.GroupOf(node), topo.ToLocal(node) },
 		global: topo.ToGlobal,
 		// Each group ships its aggregate to every other group's super
-		// border, which re-floods it internally: Σ over ordered pairs (a,b)
-		// of |b| messages, counted exactly as mlhfc.Distribute does.
-		superPerRound: (k - 1) * spec.N,
+		// border, which re-floods it internally: the super tier's §4 round,
+		// counted exactly as mlhfc.Distribute does.
+		superPerRound: topo.SuperMessages().Total(),
 		roundFields:   func() string { return "" },
 		tag:           func(g int) string { return fmt.Sprintf(" (group %d)", g) },
 	}
 	for g := 0; g < k; g++ {
-		members := topo.Members(g)
-		localCaps := make([]svc.CapabilitySet, len(members))
-		for li, node := range members {
-			localCaps[li] = caps[node]
-		}
-		sys, err := New(topo.Interior(g), localCaps, Config{Clock: sim, DelayPerUnit: spec.DelayPerUnit})
+		sys, err := New(topo.Interior(g), topo.GroupCaps(caps, g), Config{Clock: sim, DelayPerUnit: spec.DelayPerUnit})
 		if err != nil {
 			return nil, fmt.Errorf("overlay: simulate group %d: %w", g, err)
 		}
@@ -629,10 +624,7 @@ func newMultilevelWorld(spec SimSpec, rng *rand.Rand, cat *svc.Catalog, sim *vti
 		releases := make([]func(), k)
 		for g, sys := range w.systems {
 			st.PerGroup[g], releases[g] = sys.tables()
-			st.Super[g] = make(svc.CapabilitySet)
-			for _, node := range topo.Members(g) {
-				st.Super[g].UnionInto(cur[node])
-			}
+			st.Super[g] = svc.Union(topo.GroupCaps(cur, g)...)
 		}
 		route := func(req svc.Request) (*routing.Path, string, error) {
 			res, err := mlhfc.Route(topo, st, req)

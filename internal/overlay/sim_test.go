@@ -92,8 +92,10 @@ func TestSimulateMultilevelConverges(t *testing.T) {
 	if a.Probes == 0 || a.ProbeFailures != 0 {
 		t.Errorf("probes %d with %d failures, want >0 with 0", a.Probes, a.ProbeFailures)
 	}
-	if a.SuperMessages == 0 {
-		t.Error("super layer exchanged no messages")
+	// Per round every group's aggregate reaches each of the other groups'
+	// members: one exchange to the super border, a forward to each of the rest.
+	if want := a.Rounds * (a.Groups - 1) * a.N; a.SuperMessages != want {
+		t.Errorf("super layer exchanged %d messages over %d rounds, want %d", a.SuperMessages, a.Rounds, want)
 	}
 	b, err := Simulate(spec, 11)
 	if err != nil {

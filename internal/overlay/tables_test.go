@@ -17,10 +17,12 @@ import (
 // TestMalformedFloodsStopAtTheNode injects, into a converged system, floods
 // that name no slot of the receiver's tables: a local-state flood whose origin
 // is not a member of the receiver's cluster (it used to be installed into
-// SCT_P, untracked by the generation tokens) and an aggregate for a cluster id
-// outside [0, K) (installed under whatever key it named). Each is rejected at
-// the node, counted with the stale floods, and leaves every table and round
-// tracker as it was.
+// SCT_P, untracked by the generation tokens), an aggregate for a cluster id
+// outside [0, K) (installed under whatever key it named), and an aggregate for
+// the receiver's own cluster, whose SCT_C slot is the union the receiver takes
+// itself (installed over it, so Converged read false until the next re-union).
+// Each is rejected at the node, counted with the stale floods, and leaves every
+// table and round tracker as it was.
 func TestMalformedFloodsStopAtTheNode(t *testing.T) {
 	topo, caps := buildFixture(t, 66)
 	sys := startSystem(t, topo, caps, Config{})
@@ -49,6 +51,8 @@ func TestMalformedFloodsStopAtTheNode(t *testing.T) {
 		{kind: kindAggregate, aggCluster: -1, aggSet: bogus, aggGen: 1 << 40, seq: seq},
 		{kind: kindAggregate, aggCluster: k, aggSet: bogus, aggGen: 1 << 40, aggForward: true, seq: seq},
 		{kind: kindAggregate, aggCluster: 1 << 20, aggSet: bogus, aggForward: true, seq: seq},
+		{kind: kindAggregate, aggCluster: topo.ClusterOf(victim), aggSet: bogus, aggGen: 1 << 40, seq: seq},
+		{kind: kindAggregate, aggCluster: topo.ClusterOf(victim), aggSet: bogus, aggGen: 1 << 40, aggForward: true, seq: seq},
 	}
 
 	before, err := sys.States()
@@ -144,8 +148,9 @@ func TestNodeTablesFootprint(t *testing.T) {
 	// The layout: per proxy one set pointer, one round stamp and one
 	// generation stamp per cluster member and per cluster, one forward epoch
 	// per cluster, the node itself, and 1 KiB for what does not grow with the
-	// tables — its view, its own capability set and aggregate cache, its
-	// share of the clock's queue and of the chunk the driver keeps.
+	// tables — its view, its own capability set and its cluster's aggregate
+	// (SCT_C's own slot), its share of the clock's queue and of the chunk the
+	// driver keeps.
 	const (
 		entry = unsafe.Sizeof(svc.CapabilitySet(nil)) + 2*unsafe.Sizeof(uint64(0))
 		fixed = unsafe.Sizeof(node{}) + 1<<10

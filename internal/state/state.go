@@ -182,26 +182,33 @@ func Distribute(t *hfc.Topology, caps []svc.CapabilitySet) ([]NodeState, Message
 		}
 	}
 
-	k := t.NumClusters()
 	states := make([]NodeState, t.N())
-	sctc := make([]svc.CapabilitySet, k)
-	var stats MessageStats
-	for c := 0; c < k; c++ {
+	sctc := make([]svc.CapabilitySet, t.NumClusters())
+	for c := range sctc {
 		members := t.Members(c)
-		m := len(members)
 		var sctp []svc.CapabilitySet
 		sctp, sctc[c] = convergeCluster(members, caps, nil, -1, 0)
 		for _, p := range members {
 			states[p] = NodeState{Node: p, SCTP: sctp, SCTC: sctc}
 		}
+	}
+	return states, RoundMessages(t), nil
+}
+
+// RoundMessages is the one closed form of a §4 round's traffic over t: per
+// cluster of m members, m(m−1) local floods, plus K−1 aggregates across the
+// external links into its border proxies, which forward each to the other
+// m−1 members — (K−1)(m−1) forwards.
+func RoundMessages(t *hfc.Topology) MessageStats {
+	k := t.NumClusters()
+	var stats MessageStats
+	for c := 0; c < k; c++ {
+		m := len(t.Members(c))
 		stats.LocalMessages += m * (m - 1)
-		// Phases 2+3: each of the other k-1 clusters sends its aggregate
-		// over the external link to c's border proxy, which forwards it to
-		// the other m-1 members.
 		stats.AggregateMessages += k - 1
 		stats.ForwardMessages += (k - 1) * (m - 1)
 	}
-	return states, stats, nil
+	return stats
 }
 
 // convergeCluster is one cluster's convergence step, the one place a table
