@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-ignore lint-atomic lint-seam lint-solve lint-border lint-tables lint-lkg lint-distribute lint-aggregate vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
+.PHONY: all build test race lint lint-ignore lint-atomic lint-seam lint-solve lint-border lint-tables lint-lkg lint-resolve lint-distribute lint-aggregate vet nightly bench bench-full bench-compare bench-scale chaos sim fmt
 
 # Output snapshot for the regression-gate benchmarks (see cmd/benchgate).
 BENCH_OUT ?= BENCH_pr28.json
@@ -34,6 +34,7 @@ lint:
 	$(MAKE) lint-border
 	$(MAKE) lint-tables
 	$(MAKE) lint-lkg
+	$(MAKE) lint-resolve
 	$(MAKE) lint-distribute
 	$(MAKE) lint-aggregate
 
@@ -93,6 +94,19 @@ lint-tables:
 # routes, with a lock of its own, beside it.
 lint-lkg:
 	! grep -nE 'knownGood|storeLKG|lkgMu' $$(git ls-files '*.go' | grep -v -e _test.go -e '^vendor/' -e '^internal/routing/')
+
+# lint-resolve keeps one in-process resolver over converged state:
+# serve.Engine assembles a destination's router (routerLocked), core.Framework
+# answers through its engine, and the Fig. 7 artifacts come from
+# Engine.ResolveExplain. No non-test file brings back RouteDetailed or the
+# one-call RouteHierarchical, and a HierarchicalRouter literal appears only
+# where the parts differ: the engine, the overlay's live proxy (RPC solver),
+# the QoS router (admission hooks) and mlhfc's group tier.
+lint-resolve:
+	! grep -nE 'RouteDetailed|RouteHierarchical\(' $$(git ls-files '*.go' | grep -v -e _test.go -e '^vendor/')
+	! grep -nF 'HierarchicalRouter{' $$(git ls-files '*.go' | grep -v -e _test.go -e '^vendor/' -e '^bench/' -e '^internal/routing/' \
+		-e '^internal/serve/engine.go$$' -e '^internal/overlay/overlay.go$$' -e '^internal/qos/router.go$$' -e '^internal/mlhfc/routing.go$$')
+	! grep -nE 'NewLazyIndexes|HierarchicalRouter' internal/core/*.go
 
 # lint-distribute keeps a capability update costing its cluster: the serving
 # engine re-converges through state.Update (one cluster, copy-on-write), and

@@ -110,7 +110,13 @@ func BenchmarkGateEnvBuild(b *testing.B) {
 
 func benchGateRouteResolve(b *testing.B, cached bool) {
 	e := cachedEnv(b, gateSpec())
-	resolve := e.Framework.Route
+	resolve := func(r svc.Request) (*routing.Path, error) {
+		res, err := e.Framework.Engine().ResolveExplain(r)
+		if err != nil {
+			return nil, err
+		}
+		return res.Path, nil
+	}
 	if cached {
 		resolve = gateEngine(b, e).Resolve
 	}
@@ -122,11 +128,11 @@ func benchGateRouteResolve(b *testing.B, cached bool) {
 		}
 		reqs[i] = r
 	}
-	// Warm pass: populate the per-destination router cache (with
-	// cached=true, the engine's views and route cache) so the timed region
-	// measures steady-state resolution rather than first-touch view
-	// construction. Uncached resolution still performs the full
-	// hierarchical computation per request.
+	// Warm pass: build the engine's views and provider indexes (with
+	// cached=true, fill its route cache too) so the timed region measures
+	// steady-state resolution rather than first-touch view construction.
+	// Uncached resolution (ResolveExplain, which bypasses the cache) still
+	// performs the full hierarchical computation per request.
 	for _, r := range reqs {
 		if _, err := resolve(r); err != nil {
 			b.Fatalf("warm resolve: %v", err)
@@ -141,7 +147,11 @@ func benchGateRouteResolve(b *testing.B, cached bool) {
 	}
 }
 
-// BenchmarkGateRouteResolve measures uncached hierarchical route resolution.
+// BenchmarkGateRouteResolve measures uncached hierarchical route resolution:
+// serve.Engine.ResolveExplain, which validates, assembles the destination's
+// router and runs HierarchicalRouter.Route with every Fig. 7 artifact. Up to
+// BENCH_pr28.json it timed core.Framework.RouteDetailed, the same work over a
+// router cache private to the framework.
 func BenchmarkGateRouteResolve(b *testing.B) { benchGateRouteResolve(b, false) }
 
 // BenchmarkGateRouteResolveCached measures the same kind of stream answered
@@ -686,11 +696,15 @@ func BenchmarkAblationRelax(b *testing.B) {
 			sum := 0.0
 			for i := 0; i < b.N; i++ {
 				req := reqs[i%len(reqs)]
-				p, err := routing.RouteHierarchical(topo, states, req, mode)
+				r, err := routing.NewHierarchicalRouter(topo, states, req.Dest, mode)
+				if err != nil {
+					b.Fatalf("NewHierarchicalRouter: %v", err)
+				}
+				res, err := r.Route(req)
 				if err != nil {
 					b.Fatalf("route: %v", err)
 				}
-				sum += p.Length(e.TrueDist)
+				sum += res.Path.Length(e.TrueDist)
 			}
 			b.ReportMetric(sum/float64(b.N), "pathlen-ms")
 		})

@@ -1,8 +1,9 @@
 // Command hfcroute builds a seeded simulation environment, routes service
-// requests through the HFC framework, and prints the paper's Fig. 7
-// artifacts for each: the cluster-level service path, the child requests,
-// and the composed concrete path, with lengths under both the embedded and
-// the true-delay metric.
+// requests through the framework's serving engine (serve.Engine's
+// ResolveExplain, the same router a cache miss runs), and prints the paper's
+// Fig. 7 artifacts for each: the cluster-level service path, the child
+// requests, and the composed concrete path, with lengths under both the
+// embedded and the true-delay metric.
 //
 // Usage:
 //
@@ -97,7 +98,7 @@ func run() error {
 
 	for i, req := range reqs {
 		fmt.Printf("request %d: proxy %d -> [%s] -> proxy %d\n", i, req.Source, req.SG, req.Dest)
-		res, err := fw.RouteDetailed(req)
+		res, err := fw.Engine().ResolveExplain(req)
 		if err != nil {
 			fmt.Printf("  routing failed: %v\n\n", err)
 			continue

@@ -84,7 +84,7 @@ func run() error {
 		return err
 	}
 	req := svc.Request{Source: 3, Dest: 42, SG: sg}
-	res, err := fw.RouteDetailed(req)
+	res, err := fw.Engine().ResolveExplain(req)
 	if err != nil {
 		return err
 	}

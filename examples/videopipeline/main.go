@@ -87,7 +87,7 @@ func run() error {
 	serverProxy, clientProxy := 0, fw.N()-1
 	req := svc.Request{Source: serverProxy, Dest: clientProxy, SG: sg}
 
-	res, err := fw.RouteDetailed(req)
+	res, err := fw.Engine().ResolveExplain(req)
 	if err != nil {
 		return err
 	}

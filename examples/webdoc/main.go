@@ -88,13 +88,13 @@ func run() error {
 	}
 
 	req := svc.Request{Source: 2, Dest: 51, SG: sg}
-	res, err := fw.RouteDetailed(req)
+	p, err := fw.Route(req)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nrequest: proxy %d -> proxy %d\n", req.Source, req.Dest)
-	fmt.Printf("chosen configuration: %v\n", res.Path.Services())
-	fmt.Printf("service path: %s\n", res.Path)
-	fmt.Printf("embedded length %.1f\n", res.Path.Length(fw.Topology().Dist))
+	fmt.Printf("chosen configuration: %v\n", p.Services())
+	fmt.Printf("service path: %s\n", p)
+	fmt.Printf("embedded length %.1f\n", p.Length(fw.Topology().Dist))
 	return nil
 }

@@ -84,9 +84,9 @@ func TestFacadeDetailedRoute(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Linear: %v", err)
 	}
-	res, err := fw.RouteDetailed(hfc.Request{Source: 5, Dest: 20, SG: sg})
+	res, err := fw.Engine().ResolveExplain(hfc.Request{Source: 5, Dest: 20, SG: sg})
 	if err != nil {
-		t.Fatalf("RouteDetailed: %v", err)
+		t.Fatalf("ResolveExplain: %v", err)
 	}
 	if len(res.CSP) != 2 {
 		t.Errorf("CSP = %v", res.CSP)

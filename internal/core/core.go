@@ -9,19 +9,20 @@
 //  4. hierarchical state distribution: SCT_P / SCT_C convergence (§4).
 //
 // The resulting Framework answers service requests with the hierarchical
-// divide-and-conquer routing of §5.
+// divide-and-conquer routing of §5 through one serve.Engine, the repo's one
+// resolver over converged state.
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"hfc/internal/cluster"
 	"hfc/internal/coords"
 	"hfc/internal/hfc"
 	"hfc/internal/routing"
+	"hfc/internal/serve"
 	"hfc/internal/state"
 	"hfc/internal/svc"
 )
@@ -37,7 +38,8 @@ type Config struct {
 	Probes int
 	// Cluster configures the MST inconsistency detection.
 	Cluster cluster.Config
-	// Relax selects the cluster-level relaxation mode (§5.1 step 2).
+	// Relax selects the cluster-level relaxation mode (§5.1 step 2); the
+	// engine reads zero as RelaxBacktrack and rejects an unknown mode.
 	Relax routing.RelaxMode
 }
 
@@ -48,37 +50,20 @@ func (c Config) withDefaults() Config {
 	if c.Probes == 0 {
 		c.Probes = 5
 	}
-	if c.Relax == 0 {
-		c.Relax = routing.RelaxBacktrack
-	}
 	return c
 }
 
-// Framework is a bootstrapped HFC service overlay: what Bootstrap built
-// plus an uncached Route over it. Serving — route cache, in-flight dedup,
-// capability updates, degraded mode — is internal/serve's:
-//
-//	serve.NewEngine(fw.Topology(), fw.Capabilities(), fw.States(), serve.Config{})
+// Framework is a bootstrapped HFC service overlay: what Bootstrap built plus
+// the one serve.Engine that answers requests over it. The engine owns the
+// serving side — route cache, in-flight dedup, capability updates, degraded
+// mode, explained routes — and starts from the bootstrap snapshot that
+// States, Capabilities and Validate describe.
 type Framework struct {
-	topo      *hfc.Topology
+	eng       *serve.Engine
 	caps      []svc.CapabilitySet
 	states    []state.NodeState
 	stateMsgs state.MessageStats
-	relax     routing.RelaxMode
 	landmarks []coords.Point
-	// routers caches one hierarchical router per destination proxy.
-	// Bootstrap's states and views are immutable, and HierarchicalRouter
-	// is read-only during Route, so a router built once
-	// serves every later request to the same destination — the per-request
-	// O(K² + |C|) view copy and solver construction disappear from the hot
-	// path. Slots fill lazily; concurrent first requests may build twice and
-	// either result wins the store (both are identical).
-	routers []atomic.Pointer[routing.HierarchicalRouter]
-	// indexes and solver are shared by every cached router: one lazy
-	// inverted-provider-index cache (version pinned at 0 — static states)
-	// and one intra-cluster solver reading it.
-	indexes *routing.LazyIndexes
-	solver  *routing.LocalIntraSolver
 }
 
 // Bootstrap builds the framework. m is the measurement substrate (the
@@ -120,69 +105,33 @@ func Bootstrap(rng *rand.Rand, m coords.Measurer, landmarks, proxies []int, caps
 	for i, c := range caps {
 		capsCopy[i] = c.Clone()
 	}
-	fw := &Framework{
-		topo:      topo,
+	eng, err := serve.NewEngine(topo, capsCopy, states, serve.Config{Relax: cfg.Relax})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return &Framework{
+		eng:       eng,
 		caps:      capsCopy,
 		states:    states,
 		stateMsgs: msgs,
-		relax:     cfg.Relax,
 		landmarks: lmPoints,
-	}
-	fw.routers = make([]atomic.Pointer[routing.HierarchicalRouter], topo.N())
-	fw.indexes = routing.NewLazyIndexes(states, func(node int) []int {
-		return topo.Members(topo.ClusterOf(node))
-	}, nil)
-	fw.solver = &routing.LocalIntraSolver{Topo: topo, States: states, Indexes: fw.indexes}
-	return fw, nil
+	}, nil
 }
 
 // Route answers a service request (overlay-index endpoints) with the
-// hierarchical §5 procedure, computed afresh on every call.
+// hierarchical §5 procedure, through the engine's route cache. The path is
+// shared with the cache and read-only.
 func (f *Framework) Route(req svc.Request) (*routing.Path, error) {
-	res, err := f.RouteDetailed(req)
-	if err != nil {
-		return nil, err
-	}
-	return res.Path, nil
+	return f.eng.Resolve(req)
 }
 
-// RouteDetailed returns the full routing result, including the CSP and
-// child requests (the Fig. 7 intermediate artifacts).
-func (f *Framework) RouteDetailed(req svc.Request) (*routing.Result, error) {
-	if err := req.Validate(f.topo.N()); err != nil {
-		return nil, err
-	}
-	r, err := f.routerFor(req.Dest)
-	if err != nil {
-		return nil, err
-	}
-	return r.Route(req)
-}
-
-// routerFor returns the cached router for a destination proxy, building it
-// on first use. req.Validate has already bounds-checked dest.
-func (f *Framework) routerFor(dest int) (*routing.HierarchicalRouter, error) {
-	if r := f.routers[dest].Load(); r != nil {
-		return r, nil
-	}
-	view, err := f.topo.SharedView(dest)
-	if err != nil {
-		return nil, err
-	}
-	r := &routing.HierarchicalRouter{
-		View:            view,
-		State:           &f.states[dest],
-		Intra:           f.solver,
-		ClusterOfSource: f.topo.ClusterOf,
-		Mode:            f.relax,
-		Index:           f.indexes.For(dest),
-	}
-	f.routers[dest].Store(r)
-	return r, nil
-}
+// Engine returns the engine that answers the framework's requests; its
+// ResolveExplain hands out the Fig. 7 artifacts (CSP, child requests, child
+// paths) of one request.
+func (f *Framework) Engine() *serve.Engine { return f.eng }
 
 // Topology exposes the constructed HFC topology.
-func (f *Framework) Topology() *hfc.Topology { return f.topo }
+func (f *Framework) Topology() *hfc.Topology { return f.eng.Topology() }
 
 // States exposes the converged per-proxy routing state.
 func (f *Framework) States() []state.NodeState { return f.states }
@@ -198,16 +147,17 @@ func (f *Framework) StateMessageStats() state.MessageStats { return f.stateMsgs 
 func (f *Framework) LandmarkCoords() []coords.Point { return f.landmarks }
 
 // N returns the overlay size.
-func (f *Framework) N() int { return f.topo.N() }
+func (f *Framework) N() int { return f.Topology().N() }
 
 // NumClusters returns the detected cluster count.
-func (f *Framework) NumClusters() int { return f.topo.NumClusters() }
+func (f *Framework) NumClusters() int { return f.Topology().NumClusters() }
 
 // Validate re-checks the framework's structural invariants: the HFC
 // topology's border properties and state convergence.
 func (f *Framework) Validate() error {
-	if err := f.topo.Validate(); err != nil {
+	topo := f.Topology()
+	if err := topo.Validate(); err != nil {
 		return err
 	}
-	return state.VerifyConvergence(f.topo, f.caps, f.states)
+	return state.VerifyConvergence(topo, f.caps, f.states)
 }

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"hfc/internal/netsim"
 	"hfc/internal/routing"
+	"hfc/internal/serve"
 	"hfc/internal/svc"
 	"hfc/internal/topology"
 )
@@ -85,33 +89,73 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRouteDetailedExposesArtifacts(t *testing.T) {
+// TestResolveExplainExposesArtifacts pins ResolveExplain's contract: the
+// Fig. 7 artifacts of the answer Resolve serves, computed without touching
+// the cache or the counters.
+func TestResolveExplainExposesArtifacts(t *testing.T) {
 	net, lm, px, caps := buildWorld(t, 3, 8, 40)
 	rng := rand.New(rand.NewSource(4))
 	fw, err := Bootstrap(rng, net, lm, px, caps, Config{})
 	if err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
+	eng := fw.Engine()
 	gen, err := svc.NewRequestGenerator(rng, caps, 3, 5)
 	if err != nil {
 		t.Fatalf("NewRequestGenerator: %v", err)
 	}
-	req, err := gen.Next()
+	for i := 0; i < 10; i++ {
+		req, err := gen.Next()
+		if err != nil {
+			t.Fatalf("Next: %v", err)
+		}
+		before := eng.Stats()
+		res, err := eng.ResolveExplain(req)
+		if err != nil {
+			t.Fatalf("ResolveExplain: %v", err)
+		}
+		if after := eng.Stats(); after != before {
+			t.Errorf("request %d: Stats moved across an explain: %+v -> %+v", i, before, after)
+		}
+		if len(res.CSP) != req.SG.Len() {
+			t.Errorf("request %d: CSP has %d entries for %d services", i, len(res.CSP), req.SG.Len())
+		}
+		if len(res.Children) == 0 || len(res.ChildPaths) != len(res.Children) {
+			t.Fatalf("request %d: children/paths inconsistent: %d vs %d", i, len(res.Children), len(res.ChildPaths))
+		}
+		for j, child := range res.Children {
+			hops := res.ChildPaths[j].Hops
+			if hops[0].Node != child.Source || hops[len(hops)-1].Node != child.Dest {
+				t.Errorf("request %d child %d: path %v does not span %d..%d", i, j, res.ChildPaths[j], child.Source, child.Dest)
+			}
+		}
+		served, err := eng.ResolveDetailed(req)
+		if err != nil {
+			t.Fatalf("ResolveDetailed: %v", err)
+		}
+		if res.CSPCost != served.CSPCost {
+			t.Errorf("request %d: explained CSP cost %v, served %v", i, res.CSPCost, served.CSPCost)
+		}
+		p, err := eng.Resolve(req)
+		if err != nil {
+			t.Fatalf("Resolve: %v", err)
+		}
+		if !reflect.DeepEqual(res.Path, p) {
+			t.Errorf("request %d: explained path %v, resolved %v", i, res.Path, p)
+		}
+	}
+	sg, err := svc.Linear(caps[0].Sorted()[0])
 	if err != nil {
-		t.Fatalf("Next: %v", err)
+		t.Fatalf("Linear: %v", err)
 	}
-	res, err := fw.RouteDetailed(req)
-	if err != nil {
-		t.Fatalf("RouteDetailed: %v", err)
+	if _, err := eng.ResolveExplain(svc.Request{Source: -1, Dest: 0, SG: sg}); err == nil {
+		t.Error("negative source accepted")
 	}
-	if len(res.CSP) != req.SG.Len() {
-		t.Errorf("CSP has %d entries for %d services", len(res.CSP), req.SG.Len())
+	if err := eng.SetUnavailable(0, true); err != nil {
+		t.Fatalf("SetUnavailable: %v", err)
 	}
-	if len(res.Children) == 0 || len(res.ChildPaths) != len(res.Children) {
-		t.Errorf("children/paths inconsistent: %d vs %d", len(res.Children), len(res.ChildPaths))
-	}
-	if res.Path == nil {
-		t.Fatal("nil final path")
+	if _, err := eng.ResolveExplain(svc.Request{Source: 1, Dest: 0, SG: sg}); !errors.Is(err, serve.ErrUnavailable) {
+		t.Errorf("unavailable destination: err = %v, want ErrUnavailable", err)
 	}
 }
 
@@ -130,6 +174,12 @@ func TestBootstrapValidation(t *testing.T) {
 	if _, err := Bootstrap(rng, nil, lm, px, caps, Config{}); err == nil {
 		t.Error("nil measurer accepted")
 	}
+	// An unknown relax mode fails at Bootstrap, not in every later Route.
+	for _, mode := range []routing.RelaxMode{-1, 9} {
+		if _, err := Bootstrap(rng, net, lm, px, caps, Config{Relax: mode}); err == nil || !strings.Contains(err.Error(), "unknown relax mode") {
+			t.Errorf("Relax %d: err = %v, want an unknown relax mode", int(mode), err)
+		}
+	}
 }
 
 func TestRouteValidatesRequest(t *testing.T) {
@@ -146,7 +196,7 @@ func TestRouteValidatesRequest(t *testing.T) {
 	if _, err := fw.Route(svc.Request{Source: 0, Dest: 99, SG: sg}); err == nil {
 		t.Error("out-of-range dest accepted")
 	}
-	if _, err := fw.RouteDetailed(svc.Request{Source: -1, Dest: 0, SG: sg}); err == nil {
+	if _, err := fw.Route(svc.Request{Source: -1, Dest: 0, SG: sg}); err == nil {
 		t.Error("negative source accepted")
 	}
 }

@@ -19,8 +19,8 @@ import (
 // routing tables — and leave the build's own rng where the serial build
 // leaves it, which the first generated request exposes.
 func TestBuildParallelIdenticalToSerial(t *testing.T) {
-	// Everything Build returns except the Framework's router cache and
-	// solver, which hold pools and cannot be compared.
+	// Everything Build returns except the Framework's serving engine, whose
+	// cache, locks and pools cannot be compared.
 	type built struct {
 		Net                         *netsim.Network
 		Landmarks, Proxies, Clients []int

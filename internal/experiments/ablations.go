@@ -10,6 +10,7 @@ import (
 	"hfc/internal/env"
 	"hfc/internal/hfc"
 	"hfc/internal/routing"
+	"hfc/internal/serve"
 	"hfc/internal/state"
 	"hfc/internal/stats"
 	"hfc/internal/svc"
@@ -175,16 +176,15 @@ func RunAblationRelax(spec env.Spec, requests int) ([]AblationRelaxRow, error) {
 	}
 	modes := []routing.RelaxMode{routing.RelaxBacktrack, routing.RelaxExact, routing.RelaxExternalOnly}
 	rows := make([]AblationRelaxRow, 0, len(modes))
-	topo := e.Framework.Topology()
-	states := e.Framework.States()
+	fw := e.Framework
 	for _, mode := range modes {
+		eng, err := serve.NewEngine(fw.Topology(), fw.Capabilities(), fw.States(), serve.Config{Relax: mode})
+		if err != nil {
+			return nil, err
+		}
 		var lengths, costs []float64
 		for _, req := range reqs {
-			router, err := routing.NewHierarchicalRouter(topo, states, req.Dest, mode)
-			if err != nil {
-				return nil, err
-			}
-			res, err := router.Route(req)
+			res, err := eng.ResolveDetailed(req)
 			if err != nil {
 				return nil, err
 			}
@@ -264,9 +264,13 @@ func RunAblationBorder(spec env.Spec, requests int) ([]AblationBorderRow, error)
 		if err != nil {
 			return nil, err
 		}
+		eng, err := serve.NewEngine(topo, caps, states, serve.Config{})
+		if err != nil {
+			return nil, err
+		}
 		var lengths []float64
 		for _, req := range reqs {
-			p, err := routing.RouteHierarchical(topo, states, req, routing.RelaxBacktrack)
+			p, err := eng.Resolve(req)
 			if err != nil {
 				return nil, err
 			}

@@ -56,7 +56,6 @@ func RunFaults(spec env.Spec, crashFractions []float64, trials, requests int) ([
 	}
 	topo := e.Framework.Topology()
 	caps := e.Framework.Capabilities()
-	baseline := e.Framework.States()
 
 	// Crashes are drawn from nodes with no border duty: the paper's
 	// clustering keeps border pairs long-lived, and border failover has its
@@ -121,7 +120,7 @@ func RunFaults(spec env.Spec, crashFractions []float64, trials, requests int) ([
 				if err != nil {
 					return nil, err
 				}
-				base, err := routing.RouteHierarchical(topo, baseline, req, routing.RelaxBacktrack)
+				base, err := e.Framework.Route(req)
 				if err != nil {
 					// The generator only emits satisfiable requests; a
 					// baseline failure is a harness bug.

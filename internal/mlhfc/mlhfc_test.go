@@ -373,10 +373,15 @@ func TestSingleGroupDegeneratesToBiLevel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tri Route: %v", err)
 		}
-		biPath, err := routing.RouteHierarchical(inner, biStates, req, routing.RelaxBacktrack)
+		r, err := routing.NewHierarchicalRouter(inner, biStates, req.Dest, routing.RelaxBacktrack)
+		if err != nil {
+			t.Fatalf("NewHierarchicalRouter: %v", err)
+		}
+		biRes, err := r.Route(req)
 		if err != nil {
 			t.Fatalf("bi Route: %v", err)
 		}
+		biPath := biRes.Path
 		if len(triRes.Path.Hops) != len(biPath.Hops) {
 			t.Fatalf("request %d: tri %v != bi %v", i, triRes.Path, biPath)
 		}

@@ -184,10 +184,15 @@ func TestDistributedRoutingMatchesSimulation(t *testing.T) {
 		if err := distRes.Path.Validate(req, caps); err != nil {
 			t.Fatalf("distributed path invalid: %v", err)
 		}
-		simPath, err := routing.RouteHierarchical(topo, states, req, routing.RelaxBacktrack)
+		r, err := routing.NewHierarchicalRouter(topo, states, req.Dest, routing.RelaxBacktrack)
+		if err != nil {
+			t.Fatalf("NewHierarchicalRouter: %v", err)
+		}
+		simRes, err := r.Route(req)
 		if err != nil {
 			t.Fatalf("simulated route: %v", err)
 		}
+		simPath := simRes.Path
 		// Same algorithm, same state → identical hop sequences.
 		if len(distRes.Path.Hops) != len(simPath.Hops) {
 			t.Fatalf("request %d: distributed %v != simulated %v", i, distRes.Path, simPath)

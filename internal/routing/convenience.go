@@ -6,7 +6,6 @@ import (
 
 	"hfc/internal/hfc"
 	"hfc/internal/state"
-	"hfc/internal/svc"
 )
 
 // NewHierarchicalRouter wires a §5 router for the destination proxy dest
@@ -15,7 +14,9 @@ import (
 // equivalence tests pin it to the entitlement-bounded View), its converged
 // state, a LocalIntraSolver for child requests, and the cluster-ID query
 // answered from the clustering assignment (the source proxy would answer it
-// in a deployment).
+// in a deployment). It builds no provider index, so it is also the
+// member-scan reference the indexed resolver (serve.Engine) is tested
+// against.
 func NewHierarchicalRouter(topo *hfc.Topology, states []state.NodeState, dest int, mode RelaxMode) (*HierarchicalRouter, error) {
 	if topo == nil {
 		return nil, errors.New("routing: nil topology")
@@ -37,18 +38,4 @@ func NewHierarchicalRouter(topo *hfc.Topology, states []state.NodeState, dest in
 		ClusterOfSource: topo.ClusterOf,
 		Mode:            mode,
 	}, nil
-}
-
-// RouteHierarchical is the one-call form: route req over the HFC framework
-// with converged state, returning the composed path.
-func RouteHierarchical(topo *hfc.Topology, states []state.NodeState, req svc.Request, mode RelaxMode) (*Path, error) {
-	r, err := NewHierarchicalRouter(topo, states, req.Dest, mode)
-	if err != nil {
-		return nil, err
-	}
-	res, err := r.Route(req)
-	if err != nil {
-		return nil, err
-	}
-	return res.Path, nil
 }

@@ -47,6 +47,16 @@ func (m RelaxMode) String() string {
 	}
 }
 
+// Validate rejects a mode outside the enum. The zero value is valid: a router
+// reads it as RelaxBacktrack.
+func (m RelaxMode) Validate() error {
+	switch m {
+	case 0, RelaxBacktrack, RelaxExact, RelaxExternalOnly:
+		return nil
+	}
+	return fmt.Errorf("routing: unknown relax mode %d", int(m))
+}
+
 // CSPEntry is one element of a Cluster-level Service Path: a service-graph
 // vertex mapped to the cluster that will provide it.
 type CSPEntry struct {
@@ -283,12 +293,7 @@ func (r *HierarchicalRouter) validate() error {
 	case r.ClusterOfSource == nil:
 		return errors.New("routing: hierarchical router has nil source-cluster query")
 	}
-	switch r.Mode {
-	case 0, RelaxBacktrack, RelaxExact, RelaxExternalOnly:
-	default:
-		return fmt.Errorf("routing: unknown relax mode %d", int(r.Mode))
-	}
-	return nil
+	return r.Mode.Validate()
 }
 
 func (r *HierarchicalRouter) mode() RelaxMode {

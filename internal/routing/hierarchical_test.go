@@ -16,6 +16,21 @@ import (
 	"hfc/internal/svc"
 )
 
+// RouteHierarchical is the one-call form of the index-free reference: route
+// req over the HFC framework with converged state, returning the composed
+// path.
+func RouteHierarchical(topo *hfc.Topology, states []state.NodeState, req svc.Request, mode RelaxMode) (*Path, error) {
+	r, err := NewHierarchicalRouter(topo, states, req.Dest, mode)
+	if err != nil {
+		return nil, err
+	}
+	res, err := r.Route(req)
+	if err != nil {
+		return nil, err
+	}
+	return res.Path, nil
+}
+
 // randomOverlay builds a clusterable random overlay with converged state:
 // nClusters blobs of blobSize nodes, capabilities drawn from catSize
 // services.

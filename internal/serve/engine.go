@@ -165,6 +165,9 @@ func NewEngine(topo *hfc.Topology, caps []svc.CapabilitySet, states []state.Node
 	if cfg.Relax == 0 {
 		cfg.Relax = routing.RelaxBacktrack
 	}
+	if err := cfg.Relax.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	capsClone := make([]svc.CapabilitySet, len(caps))
 	for i, c := range caps {
 		capsClone[i] = c.Clone()
@@ -225,7 +228,7 @@ func (e *Engine) Resolve(req svc.Request) (*routing.Path, error) {
 // ResolveDetailed answers one service request with the result the engine
 // keeps: the composed path, the CSP's cost and the degraded mark. Its CSP,
 // Children and ChildPaths are nil — the Fig. 7 artifacts are steps on the way
-// to the path, and routing.HierarchicalRouter.Route is who hands them out.
+// to the path, and ResolveExplain is who hands them out.
 // Identical concurrent requests share one computation; repeated requests
 // are answered from the route cache until an update invalidates a cluster
 // their path depends on. The returned result is shared and read-only.
@@ -313,17 +316,9 @@ func (e *Engine) resolveKeyed(req svc.Request, key routing.CacheKey) (*routing.R
 func (e *Engine) compute(req svc.Request, key routing.CacheKey, version uint64) (*routing.Result, error) {
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
-	view, err := e.view(req.Dest)
+	r, err := e.routerLocked(req.Dest)
 	if err != nil {
 		return nil, err
-	}
-	r := routing.HierarchicalRouter{
-		View:            view,
-		State:           &e.states[req.Dest],
-		Intra:           e.solver,
-		ClusterOfSource: e.clusterOf,
-		Mode:            e.relax,
-		Index:           e.indexes.For(req.Dest),
 	}
 	var stamps [8]int
 	path, cost, clusters, err := r.RoutePath(req, stamps[:0])
@@ -334,6 +329,46 @@ func (e *Engine) compute(req svc.Request, key routing.CacheKey, version uint64) 
 	res := &routing.Result{Path: path, CSPCost: cost}
 	e.cache.Put(key, req.SG.Canonical(), res, clusters, version)
 	return res, nil
+}
+
+// routerLocked assembles dest's §5 router over the engine's current state:
+// the one place a converged-state router is built. The caller holds stateMu's
+// read side for as long as it uses the router.
+func (e *Engine) routerLocked(dest int) (routing.HierarchicalRouter, error) {
+	view, err := e.view(dest)
+	if err != nil {
+		return routing.HierarchicalRouter{}, err
+	}
+	return routing.HierarchicalRouter{
+		View:            view,
+		State:           &e.states[dest],
+		Intra:           e.solver,
+		ClusterOfSource: e.clusterOf,
+		Mode:            e.relax,
+		Index:           e.indexes.For(dest),
+	}, nil
+}
+
+// ResolveExplain answers one service request with the Fig. 7 artifacts a
+// cache entry does not keep — the CSP, the child requests and their paths —
+// beside the composed path, by running the router a cache miss runs. It is
+// the explained answer, not a serving path: it neither reads nor fills the
+// route cache and counts nothing in Stats. A destination marked unavailable
+// cannot run the computation, so it reports ErrUnavailable.
+func (e *Engine) ResolveExplain(req svc.Request) (*routing.Result, error) {
+	if err := req.Validate(e.topo.N()); err != nil {
+		return nil, err
+	}
+	if !e.avail.Present(req.Dest) {
+		return nil, ErrUnavailable
+	}
+	e.stateMu.RLock()
+	defer e.stateMu.RUnlock()
+	r, err := e.routerLocked(req.Dest)
+	if err != nil {
+		return nil, err
+	}
+	return r.Route(req)
 }
 
 // degradedResult returns a degraded-tagged copy of the last-known-good

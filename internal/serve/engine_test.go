@@ -64,34 +64,56 @@ func buildEngine(t testing.TB, seed int64, proxies int, cfg serve.Config) (*core
 	return fw, eng, caps
 }
 
-func TestEngineMatchesFramework(t *testing.T) {
-	fw, eng, caps := buildEngine(t, 21, 40, serve.Config{})
-	rng := rand.New(rand.NewSource(22))
-	gen, err := svc.NewRequestGenerator(rng, caps, 2, 5)
-	if err != nil {
-		t.Fatalf("NewRequestGenerator: %v", err)
-	}
-	for i := 0; i < 30; i++ {
-		req, err := gen.Next()
+// TestEngineMatchesScan: the engine's indexed resolution — the served answer
+// and the explained one — is bit-identical to the index-free reference
+// router, which scans cluster members for providers, in every relax mode.
+func TestEngineMatchesScan(t *testing.T) {
+	fw, _, caps := buildEngine(t, 21, 40, serve.Config{})
+	for _, mode := range []routing.RelaxMode{routing.RelaxBacktrack, routing.RelaxExact, routing.RelaxExternalOnly} {
+		eng, err := serve.NewEngine(fw.Topology(), fw.Capabilities(), fw.States(), serve.Config{Relax: mode})
 		if err != nil {
-			t.Fatalf("Next: %v", err)
+			t.Fatalf("NewEngine(%v): %v", mode, err)
 		}
-		want, err := fw.Route(req)
+		gen, err := svc.NewRequestGenerator(rand.New(rand.NewSource(22)), caps, 2, 5)
 		if err != nil {
-			t.Fatalf("framework Route: %v", err)
+			t.Fatalf("NewRequestGenerator: %v", err)
 		}
-		got, err := eng.Resolve(req)
-		if err != nil {
-			t.Fatalf("engine Resolve: %v", err)
-		}
-		if got.DecisionCost != want.DecisionCost {
-			t.Fatalf("request %d: engine cost %v, framework cost %v (must be bit-identical)", i, got.DecisionCost, want.DecisionCost)
-		}
-		if !reflect.DeepEqual(got.Hops, want.Hops) {
-			t.Fatalf("request %d: engine hops %v, framework hops %v", i, got.Hops, want.Hops)
-		}
-		if err := got.Validate(req, caps); err != nil {
-			t.Errorf("request %d: invalid path: %v", i, err)
+		for i := 0; i < 30; i++ {
+			req, err := gen.Next()
+			if err != nil {
+				t.Fatalf("Next: %v", err)
+			}
+			r, err := routing.NewHierarchicalRouter(fw.Topology(), fw.States(), req.Dest, mode)
+			if err != nil {
+				t.Fatalf("NewHierarchicalRouter: %v", err)
+			}
+			want, err := r.Route(req)
+			if err != nil {
+				t.Fatalf("%v request %d: scan Route: %v", mode, i, err)
+			}
+			served, err := eng.ResolveDetailed(req)
+			if err != nil {
+				t.Fatalf("%v request %d: ResolveDetailed: %v", mode, i, err)
+			}
+			explained, err := eng.ResolveExplain(req)
+			if err != nil {
+				t.Fatalf("%v request %d: ResolveExplain: %v", mode, i, err)
+			}
+			for _, got := range []struct {
+				name string
+				res  *routing.Result
+			}{{"served", served}, {"explained", explained}} {
+				if got.res.CSPCost != want.CSPCost || got.res.Path.DecisionCost != want.Path.DecisionCost {
+					t.Fatalf("%v request %d: %s costs (CSP %v, path %v), scan (CSP %v, path %v) — must be bit-identical",
+						mode, i, got.name, got.res.CSPCost, got.res.Path.DecisionCost, want.CSPCost, want.Path.DecisionCost)
+				}
+				if !reflect.DeepEqual(got.res.Path.Hops, want.Path.Hops) {
+					t.Fatalf("%v request %d: %s hops %v, scan hops %v", mode, i, got.name, got.res.Path.Hops, want.Path.Hops)
+				}
+			}
+			if err := served.Path.Validate(req, caps); err != nil {
+				t.Errorf("%v request %d: invalid path: %v", mode, i, err)
+			}
 		}
 	}
 }

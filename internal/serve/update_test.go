@@ -29,6 +29,7 @@ func TestNewEngineBoundary(t *testing.T) {
 	type input struct {
 		states []state.NodeState
 		caps   []svc.CapabilitySet
+		relax  routing.RelaxMode
 	}
 	for _, tc := range []struct {
 		name    string
@@ -44,6 +45,8 @@ func TestNewEngineBoundary(t *testing.T) {
 		{"SCT_C one slot longer than K", func(in *input) { in.states[39].SCTC = longer(in.states[39].SCTC) }, "node 39: SCT_C"},
 		{"SCT_C one slot short", func(in *input) { in.states[39].SCTC = in.states[39].SCTC[:topo.NumClusters()-1] }, "node 39: SCT_C"},
 		{"two states swapped", func(in *input) { in.states[3], in.states[4] = in.states[4], in.states[3] }, "states[3] is the state of node 4"},
+		{"relax mode -1", func(in *input) { in.relax = -1 }, "unknown relax mode -1"},
+		{"relax mode past the last", func(in *input) { in.relax = routing.RelaxExternalOnly + 1 }, "unknown relax mode 4"},
 		{"an unlearned entry", func(in *input) {
 			// A hole is a value of the table (a proxy just recovered), not a shape error.
 			in.states[5].SCTP = append([]svc.CapabilitySet(nil), in.states[5].SCTP...)
@@ -51,9 +54,9 @@ func TestNewEngineBoundary(t *testing.T) {
 		}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			in := input{append([]state.NodeState(nil), fw.States()...), append([]svc.CapabilitySet(nil), caps...)}
+			in := input{append([]state.NodeState(nil), fw.States()...), append([]svc.CapabilitySet(nil), caps...), 0}
 			tc.mutate(&in)
-			eng, err := serve.NewEngine(topo, in.caps, in.states, serve.Config{})
+			eng, err := serve.NewEngine(topo, in.caps, in.states, serve.Config{Relax: in.relax})
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("NewEngine: %v", err)
