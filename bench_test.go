@@ -416,7 +416,7 @@ func BenchmarkGateSolveChildIndexed(b *testing.B) {
 		b.Fatal("no provider in cluster 0")
 	}
 	// Build the index and fill the path solver's scratch pool outside the
-	// timer: at benchgate's 5 iterations a cold pool reads 14 allocs, not 11.
+	// timer, so that the iterations time a warm solve.
 	if _, err := solver.SolveChild(child); err != nil {
 		b.Fatalf("warm SolveChild: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"hfc/internal/svc"
@@ -85,8 +86,9 @@ type pathScratch struct {
 	sinks   []int
 	revV    []int // reconstruction stack (vertex, provider-index)
 	revI    []int
+	logical []Hop // the unexpanded hops, when an Expander lays the concrete ones
 
-	// chain is the linear service graph of a §5.2 child (IntraSolve.Solve):
+	// chain is the linear service graph of a §5.2 child (IntraSolve.Append):
 	// chainEdges[i] is always the arc i → i+1, so a chain of n services takes
 	// its first n−1 and the table only ever grows.
 	chain      svc.Graph
@@ -147,14 +149,26 @@ func findPathScratch(req svc.Request, providers ProviderFunc, oracle Oracle, exp
 	if err := req.SG.Validate(); err != nil {
 		return nil, err
 	}
-	return sc.search(req, providers, oracle, exp, admissible)
+	return pathOf(sc.search(req, providers, oracle, exp, admissible, nil))
+}
+
+// pathOf wraps what an appending search or solve returned in a path of its
+// own.
+func pathOf(hops []Hop, cost float64, err error) (*Path, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Path{Hops: hops, DecisionCost: cost}, nil
 }
 
 // search is the DAG search of [11] over a request whose graph has been
-// validated and whose provider function and oracle are set.
+// validated and whose provider function and oracle are set. It appends the
+// optimal path's hops to dst and returns them with the path's cost; on error
+// the hops are nil. Without an Expander dst grows at most once; with one the
+// logical hops are laid in the scratch and expanded into dst.
 //
-//hfc:hotpath budget=18
-func (sc *pathScratch) search(req svc.Request, providers ProviderFunc, oracle Oracle, exp Expander, admissible EdgeFilter) (*Path, error) {
+//hfc:hotpath budget=10
+func (sc *pathScratch) search(req svc.Request, providers ProviderFunc, oracle Oracle, exp Expander, admissible EdgeFilter, dst []Hop) ([]Hop, float64, error) {
 	hopOK := func(u, v int) bool {
 		return u == v || admissible == nil || admissible(u, v)
 	}
@@ -170,7 +184,7 @@ func (sc *pathScratch) search(req svc.Request, providers ProviderFunc, oracle Or
 		sc.off[v] = total
 		sc.provs[v] = providers(sg.Services[v])
 		if len(sc.provs[v]) == 0 {
-			return nil, fmt.Errorf("routing: service %q: %w", sg.Services[v], ErrNoProviders)
+			return nil, 0, fmt.Errorf("routing: service %q: %w", sg.Services[v], ErrNoProviders)
 		}
 		total += len(sc.provs[v])
 	}
@@ -245,7 +259,7 @@ func (sc *pathScratch) search(req svc.Request, providers ProviderFunc, oracle Or
 		}
 	}
 	if len(sc.order) != nv {
-		return nil, errors.New("routing: service graph contains a cycle")
+		return nil, 0, errors.New("routing: service graph contains a cycle")
 	}
 
 	// Relax SG edges in topological order of the service graph.
@@ -296,7 +310,7 @@ func (sc *pathScratch) search(req svc.Request, providers ProviderFunc, oracle Or
 		}
 	}
 	if bestV == -1 {
-		return nil, ErrInfeasible
+		return nil, 0, ErrInfeasible
 	}
 
 	// Reconstruct the (service, node) sequence.
@@ -308,29 +322,33 @@ func (sc *pathScratch) search(req svc.Request, providers ProviderFunc, oracle Or
 		slot := sc.off[v] + i
 		v, i = sc.parV[slot], sc.parI[slot]
 	}
-	// The hop sequence escapes into the result; allocate it exactly once.
-	hops := make([]Hop, 0, len(sc.revV)+2)
-	hops = append(hops, Hop{Node: req.Source})
-	for idx := len(sc.revV) - 1; idx >= 0; idx-- {
-		v, i := sc.revV[idx], sc.revI[idx]
-		hops = append(hops, Hop{Node: sc.provs[v][i], Service: sg.Services[v]})
+	if exp == nil {
+		return sc.appendHops(slices.Grow(dst, len(sc.revV)+2), req), bestCost, nil
 	}
-	hops = append(hops, Hop{Node: req.Dest})
-
-	expanded, err := expandHops(hops, exp)
+	sc.logical = sc.appendHops(sc.logical[:0], req)
+	expanded, err := expandHops(dst, sc.logical, exp)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return &Path{Hops: expanded, DecisionCost: bestCost}, nil
+	return expanded, bestCost, nil
 }
 
-// expandHops inserts topology-mandated relay nodes between consecutive hops
-// on distinct nodes.
-func expandHops(hops []Hop, exp Expander) ([]Hop, error) {
-	if exp == nil {
-		return hops, nil
+// appendHops appends the hop sequence search reconstructed — the source,
+// one (service, provider) hop per service-graph vertex on the path, the
+// destination — to dst.
+func (sc *pathScratch) appendHops(dst []Hop, req svc.Request) []Hop {
+	dst = append(dst, Hop{Node: req.Source})
+	for idx := len(sc.revV) - 1; idx >= 0; idx-- {
+		v, i := sc.revV[idx], sc.revI[idx]
+		dst = append(dst, Hop{Node: sc.provs[v][i], Service: req.SG.Services[v]})
 	}
-	out := []Hop{hops[0]}
+	return append(dst, Hop{Node: req.Dest})
+}
+
+// expandHops appends hops to dst with topology-mandated relay nodes inserted
+// between consecutive hops on distinct nodes.
+func expandHops(dst, hops []Hop, exp Expander) ([]Hop, error) {
+	out := append(dst, hops[0])
 	for i := 1; i < len(hops); i++ {
 		prev, cur := hops[i-1], hops[i]
 		if prev.Node == cur.Node {

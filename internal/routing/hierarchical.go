@@ -96,6 +96,17 @@ type IntraSolver interface {
 	SolveChild(child ChildRequest) (*Path, error)
 }
 
+// ChildAppender is an IntraSolver that can lay a child path's hops into a
+// buffer the router lends instead of allocating a path of its own. The
+// router solves every child through AppendChild when its solver has it:
+// §5.1 step 4 hands the stream one composed path, and the child paths are
+// steps on the way to it. AppendChild appends the child path's hops to dst
+// and returns them with the path's cost; child.Services is on loan as for
+// SolveChild.
+type ChildAppender interface {
+	AppendChild(child ChildRequest, dst []Hop) ([]Hop, float64, error)
+}
+
 // HierarchicalRouter performs §5 service routing at a destination proxy,
 // using only knowledge that proxy legitimately has: its Fig. 4 topology
 // view, its converged SCT_C/SCT_P, and the ability to query the source
@@ -153,78 +164,132 @@ type Result struct {
 }
 
 // routeScratch is the arena of one §5 resolve: the label tables of the
-// cluster-level search and every intermediate of steps 2–3 — the CSP, the
-// dissected children with their one run of services, the child paths, the
-// uncompacted concatenation of their hops — none of which outlives the call
-// unless Route copies it out. Scratches are pooled; every field is
+// cluster-level search and every intermediate of steps 2–4 — the CSP, the
+// dissected children with their one run of services, the child paths laid
+// back to back, their compacted concatenation — none of which outlives the
+// call unless an exit copies it out. Scratches are pooled; every field is
 // re-initialized per resolve.
 type routeScratch struct {
-	search     cspScratch
-	csp        []CSPEntry
-	children   []ChildRequest
-	services   []svc.Service
+	search   cspScratch
+	csp      []CSPEntry
+	children []ChildRequest
+	services []svc.Service
+	// dt is the border table the route read: the search, the dissection and
+	// the composed cost must agree on where clusters are crossed, whatever a
+	// Dynamic publishes meanwhile.
+	dt *hfc.DenseTables
+	// hops holds the child paths back to back: child i's are
+	// hops[ends[i-1]:ends[i]] (from 0 for the first) and cost costs[i].
+	hops  []Hop
+	ends  []int
+	costs []float64
+	// childPaths[i] is the path a solver that is not a ChildAppender
+	// returned for child i, kept for Route; nil for an appended child.
 	childPaths []*Path
-	hops       []Hop
+	// composed is the compacted concatenation of the child paths.
+	composed []Hop
 }
 
 var routePool = sync.Pool{New: func() any { return new(routeScratch) }}
 
 // release returns sc to the pool, dropping what it borrowed or was handed:
-// the request's service names and the child paths.
+// the request's service names, the border table and the child paths.
 func (sc *routeScratch) release() {
 	clear(sc.services)
 	clear(sc.childPaths)
 	clear(sc.hops[:cap(sc.hops)])
+	clear(sc.composed[:cap(sc.composed)])
+	sc.dt = nil
 	routePool.Put(sc)
 }
 
 // route is the §5 procedure, written once: the cluster-level search (steps
 // 1–2), the dissection (step 3), the child solves and the composition (step
-// 4). It returns the composed path and the CSP's cost; the Fig. 7 artifacts
-// stay in sc for the exit that wants them.
+// 4). It returns the composed path, whose hops are sc's, and the CSP's cost;
+// the Fig. 7 artifacts stay in sc for the exit that wants them.
 //
 //hfc:hotpath budget=0
-func (r *HierarchicalRouter) route(req svc.Request, sc *routeScratch) (*Path, float64, error) {
+func (r *HierarchicalRouter) route(req svc.Request, sc *routeScratch) (Path, float64, error) {
 	if err := r.validate(); err != nil {
-		return nil, 0, err
+		return Path{}, 0, err
 	}
 	if err := req.SG.Validate(); err != nil {
-		return nil, 0, err
+		return Path{}, 0, err
 	}
 	if req.Dest != r.View.Node {
 		//hfcvet:ignore hotalloc cold misrouted-request error path
-		return nil, 0, fmt.Errorf("routing: request destination %d is not this proxy %d", req.Dest, r.View.Node)
+		return Path{}, 0, fmt.Errorf("routing: request destination %d is not this proxy %d", req.Dest, r.View.Node)
 	}
 	srcCluster := r.ClusterOfSource(req.Source)
 	destCluster := r.View.ClusterID
-	// One border table for the whole route: the search, the dissection and
-	// the composed cost must agree on where clusters are crossed, whatever a
-	// Dynamic publishes meanwhile.
-	dt := r.View.Dense()
+	sc.dt = r.View.Dense()
 
-	cost, err := r.clusterLevelPath(dt, req, srcCluster, destCluster, sc)
+	cost, err := r.clusterLevelPath(sc.dt, req, srcCluster, destCluster, sc)
 	if err != nil {
-		return nil, 0, err
+		return Path{}, 0, err
 	}
-	sc.dissect(dt, req, srcCluster, destCluster)
-	sc.childPaths = grow(sc.childPaths, len(sc.children))
-	for i, child := range sc.children {
-		p, err := r.Intra.SolveChild(child)
-		if err != nil {
-			//hfcvet:ignore hotalloc cold child-failure error path
-			return nil, 0, fmt.Errorf("routing: child %d (cluster %d): %w", i, child.Cluster, err)
+	sc.dissect(sc.dt, req, srcCluster, destCluster)
+	n := len(sc.children)
+	sc.hops = sc.hops[:0]
+	sc.ends = grow(sc.ends, n)
+	sc.costs = grow(sc.costs, n)
+	sc.childPaths = grow(sc.childPaths, n)
+	appender, _ := r.Intra.(ChildAppender)
+	for i := range sc.children {
+		if err := sc.solveChild(r.Intra, appender, i); err != nil {
+			return Path{}, 0, err
+		}
+	}
+	return sc.compose(), cost, nil
+}
+
+// solveChild solves child i and appends its path to sc.hops: in place when
+// the solver is a ChildAppender, otherwise through SolveChild, whose path it
+// keeps for Route. The path must run from the child's source to its
+// destination.
+//
+//hfc:hotpath budget=0
+func (sc *routeScratch) solveChild(intra IntraSolver, appender ChildAppender, i int) error {
+	child := sc.children[i]
+	start := len(sc.hops)
+	var cost float64
+	var err error
+	if appender != nil {
+		var hops []Hop
+		if hops, cost, err = appender.AppendChild(child, sc.hops); err == nil {
+			sc.hops = hops
+		}
+		sc.childPaths[i] = nil
+	} else {
+		var p *Path
+		if p, err = intra.SolveChild(child); err == nil && p != nil {
+			//hfcvet:ignore hotalloc hops retains capacity across pooled runs
+			sc.hops = append(sc.hops, p.Hops...)
+			cost = p.DecisionCost
 		}
 		sc.childPaths[i] = p
 	}
-	final, err := sc.compose(dt)
 	if err != nil {
-		return nil, 0, err
+		//hfcvet:ignore hotalloc cold child-failure error path
+		return fmt.Errorf("routing: child %d (cluster %d): %w", i, child.Cluster, err)
 	}
-	return final, cost, nil
+	hops := sc.hops[start:]
+	if len(hops) == 0 {
+		//hfcvet:ignore hotalloc cold malformed-child error path
+		return fmt.Errorf("routing: child %d returned an empty path", i)
+	}
+	if hops[0].Node != child.Source || hops[len(hops)-1].Node != child.Dest {
+		//hfcvet:ignore hotalloc cold malformed-child error path
+		return fmt.Errorf("routing: child %d path %v does not span %d..%d", i, &Path{Hops: hops, DecisionCost: cost}, child.Source, child.Dest)
+	}
+	sc.ends[i], sc.costs[i] = len(sc.hops), cost
+	return nil
 }
 
 // Route runs the full §5 procedure for req and copies the Fig. 7 artifacts
-// out of the scratch: the result owns everything it references.
+// out of the scratch: the result owns everything it references. An appended
+// child's path is cut from the scratch's hops; a path a solver returned is
+// handed on as it came.
 func (r *HierarchicalRouter) Route(req svc.Request) (*Result, error) {
 	sc := routePool.Get().(*routeScratch)
 	defer sc.release()
@@ -236,8 +301,16 @@ func (r *HierarchicalRouter) Route(req svc.Request) (*Result, error) {
 		CSP:        slices.Clone(sc.csp),
 		CSPCost:    cost,
 		Children:   slices.Clone(sc.children),
-		ChildPaths: slices.Clone(sc.childPaths),
-		Path:       final,
+		ChildPaths: make([]*Path, len(sc.children)),
+		Path:       &Path{Hops: slices.Clone(final.Hops), DecisionCost: final.DecisionCost},
+	}
+	start := 0
+	for i, p := range sc.childPaths {
+		if p == nil {
+			p = &Path{Hops: slices.Clone(sc.hops[start:sc.ends[i]]), DecisionCost: sc.costs[i]}
+		}
+		res.ChildPaths[i] = p
+		start = sc.ends[i]
 	}
 	// The children's Services are windows into one run; so are the copy's.
 	services := slices.Clone(sc.services)
@@ -252,20 +325,29 @@ func (r *HierarchicalRouter) Route(req svc.Request) (*Result, error) {
 }
 
 // RoutePath runs the same procedure for a caller that wants what the stream
-// gets (§5.1 step 4): the composed path, the CSP's cost and — appended to
-// clusters — each cluster the route depends on, once. Those are the
-// children's clusters: the endpoints' and every provider's and relay's, so
-// the set a route cache stamps (RouteCache.Put).
+// gets (§5.1 step 4): a result carrying the composed path and the CSP's cost
+// — its CSP, Children and ChildPaths nil — and, appended to clusters, each
+// cluster the route depends on, once. Those are the children's clusters: the
+// endpoints' and every provider's and relay's, so the set a route cache
+// stamps (RouteCache.Put). The result and its path are one allocation.
 //
-//hfc:hotpath budget=0
-func (r *HierarchicalRouter) RoutePath(req svc.Request, clusters []int) (*Path, float64, []int, error) {
+//hfc:hotpath budget=1
+func (r *HierarchicalRouter) RoutePath(req svc.Request, clusters []int) (*Result, []int, error) {
 	sc := routePool.Get().(*routeScratch)
 	defer sc.release()
 	final, cost, err := r.route(req, sc)
 	if err != nil {
-		return nil, 0, clusters, err
+		return nil, clusters, err
 	}
-	return final, cost, appendDistinctClusters(clusters, sc.children), nil
+	blk := &struct {
+		res  Result
+		path Path
+	}{
+		res:  Result{CSPCost: cost},
+		path: Path{Hops: slices.Clone(final.Hops), DecisionCost: final.DecisionCost},
+	}
+	blk.res.Path = &blk.path
+	return &blk.res, appendDistinctClusters(clusters, sc.children), nil
 }
 
 // appendDistinctClusters appends each child's cluster to dst unless dst
@@ -352,39 +434,26 @@ func (sc *routeScratch) dissect(dt *hfc.DenseTables, req svc.Request, srcCluster
 	}
 }
 
-// compose concatenates the resolved child paths into the final service path
-// (§5.1 step 4). Consecutive children sit in different clusters; the
-// external link between their border proxies is implicit in hop adjacency;
-// its length is dt's. The concatenation is laid out and compacted in
-// sc.hops, so the path keeps an array of exactly its own length.
+// compose concatenates the child paths into the final service path (§5.1
+// step 4). Consecutive children sit in different clusters; the external link
+// between their border proxies is implicit in hop adjacency; its length is
+// the route's border table's. The concatenation is compacted into
+// sc.composed, leaving each child's path in sc.hops for Route; the returned
+// path's hops are sc's.
 //
-//hfc:hotpath budget=1
-func (sc *routeScratch) compose(dt *hfc.DenseTables) (*Path, error) {
-	children, childPaths := sc.children, sc.childPaths
-	if len(children) != len(childPaths) {
-		//hfcvet:ignore hotalloc cold internal-error path
-		return nil, fmt.Errorf("routing: %d children but %d child paths", len(children), len(childPaths))
-	}
-	sc.hops = sc.hops[:0]
+//hfc:hotpath budget=0
+func (sc *routeScratch) compose() Path {
 	cost := 0.0
-	for i, p := range childPaths {
-		if p == nil || len(p.Hops) == 0 {
-			//hfcvet:ignore hotalloc cold malformed-child error path
-			return nil, fmt.Errorf("routing: child %d returned an empty path", i)
-		}
-		if p.Hops[0].Node != children[i].Source || p.Hops[len(p.Hops)-1].Node != children[i].Dest {
-			//hfcvet:ignore hotalloc cold malformed-child error path
-			return nil, fmt.Errorf("routing: child %d path %v does not span %d..%d", i, p, children[i].Source, children[i].Dest)
-		}
-		//hfcvet:ignore hotalloc hops retains capacity across pooled runs
-		sc.hops = append(sc.hops, p.Hops...)
-		cost += p.DecisionCost
-		if i+1 < len(childPaths) {
-			_, _, ext := crossingFlat(dt, children[i].Cluster, children[i+1].Cluster)
+	for i := range sc.children {
+		cost += sc.costs[i]
+		if i+1 < len(sc.children) {
+			_, _, ext := crossingFlat(sc.dt, sc.children[i].Cluster, sc.children[i+1].Cluster)
 			cost += ext
 		}
 	}
-	return &Path{Hops: slices.Clone(CompactHops(sc.hops)), DecisionCost: cost}, nil
+	//hfcvet:ignore hotalloc composed retains capacity across pooled runs
+	sc.composed = append(sc.composed[:0], sc.hops...)
+	return Path{Hops: CompactHops(sc.composed), DecisionCost: cost}
 }
 
 // CompactHops removes serviceless hops that duplicate an adjacent hop's

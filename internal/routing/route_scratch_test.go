@@ -123,16 +123,44 @@ func compareExits(t testing.TB, sc exitScenario) {
 		}
 	}
 
-	pathOnly.path, pathOnly.cost, pathOnly.clusters, pathOnly.err = r.RoutePath(req, nil)
+	var only *Result
+	only, pathOnly.clusters, pathOnly.err = r.RoutePath(req, nil)
+	if pathOnly.err == nil {
+		pathOnly.path, pathOnly.cost = only.Path, only.CSPCost
+		if only.CSP != nil || only.Children != nil || only.ChildPaths != nil || only.Degraded {
+			t.Fatalf("RoutePath result carries more than its path and cost: %+v", only)
+		}
+	}
 	full.agree(t, pathOnly, "Route vs RoutePath")
 
 	rs := new(routeScratch)
-	fresh.path, fresh.cost, fresh.err = r.route(req, rs)
+	var freshPath Path
+	freshPath, fresh.cost, fresh.err = r.route(req, rs)
 	if fresh.err == nil {
+		fresh.path = &freshPath
 		fresh.clusters = appendDistinctClusters(nil, rs.children)
 	}
 	full.agree(t, fresh, "pooled vs fresh scratch")
+
+	// A solver that is not a ChildAppender is asked through SolveChild, and
+	// the route it takes part in is the same, child paths included.
+	var solved exitOutcome
+	viaSolve := *r
+	viaSolve.Intra = solveOnly{r.Intra}
+	sres, err := viaSolve.Route(req)
+	solved.err = err
+	if err == nil {
+		solved.path, solved.cost = sres.Path, sres.CSPCost
+		solved.clusters = RouteClusters(nil, sres)
+	}
+	full.agree(t, solved, "AppendChild vs SolveChild")
+	if err == nil && !reflect.DeepEqual(sres.ChildPaths, res.ChildPaths) {
+		t.Fatalf("child paths through SolveChild %v, through AppendChild %v", sres.ChildPaths, res.ChildPaths)
+	}
 }
+
+// solveOnly hides every method of an IntraSolver but SolveChild.
+type solveOnly struct{ IntraSolver }
 
 // TestRouteExitsAgree: Route and RoutePath are two materializations of one
 // route body — same path, same cost bits, same error text — in every relax
@@ -183,12 +211,12 @@ func TestResultDoesNotAliasScratch(t *testing.T) {
 			t.Errorf("Route: %v", err)
 			return nil, nil
 		}
-		p, _, _, err := r.RoutePath(req, nil)
+		only, _, err := r.RoutePath(req, nil)
 		if err != nil {
 			t.Errorf("RoutePath: %v", err)
 			return nil, nil
 		}
-		return res, p
+		return res, only.Path
 	}
 	deepCopy := func(res *Result) *Result {
 		cp := &Result{CSP: slices.Clone(res.CSP), CSPCost: res.CSPCost, Children: slices.Clone(res.Children)}

@@ -20,7 +20,7 @@ type IntraSolve struct {
 	// Members lists the cluster's proxies in index order and SCTP is the
 	// resolver's table of their capability sets, entry r for Members[r]: the
 	// providers of a service are the members SCTP lists it on. Whoever owns
-	// a live SCTP holds its read lock across Solve.
+	// a live SCTP holds its read lock across the solve.
 	Members []int
 	SCTP    []svc.CapabilitySet
 	// Indexes, when non-nil, answers the same lookup from the resolver's
@@ -37,22 +37,29 @@ type IntraSolve struct {
 	Admissible EdgeFilter
 }
 
-// Solve places child's services on the cluster's providers, or relays
-// between its endpoints when it has none to place.
-func (s IntraSolve) Solve(child ChildRequest) (*Path, error) {
+// Append places child's services on the cluster's providers, or relays
+// between its endpoints when it has none to place. It appends the child
+// path's hops to dst and returns them with the path's cost; on error the hops
+// are nil. dst grows at most once, so a buffer with room for the path makes a
+// solve that allocates nothing.
+//
+//hfc:hotpath budget=5
+func (s IntraSolve) Append(child ChildRequest, dst []Hop) ([]Hop, float64, error) {
+	if s.Oracle == nil {
+		return nil, 0, errors.New("routing: nil oracle")
+	}
 	// A relay-only child: the cluster just carries the stream between its
 	// borders (or an endpoint and a border).
 	if len(child.Services) == 0 {
 		if child.Source == child.Dest {
-			return &Path{Hops: []Hop{{Node: child.Source}}}, nil
+			//hfcvet:ignore hotalloc grows only past the caller's buffer
+			return append(dst, Hop{Node: child.Source}), 0, nil
 		}
 		if s.Admissible != nil && !s.Admissible(child.Source, child.Dest) {
-			return nil, ErrInfeasible
+			return nil, 0, ErrInfeasible
 		}
-		return &Path{
-			Hops:         []Hop{{Node: child.Source}, {Node: child.Dest}},
-			DecisionCost: s.Oracle.Dist(child.Source, child.Dest),
-		}, nil
+		//hfcvet:ignore hotalloc grows only past the caller's buffer
+		return append(dst, Hop{Node: child.Source}, Hop{Node: child.Dest}), s.Oracle.Dist(child.Source, child.Dest), nil
 	}
 	// The chain is built in the search's own scratch and validated here,
 	// once; the search below takes it as is.
@@ -60,10 +67,7 @@ func (s IntraSolve) Solve(child ChildRequest) (*Path, error) {
 	defer scratchPool.Put(sc)
 	sg, err := sc.linear(child.Services)
 	if err != nil {
-		return nil, fmt.Errorf("routing: child service chain: %w", err)
-	}
-	if s.Oracle == nil {
-		return nil, errors.New("routing: nil oracle")
+		return nil, 0, fmt.Errorf("routing: child service chain: %w", err)
 	}
 	// The per-service lookup: one list per service — the index's own shared
 	// list when nothing is filtered, otherwise a fresh one filled in a single
@@ -100,7 +104,12 @@ func (s IntraSolve) Solve(child ChildRequest) (*Path, error) {
 		}
 	}
 	req := svc.Request{Source: child.Source, Dest: child.Dest, SG: sg}
-	return sc.search(req, providers, s.Oracle, nil, s.Admissible)
+	return sc.search(req, providers, s.Oracle, nil, s.Admissible, dst)
+}
+
+// Solve is Append into a path of its own.
+func (s IntraSolve) Solve(child ChildRequest) (*Path, error) {
+	return pathOf(s.Append(child, nil))
 }
 
 // LocalIntraSolver resolves child requests by direct computation (§5.2),
@@ -135,24 +144,39 @@ type LocalIntraSolver struct {
 	ExcludeAny func() bool
 }
 
-var _ IntraSolver = (*LocalIntraSolver)(nil)
+var (
+	_ IntraSolver   = (*LocalIntraSolver)(nil)
+	_ ChildAppender = (*LocalIntraSolver)(nil)
+)
 
 // SolveChild implements IntraSolver.
 func (s *LocalIntraSolver) SolveChild(child ChildRequest) (*Path, error) {
+	return pathOf(s.AppendChild(child, nil))
+}
+
+// AppendChild implements ChildAppender: the child is checked against the
+// topology and solved over the resolver's converged table by IntraSolve.Append.
+//
+//hfc:hotpath budget=0
+func (s *LocalIntraSolver) AppendChild(child ChildRequest, dst []Hop) ([]Hop, float64, error) {
 	if s.Topo == nil {
-		return nil, errors.New("routing: intra solver has nil topology")
+		return nil, 0, errors.New("routing: intra solver has nil topology")
 	}
 	if len(s.States) != s.Topo.N() {
-		return nil, fmt.Errorf("routing: intra solver has %d states for %d nodes", len(s.States), s.Topo.N())
+		//hfcvet:ignore hotalloc cold misconfigured-solver error path
+		return nil, 0, fmt.Errorf("routing: intra solver has %d states for %d nodes", len(s.States), s.Topo.N())
 	}
 	if s.Topo.ClusterOf(child.Source) != child.Cluster {
-		return nil, fmt.Errorf("routing: child source %d not in cluster %d", child.Source, child.Cluster)
+		//hfcvet:ignore hotalloc cold malformed-child error path
+		return nil, 0, fmt.Errorf("routing: child source %d not in cluster %d", child.Source, child.Cluster)
 	}
 	if s.Topo.ClusterOf(child.Dest) != child.Cluster {
-		return nil, fmt.Errorf("routing: child destination %d not in cluster %d", child.Dest, child.Cluster)
+		//hfcvet:ignore hotalloc cold malformed-child error path
+		return nil, 0, fmt.Errorf("routing: child destination %d not in cluster %d", child.Dest, child.Cluster)
 	}
 	if s.Topo.ClusterOf(child.Resolver) != child.Cluster {
-		return nil, fmt.Errorf("routing: child resolver %d not in cluster %d", child.Resolver, child.Cluster)
+		//hfcvet:ignore hotalloc cold malformed-child error path
+		return nil, 0, fmt.Errorf("routing: child resolver %d not in cluster %d", child.Resolver, child.Cluster)
 	}
 	solve := IntraSolve{
 		Members: s.Topo.Members(child.Cluster),
@@ -161,7 +185,8 @@ func (s *LocalIntraSolver) SolveChild(child ChildRequest) (*Path, error) {
 		Oracle:  s.Topo,
 	}
 	if s.Exclude != nil && (s.ExcludeAny == nil || s.ExcludeAny()) {
+		//hfcvet:ignore hotalloc only while a proxy is marked unavailable
 		solve.Usable = func(node int) bool { return !s.Exclude(node) }
 	}
-	return solve.Solve(child)
+	return solve.Append(child, dst)
 }

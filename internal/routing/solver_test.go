@@ -3,6 +3,8 @@ package routing
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -155,4 +157,72 @@ func exhaustiveChild(child ChildRequest, members []int, sctp []svc.CapabilitySet
 		return nil, ErrInfeasible
 	}
 	return best, nil
+}
+
+// TestIntraSolveRejectsNilOracle: without an oracle every kind of child is
+// refused with an error — the relay-only ones too, which read a distance
+// before any other step of the solve.
+func TestIntraSolveRejectsNilOracle(t *testing.T) {
+	for _, child := range []ChildRequest{
+		{Source: 0, Dest: 1},
+		{Source: 1, Dest: 1},
+		{Source: 0, Dest: 1, Services: []svc.Service{"a"}},
+	} {
+		if p, err := (IntraSolve{}).Solve(child); err == nil || err.Error() != "routing: nil oracle" {
+			t.Errorf("child %+v with no oracle: path %v, err %v; want the nil-oracle error", child, p, err)
+		}
+	}
+}
+
+// TestAppendChildAllocatesNothing: an indexed LocalIntraSolver lays a service
+// child and a relay child into a buffer with room without allocating — the
+// pooled search scratch and the provider index already warm — and lays what
+// SolveChild returns.
+func TestAppendChildAllocatesNothing(t *testing.T) {
+	if raceDetector() {
+		t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so the pooled scratch is rebuilt inside the measurement")
+	}
+	rng := rand.New(rand.NewSource(3))
+	topo, caps, states := randomOverlay(t, rng, 3, 8, 10)
+	indexes := NewLazyIndexes(states, func(node int) []int {
+		return topo.Members(topo.ClusterOf(node))
+	}, nil)
+	s := &LocalIntraSolver{Topo: topo, States: states, Indexes: indexes}
+	members := topo.Members(0)
+	src, dst := members[0], members[len(members)-1]
+	var offered []svc.Service
+	for _, m := range members {
+		offered = append(offered, caps[m].Sorted()...)
+	}
+	children := map[string]ChildRequest{
+		"service": {Cluster: 0, Source: src, Dest: dst, Resolver: dst, Services: offered[:2]},
+		"relay":   {Cluster: 0, Source: src, Dest: dst, Resolver: dst},
+	}
+	buf := make([]Hop, 0, 64)
+	for name, child := range children {
+		want, err := s.SolveChild(child)
+		if err != nil {
+			t.Fatalf("%s child: SolveChild: %v", name, err)
+		}
+		var cost float64
+		allocs := testing.AllocsPerRun(100, func() {
+			if buf, cost, err = s.AppendChild(child, buf[:0]); err != nil {
+				t.Fatalf("%s child: AppendChild: %v", name, err)
+			}
+		})
+		if !slices.Equal(buf, want.Hops) || cost != want.DecisionCost {
+			t.Errorf("%s child: appended %v cost %v, SolveChild %v", name, buf, cost, want)
+		}
+		if allocs != 0 {
+			t.Errorf("%s child: AppendChild into a buffer with room allocates %v objects, want 0", name, allocs)
+		}
+	}
+}
+
+// raceDetector reports whether the test binary runs under -race.
+func raceDetector() bool {
+	info, _ := debug.ReadBuildInfo()
+	return info != nil && slices.ContainsFunc(info.Settings, func(s debug.BuildSetting) bool {
+		return s.Key == "-race" && s.Value == "true"
+	})
 }

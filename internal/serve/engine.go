@@ -73,14 +73,16 @@ type flightKey struct {
 	version uint64
 }
 
-// flightCall is one in-flight resolution. Its leader writes res and err
-// exactly once, then takes the call out of the flight map and closes done if
-// a joiner made one; joiners read them only after <-done. A miss nobody joins
-// — nearly every one — never makes the channel.
+// flightCall is one joined in-flight resolution. A leader marks its flight
+// with a nil entry; the first caller to join makes the call and its channel
+// under the engine's flight lock, so a miss nobody joins — nearly every one —
+// makes no record. The leader takes the entry out of the flight map and, if
+// a joiner made it, writes res and err exactly once and closes done; joiners
+// read them only after <-done.
 type flightCall struct {
 	res  *routing.Result
 	err  error
-	done chan struct{} // made by the first joiner, read and written under the engine's flight lock
+	done chan struct{}
 }
 
 // Engine serves routing requests concurrently over one HFC overlay.
@@ -249,7 +251,7 @@ func (e *Engine) ResolveDetailed(req svc.Request) (*routing.Result, error) {
 // the degraded check, cache lookup, in-flight dedup, and computation.
 // Callers guarantee req is valid and key is req's.
 //
-//hfc:hotpath budget=2
+//hfc:hotpath budget=0
 func (e *Engine) resolveKeyed(req svc.Request, key routing.CacheKey) (*routing.Result, error) {
 	if !e.avail.Present(req.Dest) {
 		// The destination resolver is unreachable, so a fresh §5
@@ -268,44 +270,44 @@ func (e *Engine) resolveKeyed(req svc.Request, key routing.CacheKey) (*routing.R
 	fk := flightKey{key: key, version: version}
 	e.flightMu.Lock()
 	if c, ok := e.flight[fk]; ok {
-		if c.done == nil {
-			//hfcvet:ignore hotalloc only a second caller of a request in flight makes the wake-up
-			c.done = make(chan struct{})
+		if c == nil {
+			//hfcvet:ignore hotalloc only a second caller of a request in flight makes the record
+			c = &flightCall{done: make(chan struct{})}
+			e.flight[fk] = c
 		}
-		done := c.done
 		e.flightMu.Unlock()
 		// Join the in-flight computation. No locks are held while waiting;
 		// the version in fk guarantees the leader started no earlier than
 		// this caller's current view of the cache, so the shared result is
 		// never older than this call.
-		<-done
+		<-c.done
 		if c.err != nil {
 			return nil, c.err
 		}
 		e.deduped.Add(1)
 		return c.res, nil
 	}
-	c := &flightCall{}
-	e.flight[fk] = c
+	e.flight[fk] = nil
 	e.flightMu.Unlock()
 
-	c.res, c.err = e.compute(req, key, version)
-	if c.err != nil && e.unavailN.Load() > 0 {
+	res, err := e.compute(req, key, version)
+	if err != nil && e.unavailN.Load() > 0 {
 		// Resolution failed while nodes are marked unavailable — likely
 		// every provider of some service sits behind the partition. Fall
 		// back to the last-known-good route; waiters share the copy.
-		if res := e.degradedResult(key, req.SG); res != nil {
-			c.res, c.err = res, nil
+		if lkg := e.degradedResult(key, req.SG); lkg != nil {
+			res, err = lkg, nil
 		}
 	}
 	e.flightMu.Lock()
+	c := e.flight[fk]
 	delete(e.flight, fk)
-	done := c.done
 	e.flightMu.Unlock()
-	if done != nil {
-		close(done)
+	if c != nil {
+		c.res, c.err = res, err
+		close(c.done)
 	}
-	return c.res, c.err
+	return res, err
 }
 
 // compute performs the full hierarchical resolution under the state read
@@ -321,12 +323,11 @@ func (e *Engine) compute(req svc.Request, key routing.CacheKey, version uint64) 
 		return nil, err
 	}
 	var stamps [8]int
-	path, cost, clusters, err := r.RoutePath(req, stamps[:0])
+	res, clusters, err := r.RoutePath(req, stamps[:0])
 	e.resolutions.Add(1)
 	if err != nil {
 		return nil, err
 	}
-	res := &routing.Result{Path: path, CSPCost: cost}
 	e.cache.Put(key, req.SG.Canonical(), res, clusters, version)
 	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -191,6 +192,81 @@ func TestEngineAccountsEveryResolution(t *testing.T) {
 	if got := st.Cache.Hits + st.Deduped + st.Resolutions; got != callers {
 		t.Errorf("hits(%d) + deduped(%d) + resolutions(%d) = %d, want %d",
 			st.Cache.Hits, st.Deduped, st.Resolutions, got, callers)
+	}
+}
+
+// TestEngineJoinerSharesLeaderResult: a caller that finds its request in
+// flight waits for the leader and is handed the leader's answer — the same
+// path, or the same error — and the pair counts one resolution and, when it
+// succeeds, one dedup. The leader is held inside compute by the state write
+// lock, so the second caller joins on every run, not when the scheduler
+// happens to let it.
+func TestEngineJoinerSharesLeaderResult(t *testing.T) {
+	_, eng, caps := buildEngine(t, 41, 30, serve.Config{})
+	gen, err := svc.NewRequestGenerator(rand.New(rand.NewSource(43)), caps, 2, 4)
+	if err != nil {
+		t.Fatalf("NewRequestGenerator: %v", err)
+	}
+	served, err := gen.Next()
+	if err != nil {
+		t.Fatalf("Next: %v", err)
+	}
+	nowhere, err := svc.Linear("offered-nowhere")
+	if err != nil {
+		t.Fatalf("Linear: %v", err)
+	}
+	unserved := svc.Request{Source: served.Source, Dest: served.Dest, SG: nowhere}
+
+	// waitFlights yields until the engine has open flights, joined of them.
+	// The callers it waits for are runnable, so it returns.
+	waitFlights := func(open, joined int) {
+		for o, j := eng.Flights(); o != open || j != joined; o, j = eng.Flights() {
+			runtime.Gosched()
+		}
+	}
+	type answer struct {
+		path *routing.Path
+		err  error
+	}
+	for _, tc := range []struct {
+		name   string
+		req    svc.Request
+		served bool
+	}{{"served", served, true}, {"no provider", unserved, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := eng.Stats()
+			answers := make(chan answer, 2)
+			resolve := func() {
+				p, err := eng.Resolve(tc.req)
+				answers <- answer{p, err}
+			}
+			release := eng.HoldState()
+			go resolve()
+			waitFlights(1, 0)
+			go resolve()
+			waitFlights(1, 1)
+			release()
+			a, b := <-answers, <-answers
+			waitFlights(0, 0)
+
+			if a.path != b.path || a.err != b.err {
+				t.Fatalf("leader and joiner answered differently: %v / %v and %v / %v", a.path, a.err, b.path, b.err)
+			}
+			if (a.err == nil) != tc.served {
+				t.Fatalf("shared answer %v, err %v; want served = %v", a.path, a.err, tc.served)
+			}
+			after := eng.Stats()
+			wantDeduped := int64(0)
+			if tc.served {
+				wantDeduped = 1
+			}
+			if got := after.Resolutions - before.Resolutions; got != 1 {
+				t.Errorf("%d resolutions, want 1", got)
+			}
+			if got := after.Deduped - before.Deduped; got != wantDeduped {
+				t.Errorf("%d deduped, want %d", got, wantDeduped)
+			}
+		})
 	}
 }
 

@@ -42,3 +42,24 @@ func (e *Engine) IndexFor(dest int) *routing.ProviderIndex {
 
 // IndexHalves is how many provider-index halves the engine has cached.
 func (e *Engine) IndexHalves() (local, clusters int) { return e.indexes.Len() }
+
+// HoldState takes stateMu's write side until release is called: a miss
+// admitted meanwhile opens its flight and blocks inside compute.
+func (e *Engine) HoldState() (release func()) {
+	e.stateMu.Lock()
+	return e.stateMu.Unlock
+}
+
+// Flights counts the computations in flight: open is every flight a leader
+// has opened, joined those a second caller has joined.
+func (e *Engine) Flights() (open, joined int) {
+	e.flightMu.Lock()
+	defer e.flightMu.Unlock()
+	for _, c := range e.flight {
+		open++
+		if c != nil {
+			joined++
+		}
+	}
+	return open, joined
+}
